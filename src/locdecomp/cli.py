@@ -26,8 +26,8 @@ from .error_models import KinematicInput
 from .estimator import DifferenceObservation, run_filter
 from .exceptions import ParseError
 from .frames import Heading
-from .harness import (FLOAT_FORMAT, ExperimentConfig, build_trajectory,
-                      emit_results, load_config, run_experiment)
+from .harness import (ExperimentConfig, _fmt, build_trajectory, emit_results,
+                      load_config, run_experiment)
 from .observability import (closed_form_decomposition, difference_rates,
                             numerical_rank_test)
 from .simulation import inject_errors, to_kinematic_inputs
@@ -35,10 +35,6 @@ from .simulation import inject_errors, to_kinematic_inputs
 DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
                 "other_north_m", "heading_rad", "heading_rate_rps",
                 "r_var_east_m2", "r_var_north_m2")
-
-
-def _fmt(value: float) -> str:
-    return FLOAT_FORMAT % value
 
 
 def write_data_file(steps, path) -> Path:
@@ -88,8 +84,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["injection"] = replace(cfg.injection, rng_seed=args.seed)
     if getattr(args, "runs", None) is not None:
         updates["n_runs"] = args.runs
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
     if getattr(args, "out", None) is not None:
         updates["output"] = str(args.out)
     return replace(cfg, **updates) if updates else cfg
@@ -223,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     add_common(p)
     p.add_argument("--runs", type=int, help="override the number of runs")
-    p.add_argument("--workers", type=int, help="override the worker count")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("observability", help="windowed rank report")

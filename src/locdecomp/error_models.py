@@ -3,7 +3,11 @@
 The disparity between two independent localizers is modeled as a sum of
 parameterized error components.  Each component maps its parameter slice
 and the agent's measured kinematic state to a 2-vector contribution in the
-navigation frame.  Components declare which kinematic fields they read;
+navigation frame.  Components are array-native: parameters of shape
+``(..., d)`` give contributions of shape ``(..., 2)``, and array-valued
+kinematic fields broadcast against the leading parameter axes, so one call
+covers every sigma point of every run.  Components declare which kinematic
+fields they read;
 state-independent components (e.g. a uniform map translation) declare
 none.  A :class:`CompositeModel` stacks the parameters of all active
 components into one state vector and enforces that each kinematic field
@@ -32,17 +36,18 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DimensionMismatch, SingularTransform
-from .frames import Heading, as_vec2, rotation_matrix
+from .frames import Heading, as_points, as_vec2, rotate
 
 KINEMATIC_FIELDS = ("heading", "ref_position")
 
 
 @dataclass(frozen=True)
 class KinematicInput:
-    """Measured agent state for one time step.
+    """Measured agent state for one time step, or for a batch of them.
 
     ``ref_position`` is the reference localizer's navigation-frame position
-    estimate; position-dependent components evaluate at it.
+    estimate; position-dependent components evaluate at it.  Fields may be
+    arrays, e.g. one ``ref_position`` per run (..., 2) or a heading series.
     """
 
     t: float
@@ -50,20 +55,22 @@ class KinematicInput:
     ref_position: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.t):
+        if not np.all(np.isfinite(self.t)):
             raise ValueError(f"timestamp must be finite, got {self.t}")
-        object.__setattr__(self, "ref_position", as_vec2(self.ref_position, "ref_position"))
+        object.__setattr__(self, "ref_position", as_points(self.ref_position, "ref_position"))
 
 
 @dataclass(frozen=True)
 class ErrorComponent:
     """One parameterized error contribution.
 
-    ``fn(params, u)`` must be deterministic, return a 2-vector, and read
-    only the kinematic fields listed in ``depends_on``.  ``neutral`` is the
-    parameter value at which the contribution vanishes for every input; it
-    seeds filter initialization (zero for offsets, zero for the scale
-    deviation since scale is parameterized as 1 + sigma).
+    ``fn(params, u)`` maps parameters (..., param_dim) to contributions
+    (..., 2), broadcasting array fields of ``u`` against the leading axes.
+    It must be deterministic and read only the kinematic fields listed in
+    ``depends_on``.  ``neutral`` is the parameter value at which the
+    contribution vanishes for every input; it seeds filter initialization
+    (zero for offsets, zero for the scale deviation since scale is
+    parameterized as 1 + sigma).
     """
 
     name: str
@@ -87,11 +94,11 @@ class ErrorComponent:
 
     def evaluate(self, params, u: KinematicInput) -> np.ndarray:
         params = np.asarray(params, dtype=float)
-        if params.shape != (self.param_dim,):
+        if params.shape[-1:] != (self.param_dim,):
             raise DimensionMismatch(
                 f"component '{self.name}' expects {self.param_dim} parameters, "
                 f"got shape {params.shape}")
-        return as_vec2(self.fn(params, u), f"output of '{self.name}'")
+        return as_points(self.fn(params, u), f"output of '{self.name}'")
 
 
 @dataclass(frozen=True)
@@ -136,19 +143,15 @@ class CompositeModel:
         return np.concatenate([comp.neutral for comp in self.components])
 
     def evaluate(self, x, u: KinematicInput) -> np.ndarray:
+        """Predicted localizer difference: states (..., n) give (..., 2)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.state_dim,):
+        if x.shape[-1:] != (self.state_dim,):
             raise DimensionMismatch(
-                f"state must have shape ({self.state_dim},), got {x.shape}")
-        out = np.zeros(2)
+                f"state must have shape (..., {self.state_dim}), got {x.shape}")
+        out = 0.0
         for off, comp in zip(self.offsets, self.components):
-            out += comp.evaluate(x[off:off + comp.param_dim], u)
+            out = out + comp.fn(x[..., off:off + comp.param_dim], u)
         return out
-
-
-def evaluate_difference_model(model: CompositeModel, x, u: KinematicInput) -> np.ndarray:
-    """Predicted localizer difference for state ``x`` at kinematic input ``u``."""
-    return model.evaluate(x, u)
 
 
 def measured_difference(p_ref, p_other) -> np.ndarray:
@@ -172,7 +175,7 @@ def map_translation() -> ErrorComponent:
 def body_offset() -> ErrorComponent:
     """Vehicle-fixed localizer offset, rotated into the navigation frame by heading."""
     def fn(params, u):
-        return rotation_matrix(u.heading.angle) @ params
+        return rotate(params, u.heading.angle)
 
     return ErrorComponent(name="body_offset", param_dim=2,
                           depends_on=frozenset({"heading"}), neutral=np.zeros(2), fn=fn)
@@ -186,7 +189,8 @@ def body_offset() -> ErrorComponent:
 class PlanarTransform:
     """Invertible parametric map of the plane onto itself.
 
-    ``forward(point, params)`` and ``inverse(point, params)`` must be exact
+    ``forward(point, params)`` and ``inverse(point, params)`` broadcast
+    points (..., 2) against parameters (..., param_dim) and must be exact
     inverses wherever defined; ``inverse`` raises
     :class:`~locdecomp.exceptions.SingularTransform` where the map cannot
     be inverted (e.g. zero scale).  At ``neutral`` parameters both maps are
@@ -222,10 +226,10 @@ def rotation_about(pivot=(0.0, 0.0)) -> PlanarTransform:
     pivot = as_vec2(pivot, "pivot")
 
     def forward(point, params):
-        return pivot + rotation_matrix(params[0]) @ (point - pivot)
+        return pivot + rotate(point - pivot, params[..., 0])
 
     def inverse(point, params):
-        return pivot + rotation_matrix(-params[0]) @ (point - pivot)
+        return pivot + rotate(point - pivot, -params[..., 0])
 
     return PlanarTransform(name="rotation", param_dim=1, neutral=np.zeros(1),
                            forward=forward, inverse=inverse)
@@ -239,12 +243,13 @@ def scale_about(pivot=(0.0, 0.0), min_scale: float = 1e-9) -> PlanarTransform:
     pivot = as_vec2(pivot, "pivot")
 
     def forward(point, params):
-        return pivot + (1.0 + params[0]) * (point - pivot)
+        return pivot + (1.0 + params[..., :1]) * (point - pivot)
 
     def inverse(point, params):
-        s = 1.0 + params[0]
-        if abs(s) < min_scale:
-            raise SingularTransform(f"scale factor {s} is not invertible")
+        s = 1.0 + params[..., :1]
+        singular = np.abs(s) < min_scale
+        if singular.any():
+            raise SingularTransform(f"scale factor {s[singular][0]} is not invertible")
         return pivot + (point - pivot) / s
 
     return PlanarTransform(name="scale", param_dim=1, neutral=np.zeros(1),
@@ -261,29 +266,34 @@ def shear_along(pivot=(0.0, 0.0), axis: str = "x") -> PlanarTransform:
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     row, col = (0, 1) if axis == "x" else (1, 0)
+    unit = np.eye(2)[row]
 
-    def matrix(k):
-        m = np.eye(2)
-        m[row, col] = k
-        return m
+    def sheared(point, k):
+        lever = point - pivot
+        return pivot + (lever + (k * lever[..., col])[..., None] * unit)
 
     def forward(point, params):
-        return pivot + matrix(params[0]) @ (point - pivot)
+        return sheared(point, params[..., 0])
 
     def inverse(point, params):
-        return pivot + matrix(-params[0]) @ (point - pivot)
+        return sheared(point, -params[..., 0])
 
     return PlanarTransform(name=f"shear_{axis}", param_dim=1, neutral=np.zeros(1),
                            forward=forward, inverse=inverse)
 
 
-def deformation_component(transform: PlanarTransform,
-                          reference: str = "ref") -> ErrorComponent:
-    """Wrap a planar transform into a position-dependent error component."""
+def deformation_component(transform: PlanarTransform, reference: str = "ref",
+                          name: str | None = None) -> ErrorComponent:
+    """Wrap a planar transform into a position-dependent error component.
+
+    ``name`` defaults to the transform's name, suffixed ``_other`` when the
+    other localizer hosts the deformation.
+    """
     def fn(params, u):
         return transform_difference(transform, params, u, reference=reference)
 
-    name = transform.name if reference == "ref" else f"{transform.name}_other"
+    if name is None:
+        name = transform.name if reference == "ref" else f"{transform.name}_other"
     return ErrorComponent(name=name, param_dim=transform.param_dim,
                           depends_on=frozenset({"ref_position"}),
                           neutral=transform.neutral.copy(), fn=fn)
@@ -291,20 +301,14 @@ def deformation_component(transform: PlanarTransform,
 
 def map_rotation(pivot=(0.0, 0.0), reference: str = "ref") -> ErrorComponent:
     """Map rotated about a pivot; estimate the rotation angle."""
-    comp = deformation_component(rotation_about(pivot), reference)
-    return ErrorComponent(name="map_rotation", param_dim=comp.param_dim,
-                          depends_on=comp.depends_on, neutral=comp.neutral, fn=comp.fn)
+    return deformation_component(rotation_about(pivot), reference, "map_rotation")
 
 
 def map_scale(pivot=(0.0, 0.0), reference: str = "ref") -> ErrorComponent:
     """Map scaled about a pivot; estimate the scale deviation from 1."""
-    comp = deformation_component(scale_about(pivot), reference)
-    return ErrorComponent(name="map_scale", param_dim=comp.param_dim,
-                          depends_on=comp.depends_on, neutral=comp.neutral, fn=comp.fn)
+    return deformation_component(scale_about(pivot), reference, "map_scale")
 
 
 def map_shear(pivot=(0.0, 0.0), axis: str = "x", reference: str = "ref") -> ErrorComponent:
     """Map sheared along an axis about a pivot; estimate the shear factor."""
-    comp = deformation_component(shear_along(pivot, axis), reference)
-    return ErrorComponent(name="map_shear", param_dim=comp.param_dim,
-                          depends_on=comp.depends_on, neutral=comp.neutral, fn=comp.fn)
+    return deformation_component(shear_along(pivot, axis), reference, "map_shear")

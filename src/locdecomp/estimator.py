@@ -16,11 +16,18 @@ tolerance (a covariance that has validly collapsed to singular, e.g. all
 zero, must still yield sigma points).  A genuinely indefinite covariance
 raises :class:`~locdecomp.exceptions.CholeskyFailure`, which signals
 filter divergence rather than a recoverable condition.
+
+The math is written once over a run axis (means (B, n), covariances
+(B, n, n), sigma points (B, 2n+1, n)): :func:`filter_runs` filters B runs
+in one vectorized pass, and :func:`run_filter`, :func:`predict`,
+:func:`update` and :func:`generate_sigma_points` are its batch-of-one
+cases.  Measurement covariances and observation finiteness are validated
+once per pass; priors and posteriors get one batched check per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,18 +40,21 @@ PSD_TOL = 1e-9
 
 
 def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
-    """Validate symmetry and positive semi-definiteness within tolerance."""
+    """Validate symmetry and positive semi-definiteness of each matrix in
+    ``m`` (shape (..., k, k)) within tolerance."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if dim is not None and m.shape != (dim, dim):
+    if dim is not None and m.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > SYM_TOL * scale:
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > SYM_TOL * scale):
         raise NotPSD(f"{name} is not symmetric within tolerance")
-    eigvals = np.linalg.eigvalsh((m + m.T) / 2.0)
-    if eigvals.min() < -PSD_TOL * max(np.trace(m), 1.0):
-        raise NotPSD(f"{name} has negative eigenvalue {eigvals.min()}")
+    lowest = np.linalg.eigvalsh((m + mt) / 2.0)[..., 0]
+    floor = -PSD_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1), 1.0)
+    if np.any(lowest < floor):
+        raise NotPSD(f"{name} has negative eigenvalue {lowest.min()}")
     return m
 
 
@@ -120,7 +130,7 @@ def compose_measurement_covariance(cov_ref, cov_other) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SigmaPoints:
-    """Weighted sigma-point set; ``points`` has shape (2n+1, n)."""
+    """Weighted sigma-point set; ``points`` has shape (..., 2n+1, n)."""
 
     points: np.ndarray
     mean_weights: np.ndarray
@@ -128,11 +138,13 @@ class SigmaPoints:
 
 
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
-    """Matrix S with S @ S.T = p, tolerant of semi-definite input."""
+    """Matrices S with S @ S.T = p for p of shape (..., n, n), tolerant of
+    semi-definite input; if a batched Cholesky fails, each matrix retries alone."""
     try:
         return np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
-        pass
+        if p.ndim > 2:
+            return np.stack([_covariance_sqrt(m) for m in p])
     n = p.shape[0]
     jitter = PSD_TOL * np.trace(p) / n
     if jitter > 0.0:
@@ -148,23 +160,16 @@ def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def generate_sigma_points(belief: GaussianBelief, cfg: UkfConfig) -> SigmaPoints:
-    """Scaled sigma points reproducing the belief's mean and covariance.
-
-    Returns 2n+1 points; the weighted point mean equals ``belief.mean``
-    exactly and the weighted point covariance equals ``belief.covariance``
-    up to the square-root accuracy.
-    """
-    n = belief.dim
+def _sigma_points(means: np.ndarray, covs: np.ndarray, cfg: UkfConfig) -> SigmaPoints:
+    """Scaled sigma points of a batch: means (B, n), covariances (B, n, n)."""
+    n = means.shape[-1]
     lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
     scale = n + lam
     if scale <= 0.0:
         raise ValueError(f"sigma-point scale n + lambda = {scale} must be positive")
-    root = np.sqrt(scale) * _covariance_sqrt(belief.covariance)
-    points = np.empty((2 * n + 1, n))
-    points[0] = belief.mean
-    points[1:n + 1] = belief.mean + root.T
-    points[n + 1:] = belief.mean - root.T
+    root_t = np.swapaxes(np.sqrt(scale) * _covariance_sqrt(covs), -1, -2)
+    centre = means[:, None, :]
+    points = np.concatenate([centre, centre + root_t, centre - root_t], axis=1)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale
@@ -172,10 +177,53 @@ def generate_sigma_points(belief: GaussianBelief, cfg: UkfConfig) -> SigmaPoints
     return SigmaPoints(points=points, mean_weights=wm, cov_weights=wc)
 
 
+def _predict(covs: np.ndarray, cfg: UkfConfig) -> np.ndarray:
+    return covs + cfg.process_noise
+
+
+def _update(means: np.ndarray, covs: np.ndarray, d: np.ndarray, r: np.ndarray,
+            u: KinematicInput, model: CompositeModel,
+            cfg: UkfConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Update means (B, n) and covariances (B, n, n) with differences (B, 2)."""
+    sp = _sigma_points(means, covs, cfg)
+    # sigma axis first, so per-run kinematic fields of shape (B, 2) broadcast;
+    # the contiguous copy gives every run's slice the same memory layout, so
+    # the reductions below round alike whatever the batch size
+    outputs = np.ascontiguousarray(
+        np.swapaxes(model.evaluate(np.swapaxes(sp.points, 0, 1), u), 0, 1))
+    predicted = sp.mean_weights @ outputs
+    dz = outputs - predicted[:, None, :]
+    dx = sp.points - means[:, None, :]
+    innov_cov = np.swapaxes(sp.cov_weights[:, None] * dz, 1, 2) @ dz + r
+    cross_cov = np.swapaxes(sp.cov_weights[:, None] * dx, 1, 2) @ dz
+    innovation = d - predicted
+    gain = np.swapaxes(np.linalg.solve(innov_cov, np.swapaxes(cross_cov, 1, 2)), 1, 2)
+    posterior_means = means + (gain @ innovation[:, :, None])[:, :, 0]
+    posterior_covs = covs - gain @ innov_cov @ np.swapaxes(gain, 1, 2)
+    posterior_covs = (posterior_covs + np.swapaxes(posterior_covs, 1, 2)) / 2.0
+    if cfg.mahalanobis_gate is not None:
+        whitened = np.linalg.solve(innov_cov, innovation[:, :, None])[:, :, 0]
+        gated = np.sum(innovation * whitened, axis=1) > cfg.mahalanobis_gate ** 2
+        posterior_means = np.where(gated[:, None], means, posterior_means)
+        posterior_covs = np.where(gated[:, None, None], covs, posterior_covs)
+    return posterior_means, posterior_covs
+
+
+def generate_sigma_points(belief: GaussianBelief, cfg: UkfConfig) -> SigmaPoints:
+    """Scaled sigma points reproducing the belief's mean and covariance.
+
+    Returns 2n+1 points; the weighted point mean equals ``belief.mean``
+    exactly and the weighted point covariance equals ``belief.covariance``
+    up to the square-root accuracy.
+    """
+    sp = _sigma_points(belief.mean[None], belief.covariance[None], cfg)
+    return replace(sp, points=sp.points[0])
+
+
 def predict(belief: GaussianBelief, cfg: UkfConfig) -> GaussianBelief:
     """Prediction step for constant parameters: inflate covariance by Q."""
     return GaussianBelief(belief.mean.copy(),
-                          belief.covariance + cfg.process_noise)
+                          _predict(belief.covariance[None], cfg)[0])
 
 
 def update(belief: GaussianBelief, obs: DifferenceObservation, u: KinematicInput,
@@ -190,23 +238,38 @@ def update(belief: GaussianBelief, obs: DifferenceObservation, u: KinematicInput
         raise DimensionMismatch(
             f"belief dimension {belief.dim} does not match model state "
             f"dimension {model.state_dim}")
-    sp = generate_sigma_points(belief, cfg)
-    outputs = np.array([model.evaluate(point, u) for point in sp.points])
-    predicted = sp.mean_weights @ outputs
-    dz = outputs - predicted
-    dx = sp.points - belief.mean
-    innov_cov = (sp.cov_weights[:, None] * dz).T @ dz + obs.R
-    cross_cov = (sp.cov_weights[:, None] * dx).T @ dz
-    innovation = obs.d - predicted
-    if cfg.mahalanobis_gate is not None:
-        m2 = innovation @ np.linalg.solve(innov_cov, innovation)
-        if m2 > cfg.mahalanobis_gate ** 2:
-            return GaussianBelief(belief.mean.copy(), belief.covariance.copy())
-    gain = np.linalg.solve(innov_cov, cross_cov.T).T
-    mean = belief.mean + gain @ innovation
-    cov = belief.covariance - gain @ innov_cov @ gain.T
-    cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, cov)
+    means, covs = _update(belief.mean[None], belief.covariance[None], obs.d[None],
+                          obs.R, u, model, cfg)
+    return GaussianBelief(means[0], covs[0])
+
+
+def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
+    """Filter B runs from ``cfg.initial_belief`` in one vectorized pass.
+
+    ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
+    covariances (N, 2, 2) shared by the runs, and ``inputs`` yields the N
+    kinematic inputs, whose ``ref_position`` is shared (2,) or per run
+    (B, 2).  Yields the posterior means (B, n) and covariances (B, n, n)
+    after each step.  Errors raised inside a step are re-raised as
+    :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
+    """
+    d = np.asarray(d, dtype=float)
+    _check_covariance(r, "R", 2)
+    bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
+    if bad_steps.size:
+        raise FilterStepError(int(bad_steps[0]), "observed difference must be finite")
+    means = np.tile(cfg.initial_belief.mean, (d.shape[0], 1))
+    covs = np.tile(cfg.initial_belief.covariance, (d.shape[0], 1, 1))
+    for step, u in enumerate(inputs):
+        try:
+            covs = _check_covariance(_predict(covs, cfg), "covariance")
+            means, covs = _update(means, covs, d[:, step], r[step], u, model, cfg)
+            if not np.all(np.isfinite(means)):
+                raise ValueError("mean must be finite")
+            _check_covariance(covs, "covariance")
+        except Exception as exc:
+            raise FilterStepError(step, str(exc)) from exc
+        yield means, covs
 
 
 def run_filter(model: CompositeModel, cfg: UkfConfig, stream) -> list[GaussianBelief]:
@@ -216,11 +279,10 @@ def run_filter(model: CompositeModel, cfg: UkfConfig, stream) -> list[GaussianBe
     raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
     """
+    pairs = list(stream)
+    d = np.array([obs.d for obs, _ in pairs]).reshape(1, len(pairs), 2)
+    r = np.array([obs.R for obs, _ in pairs]).reshape(len(pairs), 2, 2)
     beliefs = [cfg.initial_belief]
-    for step, (obs, u) in enumerate(stream):
-        try:
-            prior = predict(beliefs[-1], cfg)
-            beliefs.append(update(prior, obs, u, model, cfg))
-        except Exception as exc:
-            raise FilterStepError(step, str(exc)) from exc
+    for means, covs in filter_runs(model, cfg, d, r, (u for _, u in pairs)):
+        beliefs.append(GaussianBelief(means[0], covs[0]))
     return beliefs

@@ -27,22 +27,31 @@ def normalize_angle(angle):
     return float(a) if np.isscalar(angle) else a
 
 
+def as_points(v, name: str = "points") -> np.ndarray:
+    """Coerce to a finite float array of 2-vectors, shape (..., 2)."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape[-1:] != (2,):
+        raise ValueError(f"{name} must have shape (..., 2), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {arr}")
+    return arr
+
+
 def as_vec2(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite float vector of shape (2,)."""
     arr = np.asarray(v, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"{name} must have shape (2,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    return arr
+    return as_points(arr, name)
 
 
 @dataclass(frozen=True)
 class Heading:
     """Heading angle and its time derivative.
 
-    ``angle`` is normalized to ``(-pi, pi]`` at construction; ``rate`` is an
-    explicit measured input, not differentiated internally (see
+    Both are scalars, or arrays for a series of samples.  ``angle`` is
+    normalized to ``(-pi, pi]`` at construction; ``rate`` is an explicit
+    measured input, not differentiated internally (see
     :func:`heading_rates` for filling it from sampled angles).
     """
 
@@ -50,16 +59,31 @@ class Heading:
     rate: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.angle) and np.isfinite(self.rate)):
+        angle = np.asarray(self.angle, dtype=float)
+        rate = np.asarray(self.rate, dtype=float)
+        if not (np.isfinite(angle).all() and np.isfinite(rate).all()):
             raise ValueError(f"heading must be finite, got {self.angle}, {self.rate}")
-        object.__setattr__(self, "angle", normalize_angle(float(self.angle)))
-        object.__setattr__(self, "rate", float(self.rate))
+        angle = angle if angle.ndim else float(angle)
+        object.__setattr__(self, "angle", normalize_angle(angle))
+        object.__setattr__(self, "rate", rate if rate.ndim else float(rate))
 
 
 def rotation_matrix(gamma: float) -> np.ndarray:
     """2x2 rotation matrix for a counter-clockwise rotation by ``gamma``."""
     c, s = np.cos(gamma), np.sin(gamma)
     return np.array([[c, -s], [s, c]])
+
+
+def rotate(v, angle) -> np.ndarray:
+    """Rotate 2-vectors ``v`` (shape (..., 2)) counter-clockwise by ``angle``,
+    a scalar or an array broadcasting against ``v[..., 0]``."""
+    v = np.asarray(v, dtype=float)
+    if np.ndim(angle) == 0:
+        # one 2-d product rounds every row alike, whatever the leading shape
+        return (v.reshape(-1, 2) @ rotation_matrix(angle).T).reshape(v.shape)
+    c, s = np.cos(angle), np.sin(angle)
+    x, y = v[..., 0], v[..., 1]
+    return np.stack((c * x - s * y, s * x + c * y), axis=-1)
 
 
 def body_to_nav(v, gamma: float) -> np.ndarray:

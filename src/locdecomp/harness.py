@@ -3,10 +3,13 @@
 An experiment couples a trajectory source, a composed error model, an
 injection configuration and a filter configuration, runs a number of
 independent simulate-then-filter pipelines and aggregates the per-step,
-per-parameter mean squared estimation error across runs.
+per-parameter mean squared estimation error across runs.  All runs share
+the trajectory, the model and the filter settings, so an experiment is one
+batched pass: synthesize the trajectory, inject errors into every run as
+arrays, filter every run in one vectorized pass, take the moments.
 
 Per-run seeds are derived by mixing the master seed with the run index, so
-runs are independent of execution order and may run concurrently.  The
+a run's numbers depend only on its index, not on the batch around it.  The
 same configuration (including the seed) always produces byte-identical
 result files.
 """
@@ -14,17 +17,16 @@ result files.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import error_models
-from .error_models import CompositeModel
-from .estimator import GaussianBelief, UkfConfig, run_filter
+from .error_models import CompositeModel, KinematicInput
+from .estimator import GaussianBelief, UkfConfig, filter_runs
 from .exceptions import ConfigError, ExperimentRunError
-from .simulation import (InjectionConfig, TrajectorySample, inject_errors,
+from .simulation import (InjectionConfig, TrajectorySample, inject_runs,
                          load_trajectory, synthesize_trajectory)
 
 DEFAULT_CONVERGENCE_THRESHOLD_M2 = 0.1
@@ -59,15 +61,12 @@ class ExperimentConfig:
     injection: InjectionConfig
     ukf: UkfConfig
     n_runs: int
-    workers: int = 1
     convergence_threshold: float = DEFAULT_CONVERGENCE_THRESHOLD_M2
     output: str | None = None
 
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.injection.true_params.shape != (self.model.state_dim,):
             raise ConfigError(
                 f"true_params dimension {self.injection.true_params.size} does not "
@@ -128,33 +127,42 @@ def build_trajectory(source) -> list[TrajectorySample]:
                                  turn_samples=source.turn_samples)
 
 
-def _single_run(trajectory, model, injection: InjectionConfig, ukf: UkfConfig,
-                run_index: int) -> np.ndarray:
-    """One simulate-then-filter pipeline; returns per-step posterior means."""
-    seed = derive_run_seed(injection.rng_seed, run_index)
-    steps = inject_errors(trajectory, replace(injection, rng_seed=seed), model)
-    beliefs = run_filter(model, ukf, [(s.obs, s.u) for s in steps])
-    return np.array([b.mean for b in beliefs[1:]])
+def _estimate_runs(trajectory, cfg: ExperimentConfig, runs) -> np.ndarray:
+    """Simulate and filter the given runs as one batch.
+
+    Returns the per-step posterior means, shape (runs, steps, dim).
+    """
+    seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in runs]
+    p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
+    d = p_ref - p_other
+    del p_other
+    r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
+    inputs = (KinematicInput(t=s.t, heading=s.heading, ref_position=p_ref[:, k])
+              for k, s in enumerate(trajectory))
+    means = np.empty(d.shape[:2] + (cfg.model.state_dim,))
+    for k, (posterior, _) in enumerate(filter_runs(cfg.model, cfg.ukf, d, r, inputs)):
+        means[:, k] = posterior
+    return means
 
 
 def run_experiment(cfg: ExperimentConfig) -> MseSeries:
-    """Execute the Monte Carlo batch and aggregate the error statistics."""
+    """Execute the Monte Carlo batch and aggregate the error statistics.
+
+    A failure raises :class:`~locdecomp.exceptions.ExperimentRunError`
+    naming the lowest failing run index, chained from that run's error.
+    """
     trajectory = build_trajectory(cfg.trajectory)
-
-    def worker(run_index: int) -> np.ndarray:
-        try:
-            return _single_run(trajectory, cfg.model, cfg.injection, cfg.ukf,
-                               run_index)
-        except Exception as exc:
-            raise ExperimentRunError(run_index, str(exc)) from exc
-
-    if cfg.workers == 1:
-        estimates = [worker(r) for r in range(cfg.n_runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            estimates = list(pool.map(worker, range(cfg.n_runs)))
-
-    stacked = np.stack(estimates)           # (runs, steps, dim)
+    try:
+        stacked = _estimate_runs(trajectory, cfg, range(cfg.n_runs))
+    except Exception:
+        # the batch stops at the first failing step of any run; replaying
+        # the runs alone, in index order, finds the lowest failing run
+        for run in range(cfg.n_runs):
+            try:
+                _estimate_runs(trajectory, cfg, [run])
+            except Exception as exc:
+                raise ExperimentRunError(run, str(exc)) from exc
+        raise
     truth = cfg.injection.true_params
     errors = stacked - truth
     return MseSeries(
@@ -300,7 +308,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a mapping, got {type(raw)!r}")
     _reject_unknown(raw, {"trajectory", "model", "injection", "filter", "runs",
-                          "workers", "convergence_threshold", "output"},
+                          "convergence_threshold", "output"},
                     "configuration")
     for key in ("trajectory", "model", "injection", "filter"):
         if key not in raw:
@@ -381,7 +389,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     return ExperimentConfig(
         trajectory=trajectory, model=model, injection=injection, ukf=ukf,
-        n_runs=int(raw.get("runs", 1)), workers=int(raw.get("workers", 1)),
+        n_runs=int(raw.get("runs", 1)),
         convergence_threshold=float(raw.get("convergence_threshold",
                                             DEFAULT_CONVERGENCE_THRESHOLD_M2)),
         output=raw.get("output"))

@@ -236,33 +236,50 @@ def to_kinematic_inputs(trajectory) -> list[KinematicInput]:
             for s in trajectory]
 
 
-def inject_errors(trajectory, cfg: InjectionConfig,
-                  model: CompositeModel) -> list[InjectedStep]:
-    """Simulate the two localizer outputs along a trajectory.
+def inject_runs(trajectory, cfg: InjectionConfig, model: CompositeModel,
+                seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate the two localizer outputs of several runs along a trajectory.
 
     The reference localizer reports the true position plus its noise; the
     kinematic input is built from that (measured) reference position; the
     other localizer reports the true position displaced by the model output
-    at the true parameters, plus its own noise.  Identical seeds reproduce
-    bit-identical outputs.
+    at the true parameters, plus its own noise.  Run ``i`` draws its
+    reference noise (N, 2), then its other noise (N, 2), from
+    ``default_rng(seeds[i])``, so a seed reproduces bit-identical outputs in
+    any batch.  Returns ``(p_ref, p_other)``, each of shape (runs, N, 2).
     """
     if cfg.true_params.shape != (model.state_dim,):
         raise DimensionMismatch(
             f"true_params has shape {cfg.true_params.shape}, model expects "
             f"({model.state_dim},)")
     trajectory = list(trajectory)
-    rng = np.random.default_rng(cfg.rng_seed)
     n = len(trajectory)
-    noise_ref = rng.normal(0.0, cfg.noise_sigma_ref, (n, 2))
-    noise_other = rng.normal(0.0, cfg.noise_sigma_other, (n, 2))
-    r = cfg.observation_covariance()
+    p_ref = np.empty((len(seeds), n, 2))
+    p_other = np.empty((len(seeds), n, 2))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        p_ref[i] = rng.normal(0.0, cfg.noise_sigma_ref, (n, 2))
+        p_other[i] = rng.normal(0.0, cfg.noise_sigma_other, (n, 2))
+    positions = np.array([s.position for s in trajectory]).reshape(n, 2)
+    p_ref += positions
+    headings = Heading(angle=np.array([s.heading.angle for s in trajectory]),
+                       rate=np.array([s.heading.rate for s in trajectory]))
+    u = KinematicInput(t=np.array([s.t for s in trajectory]), heading=headings,
+                       ref_position=p_ref)
+    p_other += positions - model.evaluate(cfg.true_params, u)
+    return p_ref, p_other
 
+
+def inject_errors(trajectory, cfg: InjectionConfig,
+                  model: CompositeModel) -> list[InjectedStep]:
+    """One run of :func:`inject_runs` with seed ``cfg.rng_seed``, as per-step
+    records of both outputs, the kinematic input and the observation."""
+    trajectory = list(trajectory)
+    p_ref, p_other = inject_runs(trajectory, cfg, model, [cfg.rng_seed])
+    r = cfg.observation_covariance()
     steps: list[InjectedStep] = []
-    for k, sample in enumerate(trajectory):
-        p_ref = sample.position + noise_ref[k]
-        u = KinematicInput(t=sample.t, heading=sample.heading, ref_position=p_ref)
-        displacement = model.evaluate(cfg.true_params, u)
-        p_other = sample.position - displacement + noise_other[k]
-        obs = DifferenceObservation(d=p_ref - p_other, R=r.copy())
-        steps.append(InjectedStep(p_ref=p_ref, p_other=p_other, u=u, obs=obs))
+    for sample, ref, other in zip(trajectory, p_ref[0], p_other[0]):
+        u = KinematicInput(t=sample.t, heading=sample.heading, ref_position=ref)
+        obs = DifferenceObservation(d=ref - other, R=r.copy())
+        steps.append(InjectedStep(p_ref=ref, p_other=other, u=u, obs=obs))
     return steps

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
-                                    deformation_component,
-                                    evaluate_difference_model, map_rotation,
+                                    deformation_component, map_rotation,
                                     map_scale, map_shear, map_translation,
                                     measured_difference, rotation_about,
                                     scale_about, shear_along,
@@ -134,25 +133,23 @@ class TestCompositeModel:
 
     def test_body_plus_map_model_at_zero_heading(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
-        out = evaluate_difference_model(model, [2.0, 1.0, 3.0, 2.0],
-                                        make_input(angle=0.0))
+        out = model.evaluate([2.0, 1.0, 3.0, 2.0], make_input(angle=0.0))
         np.testing.assert_allclose(out, [5.0, 3.0], atol=1e-12)
 
     def test_body_plus_map_model_at_half_turn(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
-        out = evaluate_difference_model(model, [2.0, 1.0, 3.0, 2.0],
-                                        make_input(angle=np.pi))
+        out = model.evaluate([2.0, 1.0, 3.0, 2.0], make_input(angle=np.pi))
         np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-12)
 
     def test_translation_only_model(self):
         model = CompositeModel(components=(map_translation(),))
-        out = evaluate_difference_model(model, [3.0, 2.0], make_input(angle=1.3))
+        out = model.evaluate([3.0, 2.0], make_input(angle=1.3))
         np.testing.assert_allclose(out, [3.0, 2.0])
 
     def test_dimension_mismatch(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
         with pytest.raises(DimensionMismatch):
-            evaluate_difference_model(model, [1.0, 2.0], make_input())
+            model.evaluate([1.0, 2.0], make_input())
 
     def test_translation_shift_moves_output_by_exactly_that(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
@@ -164,8 +161,8 @@ class TestCompositeModel:
             shifted = x.copy()
             shifted[2:] += delta
             np.testing.assert_allclose(
-                evaluate_difference_model(model, shifted, u),
-                evaluate_difference_model(model, x, u) + delta, atol=1e-12)
+                model.evaluate(shifted, u),
+                model.evaluate(x, u) + delta, atol=1e-12)
 
     def test_additive_over_components(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
@@ -176,9 +173,9 @@ class TestCompositeModel:
             x = rng.normal(size=4)
             u = make_input(angle=rng.uniform(-np.pi, np.pi),
                            position=rng.normal(size=2) * 10.0)
-            total = evaluate_difference_model(model, x, u)
-            parts = (evaluate_difference_model(sub_body, x[:2], u)
-                     + evaluate_difference_model(sub_map, x[2:], u))
+            total = model.evaluate(x, u)
+            parts = (sub_body.evaluate(x[:2], u)
+                     + sub_map.evaluate(x[2:], u))
             np.testing.assert_allclose(total, parts, atol=1e-12)
 
     def test_neutral_state_evaluates_to_zero(self):
@@ -189,8 +186,44 @@ class TestCompositeModel:
             u = make_input(angle=rng.uniform(-np.pi, np.pi),
                            position=rng.normal(size=2) * 20.0)
             np.testing.assert_allclose(
-                evaluate_difference_model(model, model.neutral_state(), u),
+                model.evaluate(model.neutral_state(), u),
                 [0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("deformation", [
+        map_rotation(pivot=(5.0, -3.0)), map_scale(pivot=(5.0, -3.0)),
+        map_shear(pivot=(5.0, -3.0), axis="x"), map_shear(pivot=(5.0, -3.0), axis="y"),
+        map_rotation(pivot=(5.0, -3.0), reference="other")])
+    def test_stacked_states_match_pointwise(self, deformation):
+        # sigma points x runs x state against one reference position per run
+        model = CompositeModel(components=(body_offset(), map_translation(),
+                                           deformation))
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(7, 3, 5)) * 0.3
+        positions = rng.normal(size=(3, 2)) * 20.0
+        out = model.evaluate(x, make_input(angle=0.7, position=positions))
+        assert out.shape == (7, 3, 2)
+        for i in range(7):
+            for r in range(3):
+                expected = model.evaluate(x[i, r], make_input(angle=0.7,
+                                                              position=positions[r]))
+                np.testing.assert_allclose(out[i, r], expected, rtol=0.0, atol=1e-12)
+
+    def test_heading_series_matches_pointwise(self):
+        model = CompositeModel(components=(body_offset(), map_translation(),
+                                           map_rotation(pivot=(1.0, 2.0))))
+        rng = np.random.default_rng(14)
+        angles = rng.uniform(-np.pi, np.pi, 6)
+        positions = rng.normal(size=(4, 6, 2)) * 10.0   # runs x samples
+        x = np.array([2.0, 1.0, 3.0, 2.0, 0.1])
+        u = KinematicInput(t=np.arange(6.0), heading=Heading(angle=angles),
+                           ref_position=positions)
+        out = model.evaluate(x, u)
+        assert out.shape == (4, 6, 2)
+        for r in range(4):
+            for k in range(6):
+                expected = model.evaluate(x, make_input(angle=angles[k],
+                                                        position=positions[r, k]))
+                np.testing.assert_allclose(out[r, k], expected, rtol=0.0, atol=1e-12)
 
     def test_rejects_empty_model(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import pytest
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
 from locdecomp.estimator import (DifferenceObservation, GaussianBelief, UkfConfig,
-                                 compose_measurement_covariance,
-                                 generate_sigma_points, predict, run_filter,
-                                 update)
+                                 _covariance_sqrt, compose_measurement_covariance,
+                                 filter_runs, generate_sigma_points, predict,
+                                 run_filter, update)
 from locdecomp.exceptions import (CholeskyFailure, DimensionMismatch,
                                   FilterStepError, NotPSD)
 from locdecomp.frames import Heading
@@ -119,6 +119,17 @@ class TestSigmaPoints:
         sp = generate_sigma_points(belief, cfg)
         np.testing.assert_allclose(sp.points, np.tile(belief.mean, (5, 1)))
 
+    def test_stack_with_singular_member_roots_each_matrix(self):
+        # the batched Cholesky fails on the singular member; every member
+        # then gets the root it would get on its own
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_psd(rng, 3), np.diag([2.0, 0.0, 1.0]),
+                          np.zeros((3, 3))])
+        roots = _covariance_sqrt(stack)
+        for p, root in zip(stack, roots):
+            np.testing.assert_array_equal(root, _covariance_sqrt(p))
+            np.testing.assert_allclose(root @ root.T, p, atol=1e-8)
+
     def test_indefinite_covariance_raises(self):
         belief = GaussianBelief(np.zeros(2), np.eye(2))
         belief.covariance = np.array([[1.0, 0.0], [0.0, -0.5]])  # bypass validation
@@ -225,6 +236,29 @@ class TestUpdate:
         obs = DifferenceObservation(d=np.array([100.0, 100.0]), R=0.01 * np.eye(2))
         out = update(cfg.initial_belief, obs, make_input(), model, cfg)
         np.testing.assert_allclose(out.mean, cfg.initial_belief.mean)
+
+
+class TestFilterRuns:
+    def test_gate_applies_per_run(self):
+        model = CompositeModel(components=(map_translation(),))
+        cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
+        d = np.array([[[100.0, 100.0]], [[0.5, -0.5]]])   # runs x steps x 2
+        r = 0.01 * np.eye(2)[None]
+        (means, covs), = filter_runs(model, cfg, d, r, [make_input()])
+        np.testing.assert_array_equal(means[0], cfg.initial_belief.mean)
+        np.testing.assert_array_equal(covs[0], cfg.initial_belief.covariance)
+        alone = run_filter(model, cfg, [(DifferenceObservation(d=d[1, 0], R=r[0]),
+                                         make_input())])[1]
+        np.testing.assert_allclose(means[1], alone.mean, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(covs[1], alone.covariance, rtol=0.0, atol=1e-12)
+
+    def test_rejects_invalid_measurement_covariance(self):
+        model = CompositeModel(components=(map_translation(),))
+        cfg = make_config(2)
+        r = np.array([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NotPSD):
+            list(filter_runs(model, cfg, np.zeros((1, 2, 2)), r,
+                             [make_input(), make_input()]))
 
 
 class TestRunFilter:

@@ -1,31 +1,63 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from locdecomp.error_models import CompositeModel, body_offset, map_translation
-from locdecomp.estimator import GaussianBelief, UkfConfig
-from locdecomp.exceptions import ConfigError
+from locdecomp.error_models import (CompositeModel, ErrorComponent, body_offset,
+                                    map_rotation, map_translation)
+from locdecomp.estimator import GaussianBelief, UkfConfig, run_filter
+from locdecomp.exceptions import ConfigError, ExperimentRunError, FilterStepError
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                SyntheticTrajectory, build_trajectory,
                                derive_run_seed, emit_results, load_config,
-                               parse_config, run_experiment, _single_run)
-from locdecomp.simulation import InjectionConfig
+                               parse_config, run_experiment, _estimate_runs)
+from locdecomp.simulation import InjectionConfig, inject_errors
 
+ROOT = Path(__file__).resolve().parents[1]
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
 
 
-def small_config(n_runs=5, workers=1, seed=99, n_samples=40, noise=0.2):
+def small_config(n_runs=5, seed=99, n_samples=40, noise=0.2, kind="corner",
+                 heading=0.0, model=BODY_MAP, true_params=(2.0, 1.0, 3.0, 2.0),
+                 q=0.1, p0=10.0):
+    dim = model.state_dim
+    eye = np.eye(dim)
     return ExperimentConfig(
-        trajectory=SyntheticTrajectory(kind="corner", n_samples=n_samples),
-        model=BODY_MAP,
-        injection=InjectionConfig.with_total_sigma([2.0, 1.0, 3.0, 2.0], noise,
+        trajectory=SyntheticTrajectory(kind=kind, n_samples=n_samples,
+                                       initial_heading=heading),
+        model=model,
+        injection=InjectionConfig.with_total_sigma(list(true_params), noise,
                                                    rng_seed=seed),
-        ukf=UkfConfig(process_noise=0.1 * np.eye(4),
-                      initial_belief=GaussianBelief(np.zeros(4), 10.0 * np.eye(4))),
+        ukf=UkfConfig(process_noise=eye * q,
+                      initial_belief=GaussianBelief(np.zeros(dim), eye * p0)),
         n_runs=n_runs,
-        workers=workers,
     )
+
+
+def per_run_estimates(cfg, runs=None):
+    """Reference: each run simulated and filtered on its own through the
+    per-run API, ``inject_errors`` then ``run_filter``."""
+    trajectory = build_trajectory(cfg.trajectory)
+    out = []
+    for r in range(cfg.n_runs) if runs is None else runs:
+        injection = replace(cfg.injection,
+                            rng_seed=derive_run_seed(cfg.injection.rng_seed, r))
+        steps = inject_errors(trajectory, injection, cfg.model)
+        beliefs = run_filter(cfg.model, cfg.ukf, [(s.obs, s.u) for s in steps])
+        out.append([b.mean for b in beliefs[1:]])
+    return np.array(out)
+
+
+def batched_estimates(cfg, runs=None):
+    runs = range(cfg.n_runs) if runs is None else runs
+    return _estimate_runs(build_trajectory(cfg.trajectory), cfg, runs)
+
+
+def corner_centroid(n_samples):
+    trajectory = build_trajectory(SyntheticTrajectory(kind="corner", n_samples=n_samples))
+    return np.mean([s.position for s in trajectory], axis=0)
 
 
 class TestRunExperiment:
@@ -48,8 +80,7 @@ class TestRunExperiment:
     def test_single_noiseless_run_mse_is_squared_error(self):
         cfg = small_config(n_runs=1, noise=0.0)
         series = run_experiment(cfg)
-        estimates = _single_run(build_trajectory(cfg.trajectory), cfg.model,
-                                cfg.injection, cfg.ukf, run_index=0)
+        estimates = per_run_estimates(cfg)[0]
         np.testing.assert_allclose(series.mse,
                                    (estimates - cfg.injection.true_params) ** 2,
                                    atol=1e-12)
@@ -61,27 +92,108 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.mse, b.mse)
         np.testing.assert_array_equal(a.mean, b.mean)
 
-    def test_workers_do_not_change_results(self):
-        serial = run_experiment(small_config(n_runs=8, workers=1))
-        threaded = run_experiment(small_config(n_runs=8, workers=4))
-        np.testing.assert_array_equal(serial.mse, threaded.mse)
-        np.testing.assert_array_equal(serial.variance, threaded.variance)
-
     def test_runs_depend_only_on_their_index(self):
-        cfg = small_config()
-        trajectory = build_trajectory(cfg.trajectory)
-        first = [_single_run(trajectory, cfg.model, cfg.injection, cfg.ukf, r)
-                 for r in (0, 1, 2)]
-        shuffled = [_single_run(trajectory, cfg.model, cfg.injection, cfg.ukf, r)
-                    for r in (2, 0, 1)]
-        np.testing.assert_array_equal(first[0], shuffled[1])
-        np.testing.assert_array_equal(first[1], shuffled[2])
-        np.testing.assert_array_equal(first[2], shuffled[0])
+        five = batched_estimates(small_config(n_runs=5))
+        three = batched_estimates(small_config(n_runs=3))
+        np.testing.assert_allclose(five[:3], three, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(batched_estimates(small_config(), runs=[2, 0]),
+                                   five[[2, 0]], rtol=0.0, atol=1e-12)
 
     def test_derived_seeds_are_stable_and_distinct(self):
         seeds = [derive_run_seed(1234, r) for r in range(50)]
         assert len(set(seeds)) == 50
         assert seeds == [derive_run_seed(1234, r) for r in range(50)]
+
+
+class TestBatchedEquivalence:
+    """The batched experiment path against each run filtered on its own."""
+
+    @pytest.mark.parametrize("case", ["body_map_corner", "body_map_straight",
+                                      "body_map_rotation_corner"])
+    def test_every_run_matches_per_run_filter(self, case):
+        if case == "body_map_corner":
+            cfg = small_config(n_runs=6)
+        elif case == "body_map_straight":
+            cfg = small_config(n_runs=6, kind="straight", n_samples=30,
+                               heading=np.pi)
+        else:
+            # the map rotation reads the per-run reference positions, which
+            # broadcast against every run's sigma points
+            model = CompositeModel(components=(
+                body_offset(), map_translation(),
+                map_rotation(pivot=corner_centroid(60))))
+            cfg = small_config(n_runs=6, n_samples=60, model=model,
+                               true_params=(2.0, 1.0, 3.0, 2.0, 0.02),
+                               q=[0.1, 0.1, 0.1, 0.1, 1e-4],
+                               p0=[10.0, 10.0, 10.0, 10.0, 0.01])
+        reference = per_run_estimates(cfg)
+        np.testing.assert_allclose(batched_estimates(cfg), reference,
+                                   rtol=0.0, atol=1e-12)
+        series = run_experiment(cfg)
+        truth = cfg.injection.true_params
+        np.testing.assert_allclose(series.mean, reference.mean(axis=0),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(series.mse,
+                                   ((reference - truth) ** 2).mean(axis=0),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_semi_definite_covariance_takes_tolerant_root(self):
+        # a zero initial variance that Q never inflates keeps every run's
+        # covariance singular, so the batched Cholesky fails each step and
+        # the runs fall back to the jitter / eigendecomposition root
+        cfg = small_config(n_runs=4, q=[0.1, 0.1, 0.1, 0.0],
+                           p0=[10.0, 10.0, 10.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cfg.ukf.initial_belief.covariance + cfg.ukf.process_noise)
+        np.testing.assert_allclose(batched_estimates(cfg), per_run_estimates(cfg),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_matches_shipped_corner_golden(self):
+        series = run_experiment(load_config(ROOT / "configs" / "corner.json"))
+        golden = np.load(ROOT / "bench" / "golden" / "corner" / "series.npz")
+        for name in ("mse", "mean", "variance"):
+            expected = golden[name]
+            deviation = np.abs(getattr(series, name) - expected) \
+                / np.maximum(np.abs(expected), 1.0)
+            assert deviation.max() <= 1e-12, name
+
+
+def tripwire(threshold):
+    """Component that contributes nothing but fails inside the filter once
+    a run's reference position strays above ``threshold`` in north."""
+    def fn(params, u):
+        if params.ndim > 1 and np.any(u.ref_position[..., 1] > threshold):
+            raise FloatingPointError("tripwire")
+        return np.zeros(params.shape[:-1] + (2,))
+
+    return ErrorComponent(name="tripwire", param_dim=1,
+                          depends_on=frozenset({"ref_position"}),
+                          neutral=np.zeros(1), fn=fn)
+
+
+class TestExperimentErrors:
+    def test_failure_names_lowest_failing_run_and_step(self):
+        model = CompositeModel(components=(body_offset(), map_translation(),
+                                           tripwire(1.5)))
+        cfg = small_config(n_runs=6, seed=7, noise=1.0, kind="straight",
+                           model=model, true_params=(2.0, 1.0, 3.0, 2.0, 0.0))
+        failures = {}
+        for r in range(cfg.n_runs):
+            try:
+                per_run_estimates(cfg, runs=[r])
+            except FilterStepError as exc:
+                failures[r] = exc.step
+        lowest = min(failures)
+        # another run fails at an earlier step, so the batch first stops
+        # on a run that is not the one to report
+        assert min(failures.values()) < failures[lowest]
+        with pytest.raises(ExperimentRunError) as excinfo:
+            run_experiment(cfg)
+        assert excinfo.value.run == lowest
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, FilterStepError)
+        assert cause.step == failures[lowest]
+        assert isinstance(cause.__cause__, FloatingPointError)
 
 
 class TestMseSeriesConvergence:
