@@ -28,8 +28,8 @@ from .exceptions import ParseError
 from .frames import Heading
 from .harness import (ExperimentConfig, _fmt, build_trajectory, emit_results,
                       load_config, run_experiment)
-from .observability import (closed_form_decomposition, difference_rates,
-                            numerical_rank_test)
+from .observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
+                            difference_rates, numerical_rank_test)
 from .simulation import inject_errors, to_kinematic_inputs
 
 DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
@@ -65,13 +65,16 @@ def read_data_file(path) -> list[tuple[DifferenceObservation, KinematicInput]]:
                                  f"{len(tokens)}", line_no)
             try:
                 values = [float(tok) for tok in tokens]
-            except ValueError:
-                raise ParseError("non-numeric field", line_no) from None
-            t, ref_e, ref_n, oth_e, oth_n, ang, rate, var_e, var_n = values
-            u = KinematicInput(t=t, heading=Heading(angle=ang, rate=rate),
-                               ref_position=np.array([ref_e, ref_n]))
-            obs = DifferenceObservation(d=np.array([ref_e - oth_e, ref_n - oth_n]),
-                                        R=np.diag([var_e, var_n]))
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{DATA_COLUMNS[np.argmin(np.isfinite(values))]} "
+                                     "must be finite")
+                t, ref_e, ref_n, oth_e, oth_n, ang, rate, var_e, var_n = values
+                u = KinematicInput(t=t, heading=Heading(angle=ang, rate=rate),
+                                   ref_position=np.array([ref_e, ref_n]))
+                obs = DifferenceObservation(d=np.array([ref_e - oth_e, ref_n - oth_n]),
+                                            R=np.diag([var_e, var_n]))
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from exc
             pairs.append((obs, u))
     if not pairs:
         raise ParseError(f"{path}: no data lines found")
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--window", type=int, default=None,
                    help="window length in samples (default: 2 * state_dim)")
-    p.add_argument("--tolerance", type=float, default=1e-8,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_RANK_TOL,
                    help="relative singular value cutoff for the rank")
     p.set_defaults(func=_cmd_observability)
 

@@ -5,9 +5,10 @@ difference outputs over the visited kinematic inputs determine the
 parameter vector uniquely.  Because the parameters are constants, the
 continuous observability criterion reduces to injectivity of the map from
 parameters to the outputs collected over a window of inputs, which this
-module tests numerically: the Jacobian of the stacked output map is formed
-by central differences and its rank is read off the singular values over
-sliding windows.
+module tests numerically: each sample's output Jacobian is formed once by
+central differences, in one model evaluation over all samples; a sliding
+window stacks the Jacobian rows of its samples, and its rank is read off
+the singular values, computed for blocks of windows in one batch each.
 
 The windowed test certifies local full rank along the given trajectory
 only; it does not prove global uniqueness over all conceivable inputs.
@@ -26,12 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .error_models import CompositeModel
+from .error_models import CompositeModel, KinematicInput
 from .exceptions import ZeroTurnRate
+from .frames import Heading
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_MIN_TURN_RATE = 1e-3
+# rows of stacked window Jacobians decomposed per batched SVD; bounds the
+# memory of the rank test on long trajectories
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
@@ -75,53 +81,30 @@ def stacked_output_map(model: CompositeModel, x, window) -> np.ndarray:
     return np.concatenate([model.evaluate(x, u) for u in window])
 
 
-def _stacked_jacobian(model: CompositeModel, x0: np.ndarray, window,
-                      step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the stacked output map w.r.t. the state."""
-    cols = []
-    for j in range(model.state_dim):
-        h = step * max(1.0, abs(x0[j]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        cols.append((stacked_output_map(model, xp, window)
-                     - stacked_output_map(model, xm, window)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
-def _window_is_degenerate(model: CompositeModel, window) -> bool:
-    """True when every input field the model reads is constant over the window."""
-    read = set()
-    for comp in model.components:
-        read |= comp.depends_on
-    if not read:
-        return False
-    first = window[0]
-    for u in window[1:]:
-        if "heading" in read and (u.heading.angle != first.heading.angle
-                                  or u.heading.rate != first.heading.rate):
-            return False
-        if "ref_position" in read and not np.array_equal(u.ref_position,
-                                                         first.ref_position):
-            return False
-    return True
-
-
 def numerical_rank_test(model: CompositeModel, x0, inputs,
                         window_length: int | None = None,
                         rank_tolerance: float = DEFAULT_RANK_TOL) -> ObservabilityReport:
     """Sliding-window rank test of the stacked sensitivity matrix.
 
-    For every window the Jacobian of the stacked output map at ``x0`` is
-    formed and its numerical rank computed as the number of singular values
-    above ``rank_tolerance`` times the largest one.  The default window
-    length is twice the state dimension.
+    The 2 x n Jacobian of the model output at ``x0`` is formed once per
+    sample, by central differences (step ``1e-6 * max(1, |x0_j|)``) over
+    one model evaluation of all samples.  Each window's sensitivity matrix
+    stacks the rows of its samples in order (east, then north per sample);
+    its numerical rank is the number of singular values above
+    ``rank_tolerance`` times the largest one, and its condition number is
+    the ratio of the largest to the smallest (infinite when that is zero).
+    The default window length is twice the state dimension.  ``x0`` must
+    be finite and ``0 < rank_tolerance < 1``.
     """
     inputs = list(inputs)
     x0 = np.asarray(x0, dtype=float)
     n = model.state_dim
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0}")
+    if not 0.0 < rank_tolerance < 1.0:
+        raise ValueError(f"rank_tolerance must be finite and in (0, 1), got {rank_tolerance}")
     wl = 2 * n if window_length is None else int(window_length)
     if wl < -(-n // 2):
         raise ValueError(f"window_length {wl} too short for {n} parameters")
@@ -129,33 +112,47 @@ def numerical_rank_test(model: CompositeModel, x0, inputs,
         raise ValueError(f"trajectory of {len(inputs)} samples is shorter than "
                          f"one window of {wl}")
 
-    starts, ranks, conds, deficient, degenerate = [], [], [], [], []
-    for start in range(len(inputs) - wl + 1):
-        window = inputs[start:start + wl]
-        jac = _stacked_jacobian(model, x0, window)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[0] > 0.0:
-            rank = int(np.sum(sv > rank_tolerance * sv[0]))
-            cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
-        else:
-            rank, cond = 0, float("inf")
-        starts.append(start)
-        ranks.append(rank)
-        conds.append(cond)
-        if rank < n:
-            deficient.append((start, start + wl))
-        if _window_is_degenerate(model, window):
-            degenerate.append((start, start + wl))
+    angle = np.array([u.heading.angle for u in inputs])
+    rate = np.array([u.heading.rate for u in inputs])
+    position = np.array([u.ref_position for u in inputs])
+    series = KinematicInput(t=np.array([u.t for u in inputs]),
+                            heading=Heading(angle, rate), ref_position=position)
+    h = 1e-6 * np.maximum(1.0, np.abs(x0))
+    states = np.concatenate([x0 + np.diag(h), x0 - np.diag(h)])[:, None, :]
+    # a model of state-independent components returns no sample axis
+    out = np.broadcast_to(model.evaluate(states, series), (2 * n, len(inputs), 2))
+    jac = ((out[:n] - out[n:]) / (2.0 * h[:, None, None])).transpose(1, 2, 0)
+    windows = sliding_window_view(jac, wl, axis=0)  # (W, 2, n, wl)
+
+    per_block = max(1, _BLOCK_ROWS // (2 * wl))
+    sv = np.concatenate([
+        np.linalg.svd(np.moveaxis(windows[b:b + per_block], -1, 1)
+                      .reshape(-1, 2 * wl, n), compute_uv=False)
+        for b in range(0, len(windows), per_block)])
+    ranks = np.sum(sv > rank_tolerance * sv[:, :1], axis=1)
+    conds = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] > 0.0)
+
+    # a window is degenerate when each of its samples repeats the previous
+    # one in every field the model reads
+    read = set().union(*(comp.depends_on for comp in model.components))
+    repeats = np.full(len(inputs) - 1, bool(read))
+    if "heading" in read:
+        repeats &= (angle[1:] == angle[:-1]) & (rate[1:] == rate[:-1])
+    if "ref_position" in read:
+        repeats &= (position[1:] == position[:-1]).all(axis=1)
+    run = np.concatenate([[0], np.cumsum(repeats)])
+    starts = np.arange(len(windows))
+    degenerate = bool(read) & (run[starts + wl - 1] - run[starts] == wl - 1)
 
     return ObservabilityReport(
-        observable=any(r == n for r in ranks),
+        observable=bool(np.any(ranks == n)),
         state_dim=n,
         window_length=wl,
-        window_starts=starts,
-        rank_profile=ranks,
-        condition_numbers=conds,
-        deficient_windows=deficient,
-        degenerate_windows=degenerate,
+        window_starts=starts.tolist(),
+        rank_profile=ranks.tolist(),
+        condition_numbers=conds.tolist(),
+        deficient_windows=[(s, s + wl) for s in starts[ranks < n].tolist()],
+        degenerate_windows=[(s, s + wl) for s in starts[degenerate].tolist()],
     )
 
 

@@ -4,9 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locdecomp.cli import main, read_data_file, write_data_file
+from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
+                           write_data_file)
+from locdecomp.exceptions import ParseError
+from locdecomp.observability import DEFAULT_RANK_TOL
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+GOOD_ROW = [0.0, 1.0, 2.0, 0.5, 1.5, 0.3, 0.0, 0.04, 0.04]
 
 
 def write_config(tmp_path, **overrides):
@@ -22,6 +27,18 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def parse_report(text):
+    """Header lines and (start, end, rank, condition, marks...) rows of an
+    observability report."""
+    lines = text.splitlines()
+    table = lines.index("start,end,rank,condition")
+    windows = []
+    for line in lines[table + 1:]:
+        start, end, rank, cond, *marks = line.split(",")
+        windows.append((int(start), int(end), int(rank), float(cond), *marks))
+    return lines[:table], windows
 
 
 class TestSimulateAndFilter:
@@ -64,6 +81,40 @@ class TestSimulateAndFilter:
         for (obs_a, u_a), (obs_b, u_b) in zip(pairs, again):
             np.testing.assert_allclose(obs_a.d, obs_b.d, rtol=1e-8, atol=1e-10)
             assert u_a.t == pytest.approx(u_b.t)
+
+
+class TestReadDataFile:
+    def write_rows(self, tmp_path, bad_row):
+        rows = [GOOD_ROW, [1.0] + GOOD_ROW[1:], bad_row, [3.0] + GOOD_ROW[1:]]
+        path = tmp_path / "data.csv"
+        path.write_text("# " + ",".join(DATA_COLUMNS) + "\n"
+                        + "".join(",".join(str(v) for v in row) + "\n" for row in rows))
+        return path
+
+    def test_reads_good_rows(self, tmp_path):
+        assert len(read_data_file(self.write_rows(tmp_path, [2.0] + GOOD_ROW[1:]))) == 4
+
+    @pytest.mark.parametrize("column, value", [
+        ("ref_east_m", "nan"), ("other_north_m", "inf"), ("heading_rad", "-inf"),
+        ("r_var_north_m2", "nan"), ("t_s", "nan")])
+    def test_non_finite_field_names_its_line(self, tmp_path, column, value):
+        row = [str(v) for v in [2.0] + GOOD_ROW[1:]]
+        row[DATA_COLUMNS.index(column)] = value
+        with pytest.raises(ParseError, match=f"line 4: {column}") as excinfo:
+            read_data_file(self.write_rows(tmp_path, row))
+        assert excinfo.value.line == 4
+
+    @pytest.mark.parametrize("var_east, var_north", [(-0.04, 0.04), (0.04, -1.0)])
+    def test_negative_variance_names_its_line(self, tmp_path, var_east, var_north):
+        row = [2.0] + GOOD_ROW[1:7] + [var_east, var_north]
+        with pytest.raises(ParseError, match="line 4: .*negative eigenvalue") as excinfo:
+            read_data_file(self.write_rows(tmp_path, row))
+        assert excinfo.value.line == 4
+
+    def test_non_numeric_field_names_its_line(self, tmp_path):
+        row = [2.0] + GOOD_ROW[1:5] + ["east"] + GOOD_ROW[6:]
+        with pytest.raises(ParseError, match="line 4"):
+            read_data_file(self.write_rows(tmp_path, row))
 
 
 class TestExperiment:
@@ -114,6 +165,28 @@ class TestObservabilityCommand:
         out = capsys.readouterr().out
         assert "observable = false" in out
         assert "DEFICIENT" in out
+
+    def test_tolerance_defaults_to_library_default(self):
+        args = build_parser().parse_args(["observability", "--config", "c.json"])
+        assert args.tolerance == DEFAULT_RANK_TOL
+
+    def test_matches_observe_golden(self, capsys):
+        """The rank report on the benchmark's observe config equals its stored
+        golden: header, ranks and marks exactly, full-rank conditions to 1e-6."""
+        assert main(["observability", "--config",
+                     str(ROOT / "bench" / "configs" / "observe.json")]) == 0
+        header, windows = parse_report(capsys.readouterr().out)
+        golden_header, golden_windows = parse_report(
+            (ROOT / "bench" / "golden" / "observe" / "report.txt").read_text())
+        assert header == golden_header
+        assert len(windows) == len(golden_windows) == 991
+        assert [w[:3] + w[4:] for w in windows] \
+            == [g[:3] + g[4:] for g in golden_windows]
+        state_dim = int(header[0].split(" = ")[1])
+        full = [(w[3], g[3]) for w, g in zip(windows, golden_windows)
+                if g[2] == state_dim]
+        assert full
+        np.testing.assert_allclose(*zip(*full), rtol=1e-6)
 
 
 class TestOracleCommand:

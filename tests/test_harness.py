@@ -148,14 +148,23 @@ class TestBatchedEquivalence:
         np.testing.assert_allclose(batched_estimates(cfg), per_run_estimates(cfg),
                                    rtol=0.0, atol=1e-12)
 
-    def test_matches_shipped_corner_golden(self):
-        series = run_experiment(load_config(ROOT / "configs" / "corner.json"))
-        golden = np.load(ROOT / "bench" / "golden" / "corner" / "series.npz")
-        for name in ("mse", "mean", "variance"):
-            expected = golden[name]
-            deviation = np.abs(getattr(series, name) - expected) \
+    @staticmethod
+    def assert_matches_golden(name):
+        """The shipped config's series equals the benchmark's stored golden
+        to 1e-12, relative to max(|golden|, 1)."""
+        series = run_experiment(load_config(ROOT / "configs" / f"{name}.json"))
+        golden = np.load(ROOT / "bench" / "golden" / name / "series.npz")
+        for field in ("mse", "mean", "variance"):
+            expected = golden[field]
+            deviation = np.abs(getattr(series, field) - expected) \
                 / np.maximum(np.abs(expected), 1.0)
-            assert deviation.max() <= 1e-12, name
+            assert deviation.max() <= 1e-12, field
+
+    def test_matches_shipped_corner_golden(self):
+        self.assert_matches_golden("corner")
+
+    def test_matches_shipped_straight_golden(self):
+        self.assert_matches_golden("straight")
 
 
 def tripwire(threshold):

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from locdecomp import observability
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
-                                    map_translation)
+                                    map_rotation, map_scale, map_translation)
 from locdecomp.exceptions import ZeroTurnRate
 from locdecomp.frames import Heading, rotation_matrix
-from locdecomp.observability import (closed_form_decomposition, difference_rates,
-                                     numerical_rank_test, stacked_output_map)
+from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
+                                     difference_rates, numerical_rank_test,
+                                     stacked_output_map)
 from locdecomp.simulation import synthesize_trajectory, to_kinematic_inputs
 
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
 TRANSLATION_ONLY = CompositeModel(components=(map_translation(),))
+BODY_MAP_ROTATION = CompositeModel(components=(body_offset(), map_translation(),
+                                               map_rotation(pivot=(5.0, -3.0))))
+BODY_MAP_SCALE = CompositeModel(components=(body_offset(), map_translation(),
+                                            map_scale(pivot=(-2.0, 4.0))))
 
 # derivative of the rotation matrix w.r.t. the angle, evaluated via R(g) @ J
 SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -104,6 +110,143 @@ class TestNumericalRankTest:
         assert report.observable == any(r == report.state_dim
                                         for r in report.rank_profile)
         assert len(report.condition_numbers) == len(report.window_starts)
+
+
+def reference_rank_test(model, x0, inputs, window_length,
+                        rank_tolerance=DEFAULT_RANK_TOL):
+    """The rank test window by window: a central-difference Jacobian of each
+    window's stacked output map and one SVD per window.
+
+    Returns ranks, condition numbers, deficient and degenerate windows.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n, wl = model.state_dim, window_length
+    read = set().union(*(comp.depends_on for comp in model.components))
+
+    def same_inputs(u, v):
+        return (("heading" not in read or (u.heading.angle == v.heading.angle
+                                           and u.heading.rate == v.heading.rate))
+                and ("ref_position" not in read
+                     or np.array_equal(u.ref_position, v.ref_position)))
+
+    ranks, conds, deficient, degenerate = [], [], [], []
+    for start in range(len(inputs) - wl + 1):
+        window = inputs[start:start + wl]
+        cols = []
+        for j in range(n):
+            h = 1e-6 * max(1.0, abs(x0[j]))
+            xp, xm = x0.copy(), x0.copy()
+            xp[j] += h
+            xm[j] -= h
+            cols.append((stacked_output_map(model, xp, window)
+                         - stacked_output_map(model, xm, window)) / (2.0 * h))
+        sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        if sv[0] > 0.0:
+            rank = int(np.sum(sv > rank_tolerance * sv[0]))
+            cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+        else:
+            rank, cond = 0, float("inf")
+        ranks.append(rank)
+        conds.append(cond)
+        if rank < n:
+            deficient.append((start, start + wl))
+        if read and all(same_inputs(u, window[0]) for u in window[1:]):
+            degenerate.append((start, start + wl))
+    return ranks, conds, deficient, degenerate
+
+
+def assert_matches_reference(model, x0, inputs, window_length):
+    report = numerical_rank_test(model, x0, inputs, window_length=window_length)
+    ranks, conds, deficient, degenerate = reference_rank_test(model, x0, inputs,
+                                                              window_length)
+    assert report.window_starts == list(range(len(ranks)))
+    assert report.rank_profile == ranks
+    assert report.deficient_windows == deficient
+    assert report.degenerate_windows == degenerate
+    assert report.observable == any(r == model.state_dim for r in ranks)
+    full = np.array(ranks) == model.state_dim
+    np.testing.assert_allclose(np.array(report.condition_numbers)[full],
+                               np.array(conds)[full], rtol=1e-6)
+    return report
+
+
+def corner_inputs(n_samples=80):
+    return to_kinematic_inputs(synthesize_trajectory("corner", n_samples,
+                                                     turn_samples=4))
+
+
+class TestRankTestEquivalence:
+    """The per-sample batched rank test against the per-window reference."""
+
+    @pytest.mark.parametrize("model, x0", [
+        (BODY_MAP_ROTATION, [2.0, 1.0, 3.0, 2.0, 0.01]),
+        (BODY_MAP_ROTATION, np.zeros(5)),
+        (BODY_MAP_SCALE, [2.0, -1.0, 3.0, 2.0, 0.02]),
+        (BODY_MAP, [2.0, 1.0, 3.0, 2.0]),
+    ])
+    def test_corner(self, model, x0):
+        report = assert_matches_reference(model, x0, corner_inputs(), 2 * model.state_dim)
+        assert report.observable and report.deficient_windows
+
+    @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
+    def test_repeated_samples_give_degenerate_windows(self, model):
+        inputs = corner_inputs(60)
+        inputs = inputs[:25] + [inputs[25]] * 14 + inputs[26:]
+        report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
+                                          2 * model.state_dim)
+        assert report.degenerate_windows
+
+    def test_translation_only(self):
+        inputs = corner_inputs(30)
+        report = assert_matches_reference(TRANSLATION_ONLY, [3.0, -2.0],
+                                          inputs[:10] + [inputs[10]] * 6, 4)
+        assert all(r == 2 for r in report.rank_profile)
+        assert report.degenerate_windows == []
+
+    @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
+    def test_minimum_window_length(self, model):
+        inputs = corner_inputs(60)
+        inputs = inputs[:30] + [inputs[30]] * 4 + inputs[31:]
+        report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
+                                          -(-model.state_dim // 2))
+        assert report.degenerate_windows
+
+    @pytest.mark.parametrize("model, rank", [
+        (CompositeModel(components=(map_rotation(pivot=(5.0, -3.0)),)), 0),
+        (BODY_MAP_ROTATION, 4)])
+    def test_zero_singular_values(self, model, rank):
+        # at the pivot a map rotation moves nothing: its Jacobian column is 0
+        inputs = [make_input(angle=0.1 * k, t=float(k), position=(5.0, -3.0))
+                  for k in range(12)]
+        report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
+                                          2 * model.state_dim)
+        _, conds, _, _ = reference_rank_test(model, np.zeros(model.state_dim), inputs,
+                                             2 * model.state_dim)
+        assert set(report.rank_profile) == {rank}
+        assert report.condition_numbers == conds == [np.inf] * len(conds)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        inputs = corner_inputs()
+        x0 = [2.0, 1.0, 3.0, 2.0, 0.01]
+        whole = numerical_rank_test(BODY_MAP_ROTATION, x0, inputs)
+        for rows in (1, 7, 60):  # one window per block; blocks not dividing W
+            monkeypatch.setattr(observability, "_BLOCK_ROWS", rows)
+            blocked = numerical_rank_test(BODY_MAP_ROTATION, x0, inputs)
+            assert blocked.rank_profile == whole.rank_profile
+            assert blocked.condition_numbers == whole.condition_numbers
+
+
+class TestRankTestArguments:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_x0(self, bad):
+        with pytest.raises(ValueError, match="x0"):
+            numerical_rank_test(BODY_MAP, [0.0, bad, 0.0, 0.0], corner_inputs(40))
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf])
+    def test_rejects_rank_tolerance_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="rank_tolerance"):
+            numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
+                                rank_tolerance=bad)
 
 
 class TestClosedFormDecomposition:
