@@ -21,8 +21,13 @@ The math is written once over a run axis (means (B, n), covariances
 (B, n, n), sigma points (B, 2n+1, n)): :func:`filter_runs` filters B runs
 in one vectorized pass, and :func:`run_filter`, :func:`predict`,
 :func:`update` and :func:`generate_sigma_points` are its batch-of-one
-cases.  Measurement covariances and observation finiteness are validated
-once per pass; priors and posteriors get one batched check per step.
+cases.  Array shapes, measurement covariances and observation finiteness
+are validated once per pass.  Each step checks its covariances with
+Cholesky factorizations, which succeed only on positive-definite input:
+the prior's factor is its sigma-point root, and the posterior gets one
+batched factorization shifted by the PSD floor.  Eigenvalues are computed
+only when a factorization fails, to settle the verdict and name the
+lowest one in the error.
 """
 
 from __future__ import annotations
@@ -39,22 +44,41 @@ SYM_TOL = 1e-9
 PSD_TOL = 1e-9
 
 
+def _check_symmetric(m: np.ndarray, name: str) -> None:
+    """Raise NotPSD unless each matrix in ``m`` equals its transpose within
+    ``SYM_TOL`` of its largest entry (at least 1)."""
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1)) > SYM_TOL * scale):
+        raise NotPSD(f"{name} is not symmetric within tolerance")
+
+
 def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
-    """Validate symmetry and positive semi-definiteness of each matrix in
-    ``m`` (shape (..., k, k)) within tolerance."""
+    """Validate that each matrix in ``m`` (shape (..., k, k)) is finite,
+    symmetric and positive semi-definite within tolerance.
+
+    A matrix is accepted when its lowest eigenvalue is at least the floor
+    ``-PSD_TOL * max(trace, 1)``.  One batched Cholesky of the symmetrized
+    matrices shifted up by that floor decides it: the factorization
+    succeeds only when every lowest eigenvalue lies above the floor.  Only
+    when it fails are the eigenvalues computed, to accept a matrix that
+    sits exactly at the floor and to name the lowest eigenvalue otherwise.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if dim is not None and m.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
-    mt = np.swapaxes(m, -1, -2)
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > SYM_TOL * scale):
-        raise NotPSD(f"{name} is not symmetric within tolerance")
-    lowest = np.linalg.eigvalsh((m + mt) / 2.0)[..., 0]
-    floor = -PSD_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1), 1.0)
-    if np.any(lowest < floor):
-        raise NotPSD(f"{name} has negative eigenvalue {lowest.min()}")
+    if not np.all(np.isfinite(m)):
+        raise NotPSD(f"{name} must be finite")
+    _check_symmetric(m, name)
+    sym = (m + np.swapaxes(m, -1, -2)) / 2.0
+    floor = PSD_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1), 1.0)
+    try:
+        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(sym)[..., 0]
+        if np.any(lowest < -floor):
+            raise NotPSD(f"{name} has negative eigenvalue {lowest.min()}") from None
     return m
 
 
@@ -160,32 +184,51 @@ def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _sigma_points(means: np.ndarray, covs: np.ndarray, cfg: UkfConfig) -> SigmaPoints:
-    """Scaled sigma points of a batch: means (B, n), covariances (B, n, n)."""
-    n = means.shape[-1]
+def _sigma_weights(n: int, cfg: UkfConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Spread ``n + lambda`` and the mean and covariance weights of the
+    2n+1 scaled sigma points of an n-dimensional state."""
     lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
     scale = n + lam
     if scale <= 0.0:
         raise ValueError(f"sigma-point scale n + lambda = {scale} must be positive")
-    root_t = np.swapaxes(np.sqrt(scale) * _covariance_sqrt(covs), -1, -2)
-    centre = means[:, None, :]
-    points = np.concatenate([centre, centre + root_t, centre - root_t], axis=1)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale
     wc[0] = lam / scale + (1.0 - cfg.alpha ** 2 + cfg.beta)
+    return scale, wm, wc
+
+
+def _sigma_points(means: np.ndarray, roots: np.ndarray, weights) -> SigmaPoints:
+    """Scaled sigma points of a batch: means (B, n) and covariance roots
+    (B, n, n), with the weights of :func:`_sigma_weights`."""
+    scale, wm, wc = weights
+    root_t = np.swapaxes(np.sqrt(scale) * roots, -1, -2)
+    centre = means[:, None, :]
+    points = np.concatenate([centre, centre + root_t, centre - root_t], axis=1)
     return SigmaPoints(points=points, mean_weights=wm, cov_weights=wc)
+
+
+def _prior_roots(prior: np.ndarray) -> np.ndarray:
+    """Cholesky roots of the priors (B, n, n); the factorization is also
+    their PSD check.  If it fails, the priors get the full check, so an
+    indefinite one raises NotPSD, and then the tolerant per-matrix root."""
+    _check_symmetric(prior, "covariance")
+    try:
+        return np.linalg.cholesky(prior)
+    except np.linalg.LinAlgError:
+        _check_covariance(prior, "covariance")
+        return _covariance_sqrt(prior)
 
 
 def _predict(covs: np.ndarray, cfg: UkfConfig) -> np.ndarray:
     return covs + cfg.process_noise
 
 
-def _update(means: np.ndarray, covs: np.ndarray, d: np.ndarray, r: np.ndarray,
-            u: KinematicInput, model: CompositeModel,
+def _update(means: np.ndarray, covs: np.ndarray, sp: SigmaPoints, d: np.ndarray,
+            r: np.ndarray, u: KinematicInput, model: CompositeModel,
             cfg: UkfConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Update means (B, n) and covariances (B, n, n) with differences (B, 2)."""
-    sp = _sigma_points(means, covs, cfg)
+    """Update means (B, n) and covariances (B, n, n), whose sigma points are
+    ``sp``, with differences (B, 2)."""
     # sigma axis first, so per-run kinematic fields of shape (B, 2) broadcast;
     # the contiguous copy gives every run's slice the same memory layout, so
     # the reductions below round alike whatever the batch size
@@ -216,7 +259,9 @@ def generate_sigma_points(belief: GaussianBelief, cfg: UkfConfig) -> SigmaPoints
     exactly and the weighted point covariance equals ``belief.covariance``
     up to the square-root accuracy.
     """
-    sp = _sigma_points(belief.mean[None], belief.covariance[None], cfg)
+    weights = _sigma_weights(belief.dim, cfg)
+    sp = _sigma_points(belief.mean[None], _covariance_sqrt(belief.covariance[None]),
+                       weights)
     return replace(sp, points=sp.points[0])
 
 
@@ -238,8 +283,10 @@ def update(belief: GaussianBelief, obs: DifferenceObservation, u: KinematicInput
         raise DimensionMismatch(
             f"belief dimension {belief.dim} does not match model state "
             f"dimension {model.state_dim}")
-    means, covs = _update(belief.mean[None], belief.covariance[None], obs.d[None],
-                          obs.R, u, model, cfg)
+    sp = generate_sigma_points(belief, cfg)
+    means, covs = _update(belief.mean[None], belief.covariance[None],
+                          replace(sp, points=sp.points[None]), obs.d[None], obs.R,
+                          u, model, cfg)
     return GaussianBelief(means[0], covs[0])
 
 
@@ -247,23 +294,40 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     """Filter B runs from ``cfg.initial_belief`` in one vectorized pass.
 
     ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
-    covariances (N, 2, 2) shared by the runs, and ``inputs`` yields the N
-    kinematic inputs, whose ``ref_position`` is shared (2,) or per run
-    (B, 2).  Yields the posterior means (B, n) and covariances (B, n, n)
-    after each step.  Errors raised inside a step are re-raised as
+    covariances (N, 2, 2) shared by the runs, and ``inputs`` yields exactly
+    N kinematic inputs, whose ``ref_position`` is shared (2,) or per run
+    (B, 2); other shapes or counts raise
+    :class:`~locdecomp.exceptions.DimensionMismatch` before any step.
+    Yields the posterior means (B, n) and covariances (B, n, n) after each
+    step.  Errors raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim != 3 or d.shape[2] != 2:
+        raise DimensionMismatch(f"d must have shape (B, N, 2), got {d.shape}")
+    n_steps = d.shape[1]
+    r = np.asarray(r, dtype=float)
+    if r.shape != (n_steps, 2, 2):
+        raise DimensionMismatch(
+            f"r must have shape ({n_steps}, 2, 2) for the {n_steps} steps of d, "
+            f"got {r.shape}")
+    inputs = list(inputs)
+    if len(inputs) != n_steps:
+        raise DimensionMismatch(
+            f"inputs must yield {n_steps} kinematic inputs for the {n_steps} "
+            f"steps of d, got {len(inputs)}")
     _check_covariance(r, "R", 2)
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
     if bad_steps.size:
         raise FilterStepError(int(bad_steps[0]), "observed difference must be finite")
+    weights = _sigma_weights(cfg.initial_belief.dim, cfg)
     means = np.tile(cfg.initial_belief.mean, (d.shape[0], 1))
     covs = np.tile(cfg.initial_belief.covariance, (d.shape[0], 1, 1))
     for step, u in enumerate(inputs):
         try:
-            covs = _check_covariance(_predict(covs, cfg), "covariance")
-            means, covs = _update(means, covs, d[:, step], r[step], u, model, cfg)
+            prior = _predict(covs, cfg)
+            sp = _sigma_points(means, _prior_roots(prior), weights)
+            means, covs = _update(means, prior, sp, d[:, step], r[step], u, model, cfg)
             if not np.all(np.isfinite(means)):
                 raise ValueError("mean must be finite")
             _check_covariance(covs, "covariance")

@@ -3,10 +3,10 @@ import pytest
 
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
-from locdecomp.estimator import (DifferenceObservation, GaussianBelief, UkfConfig,
-                                 _covariance_sqrt, compose_measurement_covariance,
-                                 filter_runs, generate_sigma_points, predict,
-                                 run_filter, update)
+from locdecomp.estimator import (PSD_TOL, DifferenceObservation, GaussianBelief,
+                                 UkfConfig, _check_covariance, _covariance_sqrt,
+                                 compose_measurement_covariance, filter_runs,
+                                 generate_sigma_points, predict, run_filter, update)
 from locdecomp.exceptions import (CholeskyFailure, DimensionMismatch,
                                   FilterStepError, NotPSD)
 from locdecomp.frames import Heading
@@ -29,6 +29,45 @@ def random_psd(rng, dim, scale=1.0):
     return scale * (a @ a.T) + 1e-6 * np.eye(dim)
 
 
+def eigvalsh_verdict(m, name="covariance"):
+    """The PSD rule as the eigenvalue test it states: the NotPSD message
+    for a stack whose lowest eigenvalue lies below -PSD_TOL * max(trace, 1),
+    or None for an accepted one."""
+    m = np.asarray(m, dtype=float)
+    lowest = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[..., 0]
+    floor = -PSD_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1), 1.0)
+    if np.any(lowest < floor):
+        return f"{name} has negative eigenvalue {lowest.min()}"
+    return None
+
+
+def assert_same_verdict(m, name="covariance"):
+    """``_check_covariance`` accepts ``m`` exactly when the eigenvalue rule
+    does, and otherwise raises its message; returns that message."""
+    expected = eigvalsh_verdict(m, name)
+    if expected is None:
+        _check_covariance(m, name)
+    else:
+        with pytest.raises(NotPSD) as excinfo:
+            _check_covariance(m, name)
+        assert str(excinfo.value) == expected
+    return expected
+
+
+def with_lowest_eigenvalue(rng, dim, factor):
+    """Symmetric matrix with eigenvalues 1, ..., dim - 1 and a lowest one at
+    ``factor`` times the PSD floor, in a random basis."""
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    rest = np.arange(1.0, dim)
+    eigvals = np.r_[-factor * PSD_TOL * rest.sum(), rest]
+    m = (basis * eigvals) @ basis.T
+    return (m + m.T) / 2.0
+
+
+NON_FINITE = [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+              np.array([[np.nan, 0.0], [0.0, 1.0]])]
+
+
 class TestGaussianBelief:
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(NotPSD):
@@ -41,6 +80,71 @@ class TestGaussianBelief:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GaussianBelief(np.zeros(3), np.eye(2))
+
+
+class TestCovarianceCheck:
+    """The Cholesky verdict of ``_check_covariance`` against the eigenvalue
+    rule it implements."""
+
+    def test_random_psd_stacks_are_accepted(self):
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 4, 6):
+            for scale in (1e-6, 1.0, 1e6):
+                stack = np.stack([random_psd(rng, dim, scale) for _ in range(20)])
+                assert assert_same_verdict(stack) is None
+            low_rank = rng.normal(size=(20, dim, 1))
+            assert assert_same_verdict(low_rank @ np.swapaxes(low_rank, 1, 2)) is None
+
+    def test_half_the_floor_is_accepted(self):
+        rng = np.random.default_rng(12)
+        for dim in (2, 4, 6):
+            assert assert_same_verdict(with_lowest_eigenvalue(rng, dim, 0.5)) is None
+
+    def test_twice_the_floor_is_rejected(self):
+        rng = np.random.default_rng(13)
+        for dim in (2, 4, 6):
+            assert assert_same_verdict(with_lowest_eigenvalue(rng, dim, 2.0)) is not None
+
+    def test_one_bad_member_rejects_the_stack(self):
+        rng = np.random.default_rng(14)
+        stack = np.stack([random_psd(rng, 4) for _ in range(8)])
+        stack[3] = with_lowest_eigenvalue(rng, 4, 2.0)
+        assert assert_same_verdict(stack) is not None
+
+    def test_zero_and_semi_definite_are_accepted(self):
+        v = np.array([[1.0], [-2.0], [0.5]])
+        for m in (np.zeros((3, 3)), np.diag([2.0, 0.0, 1.0]), v @ v.T,
+                  np.zeros((5, 3, 3))):
+            assert assert_same_verdict(m) is None
+
+    def test_semi_definite_needs_no_eigenvalues(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        _check_covariance(np.stack([np.zeros((3, 3)), np.diag([2.0, 0.0, 1.0])]),
+                          "covariance")
+
+    def test_matrix_at_the_floor_is_settled_by_eigenvalues(self):
+        # the shifted factorization meets an exactly zero pivot and fails;
+        # the lowest eigenvalue equals the floor, which the rule accepts
+        m = np.diag([1.0, -PSD_TOL])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m + PSD_TOL * np.eye(2))
+        assert assert_same_verdict(m) is None
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_is_rejected_at_every_boundary(self, bad):
+        with pytest.raises(NotPSD, match="^covariance must be finite$"):
+            GaussianBelief(np.zeros(2), bad)
+        with pytest.raises(NotPSD, match="^process_noise must be finite$"):
+            UkfConfig(process_noise=bad,
+                      initial_belief=GaussianBelief(np.zeros(2), np.eye(2)))
+        with pytest.raises(NotPSD, match="^R must be finite$"):
+            DifferenceObservation(d=np.zeros(2), R=bad)
+        with pytest.raises(NotPSD, match="^cov_ref must be finite$"):
+            compose_measurement_covariance(bad, np.eye(2))
+        with pytest.raises(NotPSD, match="^cov_other must be finite$"):
+            compose_measurement_covariance(np.eye(2), bad)
 
 
 class TestUkfConfig:
@@ -259,6 +363,46 @@ class TestFilterRuns:
         with pytest.raises(NotPSD):
             list(filter_runs(model, cfg, np.zeros((1, 2, 2)), r,
                              [make_input(), make_input()]))
+
+
+    def test_rejects_differences_without_run_axis(self):
+        model = CompositeModel(components=(map_translation(),))
+        with pytest.raises(DimensionMismatch, match=r"d must have shape \(B, N, 2\)"):
+            list(filter_runs(model, make_config(2), np.zeros((2, 2)),
+                             np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
+
+    def test_rejects_covariances_shorter_than_differences(self):
+        model = CompositeModel(components=(map_translation(),))
+        with pytest.raises(DimensionMismatch, match=r"r must have shape \(3, 2, 2\)"):
+            list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
+                             np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 3))
+
+    @pytest.mark.parametrize("n_inputs", [2, 4])
+    def test_rejects_input_count_mismatch(self, n_inputs):
+        model = CompositeModel(components=(map_translation(),))
+        with pytest.raises(DimensionMismatch, match=f"must yield 3 .* got {n_inputs}"):
+            list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
+                             np.tile(np.eye(2), (3, 1, 1)),
+                             (make_input() for _ in range(n_inputs))))
+
+    def test_indefinite_prior_fails_its_step(self):
+        # Q (set past validation) drives the second coordinate's prior
+        # negative at step 1: the prior's Cholesky fails, and the full
+        # check names the eigenvalue as it always did
+        model = CompositeModel(components=(map_translation(),))
+        cfg = make_config(2, q=0.1, p0=1.0)
+        object.__setattr__(cfg, "process_noise", np.diag([0.1, -0.3]))
+        d = np.zeros((2, 2, 2))
+        r = np.tile(0.04 * np.eye(2), (2, 1, 1))
+        steps = filter_runs(model, cfg, d, r, [make_input()] * 2)
+        _, covs = next(steps)
+        expected = eigvalsh_verdict(covs + cfg.process_noise)
+        assert expected is not None
+        with pytest.raises(FilterStepError) as excinfo:
+            next(steps)
+        assert excinfo.value.step == 1
+        assert str(excinfo.value) == f"step 1: {expected}"
+        assert isinstance(excinfo.value.__cause__, NotPSD)
 
 
 class TestRunFilter:

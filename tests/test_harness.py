@@ -8,7 +8,8 @@ import pytest
 from locdecomp.error_models import (CompositeModel, ErrorComponent, body_offset,
                                     map_rotation, map_translation)
 from locdecomp.estimator import GaussianBelief, UkfConfig, run_filter
-from locdecomp.exceptions import ConfigError, ExperimentRunError, FilterStepError
+from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
+                                  NotPSD)
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                SyntheticTrajectory, build_trajectory,
                                derive_run_seed, emit_results, load_config,
@@ -165,6 +166,25 @@ class TestBatchedEquivalence:
 
     def test_matches_shipped_straight_golden(self):
         self.assert_matches_golden("straight")
+
+
+def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
+    # every step checks its covariances with the Cholesky factorizations:
+    # one of the priors (their sigma-point roots) and one of the posteriors,
+    # plus one of all measurement covariances at the boundary
+    cfg = load_config(ROOT / "configs" / "corner.json")
+    trajectory = build_trajectory(cfg.trajectory)
+    shapes = {"cholesky": [], "eigvalsh": [], "eigh": []}
+    for name, seen in shapes.items():
+        def counted(a, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    _estimate_runs(trajectory, cfg, range(cfg.n_runs))
+    n_steps, dim = len(trajectory), cfg.model.state_dim
+    assert shapes["eigvalsh"] == [] and shapes["eigh"] == []
+    assert len(shapes["cholesky"]) <= 2 * n_steps + 1
+    assert set(shapes["cholesky"]) == {(n_steps, 2, 2), (cfg.n_runs, dim, dim)}
 
 
 def tripwire(threshold):
@@ -351,6 +371,12 @@ class TestParseConfig:
         cfg = load_config(config_path)
         assert isinstance(cfg.trajectory, FileTrajectory)
         assert len(build_trajectory(cfg.trajectory)) == 2
+
+    def test_non_finite_process_noise(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["filter"]["process_noise"] = float("nan")
+        with pytest.raises(NotPSD, match="^process_noise must be finite$"):
+            parse_config(raw)
 
     def test_missing_section(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
