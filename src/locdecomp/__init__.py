@@ -14,43 +14,41 @@ repeated simulated runs.
 from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            PlanarTransform, body_offset, deformation_component,
                            map_rotation, map_scale, map_shear, map_translation,
-                           measured_difference, rotation_about, scale_about,
-                           shear_along, transform_difference)
+                           rotation_about, scale_about, shear_along,
+                           transform_difference)
 from .estimator import (DifferenceObservation, GaussianBelief, SigmaPoints,
                         UkfConfig, compose_measurement_covariance, filter_runs,
                         generate_sigma_points, predict, run_filter, update)
 from .exceptions import (CholeskyFailure, ConfigError, DimensionMismatch,
                          ExperimentRunError, FilterStepError, NonMonotoneTime,
                          NotPSD, ParseError, SingularTransform, ZeroTurnRate)
-from .frames import (Heading, body_to_nav, heading_rates, nav_to_body,
-                     normalize_angle, rotate, rotation_matrix)
+from .frames import (Heading, heading_rates, normalize_angle, rotate,
+                     rotation_matrix)
 from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
                       SyntheticTrajectory, build_trajectory, derive_run_seed,
                       emit_results, load_config, parse_config, run_experiment)
 from .observability import (ObservabilityReport, closed_form_decomposition,
                             difference_rates, numerical_rank_test,
                             stacked_output_map)
-from .simulation import (InjectedStep, InjectionConfig, TrajectorySample,
-                         inject_errors, inject_runs, load_trajectory,
-                         synthesize_trajectory, to_kinematic_inputs)
+from .simulation import (InjectedStep, InjectionConfig, inject_errors,
+                         inject_runs, load_trajectory, synthesize_trajectory,
+                         to_kinematic_inputs)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Heading", "body_to_nav", "heading_rates", "nav_to_body",
-    "normalize_angle", "rotate", "rotation_matrix",
+    "Heading", "heading_rates", "normalize_angle", "rotate", "rotation_matrix",
     "CompositeModel", "ErrorComponent", "KinematicInput", "PlanarTransform",
     "body_offset", "deformation_component", "map_rotation", "map_scale",
-    "map_shear", "map_translation", "measured_difference", "rotation_about", "scale_about", "shear_along",
+    "map_shear", "map_translation", "rotation_about", "scale_about", "shear_along",
     "transform_difference",
     "DifferenceObservation", "GaussianBelief", "SigmaPoints", "UkfConfig",
     "compose_measurement_covariance", "filter_runs", "generate_sigma_points",
     "predict", "run_filter", "update",
     "ObservabilityReport", "closed_form_decomposition", "difference_rates",
     "numerical_rank_test", "stacked_output_map",
-    "InjectedStep", "InjectionConfig", "TrajectorySample", "inject_errors",
-    "inject_runs", "load_trajectory", "synthesize_trajectory",
-    "to_kinematic_inputs",
+    "InjectedStep", "InjectionConfig", "inject_errors", "inject_runs",
+    "load_trajectory", "synthesize_trajectory", "to_kinematic_inputs",
     "ExperimentConfig", "FileTrajectory", "MseSeries", "SyntheticTrajectory",
     "build_trajectory", "derive_run_seed", "emit_results", "load_config",
     "parse_config", "run_experiment",

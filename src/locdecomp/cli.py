@@ -30,7 +30,7 @@ from .harness import (ExperimentConfig, _fmt, build_trajectory, emit_results,
                       load_config, run_experiment)
 from .observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
-from .simulation import inject_errors, to_kinematic_inputs
+from .simulation import inject_errors
 
 DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
                 "other_north_m", "heading_rad", "heading_rate_rps",
@@ -147,9 +147,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_observability(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    trajectory = build_trajectory(cfg.trajectory)
-    inputs = to_kinematic_inputs(trajectory)
-    report = numerical_rank_test(cfg.model, cfg.ukf.initial_belief.mean, inputs,
+    report = numerical_rank_test(cfg.model, cfg.ukf.initial_belief.mean,
+                                 build_trajectory(cfg.trajectory),
                                  window_length=args.window,
                                  rank_tolerance=args.tolerance)
     print(f"state_dim = {report.state_dim}")

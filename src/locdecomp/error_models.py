@@ -6,10 +6,12 @@ and the agent's measured kinematic state to a 2-vector contribution in the
 navigation frame.  Components are array-native: parameters of shape
 ``(..., d)`` give contributions of shape ``(..., 2)``, and array-valued
 kinematic fields broadcast against the leading parameter axes, so one call
-covers every sigma point of every run.  Components declare which kinematic
-fields they read;
-state-independent components (e.g. a uniform map translation) declare
-none.  A :class:`CompositeModel` stacks the parameters of all active
+covers every sigma point of every run.  The kinematic state of a whole
+trajectory is one :class:`KinematicInput` series, whose sample axis is the
+last axis of ``t`` and of the heading arrays and axis -2 of
+``ref_position``; indexing it gives one sample.  Components declare which
+kinematic fields they read; state-independent components (e.g. a uniform
+map translation) declare none.  A :class:`CompositeModel` stacks the parameters of all active
 components into one state vector and enforces that each kinematic field
 feeds at most one component, so the contributions remain separable.
 
@@ -43,11 +45,15 @@ KINEMATIC_FIELDS = ("heading", "ref_position")
 
 @dataclass(frozen=True)
 class KinematicInput:
-    """Measured agent state for one time step, or for a batch of them.
+    """Measured agent state at one time step, or a series of N of them.
 
     ``ref_position`` is the reference localizer's navigation-frame position
-    estimate; position-dependent components evaluate at it.  Fields may be
-    arrays, e.g. one ``ref_position`` per run (..., 2) or a heading series.
+    estimate; position-dependent components evaluate at it.  A sample has a
+    scalar ``t`` and ``ref_position`` (2,), or (..., 2) for one per run.  A
+    series has ``t``, heading angles and rates of shape (N,) and
+    ``ref_position`` (..., N, 2); it has a length and is indexed over this
+    sample axis: an integer gives one sample, a slice or an index array a
+    sub-series, and iteration yields the samples in order.
     """
 
     t: float
@@ -58,6 +64,24 @@ class KinematicInput:
         if not np.all(np.isfinite(self.t)):
             raise ValueError(f"timestamp must be finite, got {self.t}")
         object.__setattr__(self, "ref_position", as_points(self.ref_position, "ref_position"))
+        if np.ndim(self.t) == 1:
+            object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
+            shapes = (np.shape(self.heading.angle), np.shape(self.heading.rate),
+                      self.ref_position.shape[-2:-1])
+            if any(shape != self.t.shape for shape in shapes):
+                raise DimensionMismatch(f"a series of {self.t.size} timestamps needs as many "
+                                        f"heading angles, rates and positions, got {shapes}")
+
+    def __len__(self) -> int:
+        if np.ndim(self.t) != 1:
+            raise TypeError("a single-sample KinematicInput has no sample axis")
+        return self.t.size
+
+    def __getitem__(self, key) -> "KinematicInput":
+        len(self)  # a single sample raises here
+        return KinematicInput(t=self.t[key],
+                              heading=Heading(self.heading.angle[key], self.heading.rate[key]),
+                              ref_position=self.ref_position[..., key, :])
 
 
 @dataclass(frozen=True)
@@ -152,11 +176,6 @@ class CompositeModel:
         for off, comp in zip(self.offsets, self.components):
             out = out + comp.fn(x[..., off:off + comp.param_dim], u)
         return out
-
-
-def measured_difference(p_ref, p_other) -> np.ndarray:
-    """Difference vector between two position estimates in one aligned frame."""
-    return as_vec2(p_ref, "p_ref") - as_vec2(p_other, "p_other")
 
 
 # ---------------------------------------------------------------------------

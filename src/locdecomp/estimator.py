@@ -123,6 +123,11 @@ class UkfConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        for name in ("beta", "kappa"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.initial_belief.dim + self.kappa <= 0.0:
+            raise ValueError(f"kappa must exceed -n = {-self.initial_belief.dim}, got {self.kappa}")
         q = _check_covariance(self.process_noise, "process_noise",
                               self.initial_belief.dim)
         object.__setattr__(self, "process_noise", q)
@@ -295,8 +300,8 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
 
     ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
     covariances (N, 2, 2) shared by the runs, and ``inputs`` yields exactly
-    N kinematic inputs, whose ``ref_position`` is shared (2,) or per run
-    (B, 2); other shapes or counts raise
+    N kinematic inputs (e.g. a series of N), whose ``ref_position`` is
+    shared (2,) or per run (B, 2); other shapes or counts raise
     :class:`~locdecomp.exceptions.DimensionMismatch` before any step.
     Yields the posterior means (B, n) and covariances (B, n, n) after each
     step.  Errors raised inside a step are re-raised as

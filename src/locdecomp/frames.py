@@ -8,7 +8,9 @@ Two Cartesian frames are used throughout:
 The heading angle ``gamma`` is the rotation from navigation to body axes
 (0 = facing east, counter-clockwise positive) and is always normalized to
 ``(-pi, pi]``.  Frame membership of a vector is a documented convention,
-not enforced by types; conversions go through explicit rotations only.
+not enforced by types; conversions go through explicit rotations only
+(:func:`rotate` by the heading takes a body-frame vector to the navigation
+frame, by minus the heading back).
 """
 
 from __future__ import annotations
@@ -84,16 +86,6 @@ def rotate(v, angle) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     x, y = v[..., 0], v[..., 1]
     return np.stack((c * x - s * y, s * x + c * y), axis=-1)
-
-
-def body_to_nav(v, gamma: float) -> np.ndarray:
-    """Rotate a body-frame vector into the navigation frame."""
-    return rotation_matrix(gamma) @ as_vec2(v)
-
-
-def nav_to_body(v, gamma: float) -> np.ndarray:
-    """Rotate a navigation-frame vector into the body frame."""
-    return rotation_matrix(-gamma) @ as_vec2(v)
 
 
 def heading_rates(t, angles) -> np.ndarray:

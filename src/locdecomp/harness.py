@@ -17,7 +17,7 @@ result files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from . import error_models
 from .error_models import CompositeModel, KinematicInput
 from .estimator import GaussianBelief, UkfConfig, filter_runs
 from .exceptions import ConfigError, ExperimentRunError
-from .simulation import (InjectionConfig, TrajectorySample, inject_runs,
-                         load_trajectory, synthesize_trajectory)
+from .simulation import (InjectionConfig, inject_runs, load_trajectory,
+                         synthesize_trajectory)
 
 DEFAULT_CONVERGENCE_THRESHOLD_M2 = 0.1
 FLOAT_FORMAT = "%.9g"
@@ -118,7 +118,8 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def build_trajectory(source) -> list[TrajectorySample]:
+def build_trajectory(source) -> KinematicInput:
+    """The trajectory series a configuration's trajectory section describes."""
     if isinstance(source, FileTrajectory):
         return load_trajectory(source.path)
     return synthesize_trajectory(kind=source.kind, n_samples=source.n_samples,
@@ -137,8 +138,7 @@ def _estimate_runs(trajectory, cfg: ExperimentConfig, runs) -> np.ndarray:
     d = p_ref - p_other
     del p_other
     r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
-    inputs = (KinematicInput(t=s.t, heading=s.heading, ref_position=p_ref[:, k])
-              for k, s in enumerate(trajectory))
+    inputs = replace(trajectory, ref_position=p_ref)
     means = np.empty(d.shape[:2] + (cfg.model.state_dim,))
     for k, (posterior, _) in enumerate(filter_runs(cfg.model, cfg.ukf, d, r, inputs)):
         means[:, k] = posterior
@@ -335,8 +335,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"trajectory section is missing {exc}") from None
 
-    samples = build_trajectory(trajectory)
-    centroid = np.mean([s.position for s in samples], axis=0)
+    centroid = build_trajectory(trajectory).ref_position.mean(axis=0)
 
     model_raw = raw["model"]
     if not isinstance(model_raw, list) or not model_raw:

@@ -31,7 +31,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import ZeroTurnRate
-from .frames import Heading
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_MIN_TURN_RATE = 1e-3
@@ -81,10 +80,12 @@ def stacked_output_map(model: CompositeModel, x, window) -> np.ndarray:
     return np.concatenate([model.evaluate(x, u) for u in window])
 
 
-def numerical_rank_test(model: CompositeModel, x0, inputs,
+def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
                         window_length: int | None = None,
                         rank_tolerance: float = DEFAULT_RANK_TOL) -> ObservabilityReport:
-    """Sliding-window rank test of the stacked sensitivity matrix.
+    """Sliding-window rank test of the stacked sensitivity matrix along a
+    :class:`~locdecomp.error_models.KinematicInput` series ``inputs`` whose
+    ``ref_position`` is (N, 2).
 
     The 2 x n Jacobian of the model output at ``x0`` is formed once per
     sample, by central differences (step ``1e-6 * max(1, |x0_j|)``) over
@@ -96,7 +97,6 @@ def numerical_rank_test(model: CompositeModel, x0, inputs,
     The default window length is twice the state dimension.  ``x0`` must
     be finite and ``0 < rank_tolerance < 1``.
     """
-    inputs = list(inputs)
     x0 = np.asarray(x0, dtype=float)
     n = model.state_dim
     if x0.shape != (n,):
@@ -112,15 +112,10 @@ def numerical_rank_test(model: CompositeModel, x0, inputs,
         raise ValueError(f"trajectory of {len(inputs)} samples is shorter than "
                          f"one window of {wl}")
 
-    angle = np.array([u.heading.angle for u in inputs])
-    rate = np.array([u.heading.rate for u in inputs])
-    position = np.array([u.ref_position for u in inputs])
-    series = KinematicInput(t=np.array([u.t for u in inputs]),
-                            heading=Heading(angle, rate), ref_position=position)
     h = 1e-6 * np.maximum(1.0, np.abs(x0))
     states = np.concatenate([x0 + np.diag(h), x0 - np.diag(h)])[:, None, :]
     # a model of state-independent components returns no sample axis
-    out = np.broadcast_to(model.evaluate(states, series), (2 * n, len(inputs), 2))
+    out = np.broadcast_to(model.evaluate(states, inputs), (2 * n, len(inputs), 2))
     jac = ((out[:n] - out[n:]) / (2.0 * h[:, None, None])).transpose(1, 2, 0)
     windows = sliding_window_view(jac, wl, axis=0)  # (W, 2, n, wl)
 
@@ -135,6 +130,7 @@ def numerical_rank_test(model: CompositeModel, x0, inputs,
     # a window is degenerate when each of its samples repeats the previous
     # one in every field the model reads
     read = set().union(*(comp.depends_on for comp in model.components))
+    angle, rate, position = inputs.heading.angle, inputs.heading.rate, inputs.ref_position
     repeats = np.full(len(inputs) - 1, bool(read))
     if "heading" in read:
         repeats &= (angle[1:] == angle[:-1]) & (rate[1:] == rate[:-1])

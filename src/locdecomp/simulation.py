@@ -1,5 +1,11 @@
 """Trajectory ingestion and ground-truth error injection.
 
+A trajectory is one :class:`~locdecomp.error_models.KinematicInput`
+series: ``t``, heading angles and rates of shape (N,), and the true
+positions, standing in for the reference localizer, in ``ref_position``
+(N, 2).  Axis -2 of ``ref_position`` is the sample axis; indexing a series
+gives one sample, slicing it a sub-series.
+
 Given a clean navigation-frame trajectory, this module synthesizes the two
 localizer outputs: the reference localizer reports the true position plus
 its own noise, and the other localizer reports the position displaced by
@@ -12,14 +18,15 @@ Trajectory files are delimiter-separated text, one sample per line, with
 columns ``t_s, east_m, north_m[, heading_rad]``.  Lines starting with
 ``#`` are ignored and every numeric field must carry a decimal point.
 When the heading column is missing, headings are derived from the bearings
-of successive position deltas; heading rates are always filled by central
-differences over the heading series.
+of successive position deltas, so consecutive samples must not repeat a
+position; heading rates are always filled by central differences over the
+heading series.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,25 +35,11 @@ import numpy as np
 from .error_models import CompositeModel, KinematicInput
 from .estimator import DifferenceObservation
 from .exceptions import DimensionMismatch, NonMonotoneTime, ParseError
-from .frames import Heading, as_vec2, heading_rates, normalize_angle
+from .frames import Heading, as_vec2, heading_rates
 
 DEFAULT_STEP_S = 1.0
 DEFAULT_SPEED_MPS = 10.0
 TURN_COUNT = 5
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One time-stamped true pose of the agent."""
-
-    t: float
-    position: np.ndarray
-    heading: Heading
-
-    def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ValueError(f"timestamp must be finite, got {self.t}")
-        object.__setattr__(self, "position", as_vec2(self.position, "position"))
 
 
 @dataclass(frozen=True)
@@ -109,12 +102,14 @@ def _parse_float(token: str, line_no: int, column: str) -> float:
     return value
 
 
-def load_trajectory(source) -> list[TrajectorySample]:
-    """Read trajectory samples from a file.
+def load_trajectory(source) -> KinematicInput:
+    """Read a trajectory series from a file.
 
     ``source`` may be a path or an open text stream.  Raises
-    :class:`~locdecomp.exceptions.ParseError` with the offending line number
-    and :class:`~locdecomp.exceptions.NonMonotoneTime` on repeated or
+    :class:`~locdecomp.exceptions.ParseError` with the offending line number,
+    also for a sample that repeats the previous position in a file without
+    headings (its bearing is undefined), and
+    :class:`~locdecomp.exceptions.NonMonotoneTime` on repeated or
     decreasing timestamps.
     """
     if isinstance(source, (str, Path)):
@@ -123,6 +118,7 @@ def load_trajectory(source) -> list[TrajectorySample]:
     if not isinstance(source, io.TextIOBase) and not hasattr(source, "__iter__"):
         raise TypeError(f"cannot read a trajectory from {type(source)!r}")
 
+    line_nos: list[int] = []
     times: list[float] = []
     positions: list[np.ndarray] = []
     angles: list[float] = []
@@ -146,6 +142,7 @@ def load_trajectory(source) -> list[TrajectorySample]:
         if times and t <= times[-1]:
             raise NonMonotoneTime(
                 f"line {line_no}: timestamp {t} does not increase past {times[-1]}")
+        line_nos.append(line_no)
         times.append(t)
         positions.append(np.array([east, north]))
         if row_has_heading:
@@ -158,21 +155,25 @@ def load_trajectory(source) -> list[TrajectorySample]:
             raise ParseError("cannot derive headings from a single sample; "
                              "add a heading_rad column")
         deltas = np.diff(np.vstack(positions), axis=0)
+        still = np.flatnonzero(~deltas.any(axis=1))
+        if still.size:
+            raise ParseError("position repeats the previous sample, so its bearing "
+                             "gives no heading; add a heading_rad column",
+                             line_nos[still[0] + 1])
         angles = [float(np.arctan2(dn, de)) for de, dn in deltas]
         angles.append(angles[-1])
 
-    t_arr = np.array(times)
-    rates = heading_rates(t_arr, np.array(angles))
-    return [TrajectorySample(t=times[k], position=positions[k],
-                             heading=Heading(angle=angles[k], rate=rates[k]))
-            for k in range(len(times))]
+    t = np.array(times)
+    angles = np.array(angles)
+    return KinematicInput(t=t, heading=Heading(angles, heading_rates(t, angles)),
+                          ref_position=np.vstack(positions))
 
 
 def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_S,
                           speed: float = DEFAULT_SPEED_MPS,
                           initial_heading: float = 0.0,
                           turn_samples: int | None = None,
-                          start=(0.0, 0.0)) -> list[TrajectorySample]:
+                          start=(0.0, 0.0)) -> KinematicInput:
     """Generate a statistically analogous driving segment.
 
     ``kind="straight"`` holds the heading constant.  ``kind="corner"``
@@ -218,30 +219,27 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
         angles = np.array(angles_list[:n_samples])
 
     t = np.arange(n_samples) * step
-    rates = heading_rates(t, angles)
     positions = np.empty((n_samples, 2))
     positions[0] = as_vec2(start, "start")
     steps = speed * step * np.column_stack([np.cos(angles[1:]), np.sin(angles[1:])])
     positions[1:] = positions[0] + np.cumsum(steps, axis=0)
-    return [TrajectorySample(t=float(t[k]), position=positions[k],
-                             heading=Heading(angle=normalize_angle(angles[k]),
-                                             rate=rates[k]))
-            for k in range(n_samples)]
+    return KinematicInput(t=t, heading=Heading(angles, heading_rates(t, angles)),
+                          ref_position=positions)
 
 
-def to_kinematic_inputs(trajectory) -> list[KinematicInput]:
-    """Kinematic inputs with the true positions standing in for the reference
-    localizer; used for observability analysis of a clean trajectory."""
-    return [KinematicInput(t=s.t, heading=s.heading, ref_position=s.position)
-            for s in trajectory]
+def to_kinematic_inputs(trajectory: KinematicInput) -> KinematicInput:
+    """The trajectory itself: a series already carries the true positions in
+    ``ref_position``, standing in for the reference localizer."""
+    return trajectory
 
 
-def inject_runs(trajectory, cfg: InjectionConfig, model: CompositeModel,
-                seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the two localizer outputs of several runs along a trajectory.
+def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig,
+                model: CompositeModel, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate the two localizer outputs of several runs along a trajectory
+    series.
 
     The reference localizer reports the true position plus its noise; the
-    kinematic input is built from that (measured) reference position; the
+    kinematic input is the series with that (measured) reference position; the
     other localizer reports the true position displaced by the model output
     at the true parameters, plus its own noise.  Run ``i`` draws its
     reference noise (N, 2), then its other noise (N, 2), from
@@ -252,7 +250,6 @@ def inject_runs(trajectory, cfg: InjectionConfig, model: CompositeModel,
         raise DimensionMismatch(
             f"true_params has shape {cfg.true_params.shape}, model expects "
             f"({model.state_dim},)")
-    trajectory = list(trajectory)
     n = len(trajectory)
     p_ref = np.empty((len(seeds), n, 2))
     p_other = np.empty((len(seeds), n, 2))
@@ -260,26 +257,19 @@ def inject_runs(trajectory, cfg: InjectionConfig, model: CompositeModel,
         rng = np.random.default_rng(seed)
         p_ref[i] = rng.normal(0.0, cfg.noise_sigma_ref, (n, 2))
         p_other[i] = rng.normal(0.0, cfg.noise_sigma_other, (n, 2))
-    positions = np.array([s.position for s in trajectory]).reshape(n, 2)
-    p_ref += positions
-    headings = Heading(angle=np.array([s.heading.angle for s in trajectory]),
-                       rate=np.array([s.heading.rate for s in trajectory]))
-    u = KinematicInput(t=np.array([s.t for s in trajectory]), heading=headings,
-                       ref_position=p_ref)
-    p_other += positions - model.evaluate(cfg.true_params, u)
+    p_ref += trajectory.ref_position
+    u = replace(trajectory, ref_position=p_ref)
+    p_other += trajectory.ref_position - model.evaluate(cfg.true_params, u)
     return p_ref, p_other
 
 
-def inject_errors(trajectory, cfg: InjectionConfig,
+def inject_errors(trajectory: KinematicInput, cfg: InjectionConfig,
                   model: CompositeModel) -> list[InjectedStep]:
     """One run of :func:`inject_runs` with seed ``cfg.rng_seed``, as per-step
     records of both outputs, the kinematic input and the observation."""
-    trajectory = list(trajectory)
     p_ref, p_other = inject_runs(trajectory, cfg, model, [cfg.rng_seed])
     r = cfg.observation_covariance()
-    steps: list[InjectedStep] = []
-    for sample, ref, other in zip(trajectory, p_ref[0], p_other[0]):
-        u = KinematicInput(t=sample.t, heading=sample.heading, ref_position=ref)
-        obs = DifferenceObservation(d=ref - other, R=r.copy())
-        steps.append(InjectedStep(p_ref=ref, p_other=other, u=u, obs=obs))
-    return steps
+    run = replace(trajectory, ref_position=p_ref[0])
+    return [InjectedStep(p_ref=u.ref_position, p_other=other, u=u,
+                         obs=DifferenceObservation(d=u.ref_position - other, R=r.copy()))
+            for u, other in zip(run, p_other[0])]

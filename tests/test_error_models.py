@@ -4,8 +4,7 @@ import pytest
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     deformation_component, map_rotation,
                                     map_scale, map_shear, map_translation,
-                                    measured_difference, rotation_about,
-                                    scale_about, shear_along,
+                                    rotation_about, scale_about, shear_along,
                                     transform_difference)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform
 from locdecomp.frames import Heading, rotation_matrix
@@ -14,6 +13,81 @@ from locdecomp.frames import Heading, rotation_matrix
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
     return KinematicInput(t=t, heading=Heading(angle=angle, rate=rate),
                           ref_position=np.asarray(position, dtype=float))
+
+
+class TestKinematicSeries:
+    T = np.array([0.0, 1.0, 2.5, 4.0])
+    ANGLES = np.array([0.1, 3.5, -0.2, 7.0])     # two outside (-pi, pi]
+    RATES = np.array([0.0, 0.3, -0.1, 0.2])
+    POSITIONS = np.arange(8.0).reshape(4, 2)
+
+    def series(self, positions=None):
+        return KinematicInput(t=self.T, heading=Heading(self.ANGLES, self.RATES),
+                              ref_position=self.POSITIONS if positions is None else positions)
+
+    def test_length(self):
+        assert len(self.series()) == 4
+
+    def test_integer_index_is_the_single_sample(self):
+        series = self.series()
+        for k in (0, 1, 2, 3, -1):
+            u = series[k]
+            # what building the sample on its own gives, bit for bit
+            alone = Heading(self.ANGLES[k], self.RATES[k])
+            assert u.t == self.T[k] and np.ndim(u.t) == 0
+            assert isinstance(u.heading.angle, float) and u.heading.angle == alone.angle
+            assert isinstance(u.heading.rate, float) and u.heading.rate == alone.rate
+            np.testing.assert_array_equal(u.ref_position, self.POSITIONS[k])
+        with pytest.raises(IndexError):
+            series[4]
+
+    def test_slice_and_index_array_give_sub_series(self):
+        series = self.series()
+        for key in (slice(1, 3), np.array([2, 0, 0])):
+            sub = series[key]
+            assert len(sub) == len(self.T[key])
+            np.testing.assert_array_equal(sub.t, self.T[key])
+            np.testing.assert_array_equal(sub.heading.angle, series.heading.angle[key])
+            np.testing.assert_array_equal(sub.heading.rate, self.RATES[key])
+            np.testing.assert_array_equal(sub.ref_position, self.POSITIONS[key])
+
+    def test_iteration_yields_the_samples_in_order(self):
+        series = self.series()
+        samples = list(series)
+        assert len(samples) == 4
+        for k, u in enumerate(samples):
+            assert u.t == series[k].t and u.heading == series[k].heading
+            np.testing.assert_array_equal(u.ref_position, series[k].ref_position)
+
+    def test_run_axis_on_positions(self):
+        positions = np.arange(24.0).reshape(3, 4, 2)   # runs x samples x 2
+        series = self.series(positions)
+        assert len(series) == 4
+        np.testing.assert_array_equal(series[2].ref_position, positions[:, 2])
+        np.testing.assert_array_equal(series[1:].ref_position, positions[:, 1:])
+        np.testing.assert_array_equal(series[np.array([3, 0])].ref_position,
+                                      positions[:, [3, 0]])
+
+    @pytest.mark.parametrize("angles, rates, positions", [
+        (np.zeros(3), np.zeros(4), np.zeros((4, 2))),
+        (np.zeros(4), np.zeros(5), np.zeros((4, 2))),
+        (np.zeros(4), 0.0, np.zeros((4, 2))),
+        (np.zeros(4), np.zeros(4), np.zeros((5, 2))),
+        (np.zeros(4), np.zeros(4), np.zeros(2)),
+        (np.zeros(4), np.zeros(4), np.zeros((4, 3, 2))),
+    ])
+    def test_rejects_sample_count_mismatch(self, angles, rates, positions):
+        with pytest.raises(DimensionMismatch):
+            KinematicInput(t=self.T, heading=Heading(angles, rates), ref_position=positions)
+
+    def test_single_sample_has_no_sample_axis(self):
+        for u in (make_input(), self.series()[1]):
+            with pytest.raises(TypeError):
+                len(u)
+            with pytest.raises(TypeError):
+                u[0]
+            with pytest.raises(TypeError):
+                list(u)
 
 
 class TestMapTranslation:
@@ -215,7 +289,7 @@ class TestCompositeModel:
         angles = rng.uniform(-np.pi, np.pi, 6)
         positions = rng.normal(size=(4, 6, 2)) * 10.0   # runs x samples
         x = np.array([2.0, 1.0, 3.0, 2.0, 0.1])
-        u = KinematicInput(t=np.arange(6.0), heading=Heading(angle=angles),
+        u = KinematicInput(t=np.arange(6.0), heading=Heading(angle=angles, rate=np.zeros(6)),
                            ref_position=positions)
         out = model.evaluate(x, u)
         assert out.shape == (4, 6, 2)
@@ -248,14 +322,3 @@ class TestDeformationComponents:
         for comp in (map_rotation(), map_scale(), map_shear()):
             assert comp.depends_on == frozenset({"ref_position"})
 
-
-class TestMeasuredDifference:
-    def test_equal_positions(self):
-        np.testing.assert_allclose(measured_difference([5.0, 5.0], [5.0, 5.0]),
-                                   [0.0, 0.0])
-
-    def test_componentwise_subtraction(self):
-        np.testing.assert_allclose(measured_difference([10.0, 4.0], [7.0, 2.0]),
-                                   [3.0, 2.0])
-        np.testing.assert_allclose(measured_difference([0.0, 0.0], [2.0, 1.0]),
-                                   [-2.0, -1.0])

@@ -154,6 +154,19 @@ class TestUkfConfig:
         with pytest.raises(ValueError):
             make_config(2, alpha=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta", np.nan), ("beta", np.inf), ("kappa", np.nan), ("kappa", -np.inf),
+        ("kappa", -5.0), ("kappa", -2.0)])
+    def test_rejects_invalid_spread(self, field, value):
+        # n = 2: kappa must exceed -2, so that n + lambda > 0
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            make_config(2, **{field: value})
+
+    def test_accepts_kappa_above_minus_n(self):
+        cfg = make_config(2, kappa=-1.5)
+        sp = generate_sigma_points(cfg.initial_belief, cfg)
+        assert sp.mean_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_mean_weights_sum_to_one(self):
         for dim in (1, 2, 4, 6):
             cfg = make_config(dim)

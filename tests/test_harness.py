@@ -5,16 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, body_offset,
                                     map_rotation, map_translation)
 from locdecomp.estimator import GaussianBelief, UkfConfig, run_filter
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
+from locdecomp.frames import Heading
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                SyntheticTrajectory, build_trajectory,
                                derive_run_seed, emit_results, load_config,
                                parse_config, run_experiment, _estimate_runs)
-from locdecomp.simulation import InjectionConfig, inject_errors
+from locdecomp.observability import numerical_rank_test
+from locdecomp.simulation import InjectionConfig, inject_errors, inject_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
@@ -58,7 +61,7 @@ def batched_estimates(cfg, runs=None):
 
 def corner_centroid(n_samples):
     trajectory = build_trajectory(SyntheticTrajectory(kind="corner", n_samples=n_samples))
-    return np.mean([s.position for s in trajectory], axis=0)
+    return trajectory.ref_position.mean(axis=0)
 
 
 class TestRunExperiment:
@@ -185,6 +188,30 @@ def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == []
     assert len(shapes["cholesky"]) <= 2 * n_steps + 1
     assert set(shapes["cholesky"]) == {(n_steps, 2, 2), (cfg.n_runs, dim, dim)}
+
+
+def test_observe_config_builds_no_per_sample_objects(monkeypatch, capsys):
+    # a trajectory is one series: loading, building, injecting and ranking
+    # it construct a fixed number of Heading objects, not one per sample
+    built = []
+    original = Heading.__post_init__
+
+    def counted(self):
+        built.append(np.shape(self.angle))
+        original(self)
+
+    monkeypatch.setattr(Heading, "__post_init__", counted)
+    path = ROOT / "bench" / "configs" / "observe.json"
+    cfg = load_config(path)
+    trajectory = build_trajectory(cfg.trajectory)
+    inject_runs(trajectory, cfg.injection, cfg.model,
+                [derive_run_seed(cfg.injection.rng_seed, r) for r in range(3)])
+    numerical_rank_test(cfg.model, cfg.ukf.initial_belief.mean, trajectory)
+    assert cli_main(["observability", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert len(trajectory) == 1000
+    # one per trajectory build: load_config, build_trajectory, and the CLI's two
+    assert built == [(1000,)] * 4
 
 
 def tripwire(threshold):
@@ -343,8 +370,7 @@ class TestParseConfig:
         raw["model"] = [{"type": "map_scale"}]
         raw["injection"]["true_params"] = [0.1]
         cfg = parse_config(raw)
-        samples = build_trajectory(cfg.trajectory)
-        centroid = np.mean([s.position for s in samples], axis=0)
+        centroid = build_trajectory(cfg.trajectory).ref_position.mean(axis=0)
         comp = cfg.model.components[0]
         # at the centroid the deformation contributes nothing regardless of
         # the parameter, which pins the pivot
@@ -376,6 +402,12 @@ class TestParseConfig:
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["filter"]["process_noise"] = float("nan")
         with pytest.raises(NotPSD, match="^process_noise must be finite$"):
+            parse_config(raw)
+
+    def test_non_finite_beta(self):
+        raw = json.loads(json.dumps(BASE_CONFIG).replace(
+            '"initial_covariance": 10.0', '"initial_covariance": 10.0, "beta": NaN'))
+        with pytest.raises(ValueError, match="^beta must be finite"):
             parse_config(raw)
 
     def test_missing_section(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
                           ref_position=np.asarray(position, dtype=float))
 
 
+def make_series(angles, position=(0.0, 0.0)):
+    """A series at one-second steps with the given headings, zero heading
+    rates and one fixed position."""
+    angles = np.asarray(angles, dtype=float)
+    n = angles.size
+    return KinematicInput(t=np.arange(float(n)), heading=Heading(angles, np.zeros(n)),
+                          ref_position=np.tile(position, (n, 1)))
+
+
 def forward_difference_and_rate(x, angle, rate):
     """Difference vector and its analytic time derivative for BODY_MAP."""
     body, translation = x[:2], x[2:]
@@ -47,17 +58,15 @@ class TestStackedOutputMap:
 
     def test_two_distinct_headings_give_full_rank(self):
         # analytic sensitivity: rows [R(g_i) I] stacked for two headings
-        window = [make_input(angle=0.2, t=0.0), make_input(angle=0.9, t=1.0)]
         jac = np.vstack([np.hstack([rotation_matrix(0.2), np.eye(2)]),
                          np.hstack([rotation_matrix(0.9), np.eye(2)])])
         assert np.linalg.matrix_rank(jac) == 4
-        report = numerical_rank_test(BODY_MAP, np.zeros(4), window * 4,
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), make_series([0.2, 0.9] * 4),
                                      window_length=2)
         assert report.observable
 
     def test_constant_heading_stacks_are_rank_two(self):
-        window = [make_input(angle=0.4, t=float(k)) for k in range(8)]
-        report = numerical_rank_test(BODY_MAP, np.zeros(4), window,
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), make_series([0.4] * 8),
                                      window_length=8)
         assert report.rank_profile == [2]
         assert not report.observable
@@ -97,8 +106,7 @@ class TestNumericalRankTest:
     def test_rank_invariant_under_time_rescaling(self):
         trajectory = synthesize_trajectory("corner", 120)
         inputs = to_kinematic_inputs(trajectory)
-        rescaled = [KinematicInput(t=u.t * 37.0, heading=u.heading,
-                                   ref_position=u.ref_position) for u in inputs]
+        rescaled = replace(inputs, t=inputs.t * 37.0)
         a = numerical_rank_test(BODY_MAP, np.zeros(4), inputs)
         b = numerical_rank_test(BODY_MAP, np.zeros(4), rescaled)
         assert a.rank_profile == b.rank_profile
@@ -191,7 +199,7 @@ class TestRankTestEquivalence:
     @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
     def test_repeated_samples_give_degenerate_windows(self, model):
         inputs = corner_inputs(60)
-        inputs = inputs[:25] + [inputs[25]] * 14 + inputs[26:]
+        inputs = inputs[np.r_[0:25, [25] * 14, 26:60]]
         report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
                                           2 * model.state_dim)
         assert report.degenerate_windows
@@ -199,14 +207,14 @@ class TestRankTestEquivalence:
     def test_translation_only(self):
         inputs = corner_inputs(30)
         report = assert_matches_reference(TRANSLATION_ONLY, [3.0, -2.0],
-                                          inputs[:10] + [inputs[10]] * 6, 4)
+                                          inputs[np.r_[0:10, [10] * 6]], 4)
         assert all(r == 2 for r in report.rank_profile)
         assert report.degenerate_windows == []
 
     @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
     def test_minimum_window_length(self, model):
         inputs = corner_inputs(60)
-        inputs = inputs[:30] + [inputs[30]] * 4 + inputs[31:]
+        inputs = inputs[np.r_[0:30, [30] * 4, 31:60]]
         report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
                                           -(-model.state_dim // 2))
         assert report.degenerate_windows
@@ -216,8 +224,7 @@ class TestRankTestEquivalence:
         (BODY_MAP_ROTATION, 4)])
     def test_zero_singular_values(self, model, rank):
         # at the pivot a map rotation moves nothing: its Jacobian column is 0
-        inputs = [make_input(angle=0.1 * k, t=float(k), position=(5.0, -3.0))
-                  for k in range(12)]
+        inputs = make_series(0.1 * np.arange(12), position=(5.0, -3.0))
         report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
                                           2 * model.state_dim)
         _, conds, _, _ = reference_rank_test(model, np.zeros(model.state_dim), inputs,

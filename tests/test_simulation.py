@@ -3,8 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from locdecomp.error_models import (CompositeModel, body_offset, map_translation,
-                                    measured_difference)
+from locdecomp.error_models import CompositeModel, body_offset, map_translation
 from locdecomp.exceptions import (DimensionMismatch, NonMonotoneTime, ParseError)
 from locdecomp.simulation import (InjectionConfig, inject_errors, load_trajectory,
                                   synthesize_trajectory, to_kinematic_inputs)
@@ -28,7 +27,7 @@ class TestLoadTrajectory:
             "2.0, 3.0, 4.0, 0.3\n")
         samples = load_trajectory(content)
         assert len(samples) == 3
-        np.testing.assert_allclose(samples[1].position, [2.0, 3.0])
+        np.testing.assert_allclose(samples[1].ref_position, [2.0, 3.0])
         assert samples[2].heading.angle == pytest.approx(0.3)
         # central differences over the heading column
         assert samples[1].heading.rate == pytest.approx(0.1)
@@ -81,6 +80,24 @@ class TestLoadTrajectory:
         assert len(samples) == 2
 
 
+    def test_repeated_position_without_headings_rejected(self):
+        # heading south, pausing one sample: its bearing would read 0, two
+        # fake quarter turns
+        content = io.StringIO(
+            "# t_s, east_m, north_m\n"
+            "0.0, 0.0, 3.0\n"
+            "1.0, 0.0, 2.0\n"
+            "2.0, 0.0, 2.0\n"
+            "3.0, 0.0, 1.0\n")
+        with pytest.raises(ParseError, match="heading_rad") as excinfo:
+            load_trajectory(content)
+        assert excinfo.value.line == 4
+
+    def test_repeated_position_with_headings_accepted(self):
+        content = io.StringIO("0.0, 0.0, 2.0, -1.5\n1.0, 0.0, 2.0, -1.5\n")
+        np.testing.assert_array_equal(load_trajectory(content).heading.angle, [-1.5, -1.5])
+
+
 class TestSynthesizeTrajectory:
     def test_straight_headings_all_equal(self):
         trajectory = synthesize_trajectory("straight", 100)
@@ -102,7 +119,7 @@ class TestSynthesizeTrajectory:
     def test_minimal_two_sample_straight(self):
         trajectory = synthesize_trajectory("straight", 2)
         assert len(trajectory) == 2
-        step = np.linalg.norm(trajectory[1].position - trajectory[0].position)
+        step = np.linalg.norm(trajectory[1].ref_position - trajectory[0].ref_position)
         assert step == pytest.approx(10.0)
 
     @pytest.mark.parametrize("n", [20, 21, 33, 40])
@@ -153,9 +170,8 @@ class TestInjectErrors:
         cfg = InjectionConfig(true_params=true, noise_sigma_ref=0.0,
                               noise_sigma_other=0.0, rng_seed=3)
         for s in inject_errors(trajectory, cfg, BODY_MAP):
-            np.testing.assert_allclose(
-                measured_difference(s.p_ref, s.p_other),
-                BODY_MAP.evaluate(true, s.u), atol=1e-12)
+            np.testing.assert_allclose(s.p_ref - s.p_other,
+                                       BODY_MAP.evaluate(true, s.u), atol=1e-12)
 
     def test_deterministic_for_equal_seeds(self):
         trajectory = synthesize_trajectory("straight", 50)
@@ -208,9 +224,5 @@ class TestInjectErrors:
 class TestToKinematicInputs:
     def test_positions_and_headings_copied(self):
         trajectory = synthesize_trajectory("corner", 25)
-        inputs = to_kinematic_inputs(trajectory)
-        assert len(inputs) == 25
-        for sample, u in zip(trajectory, inputs):
-            np.testing.assert_array_equal(u.ref_position, sample.position)
-            assert u.heading is sample.heading
-            assert u.t == sample.t
+        # the series already carries the true positions in ref_position
+        assert to_kinematic_inputs(trajectory) is trajectory
