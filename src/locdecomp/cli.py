@@ -9,8 +9,14 @@ Subcommands:
 - ``oracle``         per-step closed-form decomposition of a data file
 
 Flags given on the command line override the corresponding configuration
-file values.  Simulated data files are comma-separated text with one step
-per line and a ``#`` header naming the columns.
+file values.  A simulated data file is comma-separated text, one step per
+line under a ``#`` header naming the columns.  It holds one record
+``(inputs, p_other, r)``: a kinematic input series with the reference
+positions in ``ref_position`` (N, 2), the other localizer's positions
+(N, 2) and diagonal measurement covariances (N, 2, 2).  The file commands
+pass it as arrays: ``simulate`` writes one run of ``inject_runs``,
+``filter`` hands it to ``filter_runs`` and ``oracle`` makes one
+``closed_form_decomposition`` call over the turning steps.
 """
 
 from __future__ import annotations
@@ -23,37 +29,36 @@ from pathlib import Path
 import numpy as np
 
 from .error_models import KinematicInput
-from .estimator import DifferenceObservation, run_filter
-from .exceptions import ParseError
+from .estimator import filter_runs
+from .exceptions import NonMonotoneTime, ParseError
 from .frames import Heading
-from .harness import (ExperimentConfig, _fmt, build_trajectory, emit_results,
-                      load_config, run_experiment)
+from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, build_trajectory,
+                      emit_results, load_config, run_experiment, write_table)
 from .observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
-from .simulation import inject_errors
+from .simulation import inject_runs
 
 DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
                 "other_north_m", "heading_rad", "heading_rate_rps",
                 "r_var_east_m2", "r_var_north_m2")
 
 
-def write_data_file(steps, path) -> Path:
-    """Write injected steps in the simulated-data file format."""
-    path = Path(path)
-    if str(path.parent):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["# " + ",".join(DATA_COLUMNS)]
-    for s in steps:
-        row = [s.u.t, s.p_ref[0], s.p_ref[1], s.p_other[0], s.p_other[1],
-               s.u.heading.angle, s.u.heading.rate, s.obs.R[0, 0], s.obs.R[1, 1]]
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def write_data_file(path, inputs: KinematicInput, p_other, r) -> Path:
+    """Write the record ``(inputs, p_other, r)`` as a simulated data file;
+    the file stores variances, so ``r`` must be diagonal."""
+    if np.any(r[:, [0, 1], [1, 0]]):
+        raise ValueError("r must be diagonal: the data file stores variances only")
+    table = np.column_stack([inputs.t, inputs.ref_position, p_other, inputs.heading.angle,
+                             inputs.heading.rate, r[:, 0, 0], r[:, 1, 1]])
+    return write_table(path, table, ",".join(DATA_COLUMNS), comments="# ")
 
 
-def read_data_file(path) -> list[tuple[DifferenceObservation, KinematicInput]]:
-    """Read a simulated data file back into observation/input pairs."""
-    pairs = []
+def read_data_file(path) -> tuple[KinematicInput, np.ndarray, np.ndarray]:
+    """Read a simulated data file as the record ``(inputs, p_other, r)`` of
+    :func:`write_data_file`.  A wrong field count, a non-numeric or
+    non-finite field or a negative variance raises ``ParseError``, a
+    timestamp that does not increase ``NonMonotoneTime``; both name the line."""
+    rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -65,20 +70,24 @@ def read_data_file(path) -> list[tuple[DifferenceObservation, KinematicInput]]:
                                  f"{len(tokens)}", line_no)
             try:
                 values = [float(tok) for tok in tokens]
-                if not np.isfinite(values).all():
-                    raise ValueError(f"{DATA_COLUMNS[np.argmin(np.isfinite(values))]} "
-                                     "must be finite")
-                t, ref_e, ref_n, oth_e, oth_n, ang, rate, var_e, var_n = values
-                u = KinematicInput(t=t, heading=Heading(angle=ang, rate=rate),
-                                   ref_position=np.array([ref_e, ref_n]))
-                obs = DifferenceObservation(d=np.array([ref_e - oth_e, ref_n - oth_n]),
-                                            R=np.diag([var_e, var_n]))
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from exc
-            pairs.append((obs, u))
-    if not pairs:
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise ParseError(f"{DATA_COLUMNS[np.argmin(finite)]} must be finite", line_no)
+            for column, value in zip(DATA_COLUMNS[-2:], values[-2:]):
+                if value < 0.0:
+                    raise ParseError(f"{column} must be non-negative, got {value}", line_no)
+            if rows and values[0] <= rows[-1][0]:
+                raise NonMonotoneTime(f"line {line_no}: timestamp {values[0]} does not "
+                                      f"increase past {rows[-1][0]}")
+            rows.append(values)
+    if not rows:
         raise ParseError(f"{path}: no data lines found")
-    return pairs
+    table = np.array(rows)
+    inputs = KinematicInput(t=table[:, 0], heading=Heading(table[:, 5], table[:, 6]),
+                            ref_position=table[:, 1:3])
+    return inputs, table[:, 3:5], table[:, 7:, None] * np.eye(2)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -92,40 +101,34 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
+def _output_path(cfg: ExperimentConfig, name: str) -> Path:
+    out = Path(cfg.output or name)
+    return out / name if out.is_dir() else out
+
+
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     trajectory = build_trajectory(cfg.trajectory)
-    steps = inject_errors(trajectory, cfg.injection, cfg.model)
-    out = Path(cfg.output or "simulated.csv")
-    if out.is_dir():
-        out = out / "simulated.csv"
-    write_data_file(steps, out)
-    print(f"wrote {len(steps)} steps to {out}")
+    p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, [cfg.injection.rng_seed])
+    r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
+    out = write_data_file(_output_path(cfg, "simulated.csv"),
+                          replace(trajectory, ref_position=p_ref[0]), p_other[0], r)
+    print(f"wrote {len(trajectory)} steps to {out}")
     return 0
 
 
 def _cmd_filter(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    pairs = read_data_file(args.data)
-    beliefs = run_filter(cfg.model, cfg.ukf, pairs)
+    inputs, p_other, r = read_data_file(args.data)
     dim = cfg.model.state_dim
-    out = Path(cfg.output or "estimates.csv")
-    if out.is_dir():
-        out = out / "estimates.csv"
-    if str(out.parent):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    passes = filter_runs(cfg.model, cfg.ukf, (inputs.ref_position - p_other)[None], r, inputs)
+    table = np.column_stack([np.arange(len(inputs)), inputs.t, [
+        np.concatenate([means[0], np.diagonal(covs[0])]) for means, covs in passes]])
     header = (["step", "t_s"] + [f"mean_x{j + 1}" for j in range(dim)]
               + [f"var_x{j + 1}" for j in range(dim)])
-    lines = ["# " + ",".join(header)]
-    for k, belief in enumerate(beliefs[1:]):
-        row = [str(k), _fmt(pairs[k][1].t)] \
-            + [_fmt(v) for v in belief.mean] \
-            + [_fmt(v) for v in np.diag(belief.covariance)]
-        lines.append(",".join(row))
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    final = beliefs[-1].mean
-    print(f"wrote {len(beliefs) - 1} steps to {out}")
-    print("final estimate: " + ", ".join(_fmt(v) for v in final))
+    out = write_table(_output_path(cfg, "estimates.csv"), table, ",".join(header), comments="# ")
+    print(f"wrote {len(table)} steps to {out}")
+    print("final estimate: " + ", ".join(_fmt(v) for v in table[-1, 2:2 + dim]))
     return 0
 
 
@@ -171,26 +174,21 @@ def _cmd_observability(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    pairs = read_data_file(args.data)
-    t = np.array([u.t for _, u in pairs])
-    d = np.array([obs.d for obs, _ in pairs])
-    rates = difference_rates(t, d, smooth_window=args.smooth_window)
+    inputs, p_other, _ = read_data_file(args.data)
+    d = inputs.ref_position - p_other
+    rates = difference_rates(inputs.t, d, smooth_window=args.smooth_window)
+    turning = np.flatnonzero(np.abs(inputs.heading.rate) > args.min_turn_rate)
     print("step,t_s,body_x,body_y,map_east,map_north")
-    estimates = []
-    for k, (_, u) in enumerate(pairs):
-        if abs(u.heading.rate) <= args.min_turn_rate:
-            continue
-        x = closed_form_decomposition(d[k], rates[k], u.heading.angle,
-                                      u.heading.rate,
-                                      min_turn_rate=args.min_turn_rate)
-        estimates.append(x)
-        print(f"{k},{_fmt(u.t)}," + ",".join(_fmt(v) for v in x))
-    if not estimates:
+    if not turning.size:
         print("no steps with sufficient turn rate", file=sys.stderr)
         return 1
-    mean = np.mean(estimates, axis=0)
-    print("mean over " + str(len(estimates)) + " turning steps: "
-          + ", ".join(_fmt(v) for v in mean))
+    angle, rate = inputs.heading.angle[turning], inputs.heading.rate[turning]
+    estimates = closed_form_decomposition(d[turning], rates[turning], angle, rate,
+                                          min_turn_rate=args.min_turn_rate)
+    np.savetxt(sys.stdout, np.column_stack([turning, inputs.t[turning], estimates]),
+               fmt=FLOAT_FORMAT, delimiter=",")
+    print(f"mean over {turning.size} turning steps: "
+          + ", ".join(_fmt(v) for v in estimates.mean(axis=0)))
     return 0
 
 

@@ -301,12 +301,15 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
     covariances (N, 2, 2) shared by the runs, and ``inputs`` yields exactly
     N kinematic inputs (e.g. a series of N), whose ``ref_position`` is
-    shared (2,) or per run (B, 2); other shapes or counts raise
+    shared (2,) or per run (B, 2); other shapes, counts or initial belief dimensions raise
     :class:`~locdecomp.exceptions.DimensionMismatch` before any step.
     Yields the posterior means (B, n) and covariances (B, n, n) after each
     step.  Errors raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
     """
+    if cfg.initial_belief.dim != model.state_dim:
+        raise DimensionMismatch(f"belief dimension {cfg.initial_belief.dim} does not "
+                                f"match model state dimension {model.state_dim}")
     d = np.asarray(d, dtype=float)
     if d.ndim != 3 or d.shape[2] != 2:
         raise DimensionMismatch(f"d must have shape (B, N, 2), got {d.shape}")

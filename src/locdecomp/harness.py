@@ -183,6 +183,15 @@ def _fmt(value: float) -> str:
     return FLOAT_FORMAT % value
 
 
+def write_table(path, table, header: str, comments: str = "") -> Path:
+    """Write a 2-d array as comma-separated ``FLOAT_FORMAT`` rows under one
+    header line, creating the parent directory; step indices print as integers."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savetxt(path, table, fmt=FLOAT_FORMAT, delimiter=",", header=header, comments=comments)
+    return path
+
+
 def emit_results(series: MseSeries, out_dir,
                  convergence_threshold: float = DEFAULT_CONVERGENCE_THRESHOLD_M2) -> list[Path]:
     """Write the per-step MSE table and the run summary.
@@ -199,15 +208,10 @@ def emit_results(series: MseSeries, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     dim = series.state_dim
-    table_path = out_dir / "mse.csv"
     header = (["step"] + [f"mse_x{j + 1}" for j in range(dim)]
               + [f"mean_x{j + 1}" for j in range(dim)])
-    lines = [",".join(header)]
-    for k in range(series.n_steps):
-        row = [str(k)] + [_fmt(v) for v in series.mse[k]] \
-            + [_fmt(v) for v in series.mean[k]]
-        lines.append(",".join(row))
-    table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table_path = write_table(out_dir / "mse.csv", np.column_stack(
+        [np.arange(series.n_steps), series.mse, series.mean]), ",".join(header))
 
     flags = series.converged(convergence_threshold)
     summary_path = out_dir / "summary.txt"
@@ -233,12 +237,13 @@ def emit_results(series: MseSeries, out_dir,
 # configuration files
 # ---------------------------------------------------------------------------
 
-_COMPONENT_OPTION_KEYS = {
-    "body_offset": set(),
-    "map_translation": set(),
-    "map_rotation": {"pivot", "reference"},
-    "map_scale": {"pivot", "reference"},
-    "map_shear": {"pivot", "reference", "axis"},
+# component type -> (factory, option keys passed to it from the entry)
+_COMPONENTS = {
+    "body_offset": (error_models.body_offset, set()),
+    "map_translation": (error_models.map_translation, set()),
+    "map_rotation": (error_models.map_rotation, {"pivot", "reference"}),
+    "map_scale": (error_models.map_scale, {"pivot", "reference"}),
+    "map_shear": (error_models.map_shear, {"pivot", "reference", "axis"}),
 }
 
 
@@ -253,34 +258,20 @@ def _build_component(entry: dict, centroid: np.ndarray):
     if not isinstance(entry, dict) or "type" not in entry:
         raise ConfigError(f"each model entry needs a 'type', got {entry!r}")
     kind = entry["type"]
-    if kind not in _COMPONENT_OPTION_KEYS:
+    if kind not in _COMPONENTS:
         raise ConfigError(f"unknown component type {kind!r}; available: "
-                          f"{sorted(_COMPONENT_OPTION_KEYS)}")
-    _reject_unknown(entry, _COMPONENT_OPTION_KEYS[kind] | {"type", "initial"},
-                    f"component {kind!r}")
+                          f"{sorted(_COMPONENTS)}")
+    factory, option_keys = _COMPONENTS[kind]
+    _reject_unknown(entry, option_keys | {"type", "initial"}, f"component {kind!r}")
+    options = {key: entry[key] for key in option_keys & entry.keys()}
+    if "pivot" in option_keys:
+        options.setdefault("pivot", centroid)
+    comp = factory(**options)
     initial = entry.get("initial")
-    if kind == "body_offset":
-        comp = error_models.body_offset()
-    elif kind == "map_translation":
-        comp = error_models.map_translation()
-    else:
-        pivot = entry.get("pivot", centroid)
-        reference = entry.get("reference", "ref")
-        if kind == "map_rotation":
-            comp = error_models.map_rotation(pivot=pivot, reference=reference)
-        elif kind == "map_scale":
-            comp = error_models.map_scale(pivot=pivot, reference=reference)
-        else:
-            comp = error_models.map_shear(pivot=pivot,
-                                          axis=entry.get("axis", "x"),
-                                          reference=reference)
-    if initial is None:
-        guess = comp.neutral
-    else:
-        guess = np.asarray(initial, dtype=float)
-        if guess.shape != (comp.param_dim,):
-            raise ConfigError(f"component {kind!r} initial guess must have "
-                              f"{comp.param_dim} entries, got {guess.shape}")
+    guess = comp.neutral if initial is None else np.asarray(initial, dtype=float)
+    if guess.shape != (comp.param_dim,):
+        raise ConfigError(f"component {kind!r} initial guess must have "
+                          f"{comp.param_dim} entries, got {guess.shape}")
     return comp, guess
 
 
@@ -313,6 +304,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     for key in ("trajectory", "model", "injection", "filter"):
         if key not in raw:
             raise ConfigError(f"missing required section '{key}'")
+        if key != "model" and not isinstance(raw[key], dict):
+            raise ConfigError(f"section '{key}' must be a mapping, got {type(raw[key]).__name__}")
 
     traj_raw = raw["trajectory"]
     if "file" in traj_raw:

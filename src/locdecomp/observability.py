@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .error_models import CompositeModel, KinematicInput
-from .exceptions import ZeroTurnRate
+from .exceptions import DimensionMismatch, ZeroTurnRate
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_MIN_TURN_RATE = 1e-3
@@ -108,6 +108,9 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     wl = 2 * n if window_length is None else int(window_length)
     if wl < -(-n // 2):
         raise ValueError(f"window_length {wl} too short for {n} parameters")
+    if inputs.ref_position.shape != (len(inputs), 2):
+        raise DimensionMismatch(f"ref_position must have shape ({len(inputs)}, 2), "
+                                f"got {inputs.ref_position.shape}")
     if len(inputs) < wl:
         raise ValueError(f"trajectory of {len(inputs)} samples is shorter than "
                          f"one window of {wl}")
@@ -152,9 +155,9 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     )
 
 
-def closed_form_decomposition(d, d_rate, heading_angle: float, heading_rate: float,
+def closed_form_decomposition(d, d_rate, heading_angle, heading_rate,
                               min_turn_rate: float = DEFAULT_MIN_TURN_RATE) -> np.ndarray:
-    """Analytic split of one difference observation into body and map offsets.
+    """Analytic split of difference observations into body and map offsets.
 
     For the model consisting of a vehicle-fixed offset (rotated by heading)
     plus a state-independent map translation, the four parameters follow in
@@ -163,20 +166,22 @@ def closed_form_decomposition(d, d_rate, heading_angle: float, heading_rate: flo
     formulas divide by the heading rate, and with a constant heading the
     two offsets are indistinguishable.
 
-    Returns ``(body_x, body_y, map_east, map_north)``.
+    ``d`` and ``d_rate`` (..., 2) broadcast against the headings (...).
+    Returns ``(body_x, body_y, map_east, map_north)`` on a last axis of 4.
     """
     d = np.asarray(d, dtype=float)
     d_rate = np.asarray(d_rate, dtype=float)
-    if abs(heading_rate) <= min_turn_rate:
+    slowest = np.abs(heading_rate).min()
+    if slowest <= min_turn_rate:
         raise ZeroTurnRate(
-            f"|heading rate| = {abs(heading_rate)} <= {min_turn_rate}; the agent "
+            f"|heading rate| = {slowest} <= {min_turn_rate}; the agent "
             "must be turning to separate the body offset from the map offset")
     c, s = np.cos(heading_angle), np.sin(heading_angle)
-    body_x = (-d_rate[0] * s + d_rate[1] * c) / heading_rate
-    body_y = -(d_rate[0] * c + d_rate[1] * s) / heading_rate
-    map_e = d[0] - d_rate[1] / heading_rate
-    map_n = d[1] + d_rate[0] / heading_rate
-    return np.array([body_x, body_y, map_e, map_n])
+    body_x = (-d_rate[..., 0] * s + d_rate[..., 1] * c) / heading_rate
+    body_y = -(d_rate[..., 0] * c + d_rate[..., 1] * s) / heading_rate
+    map_e = d[..., 0] - d_rate[..., 1] / heading_rate
+    map_n = d[..., 1] + d_rate[..., 0] / heading_rate
+    return np.stack([body_x, body_y, map_e, map_n], axis=-1)
 
 
 def difference_rates(t, d_series, smooth_window: int = 3) -> np.ndarray:

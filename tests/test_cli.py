@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,12 @@ import pytest
 
 from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
-from locdecomp.exceptions import ParseError
-from locdecomp.observability import DEFAULT_RANK_TOL
+from locdecomp.estimator import DifferenceObservation, GaussianBelief
+from locdecomp.exceptions import NonMonotoneTime, ParseError
+from locdecomp.harness import build_trajectory, load_config
+from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
+                                     difference_rates)
+from locdecomp.simulation import inject_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -48,10 +53,10 @@ class TestSimulateAndFilter:
         assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
         assert data.exists()
 
-        pairs = read_data_file(data)
-        assert len(pairs) == 60
-        obs, u = pairs[0]
-        np.testing.assert_allclose(obs.R, 0.04 * np.eye(2), rtol=1e-6)
+        inputs, p_other, r = read_data_file(data)
+        assert len(inputs) == 60
+        assert inputs.ref_position.shape == p_other.shape == (60, 2)
+        np.testing.assert_allclose(r, np.tile(0.04 * np.eye(2), (60, 1, 1)), rtol=1e-6)
 
         estimates = tmp_path / "estimates.csv"
         assert main(["filter", "--config", str(config), "--data", str(data),
@@ -66,21 +71,59 @@ class TestSimulateAndFilter:
         np.testing.assert_allclose(final, [2.0, 1.0, 3.0, 2.0], atol=0.5)
 
     def test_data_file_round_trip(self, tmp_path):
+        # the straight config heads at pi, the edge of the angle range
+        for name in ["corner.json", "straight.json"]:
+            data = tmp_path / f"{name}.csv"
+            main(["simulate", "--config", str(CONFIGS / name), "--out", str(data)])
+            record = read_data_file(data)
+            rewritten = write_data_file(tmp_path / "again.csv", *record)
+            assert rewritten.read_bytes() == data.read_bytes(), name
+            inputs, p_other, r = record
+            again, p_other_again, r_again = read_data_file(rewritten)
+            for a, b in [(inputs.t, again.t), (inputs.ref_position, again.ref_position),
+                         (inputs.heading.angle, again.heading.angle),
+                         (inputs.heading.rate, again.heading.rate),
+                         (p_other, p_other_again), (r, r_again)]:
+                np.testing.assert_array_equal(a, b)
+
+    def test_simulate_writes_the_injected_run(self, tmp_path):
+        # the data file is the record of inject_runs at the configured seed
         config = write_config(tmp_path)
         data = tmp_path / "data.csv"
         main(["simulate", "--config", str(config), "--out", str(data)])
-        pairs = read_data_file(data)
-        rewritten = tmp_path / "again.csv"
-        # the writer consumes injected steps; reuse the parsed fields directly
-        from locdecomp.simulation import InjectedStep
-        steps = [InjectedStep(p_ref=u.ref_position,
-                              p_other=u.ref_position - obs.d, u=u, obs=obs)
-                 for obs, u in pairs]
-        write_data_file(steps, rewritten)
-        again = read_data_file(rewritten)
-        for (obs_a, u_a), (obs_b, u_b) in zip(pairs, again):
-            np.testing.assert_allclose(obs_a.d, obs_b.d, rtol=1e-8, atol=1e-10)
-            assert u_a.t == pytest.approx(u_b.t)
+        cfg = load_config(config)
+        trajectory = build_trajectory(cfg.trajectory)
+        p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model,
+                                     [cfg.injection.rng_seed])
+        r = np.broadcast_to(cfg.injection.observation_covariance(), (60, 2, 2))
+        expected = write_data_file(tmp_path / "expected.csv",
+                                   replace(trajectory, ref_position=p_ref[0]),
+                                   p_other[0], r)
+        assert data.read_bytes() == expected.read_bytes()
+
+
+def test_file_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsys):
+    # simulate, filter and oracle pass arrays from end to end: none of them
+    # builds a DifferenceObservation, and the only GaussianBelief is the
+    # initial one that load_config makes
+    built = []
+    for cls in (DifferenceObservation, GaussianBelief):
+        def counted(self, _original=cls.__post_init__, _name=cls.__name__):
+            built.append(_name)
+            _original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    config = write_config(tmp_path)
+    data = tmp_path / "data.csv"
+    commands = {
+        "simulate": ["--config", str(config), "--out", str(data)],
+        "filter": ["--config", str(config), "--data", str(data),
+                   "--out", str(tmp_path / "estimates.csv")],
+        "oracle": ["--data", str(data)],
+    }
+    for command, args in commands.items():
+        built.clear()
+        assert main([command] + args) == 0
+        assert built == ([] if command == "oracle" else ["GaussianBelief"]), command
 
 
 class TestReadDataFile:
@@ -92,7 +135,14 @@ class TestReadDataFile:
         return path
 
     def test_reads_good_rows(self, tmp_path):
-        assert len(read_data_file(self.write_rows(tmp_path, [2.0] + GOOD_ROW[1:]))) == 4
+        inputs, p_other, r = read_data_file(self.write_rows(tmp_path, [2.0] + GOOD_ROW[1:]))
+        assert len(inputs) == 4
+        np.testing.assert_array_equal(inputs.t, [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(inputs.ref_position, np.tile([1.0, 2.0], (4, 1)))
+        np.testing.assert_array_equal(p_other, np.tile([0.5, 1.5], (4, 1)))
+        np.testing.assert_array_equal(inputs.heading.angle, np.full(4, 0.3))
+        np.testing.assert_array_equal(inputs.heading.rate, np.zeros(4))
+        np.testing.assert_array_equal(r, np.tile(np.diag([0.04, 0.04]), (4, 1, 1)))
 
     @pytest.mark.parametrize("column, value", [
         ("ref_east_m", "nan"), ("other_north_m", "inf"), ("heading_rad", "-inf"),
@@ -107,9 +157,23 @@ class TestReadDataFile:
     @pytest.mark.parametrize("var_east, var_north", [(-0.04, 0.04), (0.04, -1.0)])
     def test_negative_variance_names_its_line(self, tmp_path, var_east, var_north):
         row = [2.0] + GOOD_ROW[1:7] + [var_east, var_north]
-        with pytest.raises(ParseError, match="line 4: .*negative eigenvalue") as excinfo:
+        column = "r_var_east_m2" if var_east < 0.0 else "r_var_north_m2"
+        with pytest.raises(ParseError, match=f"line 4: {column} must be non-negative") \
+                as excinfo:
             read_data_file(self.write_rows(tmp_path, row))
         assert excinfo.value.line == 4
+
+    def test_writer_rejects_correlated_covariances(self, tmp_path):
+        inputs, p_other, r = read_data_file(self.write_rows(tmp_path, [2.0] + GOOD_ROW[1:]))
+        r[1, 0, 1] = r[1, 1, 0] = 0.01
+        with pytest.raises(ValueError, match="r must be diagonal"):
+            write_data_file(tmp_path / "out.csv", inputs, p_other, r)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_non_increasing_time_names_its_line(self, tmp_path, t):
+        with pytest.raises(NonMonotoneTime,
+                           match=f"^line 4: timestamp {t} does not increase past 1.0$"):
+            read_data_file(self.write_rows(tmp_path, [t] + GOOD_ROW[1:]))
 
     def test_non_numeric_field_names_its_line(self, tmp_path):
         row = [2.0] + GOOD_ROW[1:5] + ["east"] + GOOD_ROW[6:]
@@ -212,6 +276,38 @@ class TestOracleCommand:
         main(["simulate", "--config", str(config), "--out", str(data)])
         assert main(["oracle", "--data", str(data)]) == 1
         assert "no steps" in capsys.readouterr().err
+
+    def test_repeated_timestamp_is_rejected(self, tmp_path, capsys):
+        # a repeated timestamp made the difference rates divide by zero, and
+        # the oracle printed nan estimates and exited 0
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
+        lines = data.read_text().splitlines(keepends=True)
+        row = lines[19].split(",")   # data row 18 takes the timestamp of row 17
+        lines[19] = ",".join([lines[18].split(",")[0]] + row[1:])
+        data.write_text("".join(lines))
+        with pytest.raises(NonMonotoneTime, match="^line 20: timestamp 17.0 "):
+            main(["oracle", "--data", str(data)])
+
+    def test_estimates_match_the_scalar_decomposition(self, tmp_path, capsys):
+        # one broadcast call over the turning samples equals the per-sample
+        # closed form bit for bit
+        config = write_config(tmp_path, trajectory={"kind": "corner", "n_samples": 200})
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(config), "--out", str(data)])
+        capsys.readouterr()
+        assert main(["oracle", "--data", str(data)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        inputs, p_other, _ = read_data_file(data)
+        d = inputs.ref_position - p_other
+        rates = difference_rates(inputs.t, d)
+        expected = []
+        for k in range(len(inputs)):
+            u = inputs[k]
+            if abs(u.heading.rate) > 1e-3:
+                x = closed_form_decomposition(d[k], rates[k], u.heading.angle, u.heading.rate)
+                expected.append(",".join(f"{v:.9g}" for v in [k, u.t, *x]))
+        assert rows == expected
 
 
 class TestShippedConfigs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
-                                    map_translation)
+                                    map_rotation, map_translation)
 from locdecomp.estimator import (PSD_TOL, DifferenceObservation, GaussianBelief,
                                  UkfConfig, _check_covariance, _covariance_sqrt,
                                  compose_measurement_covariance, filter_runs,
@@ -397,6 +397,19 @@ class TestFilterRuns:
             list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
                              np.tile(np.eye(2), (3, 1, 1)),
                              (make_input() for _ in range(n_inputs))))
+
+    def test_rejects_belief_of_another_dimension(self):
+        # a 5-parameter model with a 4-dimensional belief failed at step 0
+        # inside the model, and an empty stream passed unchecked
+        model = CompositeModel(components=(body_offset(), map_translation(),
+                                           map_rotation()))
+        cfg = make_config(4)
+        message = "belief dimension 4 does not match model state dimension 5"
+        with pytest.raises(DimensionMismatch, match=message):
+            run_filter(model, cfg, [])
+        with pytest.raises(DimensionMismatch, match=message):
+            next(filter_runs(model, cfg, np.zeros((1, 2, 2)),
+                             np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
 
     def test_indefinite_prior_fails_its_step(self):
         # Q (set past validation) drives the second coordinate's prior

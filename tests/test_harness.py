@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from locdecomp.cli import main as cli_main
-from locdecomp.error_models import (CompositeModel, ErrorComponent, body_offset,
-                                    map_rotation, map_translation)
+from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
+                                    body_offset, map_rotation, map_shear,
+                                    map_translation)
 from locdecomp.estimator import GaussianBelief, UkfConfig, run_filter
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
@@ -408,6 +409,40 @@ class TestParseConfig:
         raw = json.loads(json.dumps(BASE_CONFIG).replace(
             '"initial_covariance": 10.0', '"initial_covariance": 10.0, "beta": NaN'))
         with pytest.raises(ValueError, match="^beta must be finite"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("section, value", [
+        ("trajectory", 5), ("trajectory", "corner"), ("injection", [1.0]),
+        ("filter", None)])
+    def test_section_must_be_a_mapping(self, section, value):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw[section] = value
+        with pytest.raises(ConfigError,
+                           match=f"^section '{section}' must be a mapping, got "
+                                 f"{type(value).__name__}$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("entry, expected", [
+        ({"type": "map_shear", "axis": "y", "pivot": [1.0, 2.0]},
+         lambda centroid: map_shear(pivot=(1.0, 2.0), axis="y")),
+        ({"type": "map_rotation", "reference": "other"},
+         lambda centroid: map_rotation(pivot=centroid, reference="other"))])
+    def test_component_options_reach_the_factory(self, entry, expected):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["model"] = [entry]
+        raw["injection"]["true_params"] = [0.1]
+        comp = parse_config(raw).model.components[0]
+        built = expected(corner_centroid(50))
+        u = KinematicInput(t=0.0, heading=Heading(0.0), ref_position=np.array([4.0, 7.0]))
+        assert comp.name == built.name
+        np.testing.assert_array_equal(comp.evaluate([0.3], u), built.evaluate([0.3], u))
+
+    def test_unknown_component_option(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["model"] = [{"type": "body_offset", "pivot": [0.0, 0.0]}]
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['pivot'\] in "
+                                              r"component 'body_offset'; allowed: "
+                                              r"\['initial', 'type'\]$"):
             parse_config(raw)
 
     def test_missing_section(self):

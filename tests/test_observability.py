@@ -6,7 +6,7 @@ import pytest
 from locdecomp import observability
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_translation)
-from locdecomp.exceptions import ZeroTurnRate
+from locdecomp.exceptions import DimensionMismatch, ZeroTurnRate
 from locdecomp.frames import Heading, rotation_matrix
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                                      difference_rates, numerical_rank_test,
@@ -255,6 +255,16 @@ class TestRankTestArguments:
             numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
                                 rank_tolerance=bad)
 
+    @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
+    def test_rejects_series_with_run_axis(self, model):
+        # with a map_rotation this gave numpy's broadcast error, and without
+        # one a report over the first run's shape
+        inputs = corner_inputs(40)
+        runs = replace(inputs, ref_position=np.stack([inputs.ref_position] * 3))
+        with pytest.raises(DimensionMismatch,
+                           match=r"ref_position must have shape \(40, 2\), got \(3, 40, 2\)"):
+            numerical_rank_test(model, np.zeros(model.state_dim), runs)
+
 
 class TestClosedFormDecomposition:
     def test_recovers_known_parameters(self):
@@ -273,6 +283,25 @@ class TestClosedFormDecomposition:
             closed_form_decomposition(np.zeros(2), np.zeros(2), 0.3, 0.0)
         with pytest.raises(ZeroTurnRate):
             closed_form_decomposition(np.zeros(2), np.zeros(2), 0.3, 5e-4)
+
+    def test_broadcasts_over_samples(self):
+        # one call over a series equals the scalar calls bit for bit, and a
+        # scalar call keeps its (4,) shape
+        rng = np.random.default_rng(5)
+        d, d_rate = rng.normal(size=(2, 50, 2))
+        angle = rng.uniform(-np.pi, np.pi, 50)
+        rate = rng.uniform(0.05, 2.0, 50) * rng.choice([-1.0, 1.0], 50)
+        batch = closed_form_decomposition(d, d_rate, angle, rate)
+        assert batch.shape == (50, 4)
+        single = [closed_form_decomposition(d[k], d_rate[k], float(angle[k]), float(rate[k]))
+                  for k in range(50)]
+        assert single[0].shape == (4,)
+        np.testing.assert_array_equal(batch, single)
+
+    def test_any_slow_sample_raises(self):
+        with pytest.raises(ZeroTurnRate, match=r"\|heading rate\| = 0.0005 <= 0.001"):
+            closed_form_decomposition(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3),
+                                      [0.5, -5e-4, 0.2])
 
     def test_round_trip_random_draws(self):
         rng = np.random.default_rng(13)
