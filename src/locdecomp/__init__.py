@@ -19,9 +19,9 @@ from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
 from .estimator import (DifferenceObservation, GaussianBelief, SigmaPoints,
                         UkfConfig, compose_measurement_covariance, filter_runs,
                         generate_sigma_points, predict, run_filter, update)
-from .exceptions import (CholeskyFailure, ConfigError, DimensionMismatch,
-                         ExperimentRunError, FilterStepError, NonMonotoneTime,
-                         NotPSD, ParseError, SingularTransform, ZeroTurnRate)
+from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
+                         FilterStepError, NonMonotoneTime, NotPSD, ParseError,
+                         SingularTransform, ZeroTurnRate)
 from .frames import (Heading, heading_rates, normalize_angle, rotate,
                      rotation_matrix)
 from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
@@ -52,7 +52,6 @@ __all__ = [
     "ExperimentConfig", "FileTrajectory", "MseSeries", "SyntheticTrajectory",
     "build_trajectory", "derive_run_seed", "emit_results", "load_config",
     "parse_config", "run_experiment",
-    "CholeskyFailure", "ConfigError", "DimensionMismatch", "ExperimentRunError",
-    "FilterStepError", "NonMonotoneTime", "NotPSD", "ParseError",
-    "SingularTransform", "ZeroTurnRate",
+    "ConfigError", "DimensionMismatch", "ExperimentRunError", "FilterStepError",
+    "NonMonotoneTime", "NotPSD", "ParseError", "SingularTransform", "ZeroTurnRate",
 ]

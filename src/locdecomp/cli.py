@@ -9,8 +9,13 @@ Subcommands:
 - ``oracle``         per-step closed-form decomposition of a data file
 
 Flags given on the command line override the corresponding configuration
-file values.  A simulated data file is comma-separated text, one step per
-line under a ``#`` header naming the columns.  It holds one record
+file values.  Without ``--out``, ``simulate`` and ``filter`` write
+``simulated.csv`` and ``estimates.csv`` into the configuration's output
+directory, where ``experiment`` writes its results.  Invalid input exits
+with status 2 and one line on stderr.
+
+A simulated data file is comma-separated text, one step per line under a
+``#`` header naming the columns.  It holds one record
 ``(inputs, p_other, r)``: a kinematic input series with the reference
 positions in ``ref_position`` (N, 2), the other localizer's positions
 (N, 2) and diagonal measurement covariances (N, 2, 2).  The file commands
@@ -101,9 +106,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _output_path(cfg: ExperimentConfig, name: str) -> Path:
-    out = Path(cfg.output or name)
-    return out / name if out.is_dir() else out
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    return Path(cfg.output or "results")
+
+
+def _output_path(args, cfg: ExperimentConfig, name: str) -> Path:
+    """``--out`` names the file, or an existing directory to write ``name``
+    into; without it, ``name`` goes into the experiment's output directory."""
+    if args.out is None:
+        return _output_dir(cfg) / name
+    return args.out / name if args.out.is_dir() else args.out
 
 
 def _cmd_simulate(args) -> int:
@@ -111,7 +123,7 @@ def _cmd_simulate(args) -> int:
     trajectory = build_trajectory(cfg.trajectory)
     p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, [cfg.injection.rng_seed])
     r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
-    out = write_data_file(_output_path(cfg, "simulated.csv"),
+    out = write_data_file(_output_path(args, cfg, "simulated.csv"),
                           replace(trajectory, ref_position=p_ref[0]), p_other[0], r)
     print(f"wrote {len(trajectory)} steps to {out}")
     return 0
@@ -126,7 +138,8 @@ def _cmd_filter(args) -> int:
         np.concatenate([means[0], np.diagonal(covs[0])]) for means, covs in passes]])
     header = (["step", "t_s"] + [f"mean_x{j + 1}" for j in range(dim)]
               + [f"var_x{j + 1}" for j in range(dim)])
-    out = write_table(_output_path(cfg, "estimates.csv"), table, ",".join(header), comments="# ")
+    out = write_table(_output_path(args, cfg, "estimates.csv"), table, ",".join(header),
+                      comments="# ")
     print(f"wrote {len(table)} steps to {out}")
     print("final estimate: " + ", ".join(_fmt(v) for v in table[-1, 2:2 + dim]))
     return 0
@@ -135,8 +148,7 @@ def _cmd_filter(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     series = run_experiment(cfg)
-    out_dir = cfg.output or "results"
-    paths = emit_results(series, out_dir, cfg.convergence_threshold)
+    paths = emit_results(series, _output_dir(cfg), cfg.convergence_threshold)
     print(f"{cfg.n_runs} runs x {series.n_steps} steps")
     print("final MSE:      " + ", ".join(_fmt(v) for v in series.final_mse))
     print("initial MSE:    " + ", ".join(_fmt(v) for v in series.initial_mse))
@@ -238,8 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  Invalid input (the
+    library's ``ValueError`` family, e.g. ``ParseError`` or ``ConfigError``)
+    and file errors print one line to stderr and return 2; runtime failures
+    such as ``FilterStepError`` propagate."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"locdecomp {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

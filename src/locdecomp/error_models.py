@@ -159,10 +159,6 @@ class CompositeModel:
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "state_dim", total)
 
-    def slices(self) -> list[slice]:
-        return [slice(off, off + comp.param_dim)
-                for off, comp in zip(self.offsets, self.components)]
-
     def neutral_state(self) -> np.ndarray:
         return np.concatenate([comp.neutral for comp in self.components])
 

@@ -8,14 +8,16 @@ kinematic input, and the measurement is the observed localizer difference
 with its composed covariance.
 
 Sigma points follow the scaled construction of Wan and van der Merwe
-(parameters ``alpha``, ``beta``, ``kappa``).  The covariance square root
-tries a Cholesky factorization first; on failure it retries once with a
-diagonal jitter of ``1e-9 * trace(P) / n`` and then falls back to a
-symmetric eigendecomposition root if the matrix is semi-definite within
-tolerance (a covariance that has validly collapsed to singular, e.g. all
-zero, must still yield sigma points).  A genuinely indefinite covariance
-raises :class:`~locdecomp.exceptions.CholeskyFailure`, which signals
-filter divergence rather than a recoverable condition.
+(parameters ``alpha``, ``beta``, ``kappa``).  Covariances are validated
+where they enter (belief, process noise, measurement covariances) and
+stored as their exact symmetric part ``(m + m.T) / 2``, so every prior and
+posterior derived from them is exactly symmetric and no step checks
+symmetry.  The covariance square root is a Cholesky factor, with no
+jitter; if the factorization fails, an indefinite covariance raises
+:class:`~locdecomp.exceptions.NotPSD` naming its lowest eigenvalue, and a
+semi-definite one (a covariance that has validly collapsed to singular,
+e.g. all zero, must still yield sigma points) gets its eigendecomposition
+root.
 
 The math is written once over a run axis (means (B, n), covariances
 (B, n, n), sigma points (B, 2n+1, n)): :func:`filter_runs` filters B runs
@@ -37,32 +39,38 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
-from .exceptions import CholeskyFailure, DimensionMismatch, FilterStepError, NotPSD
+from .exceptions import DimensionMismatch, FilterStepError, NotPSD
 from .frames import as_vec2
 
 SYM_TOL = 1e-9
 PSD_TOL = 1e-9
 
 
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    """Raise NotPSD unless each matrix in ``m`` equals its transpose within
-    ``SYM_TOL`` of its largest entry (at least 1)."""
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    if np.any(np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1)) > SYM_TOL * scale):
-        raise NotPSD(f"{name} is not symmetric within tolerance")
+def _check_psd(sym: np.ndarray, name: str) -> None:
+    """Raise NotPSD unless each symmetric matrix in ``sym`` (shape
+    (..., k, k)) is positive semi-definite within tolerance.
+
+    A matrix is accepted when its lowest eigenvalue is at least the floor
+    ``-PSD_TOL * max(trace, 1)``.  One batched Cholesky of the matrices
+    shifted up by that floor decides it: the factorization succeeds only
+    when every lowest eigenvalue lies above the floor.  Only when it fails
+    are the eigenvalues computed, to accept a matrix that sits exactly at
+    the floor and to name the lowest eigenvalue otherwise.
+    """
+    floor = PSD_TOL * np.maximum(np.trace(sym, axis1=-2, axis2=-1), 1.0)
+    try:
+        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(sym.shape[-1]))
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(sym)[..., 0]
+        if np.any(lowest < -floor):
+            raise NotPSD(f"{name} has negative eigenvalue {lowest.min()}") from None
 
 
 def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
     """Validate that each matrix in ``m`` (shape (..., k, k)) is finite,
-    symmetric and positive semi-definite within tolerance.
-
-    A matrix is accepted when its lowest eigenvalue is at least the floor
-    ``-PSD_TOL * max(trace, 1)``.  One batched Cholesky of the symmetrized
-    matrices shifted up by that floor decides it: the factorization
-    succeeds only when every lowest eigenvalue lies above the floor.  Only
-    when it fails are the eigenvalues computed, to accept a matrix that
-    sits exactly at the floor and to name the lowest eigenvalue otherwise.
-    """
+    symmetric within ``SYM_TOL`` of its largest entry (at least 1) and
+    positive semi-definite within tolerance; returns the exactly symmetric
+    ``(m + m.T) / 2``, which equals ``m`` when ``m`` is symmetric."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
@@ -70,16 +78,13 @@ def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotPSD(f"{name} must be finite")
-    _check_symmetric(m, name)
-    sym = (m + np.swapaxes(m, -1, -2)) / 2.0
-    floor = PSD_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1), 1.0)
-    try:
-        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(sym)[..., 0]
-        if np.any(lowest < -floor):
-            raise NotPSD(f"{name} has negative eigenvalue {lowest.min()}") from None
-    return m
+    m_t = np.swapaxes(m, -1, -2)
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(m - m_t).max(axis=(-2, -1)) > SYM_TOL * scale):
+        raise NotPSD(f"{name} is not symmetric within tolerance")
+    sym = (m + m_t) / 2.0
+    _check_psd(sym, name)
+    return sym
 
 
 @dataclass
@@ -167,25 +172,20 @@ class SigmaPoints:
 
 
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
-    """Matrices S with S @ S.T = p for p of shape (..., n, n), tolerant of
-    semi-definite input; if a batched Cholesky fails, each matrix retries alone."""
+    """Matrices S with S @ S.T = p for symmetric p of shape (..., n, n).
+
+    The Cholesky factorization is also the PSD check.  If it fails, an
+    indefinite matrix raises NotPSD naming the lowest eigenvalue; then each
+    matrix retries alone, so a run's root does not depend on its batch, and
+    a semi-definite one gets its eigendecomposition root.
+    """
     try:
         return np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
-        if p.ndim > 2:
-            return np.stack([_covariance_sqrt(m) for m in p])
-    n = p.shape[0]
-    jitter = PSD_TOL * np.trace(p) / n
-    if jitter > 0.0:
-        try:
-            return np.linalg.cholesky(p + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            pass
-    eigvals, eigvecs = np.linalg.eigh((p + p.T) / 2.0)
-    if eigvals.min() < -PSD_TOL * max(np.trace(p), 1.0):
-        raise CholeskyFailure(
-            f"covariance is indefinite (min eigenvalue {eigvals.min()}); "
-            "the filter has diverged")
+        _check_psd(p, "covariance")
+    if p.ndim > 2:
+        return np.stack([_covariance_sqrt(m) for m in p])
+    eigvals, eigvecs = np.linalg.eigh(p)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
@@ -211,22 +211,6 @@ def _sigma_points(means: np.ndarray, roots: np.ndarray, weights) -> SigmaPoints:
     centre = means[:, None, :]
     points = np.concatenate([centre, centre + root_t, centre - root_t], axis=1)
     return SigmaPoints(points=points, mean_weights=wm, cov_weights=wc)
-
-
-def _prior_roots(prior: np.ndarray) -> np.ndarray:
-    """Cholesky roots of the priors (B, n, n); the factorization is also
-    their PSD check.  If it fails, the priors get the full check, so an
-    indefinite one raises NotPSD, and then the tolerant per-matrix root."""
-    _check_symmetric(prior, "covariance")
-    try:
-        return np.linalg.cholesky(prior)
-    except np.linalg.LinAlgError:
-        _check_covariance(prior, "covariance")
-        return _covariance_sqrt(prior)
-
-
-def _predict(covs: np.ndarray, cfg: UkfConfig) -> np.ndarray:
-    return covs + cfg.process_noise
 
 
 def _update(means: np.ndarray, covs: np.ndarray, sp: SigmaPoints, d: np.ndarray,
@@ -272,8 +256,7 @@ def generate_sigma_points(belief: GaussianBelief, cfg: UkfConfig) -> SigmaPoints
 
 def predict(belief: GaussianBelief, cfg: UkfConfig) -> GaussianBelief:
     """Prediction step for constant parameters: inflate covariance by Q."""
-    return GaussianBelief(belief.mean.copy(),
-                          _predict(belief.covariance[None], cfg)[0])
+    return GaussianBelief(belief.mean.copy(), belief.covariance + cfg.process_noise)
 
 
 def update(belief: GaussianBelief, obs: DifferenceObservation, u: KinematicInput,
@@ -324,7 +307,7 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         raise DimensionMismatch(
             f"inputs must yield {n_steps} kinematic inputs for the {n_steps} "
             f"steps of d, got {len(inputs)}")
-    _check_covariance(r, "R", 2)
+    r = _check_covariance(r, "R", 2)
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
     if bad_steps.size:
         raise FilterStepError(int(bad_steps[0]), "observed difference must be finite")
@@ -333,12 +316,14 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     covs = np.tile(cfg.initial_belief.covariance, (d.shape[0], 1, 1))
     for step, u in enumerate(inputs):
         try:
-            prior = _predict(covs, cfg)
-            sp = _sigma_points(means, _prior_roots(prior), weights)
+            prior = covs + cfg.process_noise
+            sp = _sigma_points(means, _covariance_sqrt(prior), weights)
             means, covs = _update(means, prior, sp, d[:, step], r[step], u, model, cfg)
             if not np.all(np.isfinite(means)):
                 raise ValueError("mean must be finite")
-            _check_covariance(covs, "covariance")
+            if not np.all(np.isfinite(covs)):
+                raise NotPSD("covariance must be finite")
+            _check_psd(covs, "covariance")
         except Exception as exc:
             raise FilterStepError(step, str(exc)) from exc
         yield means, covs

@@ -20,10 +20,6 @@ class NotPSD(ValueError):
     """A matrix required to be symmetric positive semi-definite is not."""
 
 
-class CholeskyFailure(RuntimeError):
-    """A covariance square root could not be computed; usually filter divergence."""
-
-
 class ZeroTurnRate(ValueError):
     """The closed-form decomposition needs a turning agent (heading rate != 0)."""
 

@@ -59,11 +59,6 @@ class ObservabilityReport:
     deficient_windows: list
     degenerate_windows: list
 
-    @property
-    def full_rank_windows(self) -> list:
-        return [s for s, r in zip(self.window_starts, self.rank_profile)
-                if r == self.state_dim]
-
 
 def stacked_output_map(model: CompositeModel, x, window) -> np.ndarray:
     """Concatenated model outputs over a window of kinematic inputs.

@@ -8,7 +8,7 @@ import pytest
 from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
 from locdecomp.estimator import DifferenceObservation, GaussianBelief
-from locdecomp.exceptions import NonMonotoneTime, ParseError
+from locdecomp.exceptions import FilterStepError, NonMonotoneTime, ParseError
 from locdecomp.harness import build_trajectory, load_config
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                                      difference_rates)
@@ -286,8 +286,10 @@ class TestOracleCommand:
         row = lines[19].split(",")   # data row 18 takes the timestamp of row 17
         lines[19] = ",".join([lines[18].split(",")[0]] + row[1:])
         data.write_text("".join(lines))
-        with pytest.raises(NonMonotoneTime, match="^line 20: timestamp 17.0 "):
-            main(["oracle", "--data", str(data)])
+        capsys.readouterr()
+        assert main(["oracle", "--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "locdecomp oracle: line 20: timestamp 17.0 does not increase past 17.0")
 
     def test_estimates_match_the_scalar_decomposition(self, tmp_path, capsys):
         # one broadcast call over the turning samples equals the per-sample
@@ -308,6 +310,62 @@ class TestOracleCommand:
                 x = closed_form_decomposition(d[k], rates[k], u.heading.angle, u.heading.rate)
                 expected.append(",".join(f"{v:.9g}" for v in [k, u.t, *x]))
         assert rows == expected
+
+
+class TestInputErrors:
+    """Invalid input ends a command with one line on stderr and status 2."""
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["oracle", "--data", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("locdecomp oracle: ") and str(missing) in err
+        assert len(err.splitlines()) == 1
+
+    def test_negative_initial_covariance(self, tmp_path, capsys):
+        config = write_config(tmp_path, filter={"process_noise": 0.1,
+                                                "initial_covariance": -1.0})
+        assert main(["experiment", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("locdecomp experiment: ") and "negative eigenvalue" in err
+        assert len(err.splitlines()) == 1
+
+    def test_filter_failure_still_raises(self, tmp_path):
+        config = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(config), "--out", str(data)])
+        lines = data.read_text().splitlines(keepends=True)
+        lines[1:] = [line.rsplit(",", 2)[0] + ",0.0,0.0\n" for line in lines[1:]]
+        data.write_text("".join(lines))
+        # zero measurement noise is valid input; a singular innovation
+        # covariance is a runtime failure of the filter, not a usage error
+        bad = write_config(tmp_path, filter={"process_noise": 0.0,
+                                             "initial_covariance": 0.0})
+        with pytest.raises(FilterStepError, match="^step 0: Singular matrix$"):
+            main(["filter", "--config", str(bad), "--data", str(data),
+                  "--out", str(tmp_path / "estimates.csv")])
+
+
+def test_commands_share_the_configured_output_directory(tmp_path, monkeypatch, capsys):
+    # simulate wrote a file named after the output directory, and the
+    # experiment then failed to create that directory
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, output="results/small")
+    out = Path("results/small")
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["filter", "--config", str(config),
+                 "--data", str(out / "simulated.csv")]) == 0
+    assert main(["experiment", "--config", str(config), "--runs", "2"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "estimates.csv", "mse.csv", "simulated.csv", "summary.txt"]
+
+
+def test_out_names_a_file_or_an_existing_directory(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    named = tmp_path / "named.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(named)]) == 0
+    assert named.read_bytes() == (tmp_path / "simulated.csv").read_bytes()
 
 
 class TestShippedConfigs:

@@ -7,8 +7,7 @@ from locdecomp.estimator import (PSD_TOL, DifferenceObservation, GaussianBelief,
                                  UkfConfig, _check_covariance, _covariance_sqrt,
                                  compose_measurement_covariance, filter_runs,
                                  generate_sigma_points, predict, run_filter, update)
-from locdecomp.exceptions import (CholeskyFailure, DimensionMismatch,
-                                  FilterStepError, NotPSD)
+from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 from locdecomp.frames import Heading
 
 
@@ -64,6 +63,7 @@ def with_lowest_eigenvalue(rng, dim, factor):
     return (m + m.T) / 2.0
 
 
+NEARLY_SYMMETRIC = np.array([[1.0, 1e-12], [0.0, 1.0]])
 NON_FINITE = [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]]),
               np.array([[np.nan, 0.0], [0.0, 1.0]])]
 
@@ -131,6 +131,31 @@ class TestCovarianceCheck:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(m + PSD_TOL * np.eye(2))
         assert assert_same_verdict(m) is None
+
+    def test_boundaries_store_the_exactly_symmetric_part(self):
+        # a covariance asymmetric within tolerance enters as (m + m.T) / 2,
+        # so every prior and posterior derived from it is symmetric too
+        expected = np.array([[1.0, 5e-13], [5e-13, 1.0]])
+        belief = GaussianBelief(np.zeros(2), NEARLY_SYMMETRIC)
+        stored = [belief.covariance,
+                  UkfConfig(process_noise=NEARLY_SYMMETRIC,
+                            initial_belief=belief).process_noise,
+                  DifferenceObservation(d=np.zeros(2), R=NEARLY_SYMMETRIC).R]
+        for m in stored:
+            np.testing.assert_array_equal(m, m.T)
+            np.testing.assert_array_equal(m, expected)
+
+    def test_filter_runs_uses_the_symmetric_part_of_r(self):
+        model = CompositeModel(components=(body_offset(), map_translation()))
+        cfg = make_config(4)
+        d = np.random.default_rng(16).normal(size=(2, 3, 2))
+        inputs = [make_input(angle=a) for a in (0.0, 0.4, 0.8)]
+        r = np.tile(0.04 * NEARLY_SYMMETRIC, (3, 1, 1))
+        sym = (r + np.swapaxes(r, 1, 2)) / 2.0
+        for (m1, c1), (m2, c2) in zip(filter_runs(model, cfg, d, r, inputs),
+                                      filter_runs(model, cfg, d, sym, inputs)):
+            np.testing.assert_array_equal(m1, m2)
+            np.testing.assert_array_equal(c1, c2)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_is_rejected_at_every_boundary(self, bad):
@@ -247,11 +272,21 @@ class TestSigmaPoints:
             np.testing.assert_array_equal(root, _covariance_sqrt(p))
             np.testing.assert_allclose(root @ root.T, p, atol=1e-8)
 
+    @pytest.mark.parametrize("singular", [np.diag([2.0, 0.0, 1.0]), np.zeros((3, 3))])
+    def test_singular_psd_root_is_exact(self, singular):
+        # the root reproduces a semi-definite covariance alone and inside a
+        # stack; a jittered Cholesky was off by 1e-9 * trace / n
+        rng = np.random.default_rng(8)
+        for p in (singular, np.stack([random_psd(rng, 3), singular])):
+            root = _covariance_sqrt(p)
+            np.testing.assert_allclose(root @ np.swapaxes(root, -1, -2), p,
+                                       rtol=0.0, atol=1e-12)
+
     def test_indefinite_covariance_raises(self):
         belief = GaussianBelief(np.zeros(2), np.eye(2))
         belief.covariance = np.array([[1.0, 0.0], [0.0, -0.5]])  # bypass validation
         cfg = make_config(2)
-        with pytest.raises(CholeskyFailure):
+        with pytest.raises(NotPSD, match="^covariance has negative eigenvalue -0.5$"):
             generate_sigma_points(belief, cfg)
 
 
@@ -429,6 +464,28 @@ class TestFilterRuns:
         assert excinfo.value.step == 1
         assert str(excinfo.value) == f"step 1: {expected}"
         assert isinstance(excinfo.value.__cause__, NotPSD)
+
+    @pytest.mark.parametrize("mean, cov, message", [
+        (None, np.diag([1.0, -0.5]), "covariance has negative eigenvalue -0.5"),
+        (None, np.diag([1.0, np.nan]), "covariance must be finite"),
+        (np.array([0.0, np.inf]), None, "mean must be finite")],
+        ids=["indefinite_cov", "nan_cov", "inf_mean"])
+    def test_invalid_posterior_fails_its_step(self, monkeypatch, mean, cov, message):
+        # each posterior is checked in the step that forms it
+        from locdecomp import estimator
+        update_runs = estimator._update
+
+        def corrupted(*args):
+            means, covs = update_runs(*args)
+            return (means if mean is None else np.broadcast_to(mean, means.shape),
+                    covs if cov is None else np.broadcast_to(cov, covs.shape))
+
+        monkeypatch.setattr(estimator, "_update", corrupted)
+        model = CompositeModel(components=(map_translation(),))
+        steps = filter_runs(model, make_config(2), np.zeros((1, 1, 2)),
+                            0.04 * np.eye(2)[None], [make_input()])
+        with pytest.raises(FilterStepError, match=f"^step 0: {message}$"):
+            next(steps)
 
 
 class TestRunFilter:

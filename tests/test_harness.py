@@ -145,7 +145,7 @@ class TestBatchedEquivalence:
     def test_semi_definite_covariance_takes_tolerant_root(self):
         # a zero initial variance that Q never inflates keeps every run's
         # covariance singular, so the batched Cholesky fails each step and
-        # the runs fall back to the jitter / eigendecomposition root
+        # the runs fall back to the per-matrix eigendecomposition root
         cfg = small_config(n_runs=4, q=[0.1, 0.1, 0.1, 0.0],
                            p0=[10.0, 10.0, 10.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
