@@ -14,8 +14,7 @@ repeated simulated runs.
 from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            PlanarTransform, body_offset, deformation_component,
                            map_rotation, map_scale, map_shear, map_translation,
-                           rotation_about, scale_about, shear_along,
-                           transform_difference)
+                           rotation_about, scale_about, shear_along)
 from .estimator import (DifferenceObservation, GaussianBelief, SigmaPoints,
                         UkfConfig, compose_measurement_covariance, filter_runs,
                         generate_sigma_points, predict, run_filter, update)
@@ -41,7 +40,6 @@ __all__ = [
     "CompositeModel", "ErrorComponent", "KinematicInput", "PlanarTransform",
     "body_offset", "deformation_component", "map_rotation", "map_scale",
     "map_shear", "map_translation", "rotation_about", "scale_about", "shear_along",
-    "transform_difference",
     "DifferenceObservation", "GaussianBelief", "SigmaPoints", "UkfConfig",
     "compose_measurement_covariance", "filter_runs", "generate_sigma_points",
     "predict", "run_filter", "update",

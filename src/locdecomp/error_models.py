@@ -27,7 +27,8 @@ Position-dependent components are derived from an invertible planar
 transform ``e``: with localizer A as the reference, the contribution is
 ``p - e^-1(p)`` evaluated at the reference position ``p`` (flip
 ``reference`` to ``"other"`` to host the deformation on the other side,
-which uses the forward map instead).
+which uses the forward map instead); ``reference`` is checked, and the map
+picked, once, when the component is built.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .exceptions import DimensionMismatch, SingularTransform
 from .frames import Heading, as_points, as_vec2, rotate
 
 KINEMATIC_FIELDS = ("heading", "ref_position")
+MIN_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -219,23 +221,6 @@ class PlanarTransform:
     inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def transform_difference(transform: PlanarTransform, params, u: KinematicInput,
-                         reference: str = "ref") -> np.ndarray:
-    """Difference contribution of a map deformation at the reference position.
-
-    With the reference localizer hosting the comparison, the other
-    localizer's estimate is the inverse image of the reference position
-    under the deformation, so the contribution is ``p - e^-1(p; params)``.
-    ``reference="other"`` flips the roles and uses the forward map.
-    """
-    if reference not in ("ref", "other"):
-        raise ValueError(f"reference must be 'ref' or 'other', got {reference!r}")
-    params = np.asarray(params, dtype=float)
-    p = u.ref_position
-    image = transform.inverse(p, params) if reference == "ref" else transform.forward(p, params)
-    return p - image
-
-
 def rotation_about(pivot=(0.0, 0.0)) -> PlanarTransform:
     """Rotation of the plane about ``pivot``; one parameter (angle, radians)."""
     pivot = as_vec2(pivot, "pivot")
@@ -250,10 +235,11 @@ def rotation_about(pivot=(0.0, 0.0)) -> PlanarTransform:
                            forward=forward, inverse=inverse)
 
 
-def scale_about(pivot=(0.0, 0.0), min_scale: float = 1e-9) -> PlanarTransform:
+def scale_about(pivot=(0.0, 0.0)) -> PlanarTransform:
     """Uniform scaling about ``pivot``; the parameter is the deviation from 1.
 
-    The scale factor is ``1 + sigma`` so the neutral parameter is zero.
+    The scale factor is ``1 + sigma`` so the neutral parameter is zero; a
+    factor below ``MIN_SCALE`` in magnitude is not invertible.
     """
     pivot = as_vec2(pivot, "pivot")
 
@@ -262,7 +248,7 @@ def scale_about(pivot=(0.0, 0.0), min_scale: float = 1e-9) -> PlanarTransform:
 
     def inverse(point, params):
         s = 1.0 + params[..., :1]
-        singular = np.abs(s) < min_scale
+        singular = np.abs(s) < MIN_SCALE
         if singular.any():
             raise SingularTransform(f"scale factor {s[singular][0]} is not invertible")
         return pivot + (point - pivot) / s
@@ -301,11 +287,21 @@ def deformation_component(transform: PlanarTransform, reference: str = "ref",
                           name: str | None = None) -> ErrorComponent:
     """Wrap a planar transform into a position-dependent error component.
 
+    With the reference localizer hosting the comparison, the other
+    localizer's estimate is the inverse image of the reference position
+    ``p`` under the deformation, so the contribution is
+    ``p - e^-1(p; params)``.  ``reference="other"`` flips the roles and uses
+    the forward map.  ``reference`` must be ``"ref"`` or ``"other"``; it is
+    checked, and the map chosen, when the component is built.
     ``name`` defaults to the transform's name, suffixed ``_other`` when the
     other localizer hosts the deformation.
     """
+    if reference not in ("ref", "other"):
+        raise ValueError(f"reference must be 'ref' or 'other', got {reference!r}")
+    image = transform.inverse if reference == "ref" else transform.forward
+
     def fn(params, u):
-        return transform_difference(transform, params, u, reference=reference)
+        return u.ref_position - image(u.ref_position, params)
 
     if name is None:
         name = transform.name if reference == "ref" else f"{transform.name}_other"

@@ -23,13 +23,16 @@ The math is written once over a run axis (means (B, n), covariances
 (B, n, n), sigma points (B, 2n+1, n)): :func:`filter_runs` filters B runs
 in one vectorized pass, and :func:`run_filter`, :func:`predict`,
 :func:`update` and :func:`generate_sigma_points` are its batch-of-one
-cases.  Array shapes, measurement covariances and observation finiteness
-are validated once per pass.  Each step checks its covariances with
-Cholesky factorizations, which succeed only on positive-definite input:
-the prior's factor is its sigma-point root, and the posterior gets one
-batched factorization shifted by the PSD floor.  Eigenvalues are computed
-only when a factorization fails, to settle the verdict and name the
-lowest one in the error.
+cases.  ``filter_runs`` and ``update`` share one measurement step, which
+solves once for the gain's transpose ``G = S^-1 P_xz^T`` and returns
+``mean + nu^T G`` and ``prior - P_xz G``; a singular innovation covariance
+``S`` raises NotPSD.  Array shapes, measurement covariances and
+observation finiteness are validated once per pass.  Each step checks its
+covariances with Cholesky factorizations, which succeed only on
+positive-definite input: the prior's factor is its sigma-point root, and
+the posterior gets one batched factorization shifted by the PSD floor.
+Eigenvalues are computed only when a factorization fails, to settle the
+verdict and name the lowest one in the error.
 """
 
 from __future__ import annotations
@@ -131,6 +134,10 @@ class UkfConfig:
         for name in ("beta", "kappa"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        gate = self.mahalanobis_gate
+        if gate is not None and not 0.0 < gate < np.inf:
+            raise ValueError(f"mahalanobis_gate must be None or a finite value above 0, "
+                             f"got {gate}")
         if self.initial_belief.dim + self.kappa <= 0.0:
             raise ValueError(f"kappa must exceed -n = {-self.initial_belief.dim}, got {self.kappa}")
         q = _check_covariance(self.process_noise, "process_noise",
@@ -213,11 +220,12 @@ def _sigma_points(means: np.ndarray, roots: np.ndarray, weights) -> SigmaPoints:
     return SigmaPoints(points=points, mean_weights=wm, cov_weights=wc)
 
 
-def _update(means: np.ndarray, covs: np.ndarray, sp: SigmaPoints, d: np.ndarray,
-            r: np.ndarray, u: KinematicInput, model: CompositeModel,
-            cfg: UkfConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Update means (B, n) and covariances (B, n, n), whose sigma points are
-    ``sp``, with differences (B, 2)."""
+def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
+            u: KinematicInput, model: CompositeModel, cfg: UkfConfig,
+            weights) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means (B, n) and covariances (B, n, n) from prior ``means``
+    and ``priors`` after differences (B, 2) of covariance ``r``."""
+    sp = _sigma_points(means, _covariance_sqrt(priors), weights)
     # sigma axis first, so per-run kinematic fields of shape (B, 2) broadcast;
     # the contiguous copy gives every run's slice the same memory layout, so
     # the reductions below round alike whatever the batch size
@@ -229,15 +237,18 @@ def _update(means: np.ndarray, covs: np.ndarray, sp: SigmaPoints, d: np.ndarray,
     innov_cov = np.swapaxes(sp.cov_weights[:, None] * dz, 1, 2) @ dz + r
     cross_cov = np.swapaxes(sp.cov_weights[:, None] * dx, 1, 2) @ dz
     innovation = d - predicted
-    gain = np.swapaxes(np.linalg.solve(innov_cov, np.swapaxes(cross_cov, 1, 2)), 1, 2)
-    posterior_means = means + (gain @ innovation[:, :, None])[:, :, 0]
-    posterior_covs = covs - gain @ innov_cov @ np.swapaxes(gain, 1, 2)
+    try:
+        gain_t = np.linalg.solve(innov_cov, np.swapaxes(cross_cov, 1, 2))
+    except np.linalg.LinAlgError:
+        raise NotPSD("innovation covariance is singular") from None
+    posterior_means = means + (innovation[:, None, :] @ gain_t)[:, 0]
+    posterior_covs = priors - cross_cov @ gain_t
     posterior_covs = (posterior_covs + np.swapaxes(posterior_covs, 1, 2)) / 2.0
     if cfg.mahalanobis_gate is not None:
         whitened = np.linalg.solve(innov_cov, innovation[:, :, None])[:, :, 0]
         gated = np.sum(innovation * whitened, axis=1) > cfg.mahalanobis_gate ** 2
         posterior_means = np.where(gated[:, None], means, posterior_means)
-        posterior_covs = np.where(gated[:, None, None], covs, posterior_covs)
+        posterior_covs = np.where(gated[:, None, None], priors, posterior_covs)
     return posterior_means, posterior_covs
 
 
@@ -261,20 +272,14 @@ def predict(belief: GaussianBelief, cfg: UkfConfig) -> GaussianBelief:
 
 def update(belief: GaussianBelief, obs: DifferenceObservation, u: KinematicInput,
            model: CompositeModel, cfg: UkfConfig) -> GaussianBelief:
-    """Measurement update against the composite difference model.
-
-    Propagates sigma points through the model at the current kinematic
-    input, forms the innovation against the observed difference and applies
-    the standard unscented gain.
-    """
+    """Measurement update against the composite difference model: the
+    batch-of-one case of the step :func:`filter_runs` takes."""
     if belief.dim != model.state_dim:
         raise DimensionMismatch(
             f"belief dimension {belief.dim} does not match model state "
             f"dimension {model.state_dim}")
-    sp = generate_sigma_points(belief, cfg)
-    means, covs = _update(belief.mean[None], belief.covariance[None],
-                          replace(sp, points=sp.points[None]), obs.d[None], obs.R,
-                          u, model, cfg)
+    means, covs = _update(belief.mean[None], belief.covariance[None], obs.d[None],
+                          obs.R, u, model, cfg, _sigma_weights(belief.dim, cfg))
     return GaussianBelief(means[0], covs[0])
 
 
@@ -316,9 +321,8 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     covs = np.tile(cfg.initial_belief.covariance, (d.shape[0], 1, 1))
     for step, u in enumerate(inputs):
         try:
-            prior = covs + cfg.process_noise
-            sp = _sigma_points(means, _covariance_sqrt(prior), weights)
-            means, covs = _update(means, prior, sp, d[:, step], r[step], u, model, cfg)
+            means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],
+                                  u, model, cfg, weights)
             if not np.all(np.isfinite(means)):
                 raise ValueError("mean must be finite")
             if not np.all(np.isfinite(covs)):

@@ -17,6 +17,7 @@ result files.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -275,6 +276,15 @@ def _build_component(entry: dict, centroid: np.ndarray):
     return comp, guess
 
 
+def _integer(value, key: str) -> int:
+    """``value`` as an int: an integral number such as ``200`` or ``200.0``;
+    a boolean or any other value raises ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_matrix(value, dim: int, where: str) -> np.ndarray:
     """Scalar -> scaled identity; vector -> diagonal; nested list -> matrix."""
     arr = np.asarray(value, dtype=float)
@@ -319,11 +329,12 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
                                    "initial_heading", "turn_samples"}, "trajectory")
         try:
             trajectory = SyntheticTrajectory(
-                kind=traj_raw["kind"], n_samples=int(traj_raw["n_samples"]),
+                kind=traj_raw["kind"],
+                n_samples=_integer(traj_raw["n_samples"], "trajectory.n_samples"),
                 step=float(traj_raw.get("step", 1.0)),
                 speed=float(traj_raw.get("speed", 10.0)),
                 initial_heading=float(traj_raw.get("initial_heading", 0.0)),
-                turn_samples=(int(traj_raw["turn_samples"])
+                turn_samples=(_integer(traj_raw["turn_samples"], "trajectory.turn_samples")
                               if "turn_samples" in traj_raw else None))
         except KeyError as exc:
             raise ConfigError(f"trajectory section is missing {exc}") from None
@@ -343,7 +354,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if "true_params" not in inj_raw or "seed" not in inj_raw:
         raise ConfigError("injection needs 'true_params' and 'seed'")
     true_params = np.asarray(inj_raw["true_params"], dtype=float)
-    seed = int(inj_raw["seed"])
+    seed = _integer(inj_raw["seed"], "injection.seed")
     if "noise_sigma_total" in inj_raw:
         if "noise_sigma_ref" in inj_raw or "noise_sigma_other" in inj_raw:
             raise ConfigError("give either noise_sigma_total or the per-localizer "
@@ -381,7 +392,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     return ExperimentConfig(
         trajectory=trajectory, model=model, injection=injection, ukf=ukf,
-        n_runs=int(raw.get("runs", 1)),
+        n_runs=_integer(raw.get("runs", 1), "runs"),
         convergence_threshold=float(raw.get("convergence_threshold",
                                             DEFAULT_CONVERGENCE_THRESHOLD_M2)),
         output=raw.get("output"))

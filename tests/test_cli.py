@@ -330,6 +330,16 @@ class TestInputErrors:
         assert err.startswith("locdecomp experiment: ") and "negative eigenvalue" in err
         assert len(err.splitlines()) == 1
 
+    def test_meaningless_mahalanobis_gate(self, tmp_path, capsys):
+        # a gate of 0 would skip every update
+        config = write_config(tmp_path, filter={"process_noise": 0.1,
+                                                "initial_covariance": 10.0,
+                                                "mahalanobis_gate": 0.0})
+        assert main(["experiment", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("locdecomp experiment: mahalanobis_gate must be")
+        assert len(err.splitlines()) == 1
+
     def test_filter_failure_still_raises(self, tmp_path):
         config = write_config(tmp_path)
         data = tmp_path / "data.csv"
@@ -341,7 +351,7 @@ class TestInputErrors:
         # covariance is a runtime failure of the filter, not a usage error
         bad = write_config(tmp_path, filter={"process_noise": 0.0,
                                              "initial_covariance": 0.0})
-        with pytest.raises(FilterStepError, match="^step 0: Singular matrix$"):
+        with pytest.raises(FilterStepError, match="^step 0: innovation covariance is singular$"):
             main(["filter", "--config", str(bad), "--data", str(data),
                   "--out", str(tmp_path / "estimates.csv")])
 

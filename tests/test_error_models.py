@@ -4,8 +4,7 @@ import pytest
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     deformation_component, map_rotation,
                                     map_scale, map_shear, map_translation,
-                                    rotation_about, scale_about, shear_along,
-                                    transform_difference)
+                                    rotation_about, scale_about, shear_along)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform
 from locdecomp.frames import Heading, rotation_matrix
 
@@ -146,32 +145,38 @@ class TestTransformDifference:
         for transform in (rotation_about(), scale_about(), shear_along()):
             for _ in range(20):
                 u = make_input(position=rng.normal(size=2) * 100.0)
-                out = transform_difference(transform, transform.neutral, u)
+                out = deformation_component(transform).evaluate(transform.neutral, u)
                 np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
     def test_uniform_scale_about_origin(self):
         # doubling scale about the origin: inverse image of (10, 4) is (5, 2)
         u = make_input(position=(10.0, 4.0))
-        out = transform_difference(scale_about(), np.array([1.0]), u)
+        out = deformation_component(scale_about()).evaluate(np.array([1.0]), u)
         np.testing.assert_allclose(out, [5.0, 2.0], rtol=1e-15)
 
     def test_rotation_about_origin_closed_form(self):
         r, theta = 5.0, 0.4
         u = make_input(position=(r, 0.0))
         expected = np.array([r, 0.0]) - rotation_matrix(-theta) @ np.array([r, 0.0])
-        out = transform_difference(rotation_about(), np.array([theta]), u)
+        out = deformation_component(rotation_about()).evaluate(np.array([theta]), u)
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_other_reference_uses_forward_map(self):
         u = make_input(position=(10.0, 4.0))
-        out = transform_difference(scale_about(), np.array([1.0]), u,
-                                   reference="other")
+        out = deformation_component(scale_about(), "other").evaluate(np.array([1.0]), u)
         np.testing.assert_allclose(out, [-10.0, -4.0], rtol=1e-15)
+
+    def test_unknown_reference_fails_at_construction(self):
+        message = "^reference must be 'ref' or 'other', got 'foo'$"
+        with pytest.raises(ValueError, match=message):
+            deformation_component(rotation_about(), "foo")
+        with pytest.raises(ValueError, match=message):
+            map_rotation(reference="foo")
 
     def test_zero_scale_factor_is_singular(self):
         u = make_input(position=(1.0, 1.0))
         with pytest.raises(SingularTransform):
-            transform_difference(scale_about(), np.array([-1.0]), u)
+            deformation_component(scale_about()).evaluate(np.array([-1.0]), u)
 
     def test_forward_inverse_round_trip(self):
         rng = np.random.default_rng(4)
@@ -186,10 +191,10 @@ class TestTransformDifference:
 
     def test_shear_displaces_one_axis_only(self):
         u = make_input(position=(3.0, 4.0))
-        out = transform_difference(shear_along(axis="x"), np.array([0.5]), u)
+        out = deformation_component(shear_along(axis="x")).evaluate(np.array([0.5]), u)
         # x-shear inverse subtracts k*y, so the difference is (k*y, 0)
         np.testing.assert_allclose(out, [2.0, 0.0], rtol=1e-15)
-        out_y = transform_difference(shear_along(axis="y"), np.array([0.5]), u)
+        out_y = deformation_component(shear_along(axis="y")).evaluate(np.array([0.5]), u)
         np.testing.assert_allclose(out_y, [0.0, 1.5], rtol=1e-15)
 
 

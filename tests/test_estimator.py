@@ -187,6 +187,13 @@ class TestUkfConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             make_config(2, **{field: value})
 
+    @pytest.mark.parametrize("gate", [0.0, -3.0, np.nan, np.inf])
+    def test_rejects_meaningless_mahalanobis_gate(self, gate):
+        # 0 would skip every update, -3 act as 3, and nan or inf as no gate
+        with pytest.raises(ValueError, match="^mahalanobis_gate must be None or a "
+                                             "finite value above 0"):
+            make_config(2, mahalanobis_gate=gate)
+
     def test_accepts_kappa_above_minus_n(self):
         cfg = make_config(2, kappa=-1.5)
         sp = generate_sigma_points(cfg.initial_belief, cfg)
@@ -403,6 +410,22 @@ class TestFilterRuns:
                                          make_input())])[1]
         np.testing.assert_allclose(means[1], alone.mean, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(covs[1], alone.covariance, rtol=0.0, atol=1e-12)
+
+    def test_step_without_process_noise_equals_update(self):
+        model = CompositeModel(components=(body_offset(), map_rotation(pivot=(3.0, -1.0))))
+        rng = np.random.default_rng(11)
+        cfg = UkfConfig(process_noise=np.zeros((3, 3)),
+                        initial_belief=GaussianBelief(rng.normal(size=3),
+                                                      random_psd(rng, 3)))
+        u = make_input(angle=0.7, position=(20.0, 5.0))
+        d = rng.normal(size=(3, 1, 2))
+        r = random_psd(rng, 2, 0.1)[None]
+        (means, covs), = filter_runs(model, cfg, d, r, [u])
+        for run in range(3):
+            alone = update(cfg.initial_belief, DifferenceObservation(d=d[run, 0], R=r[0]),
+                           u, model, cfg)
+            np.testing.assert_array_equal(means[run], alone.mean)
+            np.testing.assert_array_equal(covs[run], alone.covariance)
 
     def test_rejects_invalid_measurement_covariance(self):
         model = CompositeModel(components=(map_translation(),))

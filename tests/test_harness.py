@@ -437,6 +437,35 @@ class TestParseConfig:
         assert comp.name == built.name
         np.testing.assert_array_equal(comp.evaluate([0.3], u), built.evaluate([0.3], u))
 
+    def test_unknown_reference_is_rejected_at_load(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["model"] = [{"type": "map_rotation", "reference": "foo"}]
+        raw["injection"]["true_params"] = [0.1]
+        with pytest.raises(ValueError, match="^reference must be 'ref' or 'other', "
+                                             "got 'foo'$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "runs"), ("injection", "seed"), ("trajectory", "n_samples"),
+        ("trajectory", "turn_samples")])
+    def test_integer_keys_are_checked_not_truncated(self, section, key):
+        # truncating would run 2 runs for "runs": 2.5 and 1 for "runs": true
+        name = key if section is None else f"{section}.{key}"
+
+        def parsed(value):
+            raw = json.loads(json.dumps(BASE_CONFIG))
+            (raw if section is None else raw[section])[key] = value
+            return parse_config(raw)
+
+        for bad in (2.5, 200.9, 1.7, True, False, "20", None, float("nan")):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+                parsed(bad)
+        cfg = parsed(20.0)
+        values = (cfg.n_runs, cfg.injection.rng_seed, cfg.trajectory.n_samples,
+                  cfg.trajectory.turn_samples)
+        assert 20 in values
+        assert all(type(v) is int for v in values if v is not None)
+
     def test_unknown_component_option(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"] = [{"type": "body_offset", "pivot": [0.0, 0.0]}]
