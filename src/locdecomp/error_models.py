@@ -55,7 +55,9 @@ class KinematicInput:
     series has ``t``, heading angles and rates of shape (N,) and
     ``ref_position`` (..., N, 2); it has a length and is indexed over this
     sample axis: an integer gives one sample, a slice or an index array a
-    sub-series, and iteration yields the samples in order.
+    sub-series, and iteration yields the samples in order.  Indexing does
+    not validate again: a sample or sub-series shares the series' validated
+    (finite, normalized, shape-checked) arrays.
     """
 
     t: float
@@ -81,9 +83,22 @@ class KinematicInput:
 
     def __getitem__(self, key) -> "KinematicInput":
         len(self)  # a single sample raises here
-        return KinematicInput(t=self.t[key],
-                              heading=Heading(self.heading.angle[key], self.heading.rate[key]),
-                              ref_position=self.ref_position[..., key, :])
+        angle, rate = self.heading.angle[key], self.heading.rate[key]
+        if np.ndim(angle) == 0:
+            angle, rate = float(angle), float(rate)
+        return _trusted(KinematicInput, t=self.t[key],
+                        heading=_trusted(Heading, angle=angle, rate=rate),
+                        ref_position=self.ref_position[..., key, :])
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without ``__post_init__``: for views of arrays that the
+    instance they come from has already validated."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,14 @@ The math is written once over a run axis (means (B, n), covariances
 (B, n, n), sigma points (B, 2n+1, n)): :func:`filter_runs` filters B runs
 in one vectorized pass, and :func:`run_filter`, :func:`predict`,
 :func:`update` and :func:`generate_sigma_points` are its batch-of-one
-cases.  ``filter_runs`` and ``update`` share one measurement step, which
-solves once for the gain's transpose ``G = S^-1 P_xz^T`` and returns
-``mean + nu^T G`` and ``prior - P_xz G``; a singular innovation covariance
-``S`` raises NotPSD.  Array shapes, measurement covariances and
-observation finiteness are validated once per pass.  Each step checks its
+cases.  ``filter_runs`` and ``update`` share one measurement step.  The
+measurement is 2-D, so it inverts each innovation covariance ``S`` in
+closed form (adjugate over determinant; a zero determinant raises NotPSD)
+and uses that inverse for the gain's transpose ``G = S^-1 P_xz^T``, giving
+``mean + nu^T G`` and ``prior - P_xz G``, and for the gate's whitened
+innovation ``S^-1 nu``.  Array shapes, measurement covariances and
+observation finiteness are validated once per pass; the per-step samples
+are views of the series' validated arrays.  Each step checks its
 covariances with Cholesky factorizations, which succeed only on
 positive-definite input: the prior's factor is its sigma-point root, and
 the posterior gets one batched factorization shifted by the PSD floor.
@@ -220,6 +223,17 @@ def _sigma_points(means: np.ndarray, roots: np.ndarray, weights) -> SigmaPoints:
     return SigmaPoints(points=points, mean_weights=wm, cov_weights=wc)
 
 
+def _inverse_2x2(s: np.ndarray) -> np.ndarray:
+    """Inverses of the 2x2 matrices ``s`` (B, 2, 2): each adjugate over its
+    determinant, elementwise, so a run's inverse does not depend on its
+    batch.  A zero determinant raises NotPSD."""
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    if not np.all(det):
+        raise NotPSD("innovation covariance is singular")
+    adjugate = np.swapaxes(s[:, ::-1, ::-1], 1, 2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return adjugate / det[:, None, None]
+
+
 def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
             u: KinematicInput, model: CompositeModel, cfg: UkfConfig,
             weights) -> tuple[np.ndarray, np.ndarray]:
@@ -237,15 +251,13 @@ def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
     innov_cov = np.swapaxes(sp.cov_weights[:, None] * dz, 1, 2) @ dz + r
     cross_cov = np.swapaxes(sp.cov_weights[:, None] * dx, 1, 2) @ dz
     innovation = d - predicted
-    try:
-        gain_t = np.linalg.solve(innov_cov, np.swapaxes(cross_cov, 1, 2))
-    except np.linalg.LinAlgError:
-        raise NotPSD("innovation covariance is singular") from None
+    innov_inv = _inverse_2x2(innov_cov)
+    gain_t = innov_inv @ np.swapaxes(cross_cov, 1, 2)
     posterior_means = means + (innovation[:, None, :] @ gain_t)[:, 0]
     posterior_covs = priors - cross_cov @ gain_t
     posterior_covs = (posterior_covs + np.swapaxes(posterior_covs, 1, 2)) / 2.0
     if cfg.mahalanobis_gate is not None:
-        whitened = np.linalg.solve(innov_cov, innovation[:, :, None])[:, :, 0]
+        whitened = (innov_inv @ innovation[:, :, None])[:, :, 0]
         gated = np.sum(innovation * whitened, axis=1) > cfg.mahalanobis_gate ** 2
         posterior_means = np.where(gated[:, None], means, posterior_means)
         posterior_covs = np.where(gated[:, None, None], priors, posterior_covs)

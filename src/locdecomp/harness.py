@@ -68,6 +68,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        if not 0.0 < self.convergence_threshold < np.inf:
+            raise ConfigError(f"convergence_threshold must be a finite value above 0, "
+                              f"got {self.convergence_threshold}")
         if self.injection.true_params.shape != (self.model.state_dim,):
             raise ConfigError(
                 f"true_params dimension {self.injection.true_params.size} does not "

@@ -49,7 +49,8 @@ class InjectionConfig:
     The sigmas are per-axis standard deviations; the injected difference
     noise then has covariance ``(sigma_ref^2 + sigma_other^2) * I``.  Use
     :meth:`with_total_sigma` to split a single total disturbance evenly
-    across the two localizers.
+    across the two localizers.  ``rng_seed`` must be at least 0, as numpy's
+    seed sequences require.
     """
 
     true_params: np.ndarray
@@ -62,6 +63,8 @@ class InjectionConfig:
                            np.asarray(self.true_params, dtype=float))
         if self.noise_sigma_ref < 0.0 or self.noise_sigma_other < 0.0:
             raise ValueError("noise sigmas must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
     @classmethod
     def with_total_sigma(cls, true_params, total_sigma: float,

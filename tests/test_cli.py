@@ -340,6 +340,18 @@ class TestInputErrors:
         assert err.startswith("locdecomp experiment: mahalanobis_gate must be")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("seed_in_config, argv", [
+        (-1, []), (11, ["--seed", "-3"])])
+    def test_negative_seed(self, tmp_path, capsys, seed_in_config, argv):
+        # the seed failed only when the runs started, with a traceback
+        config = write_config(tmp_path, injection={
+            "true_params": [2.0, 1.0, 3.0, 2.0], "noise_sigma_total": 0.2,
+            "seed": seed_in_config})
+        assert main(["experiment", "--config", str(config), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("locdecomp experiment: seed must be >= 0, got -")
+        assert len(err.splitlines()) == 1
+
     def test_filter_failure_still_raises(self, tmp_path):
         config = write_config(tmp_path)
         data = tmp_path / "data.csv"

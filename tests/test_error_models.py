@@ -34,8 +34,8 @@ class TestKinematicSeries:
             # what building the sample on its own gives, bit for bit
             alone = Heading(self.ANGLES[k], self.RATES[k])
             assert u.t == self.T[k] and np.ndim(u.t) == 0
-            assert isinstance(u.heading.angle, float) and u.heading.angle == alone.angle
-            assert isinstance(u.heading.rate, float) and u.heading.rate == alone.rate
+            assert type(u.heading.angle) is float and u.heading.angle == alone.angle
+            assert type(u.heading.rate) is float and u.heading.rate == alone.rate
             np.testing.assert_array_equal(u.ref_position, self.POSITIONS[k])
         with pytest.raises(IndexError):
             series[4]

@@ -5,6 +5,7 @@ from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_translation)
 from locdecomp.estimator import (PSD_TOL, DifferenceObservation, GaussianBelief,
                                  UkfConfig, _check_covariance, _covariance_sqrt,
+                                 _inverse_2x2,
                                  compose_measurement_covariance, filter_runs,
                                  generate_sigma_points, predict, run_filter, update)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
@@ -395,6 +396,36 @@ class TestUpdate:
         obs = DifferenceObservation(d=np.array([100.0, 100.0]), R=0.01 * np.eye(2))
         out = update(cfg.initial_belief, obs, make_input(), model, cfg)
         np.testing.assert_allclose(out.mean, cfg.initial_belief.mean)
+
+
+class TestInverse2x2:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_gain_and_whitened_innovation_match_solve(self, symmetric):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(500, 2, 2))
+        s = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(2) if symmetric else a + 3.0 * np.eye(2)
+        cross_cov_t = rng.normal(size=(500, 2, 5))
+        innovation = rng.normal(size=(500, 2, 1))
+        inv = _inverse_2x2(s)
+        for rhs in (cross_cov_t, innovation):
+            expected = np.linalg.solve(s, rhs)
+            scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+            assert (np.abs(inv @ rhs - expected) / scale).max() <= 1e-14
+
+    @pytest.mark.parametrize("s", [[[1.0, 1.0], [1.0, 1.0]], [[2.0, -4.0], [-1.0, 2.0]],
+                                   np.zeros((2, 2))])
+    def test_singular_matrix_raises(self, s):
+        batch = np.stack([np.eye(2), s])
+        with pytest.raises(NotPSD, match="^innovation covariance is singular$"):
+            _inverse_2x2(batch)
+
+    def test_singular_innovation_covariance_fails_the_update(self):
+        # a collapsed belief leaves S = R, which here is PSD but singular
+        model = CompositeModel(components=(map_translation(),))
+        cfg = make_config(2, q=0.0, p0=0.0)
+        obs = DifferenceObservation(d=np.ones(2), R=np.ones((2, 2)))
+        with pytest.raises(NotPSD, match="^innovation covariance is singular$"):
+            update(cfg.initial_belief, obs, make_input(), model, cfg)
 
 
 class TestFilterRuns:

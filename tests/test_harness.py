@@ -9,7 +9,7 @@ from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_shear,
                                     map_translation)
-from locdecomp.estimator import GaussianBelief, UkfConfig, run_filter
+from locdecomp.estimator import GaussianBelief, UkfConfig, filter_runs, run_filter
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
 from locdecomp.frames import Heading
@@ -178,7 +178,7 @@ def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
     # plus one of all measurement covariances at the boundary
     cfg = load_config(ROOT / "configs" / "corner.json")
     trajectory = build_trajectory(cfg.trajectory)
-    shapes = {"cholesky": [], "eigvalsh": [], "eigh": []}
+    shapes = {"cholesky": [], "eigvalsh": [], "eigh": [], "solve": []}
     for name, seen in shapes.items():
         def counted(a, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
             _seen.append(np.shape(a))
@@ -186,9 +186,29 @@ def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     _estimate_runs(trajectory, cfg, range(cfg.n_runs))
     n_steps, dim = len(trajectory), cfg.model.state_dim
-    assert shapes["eigvalsh"] == [] and shapes["eigh"] == []
+    assert shapes["eigvalsh"] == [] and shapes["eigh"] == [] and shapes["solve"] == []
     assert len(shapes["cholesky"]) <= 2 * n_steps + 1
     assert set(shapes["cholesky"]) == {(n_steps, 2, 2), (cfg.n_runs, dim, dim)}
+
+
+def test_shipped_corner_filter_pass_validates_no_sample(monkeypatch):
+    # the series is validated once, where it is built; the per-step
+    # samples the filter reads are views of its arrays
+    cfg = load_config(ROOT / "configs" / "corner.json")
+    trajectory = build_trajectory(cfg.trajectory)
+    seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
+    p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
+    inputs = replace(trajectory, ref_position=p_ref)
+    r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
+    built = []
+    for cls in (Heading, KinematicInput):
+        def counted(self, _original=cls.__post_init__):
+            built.append(type(self).__name__)
+            _original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    passes = list(filter_runs(cfg.model, cfg.ukf, p_ref - p_other, r, inputs))
+    assert len(passes) == len(trajectory) == 200 and cfg.n_runs == 100
+    assert built == []
 
 
 def test_observe_config_builds_no_per_sample_objects(monkeypatch, capsys):
@@ -300,6 +320,14 @@ class TestConfigValidation:
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError):
             small_config(n_runs=0)
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_meaningless_convergence_threshold(self, threshold):
+        # every parameter would read "converged = false", or every one true
+        raw = dict(BASE_CONFIG, convergence_threshold=threshold)
+        with pytest.raises(ConfigError, match="^convergence_threshold must be a finite "
+                                              "value above 0, got "):
+            parse_config(raw)
 
     def test_rejects_mismatched_true_params(self):
         cfg = small_config()
