@@ -185,10 +185,9 @@ class CompositeModel:
         if x.shape[-1:] != (self.state_dim,):
             raise DimensionMismatch(
                 f"state must have shape (..., {self.state_dim}), got {x.shape}")
-        out = 0.0
-        for off, comp in zip(self.offsets, self.components):
-            out = out + comp.fn(x[..., off:off + comp.param_dim], u)
-        return out
+        terms = [comp.fn(x[..., off:off + comp.param_dim], u)
+                 for off, comp in zip(self.offsets, self.components)]
+        return sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,35 +12,29 @@ Sigma points follow the scaled construction of Wan and van der Merwe
 where they enter (belief, process noise, measurement covariances) and
 stored as their exact symmetric part ``(m + m.T) / 2``, so every prior and
 posterior derived from them is exactly symmetric and no step checks
-symmetry.  The covariance square root is a Cholesky factor, with no
-jitter; if the factorization fails, an indefinite covariance raises
-:class:`~locdecomp.exceptions.NotPSD` naming its lowest eigenvalue, and a
-semi-definite one (a covariance that has validly collapsed to singular,
-e.g. all zero, must still yield sigma points) gets its eigendecomposition
-root.
+symmetry.
 
 The math is written once over a run axis (means (B, n), covariances
-(B, n, n), sigma points (B, 2n+1, n)): :func:`filter_runs` filters B runs
-in one vectorized pass, and :func:`run_filter`, :func:`predict`,
-:func:`update` and :func:`generate_sigma_points` are its batch-of-one
-cases.  ``filter_runs`` and ``update`` share one measurement step.  The
-measurement is 2-D, so it inverts each innovation covariance ``S`` in
-closed form (adjugate over determinant; a zero determinant raises NotPSD)
-and uses that inverse for the gain's transpose ``G = S^-1 P_xz^T``, giving
-``mean + nu^T G`` and ``prior - P_xz G``, and for the gate's whitened
-innovation ``S^-1 nu``.  Array shapes, measurement covariances and
-observation finiteness are validated once per pass; the per-step samples
-are views of the series' validated arrays.  Each step checks its
-covariances with Cholesky factorizations, which succeed only on
+(B, n, n)): :func:`filter_runs` filters B runs in one vectorized pass, and
+:func:`run_filter`, :func:`predict`, :func:`update` and
+:func:`generate_sigma_points` are its batch-of-one cases.  ``filter_runs``
+and ``update`` share one measurement step, whose sigma points are
+sigma-major, (2n+1, B, n), and whose cross covariance is one product over
+the symmetric point pairs.  Shapes, measurement covariances and observation
+finiteness are validated once per pass; the per-step samples are views of
+the series' validated arrays.  Each step checks its covariances with
+Cholesky factorizations, with no jitter, which succeed only on
 positive-definite input: the prior's factor is its sigma-point root, and
-the posterior gets one batched factorization shifted by the PSD floor.
-Eigenvalues are computed only when a factorization fails, to settle the
-verdict and name the lowest one in the error.
+the posterior's is taken of a copy with the PSD floor added to its diagonal.
+Only when one fails are eigenvalues computed: an indefinite covariance
+raises :class:`~locdecomp.exceptions.NotPSD` naming its lowest eigenvalue,
+and a semi-definite prior (validly collapsed, e.g. all zero) gets its
+eigendecomposition root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +44,26 @@ from .frames import as_vec2
 
 SYM_TOL = 1e-9
 PSD_TOL = 1e-9
+_ADJUGATE = [3, 1, 2, 0]   # a flat 2x2 matrix's adjugate: entry order and signs
+_ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _check_psd(sym: np.ndarray, name: str) -> None:
-    """Raise NotPSD unless each symmetric matrix in ``sym`` (shape
-    (..., k, k)) is positive semi-definite within tolerance.
+    """Raise NotPSD unless each symmetric matrix in ``sym`` (..., k, k) has
+    its lowest eigenvalue at or above the floor ``-PSD_TOL * max(trace, 1)``.
 
-    A matrix is accepted when its lowest eigenvalue is at least the floor
-    ``-PSD_TOL * max(trace, 1)``.  One batched Cholesky of the matrices
-    shifted up by that floor decides it: the factorization succeeds only
-    when every lowest eigenvalue lies above the floor.  Only when it fails
-    are the eigenvalues computed, to accept a matrix that sits exactly at
-    the floor and to name the lowest eigenvalue otherwise.
+    One batched Cholesky of a copy with the floor added to its diagonal
+    decides it: it succeeds only when every lowest eigenvalue lies above the
+    floor.  Only when it fails are the eigenvalues computed, to accept a
+    matrix that sits exactly at the floor and to name the lowest otherwise.
     """
-    floor = PSD_TOL * np.maximum(np.trace(sym, axis1=-2, axis2=-1), 1.0)
+    k = sym.shape[-1]
+    shifted = sym.copy()
+    diagonal = shifted.reshape(sym.shape[:-2] + (k * k,))[..., ::k + 1]
+    floor = PSD_TOL * np.maximum(diagonal.sum(axis=-1), 1.0)
+    diagonal += floor[..., None]
     try:
-        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(sym.shape[-1]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         lowest = np.linalg.eigvalsh(sym)[..., 0]
         if np.any(lowest < -floor):
@@ -182,13 +180,11 @@ class SigmaPoints:
 
 
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
-    """Matrices S with S @ S.T = p for symmetric p of shape (..., n, n).
-
-    The Cholesky factorization is also the PSD check.  If it fails, an
-    indefinite matrix raises NotPSD naming the lowest eigenvalue; then each
-    matrix retries alone, so a run's root does not depend on its batch, and
-    a semi-definite one gets its eigendecomposition root.
-    """
+    """Matrices S with S @ S.T = p for symmetric p (..., n, n): the Cholesky
+    factor, which is also the PSD check.  If it fails, an indefinite matrix
+    raises NotPSD naming the lowest eigenvalue; else each matrix retries alone,
+    so a run's root does not depend on its batch, and a semi-definite one
+    gets its eigendecomposition root."""
     try:
         return np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
@@ -213,49 +209,55 @@ def _sigma_weights(n: int, cfg: UkfConfig) -> tuple[float, np.ndarray, np.ndarra
     return scale, wm, wc
 
 
-def _sigma_points(means: np.ndarray, roots: np.ndarray, weights) -> SigmaPoints:
-    """Scaled sigma points of a batch: means (B, n) and covariance roots
-    (B, n, n), with the weights of :func:`_sigma_weights`."""
-    scale, wm, wc = weights
-    root_t = np.swapaxes(np.sqrt(scale) * roots, -1, -2)
-    centre = means[:, None, :]
-    points = np.concatenate([centre, centre + root_t, centre - root_t], axis=1)
-    return SigmaPoints(points=points, mean_weights=wm, cov_weights=wc)
+def _sigma_points(means: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Points (2n+1, B, n) of means (B, n) and spreads ``sqrt(n + lambda) L``
+    (B, n, n) in one buffer: the means, then plus and minus each column."""
+    n = means.shape[-1]
+    columns = spread.transpose(2, 0, 1)   # (n, B, n): [j, b, :] = spread[b, :, j]
+    points = np.empty((2 * n + 1,) + means.shape)
+    points[0] = means
+    np.add(means, columns, out=points[1:n + 1])
+    np.subtract(means, columns, out=points[n + 1:])
+    return points
 
 
 def _inverse_2x2(s: np.ndarray) -> np.ndarray:
     """Inverses of the 2x2 matrices ``s`` (B, 2, 2): each adjugate over its
-    determinant, elementwise, so a run's inverse does not depend on its
-    batch.  A zero determinant raises NotPSD."""
-    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    if not np.all(det):
+    determinant, from the flat entries, elementwise, so a run's inverse does
+    not depend on its batch.  A zero determinant raises NotPSD."""
+    flat = s.reshape(-1, 4)
+    cross = flat * flat[:, ::-1]                      # a*d, b*c, c*b, d*a
+    det = cross[:, :1] - cross[:, 1:2]
+    if not det.all():
         raise NotPSD("innovation covariance is singular")
-    adjugate = np.swapaxes(s[:, ::-1, ::-1], 1, 2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return adjugate / det[:, None, None]
+    return (flat[:, _ADJUGATE] * _ADJUGATE_SIGN / det).reshape(s.shape)
 
 
 def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
             u: KinematicInput, model: CompositeModel, cfg: UkfConfig,
             weights) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means (B, n) and covariances (B, n, n) from prior ``means``
-    and ``priors`` after differences (B, 2) of covariance ``r``."""
-    sp = _sigma_points(means, _covariance_sqrt(priors), weights)
-    # sigma axis first, so per-run kinematic fields of shape (B, 2) broadcast;
-    # the contiguous copy gives every run's slice the same memory layout, so
-    # the reductions below round alike whatever the batch size
-    outputs = np.ascontiguousarray(
-        np.swapaxes(model.evaluate(np.swapaxes(sp.points, 0, 1), u), 0, 1))
-    predicted = sp.mean_weights @ outputs
-    dz = outputs - predicted[:, None, :]
-    dx = sp.points - means[:, None, :]
-    innov_cov = np.swapaxes(sp.cov_weights[:, None] * dz, 1, 2) @ dz + r
-    cross_cov = np.swapaxes(sp.cov_weights[:, None] * dx, 1, 2) @ dz
+    and ``priors`` after differences (B, 2) of covariance ``r``.  The
+    sigma-major points (2n+1, B, n) deviate from the mean by 0 and
+    ``+-sqrt(n + lambda) L_j``, so ``P_xz = w_1 sqrt(n + lambda) L (Z+ - Z-)``
+    and ``K = P_xz S^-1``.  Sums over the sigma axis are elementwise (a 2-d
+    product over all runs would round a run by its place in the batch) and
+    products per run, so a run's posterior does not depend on its batch."""
+    scale, wm, wc = weights
+    n = means.shape[-1]
+    spread = np.sqrt(scale) * _covariance_sqrt(priors)
+    outputs = model.evaluate(_sigma_points(means, spread), u)
+    predicted = (wm[:, None, None] * outputs).sum(axis=0)
+    dz = (outputs - predicted).transpose(1, 2, 0)              # (B, 2, 2n+1)
+    innov_cov = (wc * dz) @ dz.swapaxes(1, 2) + r
+    pair_diff = (outputs[1:n + 1] - outputs[n + 1:]).swapaxes(0, 1)   # (B, n, 2)
+    cross_cov = wc[1] * (spread @ pair_diff)
     innovation = d - predicted
     innov_inv = _inverse_2x2(innov_cov)
-    gain_t = innov_inv @ np.swapaxes(cross_cov, 1, 2)
-    posterior_means = means + (innovation[:, None, :] @ gain_t)[:, 0]
-    posterior_covs = priors - cross_cov @ gain_t
-    posterior_covs = (posterior_covs + np.swapaxes(posterior_covs, 1, 2)) / 2.0
+    gain = cross_cov @ innov_inv
+    posterior_means = means + (gain @ innovation[:, :, None])[:, :, 0]
+    posterior_covs = priors - gain @ cross_cov.swapaxes(1, 2)
+    posterior_covs = (posterior_covs + posterior_covs.swapaxes(1, 2)) / 2.0
     if cfg.mahalanobis_gate is not None:
         whitened = (innov_inv @ innovation[:, :, None])[:, :, 0]
         gated = np.sum(innovation * whitened, axis=1) > cfg.mahalanobis_gate ** 2
@@ -271,10 +273,9 @@ def generate_sigma_points(belief: GaussianBelief, cfg: UkfConfig) -> SigmaPoints
     exactly and the weighted point covariance equals ``belief.covariance``
     up to the square-root accuracy.
     """
-    weights = _sigma_weights(belief.dim, cfg)
-    sp = _sigma_points(belief.mean[None], _covariance_sqrt(belief.covariance[None]),
-                       weights)
-    return replace(sp, points=sp.points[0])
+    scale, wm, wc = _sigma_weights(belief.dim, cfg)
+    spread = np.sqrt(scale) * _covariance_sqrt(belief.covariance[None])
+    return SigmaPoints(_sigma_points(belief.mean[None], spread)[:, 0], wm, wc)
 
 
 def predict(belief: GaussianBelief, cfg: UkfConfig) -> GaussianBelief:
@@ -335,9 +336,9 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         try:
             means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],
                                   u, model, cfg, weights)
-            if not np.all(np.isfinite(means)):
+            if not np.isfinite(means).all():
                 raise ValueError("mean must be finite")
-            if not np.all(np.isfinite(covs)):
+            if not np.isfinite(covs).all():
                 raise NotPSD("covariance must be finite")
             _check_psd(covs, "covariance")
         except Exception as exc:

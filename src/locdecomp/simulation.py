@@ -182,8 +182,10 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
     ``kind="straight"`` holds the heading constant.  ``kind="corner"``
     produces a piecewise-straight path whose heading sweeps through five
     90-degree turns with alternating direction, each ramped linearly over
-    ``turn_samples`` samples (default: a tenth of the trajectory) and
-    separated by straight legs, i.e. exactly five heading-change events.
+    ``turn_samples`` samples and separated by straight legs, i.e. exactly
+    five heading-change events.  ``turn_samples`` must lie in
+    ``[1, (n_samples - 6) // 5]``, so that the legs keep the turns apart;
+    the default, a tenth of the trajectory, is clamped to that range.
     """
     if kind not in ("straight", "corner"):
         raise ValueError(f"kind must be 'straight' or 'corner', got {kind!r}")
@@ -199,8 +201,14 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
     if kind == "straight":
         angles = np.full(n_samples, float(initial_heading))
     else:
-        turn = max(2, n_samples // 10) if turn_samples is None else int(turn_samples)
-        turn = max(1, min(turn, (n_samples - TURN_COUNT - 1) // TURN_COUNT))
+        max_turn = (n_samples - TURN_COUNT - 1) // TURN_COUNT
+        if turn_samples is None:
+            turn = max(1, min(max(2, n_samples // 10), max_turn))
+        elif 1 <= turn_samples <= max_turn:
+            turn = int(turn_samples)
+        else:
+            raise ValueError(f"turn_samples must be in [1, {max_turn}] for {n_samples} "
+                             f"samples, got {turn_samples}")
         n_legs = TURN_COUNT + 1
         leg_total = n_samples - TURN_COUNT * turn
         base, extra = divmod(leg_total, n_legs)

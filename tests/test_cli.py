@@ -340,6 +340,15 @@ class TestInputErrors:
         assert err.startswith("locdecomp experiment: mahalanobis_gate must be")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("turn", [0, 999])
+    def test_out_of_range_turn_samples(self, tmp_path, capsys, turn):
+        config = write_config(tmp_path, trajectory={"kind": "corner", "n_samples": 50,
+                                                    "turn_samples": turn})
+        assert main(["experiment", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"locdecomp experiment: turn_samples must be in [1, 8] for 50 "
+                       f"samples, got {turn}\n")
+
     @pytest.mark.parametrize("seed_in_config, argv", [
         (-1, []), (11, ["--seed", "-3"])])
     def test_negative_seed(self, tmp_path, capsys, seed_in_config, argv):

@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
-                                    map_rotation, map_translation)
+                                    map_rotation, map_scale, map_shear,
+                                    map_translation)
 from locdecomp.estimator import (PSD_TOL, DifferenceObservation, GaussianBelief,
-                                 UkfConfig, _check_covariance, _covariance_sqrt,
-                                 _inverse_2x2,
-                                 compose_measurement_covariance, filter_runs,
+                                 UkfConfig, _check_covariance, _check_psd,
+                                 _covariance_sqrt, _inverse_2x2, _sigma_weights,
+                                 _update, compose_measurement_covariance, filter_runs,
                                  generate_sigma_points, predict, run_filter, update)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 from locdecomp.frames import Heading
@@ -62,6 +65,50 @@ def with_lowest_eigenvalue(rng, dim, factor):
     eigvals = np.r_[-factor * PSD_TOL * rest.sum(), rest]
     m = (basis * eigvals) @ basis.T
     return (m + m.T) / 2.0
+
+
+def floor_matrices():
+    """diag(4, 2, x) with its lowest eigenvalue x exactly at the PSD floor
+    -PSD_TOL * trace, and the same with x one step lower."""
+    x = -6.0 * PSD_TOL
+    for _ in range(10):
+        x = -PSD_TOL * (6.0 + x)
+    at = np.diag([4.0, 2.0, x])
+    below = np.diag([4.0, 2.0, np.nextafter(x, -1.0)])
+    assert x == -PSD_TOL * np.trace(at)
+    assert eigvalsh_verdict(at) is None and eigvalsh_verdict(below) is not None
+    return at, below
+
+
+def textbook_update(mean, prior, d, r, u, model, cfg):
+    """One run's measurement update as the textbook writes it: sums over
+    the sigma points of weighted deviation products, and a linear solve.
+    Returns the predicted difference, the innovation and cross covariances,
+    and the posterior mean and covariance."""
+    n = mean.size
+    lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
+    wm = np.full(2 * n + 1, 0.5 / (n + lam))
+    wm[0] = lam / (n + lam)
+    wc = wm.copy()
+    wc[0] += 1.0 - cfg.alpha ** 2 + cfg.beta
+    root = np.sqrt(n + lam) * np.linalg.cholesky(prior)
+    points = np.vstack([mean, mean + root.T, mean - root.T])
+    outputs = model.evaluate(points, u)
+    predicted = wm @ outputs
+    dx, dz = points - mean, outputs - predicted
+    s = sum(w * np.outer(b, b) for w, b in zip(wc, dz)) + r
+    cross = sum(w * np.outer(a, b) for w, a, b in zip(wc, dx, dz))
+    gain = np.linalg.solve(s, cross.T).T
+    return (predicted, s, cross, mean + gain @ (d - predicted),
+            prior - gain @ s @ gain.T)
+
+
+def relative_gap(actual, expected):
+    """Largest deviation over the largest entry of ``expected``, per leading
+    index."""
+    axes = tuple(range(1, np.ndim(expected)))
+    return (np.abs(actual - expected).max(axis=axes)
+            / np.abs(expected).max(axis=axes)).max()
 
 
 NEARLY_SYMMETRIC = np.array([[1.0, 1e-12], [0.0, 1.0]])
@@ -171,6 +218,55 @@ class TestCovarianceCheck:
             compose_measurement_covariance(bad, np.eye(2))
         with pytest.raises(NotPSD, match="^cov_other must be finite$"):
             compose_measurement_covariance(np.eye(2), bad)
+
+
+class TestDiagonalShiftVerdict:
+    """The floor added to the diagonal of one copy gives the eigenvalue
+    rule's verdict at its boundary, at the API boundary and in a step."""
+
+    def test_at_the_floor_is_accepted(self):
+        at, _ = floor_matrices()
+        for m in (at, np.stack([np.eye(3), at, 2.0 * np.eye(3)])):
+            _check_psd(m, "covariance")
+
+    def test_just_below_the_floor_is_rejected_naming_the_eigenvalue(self):
+        _, below = floor_matrices()
+        message = f"^covariance has negative eigenvalue {re.escape(str(below[2, 2]))}$"
+        for m in (below, np.stack([np.eye(3), below, 2.0 * np.eye(3)])):
+            with pytest.raises(NotPSD, match=message):
+                _check_psd(m, "covariance")
+
+    def test_input_is_left_unchanged(self):
+        at, _ = floor_matrices()
+        stack = np.stack([np.eye(3), at])
+        kept = stack.copy()
+        _check_psd(stack, "covariance")
+        np.testing.assert_array_equal(stack, kept)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stack"])
+    def test_filter_step_takes_the_same_verdict(self, monkeypatch, stacked):
+        from locdecomp import estimator
+        update_runs = estimator._update
+        at, below = floor_matrices()
+        model = CompositeModel(components=(body_offset(), map_rotation()))
+        n_runs = 3 if stacked else 1
+        for cov, expected in ((at, None), (below, eigvalsh_verdict(below))):
+            def posterior_at(*args, _cov=cov):
+                means, covs = update_runs(*args)
+                covs = covs.copy()
+                covs[-1] = _cov
+                return means, covs
+
+            monkeypatch.setattr(estimator, "_update", posterior_at)
+            steps = filter_runs(model, make_config(3), np.zeros((n_runs, 1, 2)),
+                                0.04 * np.eye(2)[None], [make_input(position=(5.0, 2.0))])
+            if expected is None:
+                _, covs = next(steps)
+                np.testing.assert_array_equal(covs[-1], at)
+            else:
+                with pytest.raises(FilterStepError,
+                                   match=f"^step 0: {re.escape(expected)}$"):
+                    next(steps)
 
 
 class TestUkfConfig:
@@ -426,6 +522,42 @@ class TestInverse2x2:
         obs = DifferenceObservation(d=np.ones(2), R=np.ones((2, 2)))
         with pytest.raises(NotPSD, match="^innovation covariance is singular$"):
             update(cfg.initial_belief, obs, make_input(), model, cfg)
+
+
+class TestPairCrossCovariance:
+    """The update's pair form of the cross covariance against the textbook
+    sums over sigma-point deviations."""
+
+    @pytest.mark.parametrize("deformation", [map_rotation, map_scale, map_shear])
+    def test_matches_the_textbook_sums(self, deformation):
+        model = CompositeModel(components=(body_offset(), map_translation(),
+                                           deformation(pivot=(3.0, -1.0))))
+        n, n_runs = model.state_dim, 8
+        rng = np.random.default_rng(21)
+        spread = np.r_[np.ones(n - 1), 0.05]   # a small deformation parameter
+        means = rng.normal(size=(n_runs, n)) * spread
+        a = rng.normal(size=(n_runs, n, n))
+        priors = spread[:, None] * (a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(n)) * spread
+        positions = rng.normal(size=(n_runs, 2)) * 30.0
+        r = random_psd(rng, 2, 0.05)
+        cfg = make_config(n)
+        d_random = rng.normal(size=(n_runs, 2))
+        oracle = [textbook_update(means[k], priors[k], d_random[k], r,
+                                  make_input(angle=0.7, position=positions[k]), model, cfg)
+                  for k in range(n_runs)]
+        predicted, s, cross, oracle_means, oracle_covs = map(np.array, zip(*oracle))
+        # three copies of each run: with the differences predicted + S e_j,
+        # j = 0, 1, the mean moves by P_xz S^-1 S e_j, the cross covariance's
+        # column j; the third copy takes the random differences
+        d = np.stack([predicted + s[:, :, 0], predicted + s[:, :, 1], d_random])
+        u = make_input(angle=0.7, position=np.tile(positions, (3, 1)))
+        post_means, post_covs = _update(
+            np.tile(means, (3, 1)), np.tile(priors, (3, 1, 1)), d.reshape(-1, 2), r,
+            u, model, cfg, _sigma_weights(n, cfg))
+        moved = post_means.reshape(3, n_runs, n) - means
+        assert relative_gap(np.stack(moved[:2], axis=-1), cross) <= 1e-12
+        assert relative_gap(post_means[2 * n_runs:], oracle_means) <= 1e-12
+        assert relative_gap(post_covs[2 * n_runs:], oracle_covs) <= 1e-12
 
 
 class TestFilterRuns:

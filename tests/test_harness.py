@@ -142,6 +142,33 @@ class TestBatchedEquivalence:
                                    ((reference - truth) ** 2).mean(axis=0),
                                    rtol=0.0, atol=1e-12)
 
+    def test_corner_batch_rows_equal_runs_filtered_alone(self):
+        # a run's posterior is the same alone and as one row of 100, bit for
+        # bit; a 2-d product over the sigma axis of the whole batch would
+        # round each run by its place in it
+        model = CompositeModel(components=(body_offset(), map_translation(),
+                                           map_rotation(pivot=corner_centroid(200))))
+        cfg = small_config(n_runs=100, n_samples=200, model=model,
+                           true_params=(2.0, 1.0, 3.0, 2.0, 0.02),
+                           q=[0.1, 0.1, 0.1, 0.1, 1e-4],
+                           p0=[10.0, 10.0, 10.0, 10.0, 0.01])
+        trajectory = build_trajectory(cfg.trajectory)
+        seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
+        p_ref, p_other = inject_runs(trajectory, cfg.injection, model, seeds)
+        d = p_ref - p_other
+        r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
+
+        def filtered(runs):
+            inputs = replace(trajectory, ref_position=p_ref[runs])
+            steps = list(filter_runs(model, cfg.ukf, d[runs], r, inputs))
+            return np.stack([m for m, _ in steps]), np.stack([c for _, c in steps])
+
+        means, covs = filtered(slice(None))
+        for run in (0, 17, 99):
+            alone_means, alone_covs = filtered([run])
+            np.testing.assert_array_equal(alone_means[:, 0], means[:, run])
+            np.testing.assert_array_equal(alone_covs[:, 0], covs[:, run])
+
     def test_semi_definite_covariance_takes_tolerant_root(self):
         # a zero initial variance that Q never inflates keeps every run's
         # covariance singular, so the batched Cholesky fails each step and
@@ -488,10 +515,12 @@ class TestParseConfig:
         for bad in (2.5, 200.9, 1.7, True, False, "20", None, float("nan")):
             with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
                 parsed(bad)
-        cfg = parsed(20.0)
+        # a value valid for the key: 50 samples fit turns of at most 8
+        valid = 8 if key == "turn_samples" else 20
+        cfg = parsed(float(valid))
         values = (cfg.n_runs, cfg.injection.rng_seed, cfg.trajectory.n_samples,
                   cfg.trajectory.turn_samples)
-        assert 20 in values
+        assert valid in values
         assert all(type(v) is int for v in values if v is not None)
 
     def test_unknown_component_option(self):

@@ -132,6 +132,18 @@ class TestSynthesizeTrajectory:
         with pytest.raises(ValueError, match="corner segment"):
             synthesize_trajectory("corner", 19)
 
+    @pytest.mark.parametrize("turn", [0, 999])
+    def test_out_of_range_turn_samples_rejected(self, turn):
+        # the turn length was clamped silently, to 1 and to 8 samples
+        with pytest.raises(ValueError, match=rf"^turn_samples must be in \[1, 8\] for 50 "
+                                             rf"samples, got {turn}$"):
+            synthesize_trajectory("corner", 50, turn_samples=turn)
+
+    def test_turn_samples_at_the_bounds_are_kept(self):
+        for turn in (1, 8):
+            angles = synthesize_trajectory("corner", 50, turn_samples=turn).heading.angle
+            assert np.count_nonzero(np.diff(angles)) == 5 * turn
+
     def test_timestamps_use_step(self):
         trajectory = synthesize_trajectory("straight", 5, step=0.25)
         np.testing.assert_allclose([s.t for s in trajectory],
