@@ -15,9 +15,8 @@ from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            PlanarTransform, body_offset, deformation_component,
                            map_rotation, map_scale, map_shear, map_translation,
                            rotation_about, scale_about, shear_along)
-from .estimator import (DifferenceObservation, GaussianBelief, SigmaPoints,
-                        UkfConfig, compose_measurement_covariance, filter_runs,
-                        generate_sigma_points, predict, run_filter, update)
+from .estimator import (DifferenceObservation, GaussianBelief, UkfConfig,
+                        filter_runs, run_filter)
 from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
                          FilterStepError, NonMonotoneTime, NotPSD, ParseError,
                          SingularTransform, ZeroTurnRate)
@@ -27,8 +26,7 @@ from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
                       SyntheticTrajectory, build_trajectory, derive_run_seed,
                       emit_results, load_config, parse_config, run_experiment)
 from .observability import (ObservabilityReport, closed_form_decomposition,
-                            difference_rates, numerical_rank_test,
-                            stacked_output_map)
+                            difference_rates, numerical_rank_test)
 from .simulation import (InjectedStep, InjectionConfig, inject_errors,
                          inject_runs, load_trajectory, synthesize_trajectory,
                          to_kinematic_inputs)
@@ -40,11 +38,10 @@ __all__ = [
     "CompositeModel", "ErrorComponent", "KinematicInput", "PlanarTransform",
     "body_offset", "deformation_component", "map_rotation", "map_scale",
     "map_shear", "map_translation", "rotation_about", "scale_about", "shear_along",
-    "DifferenceObservation", "GaussianBelief", "SigmaPoints", "UkfConfig",
-    "compose_measurement_covariance", "filter_runs", "generate_sigma_points",
-    "predict", "run_filter", "update",
+    "DifferenceObservation", "GaussianBelief", "UkfConfig", "filter_runs",
+    "run_filter",
     "ObservabilityReport", "closed_form_decomposition", "difference_rates",
-    "numerical_rank_test", "stacked_output_map",
+    "numerical_rank_test",
     "InjectedStep", "InjectionConfig", "inject_errors", "inject_runs",
     "load_trajectory", "synthesize_trajectory", "to_kinematic_inputs",
     "ExperimentConfig", "FileTrajectory", "MseSeries", "SyntheticTrajectory",

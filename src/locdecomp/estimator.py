@@ -15,20 +15,20 @@ posterior derived from them is exactly symmetric and no step checks
 symmetry.
 
 The math is written once over a run axis (means (B, n), covariances
-(B, n, n)): :func:`filter_runs` filters B runs in one vectorized pass, and
-:func:`run_filter`, :func:`predict`, :func:`update` and
-:func:`generate_sigma_points` are its batch-of-one cases.  ``filter_runs``
-and ``update`` share one measurement step, whose sigma points are
-sigma-major, (2n+1, B, n), and whose cross covariance is one product over
-the symmetric point pairs.  Shapes, measurement covariances and observation
-finiteness are validated once per pass; the per-step samples are views of
-the series' validated arrays.  Each step checks its covariances with
-Cholesky factorizations, with no jitter, which succeed only on
-positive-definite input: the prior's factor is its sigma-point root, and
-the posterior's is taken of a copy with the PSD floor added to its diagonal.
-Only when one fails are eigenvalues computed: an indefinite covariance
-raises :class:`~locdecomp.exceptions.NotPSD` naming its lowest eigenvalue,
-and a semi-definite prior (validly collapsed, e.g. all zero) gets its
+(B, n, n)): :func:`filter_runs` is the filter, B runs in one vectorized
+pass, and :func:`run_filter` is its per-object form for one run.  Each step
+adds the process noise to the covariances and takes one measurement step,
+whose sigma points are sigma-major, (2n+1, B, n), and whose cross
+covariance is one product over the symmetric point pairs.  Shapes,
+measurement covariances and observation finiteness are validated once per
+pass; the per-step samples are views of the series' validated arrays.
+Each step checks its covariances with Cholesky factorizations, with no
+jitter, which succeed only on positive-definite input: the prior's factor
+is its sigma-point root, and the posterior's is taken of a copy with the
+PSD floor added to its diagonal.  Only when one fails are eigenvalues
+computed: an indefinite covariance raises
+:class:`~locdecomp.exceptions.NotPSD` naming its lowest eigenvalue, and a
+semi-definite prior (validly collapsed, e.g. all zero) gets its
 eigendecomposition root.
 """
 
@@ -158,27 +158,6 @@ class DifferenceObservation:
         object.__setattr__(self, "R", _check_covariance(self.R, "R", 2))
 
 
-def compose_measurement_covariance(cov_ref, cov_other) -> np.ndarray:
-    """Total difference covariance: the sum of the two localizer covariances.
-
-    The difference of two independent Gaussian position estimates is
-    Gaussian with the covariances added; each input must be a valid 2x2
-    covariance on its own.
-    """
-    a = _check_covariance(cov_ref, "cov_ref", 2)
-    b = _check_covariance(cov_other, "cov_other", 2)
-    return a + b
-
-
-@dataclass(frozen=True)
-class SigmaPoints:
-    """Weighted sigma-point set; ``points`` has shape (..., 2n+1, n)."""
-
-    points: np.ndarray
-    mean_weights: np.ndarray
-    cov_weights: np.ndarray
-
-
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
     """Matrices S with S @ S.T = p for symmetric p (..., n, n): the Cholesky
     factor, which is also the PSD check.  If it fails, an indefinite matrix
@@ -266,36 +245,6 @@ def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
     return posterior_means, posterior_covs
 
 
-def generate_sigma_points(belief: GaussianBelief, cfg: UkfConfig) -> SigmaPoints:
-    """Scaled sigma points reproducing the belief's mean and covariance.
-
-    Returns 2n+1 points; the weighted point mean equals ``belief.mean``
-    exactly and the weighted point covariance equals ``belief.covariance``
-    up to the square-root accuracy.
-    """
-    scale, wm, wc = _sigma_weights(belief.dim, cfg)
-    spread = np.sqrt(scale) * _covariance_sqrt(belief.covariance[None])
-    return SigmaPoints(_sigma_points(belief.mean[None], spread)[:, 0], wm, wc)
-
-
-def predict(belief: GaussianBelief, cfg: UkfConfig) -> GaussianBelief:
-    """Prediction step for constant parameters: inflate covariance by Q."""
-    return GaussianBelief(belief.mean.copy(), belief.covariance + cfg.process_noise)
-
-
-def update(belief: GaussianBelief, obs: DifferenceObservation, u: KinematicInput,
-           model: CompositeModel, cfg: UkfConfig) -> GaussianBelief:
-    """Measurement update against the composite difference model: the
-    batch-of-one case of the step :func:`filter_runs` takes."""
-    if belief.dim != model.state_dim:
-        raise DimensionMismatch(
-            f"belief dimension {belief.dim} does not match model state "
-            f"dimension {model.state_dim}")
-    means, covs = _update(belief.mean[None], belief.covariance[None], obs.d[None],
-                          obs.R, u, model, cfg, _sigma_weights(belief.dim, cfg))
-    return GaussianBelief(means[0], covs[0])
-
-
 def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     """Filter B runs from ``cfg.initial_belief`` in one vectorized pass.
 
@@ -347,7 +296,8 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
 
 
 def run_filter(model: CompositeModel, cfg: UkfConfig, stream) -> list[GaussianBelief]:
-    """Run predict/update over a time-ordered stream of (observation, input).
+    """Filter one run over a time-ordered stream of (observation, input): the
+    per-object form of :func:`filter_runs`.
 
     Returns the initial belief followed by one posterior per step.  Errors
     raised inside a step are re-raised as

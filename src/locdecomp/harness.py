@@ -268,11 +268,14 @@ def _build_component(entry: dict, centroid: np.ndarray):
     factory, option_keys = _COMPONENTS[kind]
     _reject_unknown(entry, option_keys | {"type", "initial"}, f"component {kind!r}")
     options = {key: entry[key] for key in option_keys & entry.keys()}
+    if "pivot" in options:
+        options["pivot"] = _real(options["pivot"], f"model.{kind}.pivot", scalar=False)
     if "pivot" in option_keys:
         options.setdefault("pivot", centroid)
     comp = factory(**options)
     initial = entry.get("initial")
-    guess = comp.neutral if initial is None else np.asarray(initial, dtype=float)
+    guess = comp.neutral if initial is None else _real(initial, f"model.{kind}.initial",
+                                                       scalar=False)
     if guess.shape != (comp.param_dim,):
         raise ConfigError(f"component {kind!r} initial guess must have "
                           f"{comp.param_dim} entries, got {guess.shape}")
@@ -288,9 +291,24 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str, scalar: bool = True):
+    """``value`` as a float, or with ``scalar=False`` as a float array of a
+    number or a (nested) list of numbers; a boolean, a string, null, or a
+    list where one number is expected, raises ConfigError naming ``key``."""
+    def real(v):
+        if isinstance(v, (list, tuple)) and not scalar:
+            return all(real(item) for item in v)
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    if not real(value):
+        expected = "a number" if scalar else "a number or a list of numbers"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return float(value) if scalar else np.asarray(value, dtype=float)
+
+
 def _as_matrix(value, dim: int, where: str) -> np.ndarray:
     """Scalar -> scaled identity; vector -> diagonal; nested list -> matrix."""
-    arr = np.asarray(value, dtype=float)
+    arr = _real(value, f"filter.{where}", scalar=False)
     if arr.ndim == 0:
         return float(arr) * np.eye(dim)
     if arr.ndim == 1:
@@ -334,9 +352,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             trajectory = SyntheticTrajectory(
                 kind=traj_raw["kind"],
                 n_samples=_integer(traj_raw["n_samples"], "trajectory.n_samples"),
-                step=float(traj_raw.get("step", 1.0)),
-                speed=float(traj_raw.get("speed", 10.0)),
-                initial_heading=float(traj_raw.get("initial_heading", 0.0)),
+                step=_real(traj_raw.get("step", 1.0), "trajectory.step"),
+                speed=_real(traj_raw.get("speed", 10.0), "trajectory.speed"),
+                initial_heading=_real(traj_raw.get("initial_heading", 0.0),
+                                      "trajectory.initial_heading"),
                 turn_samples=(_integer(traj_raw["turn_samples"], "trajectory.turn_samples")
                               if "turn_samples" in traj_raw else None))
         except KeyError as exc:
@@ -356,19 +375,22 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
                               "noise_sigma_total", "seed"}, "injection")
     if "true_params" not in inj_raw or "seed" not in inj_raw:
         raise ConfigError("injection needs 'true_params' and 'seed'")
-    true_params = np.asarray(inj_raw["true_params"], dtype=float)
+    true_params = _real(inj_raw["true_params"], "injection.true_params", scalar=False)
     seed = _integer(inj_raw["seed"], "injection.seed")
     if "noise_sigma_total" in inj_raw:
         if "noise_sigma_ref" in inj_raw or "noise_sigma_other" in inj_raw:
             raise ConfigError("give either noise_sigma_total or the per-localizer "
                               "sigmas, not both")
         injection = InjectionConfig.with_total_sigma(
-            true_params, float(inj_raw["noise_sigma_total"]), seed)
+            true_params, _real(inj_raw["noise_sigma_total"], "injection.noise_sigma_total"),
+            seed)
     else:
         injection = InjectionConfig(
             true_params=true_params,
-            noise_sigma_ref=float(inj_raw.get("noise_sigma_ref", 0.0)),
-            noise_sigma_other=float(inj_raw.get("noise_sigma_other", 0.0)),
+            noise_sigma_ref=_real(inj_raw.get("noise_sigma_ref", 0.0),
+                                  "injection.noise_sigma_ref"),
+            noise_sigma_other=_real(inj_raw.get("noise_sigma_other", 0.0),
+                                    "injection.noise_sigma_other"),
             rng_seed=seed)
 
     filt_raw = raw["filter"]
@@ -378,7 +400,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     dim = model.state_dim
     if "process_noise" not in filt_raw or "initial_covariance" not in filt_raw:
         raise ConfigError("filter needs 'process_noise' and 'initial_covariance'")
-    x0 = np.asarray(filt_raw.get("initial_mean", default_x0), dtype=float)
+    x0 = (_real(filt_raw["initial_mean"], "filter.initial_mean", scalar=False)
+          if "initial_mean" in filt_raw else default_x0)
     if x0.shape != (dim,):
         raise ConfigError(f"initial_mean needs {dim} entries, got {x0.shape}")
     ukf = UkfConfig(
@@ -387,17 +410,18 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             mean=x0,
             covariance=_as_matrix(filt_raw["initial_covariance"], dim,
                                   "initial_covariance")),
-        alpha=float(filt_raw.get("alpha", 0.1)),
-        beta=float(filt_raw.get("beta", 2.0)),
-        kappa=float(filt_raw.get("kappa", 0.0)),
-        mahalanobis_gate=(float(filt_raw["mahalanobis_gate"])
+        alpha=_real(filt_raw.get("alpha", 0.1), "filter.alpha"),
+        beta=_real(filt_raw.get("beta", 2.0), "filter.beta"),
+        kappa=_real(filt_raw.get("kappa", 0.0), "filter.kappa"),
+        mahalanobis_gate=(_real(filt_raw["mahalanobis_gate"], "filter.mahalanobis_gate")
                           if filt_raw.get("mahalanobis_gate") is not None else None))
 
     return ExperimentConfig(
         trajectory=trajectory, model=model, injection=injection, ukf=ukf,
         n_runs=_integer(raw.get("runs", 1), "runs"),
-        convergence_threshold=float(raw.get("convergence_threshold",
-                                            DEFAULT_CONVERGENCE_THRESHOLD_M2)),
+        convergence_threshold=_real(raw.get("convergence_threshold",
+                                            DEFAULT_CONVERGENCE_THRESHOLD_M2),
+                                    "convergence_threshold"),
         output=raw.get("output"))
 
 

@@ -5,7 +5,8 @@ difference outputs over the visited kinematic inputs determine the
 parameter vector uniquely.  Because the parameters are constants, the
 continuous observability criterion reduces to injectivity of the map from
 parameters to the outputs collected over a window of inputs, which this
-module tests numerically: each sample's output Jacobian is formed once by
+module tests numerically on the map's Jacobian, without forming the stacked
+outputs themselves: each sample's output Jacobian is formed once by
 central differences, in one model evaluation over all samples; a sliding
 window stacks the Jacobian rows of its samples, and its rank is read off
 the singular values, computed for blocks of windows in one batch each.
@@ -58,21 +59,6 @@ class ObservabilityReport:
     condition_numbers: list
     deficient_windows: list
     degenerate_windows: list
-
-
-def stacked_output_map(model: CompositeModel, x, window) -> np.ndarray:
-    """Concatenated model outputs over a window of kinematic inputs.
-
-    The window must carry at least ceil(state_dim / 2) samples, otherwise
-    the stacked output cannot determine the state even in the best case.
-    """
-    window = list(window)
-    min_len = -(-model.state_dim // 2)
-    if len(window) < min_len:
-        raise ValueError(
-            f"window of {len(window)} samples cannot determine {model.state_dim} "
-            f"parameters; need at least {min_len}")
-    return np.concatenate([model.evaluate(x, u) for u in window])
 
 
 def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,

@@ -49,8 +49,9 @@ class InjectionConfig:
     The sigmas are per-axis standard deviations; the injected difference
     noise then has covariance ``(sigma_ref^2 + sigma_other^2) * I``.  Use
     :meth:`with_total_sigma` to split a single total disturbance evenly
-    across the two localizers.  ``rng_seed`` must be at least 0, as numpy's
-    seed sequences require.
+    across the two localizers.  ``true_params`` must be finite, the sigmas
+    finite and at least 0, and ``rng_seed`` at least 0, as numpy's seed
+    sequences require.
     """
 
     true_params: np.ndarray
@@ -61,8 +62,11 @@ class InjectionConfig:
     def __post_init__(self):
         object.__setattr__(self, "true_params",
                            np.asarray(self.true_params, dtype=float))
-        if self.noise_sigma_ref < 0.0 or self.noise_sigma_other < 0.0:
-            raise ValueError("noise sigmas must be >= 0")
+        if not np.all(np.isfinite(self.true_params)):
+            raise ValueError(f"true_params must be finite, got {self.true_params}")
+        for name in ("noise_sigma_ref", "noise_sigma_other"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
@@ -70,8 +74,8 @@ class InjectionConfig:
     def with_total_sigma(cls, true_params, total_sigma: float,
                          rng_seed: int) -> "InjectionConfig":
         """Equal-variance split of one total noise level across both localizers."""
-        if total_sigma < 0.0:
-            raise ValueError("total_sigma must be >= 0")
+        if not 0.0 <= total_sigma < np.inf:
+            raise ValueError(f"total_sigma must be finite and >= 0, got {total_sigma}")
         per = total_sigma / np.sqrt(2.0)
         return cls(true_params=true_params, noise_sigma_ref=per,
                    noise_sigma_other=per, rng_seed=rng_seed)
@@ -183,7 +187,7 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
     produces a piecewise-straight path whose heading sweeps through five
     90-degree turns with alternating direction, each ramped linearly over
     ``turn_samples`` samples and separated by straight legs, i.e. exactly
-    five heading-change events.  ``turn_samples`` must lie in
+    five heading-change events.  ``turn_samples`` must be an integer in
     ``[1, (n_samples - 6) // 5]``, so that the legs keep the turns apart;
     the default, a tenth of the trajectory, is clamped to that range.
     """
@@ -204,6 +208,8 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
         max_turn = (n_samples - TURN_COUNT - 1) // TURN_COUNT
         if turn_samples is None:
             turn = max(1, min(max(2, n_samples // 10), max_turn))
+        elif isinstance(turn_samples, bool) or not float(turn_samples).is_integer():
+            raise ValueError(f"turn_samples must be an integer, got {turn_samples!r}")
         elif 1 <= turn_samples <= max_turn:
             turn = int(turn_samples)
         else:

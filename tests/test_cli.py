@@ -349,6 +349,23 @@ class TestInputErrors:
         assert err == (f"locdecomp experiment: turn_samples must be in [1, 8] for 50 "
                        f"samples, got {turn}\n")
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("noise_sigma_total", "NaN", "total_sigma"),
+        ("true_params", "[NaN, 1.0, 3.0, 2.0]", "true_params"),
+        ("process_noise", "true", "filter.process_noise")])
+    def test_invalid_number_in_config(self, tmp_path, capsys, key, value, named):
+        # NaN ended in a traceback with exit status 1, and true ran with Q = I
+        text = (CONFIGS / "corner.json").read_text()
+        default = {"noise_sigma_total": "0.2", "true_params": "[2.0, 1.0, 3.0, 2.0]",
+                   "process_noise": "0.1"}[key]
+        config = tmp_path / "config.json"
+        config.write_text(text.replace(f'"{key}": {default}', f'"{key}": {value}'))
+        assert main(["experiment", "--config", str(config), "--runs", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"locdecomp experiment: {named} must be ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("seed_in_config, argv", [
         (-1, []), (11, ["--seed", "-3"])])
     def test_negative_seed(self, tmp_path, capsys, seed_in_config, argv):

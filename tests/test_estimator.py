@@ -8,9 +8,8 @@ from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
 from locdecomp.estimator import (PSD_TOL, DifferenceObservation, GaussianBelief,
                                  UkfConfig, _check_covariance, _check_psd,
-                                 _covariance_sqrt, _inverse_2x2, _sigma_weights,
-                                 _update, compose_measurement_covariance, filter_runs,
-                                 generate_sigma_points, predict, run_filter, update)
+                                 _covariance_sqrt, _inverse_2x2, _sigma_points,
+                                 _sigma_weights, _update, filter_runs, run_filter)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 from locdecomp.frames import Heading
 
@@ -78,6 +77,28 @@ def floor_matrices():
     assert x == -PSD_TOL * np.trace(at)
     assert eigvalsh_verdict(at) is None and eigvalsh_verdict(below) is not None
     return at, below
+
+
+def sigma_points(belief, cfg):
+    """The scaled sigma points (2n+1, n) of one belief and their mean and
+    covariance weights, formed as a filter step forms them."""
+    scale, wm, wc = _sigma_weights(belief.dim, cfg)
+    spread = np.sqrt(scale) * _covariance_sqrt(belief.covariance[None])
+    return _sigma_points(belief.mean[None], spread)[:, 0], wm, wc
+
+
+def gated_priors(model, cfg, n_steps):
+    """Covariances after each of ``n_steps`` filter steps whose updates the
+    Mahalanobis gate skips (the differences are far outliers), so each is
+    the prior: the previous covariance plus the process noise."""
+    d = np.full((1, n_steps, 2), 1e6)
+    r = np.tile(0.01 * np.eye(2), (n_steps, 1, 1))
+    gated = UkfConfig(process_noise=cfg.process_noise, initial_belief=cfg.initial_belief,
+                      mahalanobis_gate=3.0)
+    steps = list(filter_runs(model, gated, d, r, [make_input()] * n_steps))
+    for means, _ in steps:
+        np.testing.assert_array_equal(means[0], cfg.initial_belief.mean)
+    return [covs[0] for _, covs in steps]
 
 
 def textbook_update(mean, prior, d, r, u, model, cfg):
@@ -214,10 +235,6 @@ class TestCovarianceCheck:
                       initial_belief=GaussianBelief(np.zeros(2), np.eye(2)))
         with pytest.raises(NotPSD, match="^R must be finite$"):
             DifferenceObservation(d=np.zeros(2), R=bad)
-        with pytest.raises(NotPSD, match="^cov_ref must be finite$"):
-            compose_measurement_covariance(bad, np.eye(2))
-        with pytest.raises(NotPSD, match="^cov_other must be finite$"):
-            compose_measurement_covariance(np.eye(2), bad)
 
 
 class TestDiagonalShiftVerdict:
@@ -293,47 +310,24 @@ class TestUkfConfig:
 
     def test_accepts_kappa_above_minus_n(self):
         cfg = make_config(2, kappa=-1.5)
-        sp = generate_sigma_points(cfg.initial_belief, cfg)
-        assert sp.mean_weights.sum() == pytest.approx(1.0, abs=1e-12)
+        scale, wm, _ = _sigma_weights(2, cfg)
+        assert scale > 0.0
+        assert wm.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_weights_sum_to_one(self):
         for dim in (1, 2, 4, 6):
-            cfg = make_config(dim)
-            sp = generate_sigma_points(cfg.initial_belief, cfg)
-            assert sp.mean_weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestComposeMeasurementCovariance:
-    def test_zero_plus_nonzero(self):
-        out = compose_measurement_covariance(np.diag([0.04, 0.04]), np.zeros((2, 2)))
-        np.testing.assert_allclose(out, np.diag([0.04, 0.04]))
-
-    def test_equal_split_recovers_total(self):
-        # two localizers at variance 0.02 each give the 0.04 total
-        out = compose_measurement_covariance(np.diag([0.02, 0.02]),
-                                             np.diag([0.02, 0.02]))
-        np.testing.assert_allclose(out, np.diag([0.04, 0.04]))
-
-    def test_commutative(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a, b = random_psd(rng, 2), random_psd(rng, 2)
-            np.testing.assert_allclose(compose_measurement_covariance(a, b),
-                                       compose_measurement_covariance(b, a))
-
-    def test_rejects_non_psd_input(self):
-        with pytest.raises(NotPSD):
-            compose_measurement_covariance(np.diag([-1.0, 1.0]), np.eye(2))
+            _, wm, _ = _sigma_weights(dim, make_config(dim))
+            assert wm.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSigmaPoints:
     def test_scalar_closed_form(self):
         # for n=1 the non-central points sit at +/- sqrt(1 + lambda) * sigma
         cfg = make_config(1, p0=1.0)
-        sp = generate_sigma_points(cfg.initial_belief, cfg)
+        points, _, _ = sigma_points(cfg.initial_belief, cfg)
         lam = cfg.alpha ** 2 * (1 + cfg.kappa) - 1
         expected = np.sqrt(1 + lam)
-        np.testing.assert_allclose(sorted(sp.points.ravel()),
+        np.testing.assert_allclose(sorted(points.ravel()),
                                    [-expected, 0.0, expected], atol=1e-12)
 
     def test_weighted_mean_is_exact(self):
@@ -342,8 +336,8 @@ class TestSigmaPoints:
             mean = rng.normal(size=dim) * 10.0
             belief = GaussianBelief(mean, random_psd(rng, dim, 4.0))
             cfg = UkfConfig(process_noise=np.eye(dim), initial_belief=belief)
-            sp = generate_sigma_points(belief, cfg)
-            np.testing.assert_allclose(sp.mean_weights @ sp.points, mean,
+            points, wm, _ = sigma_points(belief, cfg)
+            np.testing.assert_allclose(wm @ points, mean,
                                        rtol=1e-12, atol=1e-12)
 
     def test_moment_reconstruction(self):
@@ -354,16 +348,16 @@ class TestSigmaPoints:
             cov = random_psd(rng, dim, scale=float(rng.uniform(0.1, 20.0)))
             belief = GaussianBelief(mean, cov)
             cfg = UkfConfig(process_noise=np.eye(dim), initial_belief=belief)
-            sp = generate_sigma_points(belief, cfg)
-            diffs = sp.points - mean
-            recon = (sp.cov_weights[:, None] * diffs).T @ diffs
+            points, _, wc = sigma_points(belief, cfg)
+            diffs = points - mean
+            recon = (wc[:, None] * diffs).T @ diffs
             np.testing.assert_allclose(recon, cov, rtol=1e-9, atol=1e-9)
 
     def test_zero_covariance_collapses_to_mean(self):
         belief = GaussianBelief(np.array([1.0, -2.0]), np.zeros((2, 2)))
         cfg = UkfConfig(process_noise=np.eye(2), initial_belief=belief)
-        sp = generate_sigma_points(belief, cfg)
-        np.testing.assert_allclose(sp.points, np.tile(belief.mean, (5, 1)))
+        points, _, _ = sigma_points(belief, cfg)
+        np.testing.assert_allclose(points, np.tile(belief.mean, (5, 1)))
 
     def test_stack_with_singular_member_roots_each_matrix(self):
         # the batched Cholesky fails on the singular member; every member
@@ -387,43 +381,49 @@ class TestSigmaPoints:
                                        rtol=0.0, atol=1e-12)
 
     def test_indefinite_covariance_raises(self):
-        belief = GaussianBelief(np.zeros(2), np.eye(2))
-        belief.covariance = np.array([[1.0, 0.0], [0.0, -0.5]])  # bypass validation
-        cfg = make_config(2)
-        with pytest.raises(NotPSD, match="^covariance has negative eigenvalue -0.5$"):
-            generate_sigma_points(belief, cfg)
+        indefinite = np.array([[1.0, 0.0], [0.0, -0.5]])
+        for p in (indefinite, np.stack([np.eye(2), indefinite])):
+            with pytest.raises(NotPSD, match="^covariance has negative eigenvalue -0.5$"):
+                _covariance_sqrt(p)
 
 
 class TestPredict:
+    """The prediction adds the process noise to the covariance: seen in a
+    filter step alone, and through steps whose updates the gate skips."""
+
     def test_zero_process_noise(self):
-        cfg = make_config(3, q=0.0)
-        out = predict(cfg.initial_belief, cfg)
-        np.testing.assert_allclose(out.mean, cfg.initial_belief.mean)
-        np.testing.assert_allclose(out.covariance, cfg.initial_belief.covariance)
+        model = CompositeModel(components=(body_offset(), map_translation(), map_rotation()))
+        cfg = make_config(5, q=0.0, x0=[0.5, -0.2, 1.0, 2.0, 0.01])
+        for prior in gated_priors(model, cfg, 2):
+            np.testing.assert_array_equal(prior, cfg.initial_belief.covariance)
 
     def test_adds_process_noise(self):
+        model = CompositeModel(components=(body_offset(), map_translation()))
         cfg = make_config(4, q=0.1, p0=10.0)
-        out = predict(cfg.initial_belief, cfg)
-        np.testing.assert_allclose(out.covariance, np.eye(4) * 10.1)
-        np.testing.assert_allclose(out.mean, np.zeros(4))
+        (prior,) = gated_priors(model, cfg, 1)
+        np.testing.assert_array_equal(prior, np.eye(4) * 10.1)
 
     def test_repeated_predicts_accumulate(self):
+        model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.5, p0=1.0)
-        belief = cfg.initial_belief
-        for _ in range(7):
-            belief = predict(belief, cfg)
-        np.testing.assert_allclose(belief.covariance, np.eye(2) * (1.0 + 7 * 0.5))
+        priors = gated_priors(model, cfg, 7)
+        for k, prior in enumerate(priors, start=1):
+            np.testing.assert_allclose(prior, np.eye(2) * (1.0 + k * 0.5))
 
     def test_eigenvalues_never_decrease(self):
         rng = np.random.default_rng(3)
+        models = {1: (map_rotation(),), 2: (map_translation(),),
+                  3: (map_translation(), map_rotation()),
+                  4: (body_offset(), map_translation()),
+                  5: (body_offset(), map_translation(), map_rotation())}
         for _ in range(30):
-            dim = rng.integers(1, 6)
+            dim = int(rng.integers(1, 6))
             cov = random_psd(rng, dim)
-            q = random_psd(rng, dim, 0.3)
-            belief = GaussianBelief(rng.normal(size=dim), cov)
-            cfg = UkfConfig(process_noise=q, initial_belief=belief)
+            cfg = UkfConfig(process_noise=random_psd(rng, dim, 0.3),
+                            initial_belief=GaussianBelief(rng.normal(size=dim), cov))
+            (prior,) = gated_priors(CompositeModel(components=models[dim]), cfg, 1)
             before = np.linalg.eigvalsh(cov)
-            after = np.linalg.eigvalsh(predict(belief, cfg).covariance)
+            after = np.linalg.eigvalsh(prior)
             assert np.all(after >= before - 1e-10)
 
 
@@ -438,20 +438,20 @@ def linear_kalman_step(mean, cov, d, h, r, q):
 
 
 class TestUpdate:
+    """The measurement update, through one- and multi-step filter calls."""
+
     def test_matches_linear_kf_on_translation_model(self):
         model = CompositeModel(components=(map_translation(),))
         rng = np.random.default_rng(4)
         cfg = make_config(2, q=0.1, p0=5.0)
-        belief = cfg.initial_belief
-        mean_kf = belief.mean.copy()
-        cov_kf = belief.covariance.copy()
-        h = np.eye(2)
-        for _ in range(20):
-            d = rng.normal(size=2) * 3.0
-            r = random_psd(rng, 2, 0.05)
-            obs = DifferenceObservation(d=d, R=r)
-            belief = update(predict(belief, cfg), obs, make_input(), model, cfg)
-            mean_kf, cov_kf = linear_kalman_step(mean_kf, cov_kf, d, h, r,
+        stream = [(DifferenceObservation(d=rng.normal(size=2) * 3.0,
+                                         R=random_psd(rng, 2, 0.05)), make_input())
+                  for _ in range(20)]
+        beliefs = run_filter(model, cfg, stream)
+        mean_kf = cfg.initial_belief.mean.copy()
+        cov_kf = cfg.initial_belief.covariance.copy()
+        for (obs, _), belief in zip(stream, beliefs[1:]):
+            mean_kf, cov_kf = linear_kalman_step(mean_kf, cov_kf, obs.d, np.eye(2), obs.R,
                                                  cfg.process_noise)
             np.testing.assert_allclose(belief.mean, mean_kf, atol=1e-10)
             np.testing.assert_allclose(belief.covariance, cov_kf, atol=1e-10)
@@ -462,7 +462,7 @@ class TestUpdate:
         u = make_input(angle=0.6)
         predicted = model.evaluate(cfg.initial_belief.mean, u)
         obs = DifferenceObservation(d=predicted, R=0.04 * np.eye(2))
-        out = update(cfg.initial_belief, obs, u, model, cfg)
+        out = run_filter(model, cfg, [(obs, u)])[1]
         np.testing.assert_allclose(out.mean, cfg.initial_belief.mean, atol=1e-9)
 
     def test_dimension_mismatch(self):
@@ -470,7 +470,7 @@ class TestUpdate:
         cfg = make_config(4)
         obs = DifferenceObservation(d=np.zeros(2), R=np.eye(2))
         with pytest.raises(DimensionMismatch):
-            update(cfg.initial_belief, obs, make_input(), model, cfg)
+            run_filter(model, cfg, [(obs, make_input())])
 
     def test_posterior_psd_under_fuzz(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
@@ -482,7 +482,7 @@ class TestUpdate:
             u = make_input(angle=rng.uniform(-np.pi, np.pi))
             obs = DifferenceObservation(d=rng.normal(size=2) * 5.0,
                                         R=random_psd(rng, 2, 0.1))
-            posterior = update(predict(belief, cfg), obs, u, model, cfg)
+            posterior = run_filter(model, cfg, [(obs, u)])[1]
             eigvals = np.linalg.eigvalsh(posterior.covariance)
             assert eigvals.min() >= -1e-9 * max(np.trace(posterior.covariance), 1.0)
 
@@ -490,8 +490,9 @@ class TestUpdate:
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
         obs = DifferenceObservation(d=np.array([100.0, 100.0]), R=0.01 * np.eye(2))
-        out = update(cfg.initial_belief, obs, make_input(), model, cfg)
-        np.testing.assert_allclose(out.mean, cfg.initial_belief.mean)
+        out = run_filter(model, cfg, [(obs, make_input())])[1]
+        np.testing.assert_array_equal(out.mean, cfg.initial_belief.mean)
+        np.testing.assert_array_equal(out.covariance, cfg.initial_belief.covariance)
 
 
 class TestInverse2x2:
@@ -520,8 +521,10 @@ class TestInverse2x2:
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=0.0)
         obs = DifferenceObservation(d=np.ones(2), R=np.ones((2, 2)))
-        with pytest.raises(NotPSD, match="^innovation covariance is singular$"):
-            update(cfg.initial_belief, obs, make_input(), model, cfg)
+        with pytest.raises(FilterStepError,
+                           match="^step 0: innovation covariance is singular$") as excinfo:
+            run_filter(model, cfg, [(obs, make_input())])
+        assert isinstance(excinfo.value.__cause__, NotPSD)
 
 
 class TestPairCrossCovariance:
@@ -585,10 +588,10 @@ class TestFilterRuns:
         r = random_psd(rng, 2, 0.1)[None]
         (means, covs), = filter_runs(model, cfg, d, r, [u])
         for run in range(3):
-            alone = update(cfg.initial_belief, DifferenceObservation(d=d[run, 0], R=r[0]),
-                           u, model, cfg)
-            np.testing.assert_array_equal(means[run], alone.mean)
-            np.testing.assert_array_equal(covs[run], alone.covariance)
+            alone = _update(cfg.initial_belief.mean[None], cfg.initial_belief.covariance[None],
+                            d[run], r[0], u, model, cfg, _sigma_weights(3, cfg))
+            np.testing.assert_array_equal(means[run], alone[0][0])
+            np.testing.assert_array_equal(covs[run], alone[1][0])
 
     def test_rejects_invalid_measurement_covariance(self):
         model = CompositeModel(components=(map_translation(),))

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -522,6 +523,57 @@ class TestParseConfig:
                   cfg.trajectory.turn_samples)
         assert valid in values
         assert all(type(v) is int for v in values if v is not None)
+
+    @pytest.mark.parametrize("section, key, bad", [
+        ("trajectory", "step", True), ("trajectory", "speed", True),
+        ("trajectory", "initial_heading", "0.5"),
+        ("injection", "noise_sigma_total", True), ("injection", "true_params", "2.0"),
+        ("injection", "true_params", [2.0, True, 3.0, 2.0]),
+        ("filter", "alpha", True), ("filter", "alpha", "0.1"), ("filter", "beta", None),
+        ("filter", "kappa", False), ("filter", "process_noise", True),
+        ("filter", "process_noise", [0.1, 0.1, "0.1", 0.1]),
+        ("filter", "initial_covariance", [[10.0, 0, 0, 0], [0, 10.0, 0, 0],
+                                          [0, 0, 10.0, 0], [0, 0, 0, None]]),
+        ("filter", "initial_mean", [0.0, 0.0, 0.0, True]),
+        ("filter", "mahalanobis_gate", True), (None, "convergence_threshold", True)])
+    def test_number_keys_reject_booleans_strings_and_null(self, section, key, bad):
+        # true was read as 1.0 (Q = I, alpha = 1) and "0.1" as 0.1
+        name = key if section is None else f"{section}.{key}"
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        (raw if section is None else raw[section])[key] = bad
+        with pytest.raises(ConfigError, match=rf"^{name} must be a number( or a list of "
+                                              rf"numbers)?, got {re.escape(repr(bad))}$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("key, bad", [("pivot", [1.0, True]), ("initial", [False])])
+    def test_component_numbers_reject_booleans(self, key, bad):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["model"] = [{"type": "map_rotation", key: bad}]
+        raw["injection"]["true_params"] = [0.1]
+        with pytest.raises(ConfigError, match=rf"^model.map_rotation.{key} must be a "
+                                              rf"number or a list of numbers"):
+            parse_config(raw)
+
+    def test_noise_sigma_ref_rejects_null(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        del raw["injection"]["noise_sigma_total"]
+        raw["injection"].update(noise_sigma_ref=0.1, noise_sigma_other=None)
+        with pytest.raises(ConfigError, match="^injection.noise_sigma_other must be a "
+                                              "number, got None$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("noise_sigma_total", "NaN", "total_sigma must be finite and >= 0, got nan"),
+        ("noise_sigma_total", "Infinity", "total_sigma must be finite and >= 0, got inf"),
+        ("true_params", "[NaN, 1.0, 3.0, 2.0]", "true_params must be finite, got ")])
+    def test_non_finite_injection_fails_at_load(self, tmp_path, key, value, message):
+        # json reads NaN and Infinity; the runs then failed with exit 1
+        text = json.dumps(BASE_CONFIG).replace(
+            f'"{key}": {json.dumps(BASE_CONFIG["injection"][key])}', f'"{key}": {value}')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_config(path)
 
     def test_unknown_component_option(self):
         raw = json.loads(json.dumps(BASE_CONFIG))

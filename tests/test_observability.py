@@ -9,8 +9,7 @@ from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
 from locdecomp.exceptions import DimensionMismatch, ZeroTurnRate
 from locdecomp.frames import Heading, rotation_matrix
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
-                                     difference_rates, numerical_rank_test,
-                                     stacked_output_map)
+                                     difference_rates, numerical_rank_test)
 from locdecomp.simulation import synthesize_trajectory, to_kinematic_inputs
 
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
@@ -46,16 +45,7 @@ def forward_difference_and_rate(x, angle, rate):
     return d, d_rate
 
 
-class TestStackedOutputMap:
-    def test_translation_only_repeats_the_same_vector(self):
-        window = [make_input(t=float(k), position=(k, -k)) for k in range(5)]
-        out = stacked_output_map(TRANSLATION_ONLY, [3.0, 2.0], window)
-        np.testing.assert_allclose(out, np.tile([3.0, 2.0], 5))
-
-    def test_rejects_short_window(self):
-        with pytest.raises(ValueError):
-            stacked_output_map(BODY_MAP, np.zeros(4), [make_input()])
-
+class TestNumericalRankTest:
     def test_two_distinct_headings_give_full_rank(self):
         # analytic sensitivity: rows [R(g_i) I] stacked for two headings
         jac = np.vstack([np.hstack([rotation_matrix(0.2), np.eye(2)]),
@@ -71,8 +61,6 @@ class TestStackedOutputMap:
         assert report.rank_profile == [2]
         assert not report.observable
 
-
-class TestNumericalRankTest:
     def test_corner_segment_is_observable(self):
         trajectory = synthesize_trajectory("corner", 200)
         report = numerical_rank_test(BODY_MAP, np.zeros(4),
@@ -146,8 +134,9 @@ def reference_rank_test(model, x0, inputs, window_length,
             xp, xm = x0.copy(), x0.copy()
             xp[j] += h
             xm[j] -= h
-            cols.append((stacked_output_map(model, xp, window)
-                         - stacked_output_map(model, xm, window)) / (2.0 * h))
+            cols.append((np.concatenate([model.evaluate(xp, u) for u in window])
+                         - np.concatenate([model.evaluate(xm, u) for u in window]))
+                        / (2.0 * h))
         sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
         if sv[0] > 0.0:
             rank = int(np.sum(sv > rank_tolerance * sv[0]))

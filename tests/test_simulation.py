@@ -139,8 +139,15 @@ class TestSynthesizeTrajectory:
                                              rf"samples, got {turn}$"):
             synthesize_trajectory("corner", 50, turn_samples=turn)
 
+    @pytest.mark.parametrize("turn", [2.5, True, 3.0000001, float("nan")])
+    def test_non_integral_turn_samples_rejected(self, turn):
+        # 2.5 was truncated to 2 and True read as 1
+        with pytest.raises(ValueError, match=rf"^turn_samples must be an integer, "
+                                             rf"got {turn!r}$"):
+            synthesize_trajectory("corner", 50, turn_samples=turn)
+
     def test_turn_samples_at_the_bounds_are_kept(self):
-        for turn in (1, 8):
+        for turn in (1, 8, 8.0):
             angles = synthesize_trajectory("corner", 50, turn_samples=turn).heading.angle
             assert np.count_nonzero(np.diff(angles)) == 5 * turn
 
@@ -231,6 +238,21 @@ class TestInjectErrors:
         with pytest.raises(ValueError):
             InjectionConfig(true_params=[0.0], noise_sigma_ref=-0.1,
                             noise_sigma_other=0.0, rng_seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_settings_naming_the_field(self, value):
+        # a non-finite setting failed only when the runs started
+        base = dict(true_params=[1.0, 2.0], noise_sigma_ref=0.1,
+                    noise_sigma_other=0.1, rng_seed=0)
+        with pytest.raises(ValueError, match="^true_params must be finite, got "):
+            InjectionConfig(**dict(base, true_params=[1.0, value]))
+        for name in ("noise_sigma_ref", "noise_sigma_other"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got "):
+                InjectionConfig(**dict(base, **{name: value}))
+        with pytest.raises(ValueError, match="^total_sigma must be finite and >= 0, got "):
+            InjectionConfig.with_total_sigma([1.0, 2.0], value, rng_seed=0)
+        with pytest.raises(ValueError, match="^true_params must be finite, got "):
+            InjectionConfig.with_total_sigma([value, 2.0], 0.2, rng_seed=0)
 
 
 class TestToKinematicInputs:
