@@ -15,8 +15,7 @@ from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            PlanarTransform, body_offset, deformation_component,
                            map_rotation, map_scale, map_shear, map_translation,
                            rotation_about, scale_about, shear_along)
-from .estimator import (DifferenceObservation, GaussianBelief, UkfConfig,
-                        filter_runs, run_filter)
+from .estimator import GaussianBelief, UkfConfig, filter_runs
 from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
                          FilterStepError, NonMonotoneTime, NotPSD, ParseError,
                          SingularTransform, ZeroTurnRate)
@@ -27,9 +26,8 @@ from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
                       emit_results, load_config, parse_config, run_experiment)
 from .observability import (ObservabilityReport, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
-from .simulation import (InjectedStep, InjectionConfig, inject_errors,
-                         inject_runs, load_trajectory, synthesize_trajectory,
-                         to_kinematic_inputs)
+from .simulation import (InjectionConfig, inject_runs, load_trajectory,
+                         synthesize_trajectory)
 
 __version__ = "0.1.0"
 
@@ -38,12 +36,10 @@ __all__ = [
     "CompositeModel", "ErrorComponent", "KinematicInput", "PlanarTransform",
     "body_offset", "deformation_component", "map_rotation", "map_scale",
     "map_shear", "map_translation", "rotation_about", "scale_about", "shear_along",
-    "DifferenceObservation", "GaussianBelief", "UkfConfig", "filter_runs",
-    "run_filter",
+    "GaussianBelief", "UkfConfig", "filter_runs",
     "ObservabilityReport", "closed_form_decomposition", "difference_rates",
     "numerical_rank_test",
-    "InjectedStep", "InjectionConfig", "inject_errors", "inject_runs",
-    "load_trajectory", "synthesize_trajectory", "to_kinematic_inputs",
+    "InjectionConfig", "inject_runs", "load_trajectory", "synthesize_trajectory",
     "ExperimentConfig", "FileTrajectory", "MseSeries", "SyntheticTrajectory",
     "build_trajectory", "derive_run_seed", "emit_results", "load_config",
     "parse_config", "run_experiment",

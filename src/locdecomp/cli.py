@@ -186,6 +186,9 @@ def _cmd_observability(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not 0.0 <= args.min_turn_rate < np.inf:
+        raise ValueError(f"--min-turn-rate must be finite and >= 0, "
+                         f"got {args.min_turn_rate}")
     inputs, p_other, _ = read_data_file(args.data)
     d = inputs.ref_position - p_other
     rates = difference_rates(inputs.t, d, smooth_window=args.smooth_window)

@@ -16,12 +16,12 @@ symmetry.
 
 The math is written once over a run axis (means (B, n), covariances
 (B, n, n)): :func:`filter_runs` is the filter, B runs in one vectorized
-pass, and :func:`run_filter` is its per-object form for one run.  Each step
-adds the process noise to the covariances and takes one measurement step,
-whose sigma points are sigma-major, (2n+1, B, n), and whose cross
-covariance is one product over the symmetric point pairs.  Shapes,
-measurement covariances and observation finiteness are validated once per
-pass; the per-step samples are views of the series' validated arrays.
+pass, and one run is a batch of one.  Each step adds the process noise to
+the covariances and takes one measurement step, whose sigma points are
+sigma-major, (2n+1, B, n), and whose cross covariance is one product over
+the symmetric point pairs.  Shapes, measurement covariances and
+observation finiteness are validated once per pass; the per-step samples
+are views of the series' validated arrays.
 Each step checks its covariances with Cholesky factorizations, with no
 jitter, which succeed only on positive-definite input: the prior's factor
 is its sigma-point root, and the posterior's is taken of a copy with the
@@ -40,7 +40,6 @@ import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, FilterStepError, NotPSD
-from .frames import as_vec2
 
 SYM_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -144,18 +143,6 @@ class UkfConfig:
         q = _check_covariance(self.process_noise, "process_noise",
                               self.initial_belief.dim)
         object.__setattr__(self, "process_noise", q)
-
-
-@dataclass(frozen=True)
-class DifferenceObservation:
-    """Measured localizer difference with its composed covariance."""
-
-    d: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", as_vec2(self.d, "d"))
-        object.__setattr__(self, "R", _check_covariance(self.R, "R", 2))
 
 
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
@@ -293,20 +280,3 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         except Exception as exc:
             raise FilterStepError(step, str(exc)) from exc
         yield means, covs
-
-
-def run_filter(model: CompositeModel, cfg: UkfConfig, stream) -> list[GaussianBelief]:
-    """Filter one run over a time-ordered stream of (observation, input): the
-    per-object form of :func:`filter_runs`.
-
-    Returns the initial belief followed by one posterior per step.  Errors
-    raised inside a step are re-raised as
-    :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
-    """
-    pairs = list(stream)
-    d = np.array([obs.d for obs, _ in pairs]).reshape(1, len(pairs), 2)
-    r = np.array([obs.R for obs, _ in pairs]).reshape(len(pairs), 2, 2)
-    beliefs = [cfg.initial_belief]
-    for means, covs in filter_runs(model, cfg, d, r, (u for _, u in pairs)):
-        beliefs.append(GaussianBelief(means[0], covs[0]))
-    return beliefs

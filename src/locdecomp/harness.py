@@ -303,7 +303,13 @@ def _real(value, key: str, scalar: bool = True):
     if not real(value):
         expected = "a number" if scalar else "a number or a list of numbers"
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    return float(value) if scalar else np.asarray(value, dtype=float)
+    if scalar:
+        return float(value)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:   # a ragged list
+        raise ConfigError(f"{key} must be a number or a list of numbers with rows "
+                          f"of equal length, got {value!r}") from None
 
 
 def _as_matrix(value, dim: int, where: str) -> np.ndarray:

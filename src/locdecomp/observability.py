@@ -147,9 +147,12 @@ def closed_form_decomposition(d, d_rate, heading_angle, heading_rate,
     formulas divide by the heading rate, and with a constant heading the
     two offsets are indistinguishable.
 
-    ``d`` and ``d_rate`` (..., 2) broadcast against the headings (...).
-    Returns ``(body_x, body_y, map_east, map_north)`` on a last axis of 4.
+    ``d`` and ``d_rate`` (..., 2) broadcast against the headings (...), and
+    ``min_turn_rate`` must be finite and at least 0.  Returns ``(body_x,
+    body_y, map_east, map_north)`` on a last axis of 4.
     """
+    if not 0.0 <= min_turn_rate < np.inf:
+        raise ValueError(f"min_turn_rate must be finite and >= 0, got {min_turn_rate}")
     d = np.asarray(d, dtype=float)
     d_rate = np.asarray(d_rate, dtype=float)
     slowest = np.abs(heading_rate).min()

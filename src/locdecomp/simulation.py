@@ -28,12 +28,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
-from .estimator import DifferenceObservation
 from .exceptions import DimensionMismatch, NonMonotoneTime, ParseError
 from .frames import Heading, as_vec2, heading_rates
 
@@ -82,16 +80,6 @@ class InjectionConfig:
 
     def observation_covariance(self) -> np.ndarray:
         return (self.noise_sigma_ref ** 2 + self.noise_sigma_other ** 2) * np.eye(2)
-
-
-class InjectedStep(NamedTuple):
-    """One simulated step: the two localizer outputs, the kinematic input
-    built from the reference output, and the difference observation."""
-
-    p_ref: np.ndarray
-    p_other: np.ndarray
-    u: KinematicInput
-    obs: DifferenceObservation
 
 
 def _parse_float(token: str, line_no: int, column: str) -> float:
@@ -190,13 +178,18 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
     five heading-change events.  ``turn_samples`` must be an integer in
     ``[1, (n_samples - 6) // 5]``, so that the legs keep the turns apart;
     the default, a tenth of the trajectory, is clamped to that range.
+    ``step`` must be finite and above 0, ``speed`` and ``initial_heading``
+    finite.
     """
     if kind not in ("straight", "corner"):
         raise ValueError(f"kind must be 'straight' or 'corner', got {kind!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    for name, value in (("speed", speed), ("initial_heading", initial_heading)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if kind == "corner" and n_samples < 4 * TURN_COUNT:
         raise ValueError(f"a corner segment needs at least {4 * TURN_COUNT} "
                          f"samples to fit {TURN_COUNT} separated turns, got "
@@ -244,12 +237,6 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
                           ref_position=positions)
 
 
-def to_kinematic_inputs(trajectory: KinematicInput) -> KinematicInput:
-    """The trajectory itself: a series already carries the true positions in
-    ``ref_position``, standing in for the reference localizer."""
-    return trajectory
-
-
 def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig,
                 model: CompositeModel, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the two localizer outputs of several runs along a trajectory
@@ -278,15 +265,3 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig,
     u = replace(trajectory, ref_position=p_ref)
     p_other += trajectory.ref_position - model.evaluate(cfg.true_params, u)
     return p_ref, p_other
-
-
-def inject_errors(trajectory: KinematicInput, cfg: InjectionConfig,
-                  model: CompositeModel) -> list[InjectedStep]:
-    """One run of :func:`inject_runs` with seed ``cfg.rng_seed``, as per-step
-    records of both outputs, the kinematic input and the observation."""
-    p_ref, p_other = inject_runs(trajectory, cfg, model, [cfg.rng_seed])
-    r = cfg.observation_covariance()
-    run = replace(trajectory, ref_position=p_ref[0])
-    return [InjectedStep(p_ref=u.ref_position, p_other=other, u=u,
-                         obs=DifferenceObservation(d=u.ref_position - other, R=r.copy()))
-            for u, other in zip(run, p_other[0])]

@@ -33,6 +33,7 @@ The experiment also has to finish within 30 s.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +43,13 @@ from scipy import stats
 from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
-from locdecomp.estimator import (DifferenceObservation, GaussianBelief, UkfConfig,
-                                 run_filter)
+from locdecomp.estimator import GaussianBelief, UkfConfig, filter_runs
 from locdecomp.frames import Heading, rotation_matrix
 from locdecomp.harness import (ExperimentConfig, SyntheticTrajectory,
                                build_trajectory, run_experiment)
 from locdecomp.observability import (closed_form_decomposition, difference_rates,
                                      numerical_rank_test)
-from locdecomp.simulation import (InjectionConfig, inject_errors,
-                                  synthesize_trajectory, to_kinematic_inputs)
+from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
 
 TRUE_PARAMS = np.array([2.0, 1.0, 3.0, 2.0])
 TOTAL_SIGMA_M = 0.2
@@ -86,6 +85,15 @@ def experiment_config(kind: str, n_samples: int, heading: float = 0.0,
         ukf=reference_ukf_config(),
         n_runs=n_runs,
     )
+
+
+def one_run(trajectory, injection):
+    """One run injected at ``injection.rng_seed`` as ``filter_runs`` takes it:
+    differences (1, N, 2), covariances (N, 2, 2) and the series carrying the
+    measured reference positions."""
+    p_ref, p_other = inject_runs(trajectory, injection, BODY_MAP, [injection.rng_seed])
+    r = np.tile(injection.observation_covariance(), (len(trajectory), 1, 1))
+    return p_ref - p_other, r, replace(trajectory, ref_position=p_ref[0])
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -143,9 +151,8 @@ def test_criterion_1_corner_convergence(corner_result):
     lo, hi = np.outer(stats.chi2.ppf([0.0005, 0.9995], N_RUNS) / N_RUNS, expected)
 
     # the band is only as good as the recursion's match to the filter
-    steps = inject_errors(trajectory, cfg.injection, BODY_MAP)
-    beliefs = run_filter(BODY_MAP, cfg.ukf, [(s.obs, s.u) for s in steps])
-    cov_gap = float(np.abs(beliefs[-1].covariance - cov).max())
+    *_, (_, covs) = filter_runs(BODY_MAP, cfg.ukf, *one_run(trajectory, cfg.injection))
+    cov_gap = float(np.abs(covs[0] - cov).max())
 
     total_ratio = final.sum() / series.initial_mse.sum()
     ok = (np.all(final < 0.1) and total_ratio < 0.01
@@ -175,18 +182,16 @@ def test_criterion_3_closed_form_oracle_equivalence():
     trajectory = synthesize_trajectory("corner", 200)
     injection = InjectionConfig(true_params=TRUE_PARAMS, noise_sigma_ref=0.0,
                                 noise_sigma_other=0.0, rng_seed=MASTER_SEED)
-    steps = inject_errors(trajectory, injection, BODY_MAP)
-    beliefs = run_filter(BODY_MAP, reference_ukf_config(),
-                         [(s.obs, s.u) for s in steps])
-    terminal = beliefs[-1].mean
+    d, r, inputs = one_run(trajectory, injection)
+    *_, (means, _) = filter_runs(BODY_MAP, reference_ukf_config(), d, r, inputs)
+    terminal = means[0]
 
-    t = np.array([s.u.t for s in steps])
-    d = np.array([s.obs.d for s in steps])
-    rates = difference_rates(t, d)
-    estimates = [closed_form_decomposition(d[k], rates[k], s.u.heading.angle,
-                                           s.u.heading.rate)
-                 for k, s in enumerate(steps)
-                 if abs(s.u.heading.rate) > 1e-3]
+    d = d[0]
+    rates = difference_rates(inputs.t, d)
+    estimates = [closed_form_decomposition(d[k], rates[k], u.heading.angle,
+                                           u.heading.rate)
+                 for k, u in enumerate(inputs)
+                 if abs(u.heading.rate) > 1e-3]
     oracle_mean = np.mean(estimates, axis=0)
     gap = np.abs(terminal - oracle_mean)
     ok = bool(np.all(gap < 0.05))
@@ -197,8 +202,7 @@ def test_criterion_3_closed_form_oracle_equivalence():
 
 
 def test_criterion_4_observability_rank():
-    trajectory = synthesize_trajectory("corner", 200)
-    inputs = to_kinematic_inputs(trajectory)
+    inputs = synthesize_trajectory("corner", 200)
     window_length = 8
     full_report = numerical_rank_test(BODY_MAP, np.zeros(4), inputs,
                                       window_length=window_length)
@@ -238,21 +242,20 @@ def test_criterion_5_linear_kf_equivalence():
         rng = np.random.default_rng(seed)
         cfg = UkfConfig(process_noise=0.1 * np.eye(2),
                         initial_belief=GaussianBelief(np.zeros(2), 10.0 * np.eye(2)))
-        stream = []
+        d, r, inputs = np.empty((1, 100, 2)), np.empty((100, 2, 2)), []
         for k in range(100):
-            obs = DifferenceObservation(d=rng.normal(size=2) * 5.0,
-                                        R=np.diag(rng.uniform(0.01, 0.5, 2)))
-            stream.append((obs, KinematicInput(t=float(k), heading=Heading(0.0),
-                                               ref_position=np.zeros(2))))
-        beliefs = run_filter(model, cfg, stream)
+            d[0, k] = rng.normal(size=2) * 5.0
+            r[k] = np.diag(rng.uniform(0.01, 0.5, 2))
+            inputs.append(KinematicInput(t=float(k), heading=Heading(0.0),
+                                         ref_position=np.zeros(2)))
         mean = cfg.initial_belief.mean.copy()
         cov = cfg.initial_belief.covariance.copy()
-        for (obs, _), belief in zip(stream, beliefs[1:]):
-            mean, cov = linear_kalman_step(mean, cov, obs.d, np.eye(2), obs.R,
+        for k, (means, covs) in enumerate(filter_runs(model, cfg, d, r, inputs)):
+            mean, cov = linear_kalman_step(mean, cov, d[0, k], np.eye(2), r[k],
                                            cfg.process_noise)
             worst = max(worst,
-                        np.abs(belief.mean - mean).max(),
-                        np.abs(belief.covariance - cov).max())
+                        np.abs(means[0] - mean).max(),
+                        np.abs(covs[0] - cov).max())
     ok = worst < 1e-8
     report(
         "criterion 5 (linear KF equivalence)", ok,
@@ -264,10 +267,9 @@ def test_criterion_6_covariance_composition():
     trajectory = synthesize_trajectory("straight", n)
     injection = InjectionConfig.with_total_sigma(TRUE_PARAMS, TOTAL_SIGMA_M,
                                                  rng_seed=MASTER_SEED)
-    steps = inject_errors(trajectory, injection, BODY_MAP)
-    r_inv = np.linalg.inv(steps[0].obs.R)
-    residuals = np.array([s.obs.d - BODY_MAP.evaluate(TRUE_PARAMS, s.u)
-                          for s in steps])
+    d, r, inputs = one_run(trajectory, injection)
+    r_inv = np.linalg.inv(r[0])
+    residuals = d[0] - BODY_MAP.evaluate(TRUE_PARAMS, inputs)
     statistic = float(np.einsum("ki,ij,kj->", residuals, r_inv, residuals))
     dof = 2 * n
     lo, hi = stats.chi2.ppf([0.005, 0.995], dof)

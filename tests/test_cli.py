@@ -7,7 +7,7 @@ import pytest
 
 from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
-from locdecomp.estimator import DifferenceObservation, GaussianBelief
+from locdecomp.estimator import GaussianBelief
 from locdecomp.exceptions import FilterStepError, NonMonotoneTime, ParseError
 from locdecomp.harness import build_trajectory, load_config
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
@@ -103,15 +103,16 @@ class TestSimulateAndFilter:
 
 
 def test_file_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsys):
-    # simulate, filter and oracle pass arrays from end to end: none of them
-    # builds a DifferenceObservation, and the only GaussianBelief is the
-    # initial one that load_config makes
+    # simulate, filter and oracle pass arrays from end to end: the only
+    # GaussianBelief is the initial one that load_config makes
     built = []
-    for cls in (DifferenceObservation, GaussianBelief):
-        def counted(self, _original=cls.__post_init__, _name=cls.__name__):
-            built.append(_name)
-            _original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    original = GaussianBelief.__post_init__
+
+    def counted(self):
+        built.append(type(self).__name__)
+        original(self)
+
+    monkeypatch.setattr(GaussianBelief, "__post_init__", counted)
     config = write_config(tmp_path)
     data = tmp_path / "data.csv"
     commands = {
@@ -291,6 +292,19 @@ class TestOracleCommand:
         assert capsys.readouterr().err.startswith(
             "locdecomp oracle: line 20: timestamp 17.0 does not increase past 17.0")
 
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_rejects_negative_or_non_finite_min_turn_rate(self, tmp_path, capsys, bad):
+        # -1 printed nan and inf rows and exited 0; nan and inf found no
+        # turning step and exited 1
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
+        capsys.readouterr()
+        assert main(["oracle", "--data", str(data), "--min-turn-rate", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"locdecomp oracle: --min-turn-rate must be finite and >= 0, "
+                       f"got {float(bad)}\n")
+
     def test_estimates_match_the_scalar_decomposition(self, tmp_path, capsys):
         # one broadcast call over the turning samples equals the per-sample
         # closed form bit for bit
@@ -352,12 +366,16 @@ class TestInputErrors:
     @pytest.mark.parametrize("key, value, named", [
         ("noise_sigma_total", "NaN", "total_sigma"),
         ("true_params", "[NaN, 1.0, 3.0, 2.0]", "true_params"),
-        ("process_noise", "true", "filter.process_noise")])
+        ("process_noise", "true", "filter.process_noise"),
+        ("process_noise", "[[0.1, 0, 0, 0], [0.1]]", "filter.process_noise"),
+        ("speed", "NaN", "speed"), ("step", "Infinity", "step")])
     def test_invalid_number_in_config(self, tmp_path, capsys, key, value, named):
-        # NaN ended in a traceback with exit status 1, and true ran with Q = I
+        # NaN ended in a traceback with exit status 1, and true ran with Q = I;
+        # a ragged list gave numpy's message, naming no key, and a non-finite
+        # trajectory setting an array dump of the series
         text = (CONFIGS / "corner.json").read_text()
         default = {"noise_sigma_total": "0.2", "true_params": "[2.0, 1.0, 3.0, 2.0]",
-                   "process_noise": "0.1"}[key]
+                   "process_noise": "0.1", "speed": "10.0", "step": "1.0"}[key]
         config = tmp_path / "config.json"
         config.write_text(text.replace(f'"{key}": {default}', f'"{key}": {value}'))
         assert main(["experiment", "--config", str(config), "--runs", "2",

@@ -6,10 +6,10 @@ import pytest
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_shear,
                                     map_translation)
-from locdecomp.estimator import (PSD_TOL, DifferenceObservation, GaussianBelief,
-                                 UkfConfig, _check_covariance, _check_psd,
-                                 _covariance_sqrt, _inverse_2x2, _sigma_points,
-                                 _sigma_weights, _update, filter_runs, run_filter)
+from locdecomp.estimator import (PSD_TOL, GaussianBelief, UkfConfig,
+                                 _check_covariance, _check_psd, _covariance_sqrt,
+                                 _inverse_2x2, _sigma_points, _sigma_weights, _update,
+                                 filter_runs)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 from locdecomp.frames import Heading
 
@@ -24,6 +24,13 @@ def make_config(dim, q=0.1, p0=10.0, x0=None, **kwargs):
     return UkfConfig(process_noise=q * np.eye(dim),
                      initial_belief=GaussianBelief(x0, p0 * np.eye(dim)),
                      **kwargs)
+
+
+def filter_one(model, cfg, d, r, inputs):
+    """One run through ``filter_runs``: differences (N, 2) and covariances
+    (N, 2, 2) in, the posterior means (N, n) and covariances (N, n, n) out."""
+    steps = list(filter_runs(model, cfg, np.asarray(d, dtype=float)[None], r, inputs))
+    return np.array([m[0] for m, _ in steps]), np.array([c[0] for _, c in steps])
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -206,10 +213,10 @@ class TestCovarianceCheck:
         # so every prior and posterior derived from it is symmetric too
         expected = np.array([[1.0, 5e-13], [5e-13, 1.0]])
         belief = GaussianBelief(np.zeros(2), NEARLY_SYMMETRIC)
+        # filter_runs's R: the next test
         stored = [belief.covariance,
                   UkfConfig(process_noise=NEARLY_SYMMETRIC,
-                            initial_belief=belief).process_noise,
-                  DifferenceObservation(d=np.zeros(2), R=NEARLY_SYMMETRIC).R]
+                            initial_belief=belief).process_noise]
         for m in stored:
             np.testing.assert_array_equal(m, m.T)
             np.testing.assert_array_equal(m, expected)
@@ -234,7 +241,9 @@ class TestCovarianceCheck:
             UkfConfig(process_noise=bad,
                       initial_belief=GaussianBelief(np.zeros(2), np.eye(2)))
         with pytest.raises(NotPSD, match="^R must be finite$"):
-            DifferenceObservation(d=np.zeros(2), R=bad)
+            next(filter_runs(CompositeModel(components=(map_translation(),)),
+                             make_config(2), np.zeros((1, 1, 2)), bad[None],
+                             [make_input()]))
 
 
 class TestDiagonalShiftVerdict:
@@ -444,33 +453,32 @@ class TestUpdate:
         model = CompositeModel(components=(map_translation(),))
         rng = np.random.default_rng(4)
         cfg = make_config(2, q=0.1, p0=5.0)
-        stream = [(DifferenceObservation(d=rng.normal(size=2) * 3.0,
-                                         R=random_psd(rng, 2, 0.05)), make_input())
-                  for _ in range(20)]
-        beliefs = run_filter(model, cfg, stream)
+        d, r = np.empty((20, 2)), np.empty((20, 2, 2))
+        for k in range(20):
+            d[k] = rng.normal(size=2) * 3.0
+            r[k] = random_psd(rng, 2, 0.05)
+        means, covs = filter_one(model, cfg, d, r, [make_input()] * 20)
         mean_kf = cfg.initial_belief.mean.copy()
         cov_kf = cfg.initial_belief.covariance.copy()
-        for (obs, _), belief in zip(stream, beliefs[1:]):
-            mean_kf, cov_kf = linear_kalman_step(mean_kf, cov_kf, obs.d, np.eye(2), obs.R,
+        for k in range(20):
+            mean_kf, cov_kf = linear_kalman_step(mean_kf, cov_kf, d[k], np.eye(2), r[k],
                                                  cfg.process_noise)
-            np.testing.assert_allclose(belief.mean, mean_kf, atol=1e-10)
-            np.testing.assert_allclose(belief.covariance, cov_kf, atol=1e-10)
+            np.testing.assert_allclose(means[k], mean_kf, atol=1e-10)
+            np.testing.assert_allclose(covs[k], cov_kf, atol=1e-10)
 
     def test_zero_innovation_keeps_mean(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
         cfg = make_config(4, x0=[2.0, 1.0, 3.0, 2.0])
         u = make_input(angle=0.6)
         predicted = model.evaluate(cfg.initial_belief.mean, u)
-        obs = DifferenceObservation(d=predicted, R=0.04 * np.eye(2))
-        out = run_filter(model, cfg, [(obs, u)])[1]
-        np.testing.assert_allclose(out.mean, cfg.initial_belief.mean, atol=1e-9)
+        (mean,), _ = filter_one(model, cfg, predicted[None], 0.04 * np.eye(2)[None], [u])
+        np.testing.assert_allclose(mean, cfg.initial_belief.mean, atol=1e-9)
 
     def test_dimension_mismatch(self):
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(4)
-        obs = DifferenceObservation(d=np.zeros(2), R=np.eye(2))
         with pytest.raises(DimensionMismatch):
-            run_filter(model, cfg, [(obs, make_input())])
+            filter_one(model, cfg, np.zeros((1, 2)), np.eye(2)[None], [make_input()])
 
     def test_posterior_psd_under_fuzz(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
@@ -480,19 +488,18 @@ class TestUpdate:
             cfg = UkfConfig(process_noise=random_psd(rng, 4, 0.05),
                             initial_belief=belief)
             u = make_input(angle=rng.uniform(-np.pi, np.pi))
-            obs = DifferenceObservation(d=rng.normal(size=2) * 5.0,
-                                        R=random_psd(rng, 2, 0.1))
-            posterior = run_filter(model, cfg, [(obs, u)])[1]
-            eigvals = np.linalg.eigvalsh(posterior.covariance)
-            assert eigvals.min() >= -1e-9 * max(np.trace(posterior.covariance), 1.0)
+            d = rng.normal(size=2) * 5.0
+            _, (cov,) = filter_one(model, cfg, d[None], random_psd(rng, 2, 0.1)[None], [u])
+            eigvals = np.linalg.eigvalsh(cov)
+            assert eigvals.min() >= -1e-9 * max(np.trace(cov), 1.0)
 
     def test_mahalanobis_gate_skips_outliers(self):
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
-        obs = DifferenceObservation(d=np.array([100.0, 100.0]), R=0.01 * np.eye(2))
-        out = run_filter(model, cfg, [(obs, make_input())])[1]
-        np.testing.assert_array_equal(out.mean, cfg.initial_belief.mean)
-        np.testing.assert_array_equal(out.covariance, cfg.initial_belief.covariance)
+        (mean,), (cov,) = filter_one(model, cfg, [[100.0, 100.0]], 0.01 * np.eye(2)[None],
+                                     [make_input()])
+        np.testing.assert_array_equal(mean, cfg.initial_belief.mean)
+        np.testing.assert_array_equal(cov, cfg.initial_belief.covariance)
 
 
 class TestInverse2x2:
@@ -520,10 +527,9 @@ class TestInverse2x2:
         # a collapsed belief leaves S = R, which here is PSD but singular
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=0.0)
-        obs = DifferenceObservation(d=np.ones(2), R=np.ones((2, 2)))
         with pytest.raises(FilterStepError,
                            match="^step 0: innovation covariance is singular$") as excinfo:
-            run_filter(model, cfg, [(obs, make_input())])
+            filter_one(model, cfg, np.ones((1, 2)), np.ones((1, 2, 2)), [make_input()])
         assert isinstance(excinfo.value.__cause__, NotPSD)
 
 
@@ -572,10 +578,9 @@ class TestFilterRuns:
         (means, covs), = filter_runs(model, cfg, d, r, [make_input()])
         np.testing.assert_array_equal(means[0], cfg.initial_belief.mean)
         np.testing.assert_array_equal(covs[0], cfg.initial_belief.covariance)
-        alone = run_filter(model, cfg, [(DifferenceObservation(d=d[1, 0], R=r[0]),
-                                         make_input())])[1]
-        np.testing.assert_allclose(means[1], alone.mean, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(covs[1], alone.covariance, rtol=0.0, atol=1e-12)
+        (alone_mean,), (alone_cov,) = filter_one(model, cfg, d[1], r, [make_input()])
+        np.testing.assert_allclose(means[1], alone_mean, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(covs[1], alone_cov, rtol=0.0, atol=1e-12)
 
     def test_step_without_process_noise_equals_update(self):
         model = CompositeModel(components=(body_offset(), map_rotation(pivot=(3.0, -1.0))))
@@ -630,7 +635,7 @@ class TestFilterRuns:
         cfg = make_config(4)
         message = "belief dimension 4 does not match model state dimension 5"
         with pytest.raises(DimensionMismatch, match=message):
-            run_filter(model, cfg, [])
+            next(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)), []))
         with pytest.raises(DimensionMismatch, match=message):
             next(filter_runs(model, cfg, np.zeros((1, 2, 2)),
                              np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
@@ -678,65 +683,64 @@ class TestFilterRuns:
 
 
 class TestRunFilter:
+    """One run, a batch of one, through ``filter_runs``."""
+
     def test_empty_stream_returns_initial_only(self):
+        # no step: the initial belief stays the only estimate
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2)
-        beliefs = run_filter(model, cfg, [])
-        assert len(beliefs) == 1
-        assert beliefs[0] is cfg.initial_belief
+        assert list(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)),
+                                [])) == []
 
     def test_single_observation_moves_toward_difference(self):
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=10.0)
-        obs = DifferenceObservation(d=np.array([3.0, 2.0]), R=0.04 * np.eye(2))
-        beliefs = run_filter(model, cfg, [(obs, make_input())])
-        assert len(beliefs) == 2
+        means, _ = filter_one(model, cfg, [[3.0, 2.0]], 0.04 * np.eye(2)[None],
+                              [make_input()])
+        assert len(means) == 1
         gain = 10.0 / (10.0 + 0.04)
-        np.testing.assert_allclose(beliefs[1].mean, gain * np.array([3.0, 2.0]),
-                                   rtol=1e-9)
+        np.testing.assert_allclose(means[0], gain * np.array([3.0, 2.0]), rtol=1e-9)
 
     def test_matches_linear_kf_over_sequence(self):
         model = CompositeModel(components=(map_translation(),))
         for seed in range(5):
             rng = np.random.default_rng(seed)
             cfg = make_config(2, q=0.1, p0=10.0)
-            stream = []
+            d, r = np.empty((100, 2)), np.empty((100, 2, 2))
             for k in range(100):
-                obs = DifferenceObservation(d=rng.normal(size=2) * 4.0,
-                                            R=np.diag(rng.uniform(0.01, 0.2, 2)))
-                stream.append((obs, make_input(t=float(k))))
-            beliefs = run_filter(model, cfg, stream)
+                d[k] = rng.normal(size=2) * 4.0
+                r[k] = np.diag(rng.uniform(0.01, 0.2, 2))
+            means, covs = filter_one(model, cfg, d, r,
+                                     [make_input(t=float(k)) for k in range(100)])
             mean = cfg.initial_belief.mean.copy()
             cov = cfg.initial_belief.covariance.copy()
-            for (obs, _), belief in zip(stream, beliefs[1:]):
-                mean, cov = linear_kalman_step(mean, cov, obs.d, np.eye(2), obs.R,
+            for k in range(100):
+                mean, cov = linear_kalman_step(mean, cov, d[k], np.eye(2), r[k],
                                                cfg.process_noise)
-                np.testing.assert_allclose(belief.mean, mean, atol=1e-8)
-                np.testing.assert_allclose(belief.covariance, cov, atol=1e-8)
+                np.testing.assert_allclose(means[k], mean, atol=1e-8)
+                np.testing.assert_allclose(covs[k], cov, atol=1e-8)
 
     def test_step_errors_carry_index(self):
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2)
-        good = (DifferenceObservation(d=np.zeros(2), R=np.eye(2)), make_input())
-        bad_obs = DifferenceObservation(d=np.zeros(2), R=np.eye(2))
-        object.__setattr__(bad_obs, "d", np.array([np.nan, 0.0]))
+        d = np.zeros((3, 2))
+        d[2, 0] = np.nan
         with pytest.raises(FilterStepError) as excinfo:
-            run_filter(model, cfg, [good, good, (bad_obs, make_input())])
+            filter_one(model, cfg, d, np.tile(np.eye(2), (3, 1, 1)), [make_input()] * 3)
         assert excinfo.value.step == 2
 
     def test_noiseless_corner_replay_recovers_injected_offsets(self):
         # a single 90-degree sweep leaves a residual split in whichever
         # direction goes unobserved last; the five-turn segment re-excites
         # every direction and pins all four parameters
-        from locdecomp.simulation import synthesize_trajectory, to_kinematic_inputs
+        from locdecomp.simulation import synthesize_trajectory
         model = CompositeModel(components=(body_offset(), map_translation()))
         true = np.array([2.0, 1.0, 3.0, 2.0])
         cfg = make_config(4, q=0.1, p0=10.0)
-        stream = [(DifferenceObservation(d=model.evaluate(true, u),
-                                         R=0.04 * np.eye(2)), u)
-                  for u in to_kinematic_inputs(synthesize_trajectory("corner", 200))]
-        beliefs = run_filter(model, cfg, stream)
-        np.testing.assert_allclose(beliefs[-1].mean, true, atol=0.01)
+        inputs = synthesize_trajectory("corner", 200)
+        means, _ = filter_one(model, cfg, model.evaluate(true, inputs),
+                              np.tile(0.04 * np.eye(2), (200, 1, 1)), inputs)
+        np.testing.assert_allclose(means[-1], true, atol=0.01)
 
     def test_noiseless_error_shrinks_on_turning_segment(self):
         # generated from the model itself: final error must beat the initial
@@ -749,14 +753,12 @@ class TestRunFilter:
         for _ in range(100):
             true = rng.normal(size=4) * 3.0
             cfg = make_config(4, q=0.1, p0=10.0)
-            stream = []
-            for k, ang in enumerate(angles):
-                u = make_input(angle=float(ang), t=float(k))
-                obs = DifferenceObservation(d=model.evaluate(true, u),
-                                            R=0.04 * np.eye(2))
-                stream.append((obs, u))
-            beliefs = run_filter(model, cfg, stream)
+            inputs = [make_input(angle=float(ang), t=float(k))
+                      for k, ang in enumerate(angles)]
+            d = np.array([model.evaluate(true, u) for u in inputs])
+            means, _ = filter_one(model, cfg, d, np.tile(0.04 * np.eye(2), (len(d), 1, 1)),
+                                  inputs)
             initial_error = np.linalg.norm(cfg.initial_belief.mean - true)
-            final_error = np.linalg.norm(beliefs[-1].mean - true)
+            final_error = np.linalg.norm(means[-1] - true)
             wins += final_error < initial_error
         assert wins >= 95

@@ -10,7 +10,7 @@ from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_shear,
                                     map_translation)
-from locdecomp.estimator import GaussianBelief, UkfConfig, filter_runs, run_filter
+from locdecomp.estimator import GaussianBelief, UkfConfig, filter_runs
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
 from locdecomp.frames import Heading
@@ -19,7 +19,7 @@ from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                derive_run_seed, emit_results, load_config,
                                parse_config, run_experiment, _estimate_runs)
 from locdecomp.observability import numerical_rank_test
-from locdecomp.simulation import InjectionConfig, inject_errors, inject_runs
+from locdecomp.simulation import InjectionConfig, inject_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
@@ -43,16 +43,17 @@ def small_config(n_runs=5, seed=99, n_samples=40, noise=0.2, kind="corner",
 
 
 def per_run_estimates(cfg, runs=None):
-    """Reference: each run simulated and filtered on its own through the
-    per-run API, ``inject_errors`` then ``run_filter``."""
+    """Reference: each run simulated and filtered on its own, a batch of one
+    for ``inject_runs`` and then for ``filter_runs``."""
     trajectory = build_trajectory(cfg.trajectory)
+    r = np.tile(cfg.injection.observation_covariance(), (len(trajectory), 1, 1))
     out = []
-    for r in range(cfg.n_runs) if runs is None else runs:
-        injection = replace(cfg.injection,
-                            rng_seed=derive_run_seed(cfg.injection.rng_seed, r))
-        steps = inject_errors(trajectory, injection, cfg.model)
-        beliefs = run_filter(cfg.model, cfg.ukf, [(s.obs, s.u) for s in steps])
-        out.append([b.mean for b in beliefs[1:]])
+    for run in range(cfg.n_runs) if runs is None else runs:
+        seed = derive_run_seed(cfg.injection.rng_seed, run)
+        p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, [seed])
+        inputs = replace(trajectory, ref_position=p_ref[0])
+        out.append([means[0] for means, _ in
+                    filter_runs(cfg.model, cfg.ukf, p_ref - p_other, r, inputs)])
     return np.array(out)
 
 
@@ -535,14 +536,18 @@ class TestParseConfig:
         ("filter", "initial_covariance", [[10.0, 0, 0, 0], [0, 10.0, 0, 0],
                                           [0, 0, 10.0, 0], [0, 0, 0, None]]),
         ("filter", "initial_mean", [0.0, 0.0, 0.0, True]),
-        ("filter", "mahalanobis_gate", True), (None, "convergence_threshold", True)])
+        ("filter", "mahalanobis_gate", True), (None, "convergence_threshold", True),
+        ("filter", "process_noise", [[0.1, 0, 0, 0], [0.1]]),
+        ("filter", "initial_covariance", [10.0, [10.0], 10.0, 10.0])])
     def test_number_keys_reject_booleans_strings_and_null(self, section, key, bad):
-        # true was read as 1.0 (Q = I, alpha = 1) and "0.1" as 0.1
+        # true was read as 1.0 (Q = I, alpha = 1) and "0.1" as 0.1; a ragged
+        # list failed with numpy's message, which names no key
         name = key if section is None else f"{section}.{key}"
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw if section is None else raw[section])[key] = bad
         with pytest.raises(ConfigError, match=rf"^{name} must be a number( or a list of "
-                                              rf"numbers)?, got {re.escape(repr(bad))}$"):
+                                              rf"numbers( with rows of equal length)?)?, "
+                                              rf"got {re.escape(repr(bad))}$"):
             parse_config(raw)
 
     @pytest.mark.parametrize("key, bad", [("pivot", [1.0, True]), ("initial", [False])])

@@ -10,7 +10,7 @@ from locdecomp.exceptions import DimensionMismatch, ZeroTurnRate
 from locdecomp.frames import Heading, rotation_matrix
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                                      difference_rates, numerical_rank_test)
-from locdecomp.simulation import synthesize_trajectory, to_kinematic_inputs
+from locdecomp.simulation import synthesize_trajectory
 
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
 TRANSLATION_ONLY = CompositeModel(components=(map_translation(),))
@@ -63,37 +63,32 @@ class TestNumericalRankTest:
 
     def test_corner_segment_is_observable(self):
         trajectory = synthesize_trajectory("corner", 200)
-        report = numerical_rank_test(BODY_MAP, np.zeros(4),
-                                     to_kinematic_inputs(trajectory))
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), trajectory)
         assert report.observable
         assert max(report.rank_profile) == 4
 
     def test_straight_segment_is_not_observable(self):
         trajectory = synthesize_trajectory("straight", 100)
-        report = numerical_rank_test(BODY_MAP, np.zeros(4),
-                                     to_kinematic_inputs(trajectory))
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), trajectory)
         assert not report.observable
         assert all(rank <= 2 for rank in report.rank_profile)
         assert len(report.deficient_windows) == len(report.rank_profile)
 
     def test_straight_windows_are_degenerate_for_heading_models(self):
         trajectory = synthesize_trajectory("straight", 30)
-        report = numerical_rank_test(BODY_MAP, np.zeros(4),
-                                     to_kinematic_inputs(trajectory))
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), trajectory)
         assert len(report.degenerate_windows) == len(report.window_starts)
 
     def test_translation_only_is_observable_anywhere(self):
         trajectory = synthesize_trajectory("straight", 20)
-        report = numerical_rank_test(TRANSLATION_ONLY, np.zeros(2),
-                                     to_kinematic_inputs(trajectory))
+        report = numerical_rank_test(TRANSLATION_ONLY, np.zeros(2), trajectory)
         assert report.observable
         assert all(rank == 2 for rank in report.rank_profile)
         # a state-independent model has no inputs to degenerate on
         assert report.degenerate_windows == []
 
     def test_rank_invariant_under_time_rescaling(self):
-        trajectory = synthesize_trajectory("corner", 120)
-        inputs = to_kinematic_inputs(trajectory)
+        inputs = synthesize_trajectory("corner", 120)
         rescaled = replace(inputs, t=inputs.t * 37.0)
         a = numerical_rank_test(BODY_MAP, np.zeros(4), inputs)
         b = numerical_rank_test(BODY_MAP, np.zeros(4), rescaled)
@@ -101,8 +96,7 @@ class TestNumericalRankTest:
 
     def test_report_invariant(self):
         trajectory = synthesize_trajectory("corner", 120)
-        report = numerical_rank_test(BODY_MAP, np.zeros(4),
-                                     to_kinematic_inputs(trajectory))
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), trajectory)
         assert report.observable == any(r == report.state_dim
                                         for r in report.rank_profile)
         assert len(report.condition_numbers) == len(report.window_starts)
@@ -168,8 +162,7 @@ def assert_matches_reference(model, x0, inputs, window_length):
 
 
 def corner_inputs(n_samples=80):
-    return to_kinematic_inputs(synthesize_trajectory("corner", n_samples,
-                                                     turn_samples=4))
+    return synthesize_trajectory("corner", n_samples, turn_samples=4)
 
 
 class TestRankTestEquivalence:
@@ -287,6 +280,14 @@ class TestClosedFormDecomposition:
         assert single[0].shape == (4,)
         np.testing.assert_array_equal(batch, single)
 
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_min_turn_rate(self, bad):
+        # a negative floor let a zero heading rate through to the division
+        with pytest.raises(ValueError,
+                           match=f"^min_turn_rate must be finite and >= 0, got {bad}$"):
+            closed_form_decomposition(np.zeros(2), np.zeros(2), 0.3, 0.0,
+                                      min_turn_rate=bad)
+
     def test_any_slow_sample_raises(self):
         with pytest.raises(ZeroTurnRate, match=r"\|heading rate\| = 0.0005 <= 0.001"):
             closed_form_decomposition(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3),
@@ -303,8 +304,7 @@ class TestClosedFormDecomposition:
             np.testing.assert_allclose(recovered, x, rtol=1e-9, atol=1e-9)
 
     def test_agrees_with_rank_test_on_turning_windows(self):
-        trajectory = synthesize_trajectory("corner", 100, turn_samples=10)
-        inputs = to_kinematic_inputs(trajectory)
+        inputs = synthesize_trajectory("corner", 100, turn_samples=10)
         report = numerical_rank_test(BODY_MAP, np.zeros(4), inputs,
                                      window_length=2)
         x = np.array([2.0, 1.0, 3.0, 2.0])

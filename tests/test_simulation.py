@@ -1,14 +1,22 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from locdecomp.error_models import CompositeModel, body_offset, map_translation
 from locdecomp.exceptions import (DimensionMismatch, NonMonotoneTime, ParseError)
-from locdecomp.simulation import (InjectionConfig, inject_errors, load_trajectory,
-                                  synthesize_trajectory, to_kinematic_inputs)
+from locdecomp.simulation import (InjectionConfig, inject_runs, load_trajectory,
+                                  synthesize_trajectory)
 
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
+
+
+def inject_one(trajectory, cfg):
+    """One run of ``inject_runs`` at ``cfg.rng_seed``: both localizer outputs
+    (N, 2) and the series carrying the measured reference positions."""
+    p_ref, p_other = inject_runs(trajectory, cfg, BODY_MAP, [cfg.rng_seed])
+    return p_ref[0], p_other[0], replace(trajectory, ref_position=p_ref[0])
 
 
 def count_heading_change_events(trajectory):
@@ -164,6 +172,16 @@ class TestSynthesizeTrajectory:
         with pytest.raises(ValueError):
             synthesize_trajectory("straight", 1)
 
+    @pytest.mark.parametrize("kind", ["straight", "corner"])
+    @pytest.mark.parametrize("name, value", [
+        ("step", np.nan), ("step", np.inf), ("speed", np.nan), ("speed", -np.inf),
+        ("initial_heading", np.nan), ("initial_heading", np.inf)])
+    def test_rejects_non_finite_settings_naming_the_field(self, kind, name, value):
+        # they failed later, in the series' own check, with an array dump
+        with pytest.raises(ValueError, match=rf"^{name} must be finite( and > 0)?, "
+                                             rf"got {value}$"):
+            synthesize_trajectory(kind, 50, **{name: value})
+
 
 class TestInjectErrors:
     def test_noiseless_constant_heading_difference(self):
@@ -171,46 +189,44 @@ class TestInjectErrors:
         cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0],
                               noise_sigma_ref=0.0, noise_sigma_other=0.0,
                               rng_seed=1)
-        steps = inject_errors(trajectory, cfg, BODY_MAP)
-        for s in steps:
-            np.testing.assert_allclose(s.obs.d, [5.0, 3.0], atol=1e-12)
+        p_ref, p_other, _ = inject_one(trajectory, cfg)
+        np.testing.assert_allclose(p_ref - p_other, np.tile([5.0, 3.0], (20, 1)),
+                                   atol=1e-12)
 
     def test_noiseless_neutral_parameters_give_zero_difference(self):
         trajectory = synthesize_trajectory("corner", 30)
         cfg = InjectionConfig(true_params=BODY_MAP.neutral_state(),
                               noise_sigma_ref=0.0, noise_sigma_other=0.0,
                               rng_seed=1)
-        for s in inject_errors(trajectory, cfg, BODY_MAP):
-            np.testing.assert_allclose(s.obs.d, [0.0, 0.0], atol=1e-12)
+        p_ref, p_other, _ = inject_one(trajectory, cfg)
+        np.testing.assert_allclose(p_ref - p_other, np.zeros((30, 2)), atol=1e-12)
 
     def test_noiseless_difference_matches_model_exactly(self):
         trajectory = synthesize_trajectory("corner", 50)
         true = np.array([2.0, 1.0, 3.0, 2.0])
         cfg = InjectionConfig(true_params=true, noise_sigma_ref=0.0,
                               noise_sigma_other=0.0, rng_seed=3)
-        for s in inject_errors(trajectory, cfg, BODY_MAP):
-            np.testing.assert_allclose(s.p_ref - s.p_other,
-                                       BODY_MAP.evaluate(true, s.u), atol=1e-12)
+        p_ref, p_other, u = inject_one(trajectory, cfg)
+        np.testing.assert_allclose(p_ref - p_other, BODY_MAP.evaluate(true, u),
+                                   atol=1e-12)
 
     def test_deterministic_for_equal_seeds(self):
         trajectory = synthesize_trajectory("straight", 50)
         cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0],
                               noise_sigma_ref=0.1, noise_sigma_other=0.1,
                               rng_seed=42)
-        a = inject_errors(trajectory, cfg, BODY_MAP)
-        b = inject_errors(trajectory, cfg, BODY_MAP)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.p_ref, sb.p_ref)
-            np.testing.assert_array_equal(sa.p_other, sb.p_other)
-            np.testing.assert_array_equal(sa.obs.d, sb.obs.d)
+        a = inject_one(trajectory, cfg)
+        b = inject_one(trajectory, cfg)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_different_seeds_differ(self):
         trajectory = synthesize_trajectory("straight", 10)
         base = dict(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_ref=0.1,
                     noise_sigma_other=0.1)
-        a = inject_errors(trajectory, InjectionConfig(rng_seed=1, **base), BODY_MAP)
-        b = inject_errors(trajectory, InjectionConfig(rng_seed=2, **base), BODY_MAP)
-        assert not np.allclose(a[0].obs.d, b[0].obs.d)
+        a_ref, a_other, _ = inject_one(trajectory, InjectionConfig(rng_seed=1, **base))
+        b_ref, b_other, _ = inject_one(trajectory, InjectionConfig(rng_seed=2, **base))
+        assert not np.allclose(a_ref[0] - a_other[0], b_ref[0] - b_other[0])
 
     def test_observation_covariance_is_sum_of_localizer_variances(self):
         cfg = InjectionConfig.with_total_sigma([0.0, 0.0], 0.2, rng_seed=0)
@@ -221,9 +237,8 @@ class TestInjectErrors:
         trajectory = synthesize_trajectory("straight", 10_000)
         true = np.array([2.0, 1.0, 3.0, 2.0])
         cfg = InjectionConfig.with_total_sigma(true, 0.2, rng_seed=7)
-        steps = inject_errors(trajectory, cfg, BODY_MAP)
-        residuals = np.array([s.obs.d - BODY_MAP.evaluate(true, s.u)
-                              for s in steps])
+        p_ref, p_other, u = inject_one(trajectory, cfg)
+        residuals = p_ref - p_other - BODY_MAP.evaluate(true, u)
         sample_cov = np.cov(residuals.T)
         np.testing.assert_allclose(np.diag(sample_cov), [0.04, 0.04], rtol=0.1)
 
@@ -232,7 +247,7 @@ class TestInjectErrors:
         cfg = InjectionConfig(true_params=[1.0, 2.0], noise_sigma_ref=0.0,
                               noise_sigma_other=0.0, rng_seed=0)
         with pytest.raises(DimensionMismatch):
-            inject_errors(trajectory, cfg, BODY_MAP)
+            inject_one(trajectory, cfg)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -254,9 +269,3 @@ class TestInjectErrors:
         with pytest.raises(ValueError, match="^true_params must be finite, got "):
             InjectionConfig.with_total_sigma([value, 2.0], 0.2, rng_seed=0)
 
-
-class TestToKinematicInputs:
-    def test_positions_and_headings_copied(self):
-        trajectory = synthesize_trajectory("corner", 25)
-        # the series already carries the true positions in ref_position
-        assert to_kinematic_inputs(trajectory) is trajectory
