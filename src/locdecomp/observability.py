@@ -174,7 +174,8 @@ def difference_rates(t, d_series, smooth_window: int = 3) -> np.ndarray:
     The series is smoothed with a centered moving average (edge-replicated)
     before differentiating, since measured differences are noisy and the
     closed-form decomposition consumes their rates directly.
-    ``smooth_window`` must be odd; 1 disables smoothing.
+    ``smooth_window`` must be odd and no wider than the series; 1 disables
+    smoothing.
     """
     t = np.asarray(t, dtype=float)
     d = np.asarray(d_series, dtype=float)
@@ -182,6 +183,9 @@ def difference_rates(t, d_series, smooth_window: int = 3) -> np.ndarray:
         raise ValueError(f"d_series must have shape (len(t), 2), got {d.shape}")
     if smooth_window < 1 or smooth_window % 2 == 0:
         raise ValueError(f"smooth_window must be odd and >= 1, got {smooth_window}")
+    if smooth_window > max(t.size, 1):
+        raise ValueError(f"smooth_window {smooth_window} is wider than the series "
+                         f"of {t.size} samples")
     if t.size < 2:
         return np.zeros_like(d)
     if smooth_window > 1:

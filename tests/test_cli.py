@@ -305,6 +305,18 @@ class TestOracleCommand:
         assert err == (f"locdecomp oracle: --min-turn-rate must be finite and >= 0, "
                        f"got {float(bad)}\n")
 
+    def test_rejects_window_wider_than_the_series(self, tmp_path, capsys):
+        # window 100001 on 200 samples printed estimates near zero for the
+        # body offset and exited 0
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
+        capsys.readouterr()
+        assert main(["oracle", "--data", str(data), "--smooth-window", "100001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("locdecomp oracle: smooth_window 100001 is wider than the "
+                       "series of 200 samples\n")
+
     def test_estimates_match_the_scalar_decomposition(self, tmp_path, capsys):
         # one broadcast call over the turning samples equals the per-sample
         # closed form bit for bit
@@ -382,6 +394,22 @@ class TestInputErrors:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"locdecomp experiment: {named} must be ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("process_noise", float("inf")), ("initial_mean", [float("nan"), 0.0, 0.0, 0.0])])
+    def test_non_finite_filter_setting(self, tmp_path, capsys, key, value):
+        # Infinity printed numpy's RuntimeWarning and its source line before
+        # the error, and a NaN initial mean failed naming no key
+        raw = json.loads((CONFIGS / "corner.json").read_text())
+        raw["filter"][key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(config), "--runs", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"locdecomp experiment: {key} must be finite")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("seed_in_config, argv", [

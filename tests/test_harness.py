@@ -1,11 +1,13 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from locdecomp import harness
 from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_shear,
@@ -59,7 +61,8 @@ def per_run_estimates(cfg, runs=None):
 
 def batched_estimates(cfg, runs=None):
     runs = range(cfg.n_runs) if runs is None else runs
-    return _estimate_runs(build_trajectory(cfg.trajectory), cfg, runs)
+    return np.stack(list(_estimate_runs(build_trajectory(cfg.trajectory), cfg, runs)),
+                    axis=1)
 
 
 def corner_centroid(n_samples):
@@ -201,6 +204,39 @@ class TestBatchedEquivalence:
         self.assert_matches_golden("straight")
 
 
+class TestBlockedMoments:
+    def test_series_do_not_depend_on_the_block_size(self, monkeypatch):
+        cfg = small_config(n_runs=6)
+        n_steps = cfg.trajectory.n_samples
+        series = []
+        for block_steps in (1, 7, n_steps, n_steps + 5):
+            monkeypatch.setattr(harness, "_BLOCK_STEPS", block_steps)
+            series.append(run_experiment(cfg))
+        for other in series[1:]:
+            for field in ("mse", "mean", "variance"):
+                assert np.array_equal(getattr(other, field), getattr(series[0], field))
+
+    def test_memory_grows_only_with_the_injected_series(self):
+        # the moments were taken on a (runs, steps, dim) stack of estimates,
+        # and two more of its size held the errors and their squares
+        raw = json.loads((ROOT / "configs" / "corner.json").read_text())
+        raw["runs"] = 50
+        peaks = []
+        for n_samples in (200, 800):
+            raw["trajectory"]["n_samples"] = n_samples
+            cfg = parse_config(raw)
+            run_experiment(cfg)     # lazy imports are not the experiment's memory
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the reference positions and the differences, (runs, samples, 2) each
+        injected = 600 * raw["runs"] * 2 * 2 * 8
+        assert peaks[1] - peaks[0] < 2 * injected
+
+
 def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
     # every step checks its covariances with the Cholesky factorizations:
     # one of the priors (their sigma-point roots) and one of the posteriors,
@@ -213,7 +249,7 @@ def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
             _seen.append(np.shape(a))
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    _estimate_runs(trajectory, cfg, range(cfg.n_runs))
+    np.stack(list(_estimate_runs(trajectory, cfg, range(cfg.n_runs))), axis=1)
     n_steps, dim = len(trajectory), cfg.model.state_dim
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == [] and shapes["solve"] == []
     assert len(shapes["cholesky"]) <= 2 * n_steps + 1
@@ -460,6 +496,26 @@ class TestParseConfig:
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["filter"]["process_noise"] = float("nan")
         with pytest.raises(NotPSD, match="^process_noise must be finite$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("process_noise", float("inf"), NotPSD, "^process_noise must be finite$"),
+        ("initial_covariance", float("nan"), NotPSD, "^initial_covariance must be finite$"),
+        ("initial_mean", [float("nan"), 0.0, 0.0, 0.0], ConfigError,
+         r"^initial_mean must be finite, got \[nan  0.  0.  0.\]$")])
+    def test_non_finite_filter_setting_names_its_key(self, key, value, error, message):
+        # an infinite scalar warned in its product with the identity, and a
+        # NaN initial belief failed naming no key
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["filter"][key] = value
+        with pytest.raises(error, match=message):
+            parse_config(raw)
+
+    def test_non_finite_component_guess_names_its_component(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["model"][0]["initial"] = [float("nan"), 0.0]
+        with pytest.raises(ConfigError, match=r"^component 'body_offset' initial guess "
+                                              r"must be finite, got \[nan  0.\]$"):
             parse_config(raw)
 
     def test_non_finite_beta(self):

@@ -336,6 +336,16 @@ class TestDifferenceRates:
         assert (np.linalg.norm(smooth - truth)
                 < np.linalg.norm(raw - truth))
 
+    def test_rejects_window_wider_than_the_series(self):
+        # such a window flattened the rates toward zero, and the oracle's
+        # body offset with them
+        t = np.arange(5.0)
+        d = np.column_stack([t, -t])
+        assert np.isfinite(difference_rates(t, d, smooth_window=5)).all()
+        with pytest.raises(ValueError, match="^smooth_window 7 is wider than the "
+                                             "series of 5 samples$"):
+            difference_rates(t, d, smooth_window=7)
+
     def test_rejects_even_window(self):
         with pytest.raises(ValueError):
             difference_rates(np.arange(5.0), np.zeros((5, 2)), smooth_window=2)
