@@ -12,9 +12,8 @@ repeated simulated runs.
 """
 
 from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
-                           PlanarTransform, body_offset, deformation_component,
-                           map_rotation, map_scale, map_shear, map_translation,
-                           rotation_about, scale_about, shear_along)
+                           body_offset, map_rotation, map_scale, map_shear,
+                           map_translation)
 from .estimator import GaussianBelief, UkfConfig, filter_runs
 from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
                          FilterStepError, NonMonotoneTime, NotPSD, ParseError,
@@ -33,9 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Heading", "heading_rates", "normalize_angle", "rotate", "rotation_matrix",
-    "CompositeModel", "ErrorComponent", "KinematicInput", "PlanarTransform",
-    "body_offset", "deformation_component", "map_rotation", "map_scale",
-    "map_shear", "map_translation", "rotation_about", "scale_about", "shear_along",
+    "CompositeModel", "ErrorComponent", "KinematicInput", "body_offset",
+    "map_rotation", "map_scale", "map_shear", "map_translation",
     "GaussianBelief", "UkfConfig", "filter_runs",
     "ObservabilityReport", "closed_form_decomposition", "difference_rates",
     "numerical_rank_test",

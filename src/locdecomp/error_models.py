@@ -19,16 +19,17 @@ Shipped components:
 
 - ``map_translation``   uniform shift of the environment representation
 - ``body_offset``       vehicle-fixed localizer offset, rotated by heading
-- ``map_rotation``      map rotated about a pivot (via planar transform)
+- ``map_rotation``      map rotated about a pivot
 - ``map_scale``         map uniformly scaled about a pivot
 - ``map_shear``         axis-aligned map shear about a pivot
 
-Position-dependent components are derived from an invertible planar
-transform ``e``: with localizer A as the reference, the contribution is
-``p - e^-1(p)`` evaluated at the reference position ``p`` (flip
-``reference`` to ``"other"`` to host the deformation on the other side,
-which uses the forward map instead); ``reference`` is checked, and the map
-picked, once, when the component is built.
+The three map deformations are hosted by the reference localizer: the
+other localizer's estimate is the reference position ``p`` mapped back
+through the deformation, and the contribution is ``p`` minus that point.
+A deformation hosted by the other localizer is the same component at the
+inverse parameter: ``-theta`` for a rotation or shear by ``theta``, and
+``1 / (1 + sigma) - 1`` for a scale deviation ``sigma``.  Every component
+contributes nothing at zero parameters.
 """
 
 from __future__ import annotations
@@ -103,21 +104,18 @@ def _trusted(cls, **fields):
 
 @dataclass(frozen=True)
 class ErrorComponent:
-    """One parameterized error contribution.
+    """One parameterized error contribution: a function of the measured state.
 
     ``fn(params, u)`` maps parameters (..., param_dim) to contributions
     (..., 2), broadcasting array fields of ``u`` against the leading axes.
     It must be deterministic and read only the kinematic fields listed in
-    ``depends_on``.  ``neutral`` is the parameter value at which the
-    contribution vanishes for every input; it seeds filter initialization
-    (zero for offsets, zero for the scale deviation since scale is
-    parameterized as 1 + sigma).
+    ``depends_on``.  The shipped components contribute nothing at zero
+    parameters, the filter's default initial guess.
     """
 
     name: str
     param_dim: int
     depends_on: frozenset
-    neutral: np.ndarray
     fn: Callable[[np.ndarray, KinematicInput], np.ndarray]
 
     def __post_init__(self):
@@ -127,10 +125,6 @@ class ErrorComponent:
         if unknown:
             raise ValueError(f"unknown kinematic fields {sorted(unknown)}; "
                              f"known: {KINEMATIC_FIELDS}")
-        neutral = np.asarray(self.neutral, dtype=float)
-        if neutral.shape != (self.param_dim,):
-            raise ValueError(f"neutral must have shape ({self.param_dim},), got {neutral.shape}")
-        object.__setattr__(self, "neutral", neutral)
         object.__setattr__(self, "depends_on", frozenset(self.depends_on))
 
     def evaluate(self, params, u: KinematicInput) -> np.ndarray:
@@ -176,9 +170,6 @@ class CompositeModel:
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "state_dim", total)
 
-    def neutral_state(self) -> np.ndarray:
-        return np.concatenate([comp.neutral for comp in self.components])
-
     def evaluate(self, x, u: KinematicInput) -> np.ndarray:
         """Predicted localizer difference: states (..., n) give (..., 2)."""
         x = np.asarray(x, dtype=float)
@@ -200,7 +191,7 @@ def map_translation() -> ErrorComponent:
         return params.copy()
 
     return ErrorComponent(name="map_translation", param_dim=2,
-                          depends_on=frozenset(), neutral=np.zeros(2), fn=fn)
+                          depends_on=frozenset(), fn=fn)
 
 
 def body_offset() -> ErrorComponent:
@@ -209,131 +200,65 @@ def body_offset() -> ErrorComponent:
         return rotate(params, u.heading.angle)
 
     return ErrorComponent(name="body_offset", param_dim=2,
-                          depends_on=frozenset({"heading"}), neutral=np.zeros(2), fn=fn)
+                          depends_on=frozenset({"heading"}), fn=fn)
 
 
 # ---------------------------------------------------------------------------
-# position-dependent components built from invertible planar transforms
+# position-dependent components: map deformations about a pivot
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanarTransform:
-    """Invertible parametric map of the plane onto itself.
+def _deformation(name: str, pivot, image) -> ErrorComponent:
+    """A map deformation hosted by the reference localizer.
 
-    ``forward(point, params)`` and ``inverse(point, params)`` broadcast
-    points (..., 2) against parameters (..., param_dim) and must be exact
-    inverses wherever defined; ``inverse`` raises
-    :class:`~locdecomp.exceptions.SingularTransform` where the map cannot
-    be inverted (e.g. zero scale).  At ``neutral`` parameters both maps are
-    the identity.
-    """
-
-    name: str
-    param_dim: int
-    neutral: np.ndarray
-    forward: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def rotation_about(pivot=(0.0, 0.0)) -> PlanarTransform:
-    """Rotation of the plane about ``pivot``; one parameter (angle, radians)."""
-    pivot = as_vec2(pivot, "pivot")
-
-    def forward(point, params):
-        return pivot + rotate(point - pivot, params[..., 0])
-
-    def inverse(point, params):
-        return pivot + rotate(point - pivot, -params[..., 0])
-
-    return PlanarTransform(name="rotation", param_dim=1, neutral=np.zeros(1),
-                           forward=forward, inverse=inverse)
-
-
-def scale_about(pivot=(0.0, 0.0)) -> PlanarTransform:
-    """Uniform scaling about ``pivot``; the parameter is the deviation from 1.
-
-    The scale factor is ``1 + sigma`` so the neutral parameter is zero; a
-    factor below ``MIN_SCALE`` in magnitude is not invertible.
+    The other localizer's estimate is the reference position ``p`` mapped
+    back through the deformation, ``pivot + image(p - pivot, params)``, so
+    the contribution is ``p`` minus that point.
     """
     pivot = as_vec2(pivot, "pivot")
 
-    def forward(point, params):
-        return pivot + (1.0 + params[..., :1]) * (point - pivot)
+    def fn(params, u):
+        return u.ref_position - (pivot + image(u.ref_position - pivot, params))
 
-    def inverse(point, params):
+    return ErrorComponent(name=name, param_dim=1,
+                          depends_on=frozenset({"ref_position"}), fn=fn)
+
+
+def map_rotation(pivot=(0.0, 0.0)) -> ErrorComponent:
+    """Map rotated about a pivot; estimate the rotation angle (radians)."""
+    def image(lever, params):
+        return rotate(lever, -params[..., 0])
+
+    return _deformation("map_rotation", pivot, image)
+
+
+def map_scale(pivot=(0.0, 0.0)) -> ErrorComponent:
+    """Map scaled about a pivot; estimate the scale deviation from 1.
+
+    The scale factor is ``1 + sigma``; a factor below ``MIN_SCALE`` in
+    magnitude raises :class:`~locdecomp.exceptions.SingularTransform`.
+    """
+    def image(lever, params):
         s = 1.0 + params[..., :1]
         singular = np.abs(s) < MIN_SCALE
         if singular.any():
             raise SingularTransform(f"scale factor {s[singular][0]} is not invertible")
-        return pivot + (point - pivot) / s
+        return lever / s
 
-    return PlanarTransform(name="scale", param_dim=1, neutral=np.zeros(1),
-                           forward=forward, inverse=inverse)
+    return _deformation("map_scale", pivot, image)
 
 
-def shear_along(pivot=(0.0, 0.0), axis: str = "x") -> PlanarTransform:
-    """Axis-aligned shear about ``pivot``; one parameter (shear factor).
+def map_shear(pivot=(0.0, 0.0), axis: str = "x") -> ErrorComponent:
+    """Map sheared along an axis about a pivot; estimate the shear factor.
 
     ``axis="x"`` displaces the x coordinate proportionally to y;
     ``axis="y"`` the converse.
     """
-    pivot = as_vec2(pivot, "pivot")
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     row, col = (0, 1) if axis == "x" else (1, 0)
     unit = np.eye(2)[row]
 
-    def sheared(point, k):
-        lever = point - pivot
-        return pivot + (lever + (k * lever[..., col])[..., None] * unit)
+    def image(lever, params):
+        return lever + (-params[..., 0] * lever[..., col])[..., None] * unit
 
-    def forward(point, params):
-        return sheared(point, params[..., 0])
-
-    def inverse(point, params):
-        return sheared(point, -params[..., 0])
-
-    return PlanarTransform(name=f"shear_{axis}", param_dim=1, neutral=np.zeros(1),
-                           forward=forward, inverse=inverse)
-
-
-def deformation_component(transform: PlanarTransform, reference: str = "ref",
-                          name: str | None = None) -> ErrorComponent:
-    """Wrap a planar transform into a position-dependent error component.
-
-    With the reference localizer hosting the comparison, the other
-    localizer's estimate is the inverse image of the reference position
-    ``p`` under the deformation, so the contribution is
-    ``p - e^-1(p; params)``.  ``reference="other"`` flips the roles and uses
-    the forward map.  ``reference`` must be ``"ref"`` or ``"other"``; it is
-    checked, and the map chosen, when the component is built.
-    ``name`` defaults to the transform's name, suffixed ``_other`` when the
-    other localizer hosts the deformation.
-    """
-    if reference not in ("ref", "other"):
-        raise ValueError(f"reference must be 'ref' or 'other', got {reference!r}")
-    image = transform.inverse if reference == "ref" else transform.forward
-
-    def fn(params, u):
-        return u.ref_position - image(u.ref_position, params)
-
-    if name is None:
-        name = transform.name if reference == "ref" else f"{transform.name}_other"
-    return ErrorComponent(name=name, param_dim=transform.param_dim,
-                          depends_on=frozenset({"ref_position"}),
-                          neutral=transform.neutral.copy(), fn=fn)
-
-
-def map_rotation(pivot=(0.0, 0.0), reference: str = "ref") -> ErrorComponent:
-    """Map rotated about a pivot; estimate the rotation angle."""
-    return deformation_component(rotation_about(pivot), reference, "map_rotation")
-
-
-def map_scale(pivot=(0.0, 0.0), reference: str = "ref") -> ErrorComponent:
-    """Map scaled about a pivot; estimate the scale deviation from 1."""
-    return deformation_component(scale_about(pivot), reference, "map_scale")
-
-
-def map_shear(pivot=(0.0, 0.0), axis: str = "x", reference: str = "ref") -> ErrorComponent:
-    """Map sheared along an axis about a pivot; estimate the shear factor."""
-    return deformation_component(shear_along(pivot, axis), reference, "map_shear")
+    return _deformation("map_shear", pivot, image)

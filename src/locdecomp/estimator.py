@@ -236,9 +236,10 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     """Filter B runs from ``cfg.initial_belief`` in one vectorized pass.
 
     ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
-    covariances (N, 2, 2) shared by the runs, and ``inputs`` yields exactly
-    N kinematic inputs (e.g. a series of N), whose ``ref_position`` is
-    shared (2,) or per run (B, 2); other shapes, counts or initial belief dimensions raise
+    covariances (N, 2, 2) shared by the runs, and ``inputs`` is a sequence
+    of N kinematic inputs (a series of N, or a list), indexed one step at a
+    time, whose ``ref_position`` is shared (2,) or per run (B, 2); other
+    shapes, counts or initial belief dimensions raise
     :class:`~locdecomp.exceptions.DimensionMismatch` before any step.
     Yields the posterior means (B, n) and covariances (B, n, n) after each
     step.  Errors raised inside a step are re-raised as
@@ -256,10 +257,9 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         raise DimensionMismatch(
             f"r must have shape ({n_steps}, 2, 2) for the {n_steps} steps of d, "
             f"got {r.shape}")
-    inputs = list(inputs)
     if len(inputs) != n_steps:
         raise DimensionMismatch(
-            f"inputs must yield {n_steps} kinematic inputs for the {n_steps} "
+            f"inputs must hold {n_steps} kinematic inputs for the {n_steps} "
             f"steps of d, got {len(inputs)}")
     r = _check_covariance(r, "R", 2)
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
@@ -268,10 +268,10 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     weights = _sigma_weights(cfg.initial_belief.dim, cfg)
     means = np.tile(cfg.initial_belief.mean, (d.shape[0], 1))
     covs = np.tile(cfg.initial_belief.covariance, (d.shape[0], 1, 1))
-    for step, u in enumerate(inputs):
+    for step in range(n_steps):
         try:
             means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],
-                                  u, model, cfg, weights)
+                                  inputs[step], model, cfg, weights)
             if not np.isfinite(means).all():
                 raise ValueError("mean must be finite")
             if not np.isfinite(covs).all():

@@ -264,9 +264,9 @@ def emit_results(series: MseSeries, out_dir,
 _COMPONENTS = {
     "body_offset": (error_models.body_offset, set()),
     "map_translation": (error_models.map_translation, set()),
-    "map_rotation": (error_models.map_rotation, {"pivot", "reference"}),
-    "map_scale": (error_models.map_scale, {"pivot", "reference"}),
-    "map_shear": (error_models.map_shear, {"pivot", "reference", "axis"}),
+    "map_rotation": (error_models.map_rotation, {"pivot"}),
+    "map_scale": (error_models.map_scale, {"pivot"}),
+    "map_shear": (error_models.map_shear, {"pivot", "axis"}),
 }
 
 
@@ -293,8 +293,8 @@ def _build_component(entry: dict, centroid: np.ndarray):
         options.setdefault("pivot", centroid)
     comp = factory(**options)
     initial = entry.get("initial")
-    guess = comp.neutral if initial is None else _real(initial, f"model.{kind}.initial",
-                                                       scalar=False)
+    guess = (np.zeros(comp.param_dim) if initial is None
+             else _real(initial, f"model.{kind}.initial", scalar=False))
     if guess.shape != (comp.param_dim,):
         raise ConfigError(f"component {kind!r} initial guess must have "
                           f"{comp.param_dim} entries, got {guess.shape}")

@@ -75,8 +75,8 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     its numerical rank is the number of singular values above
     ``rank_tolerance`` times the largest one, and its condition number is
     the ratio of the largest to the smallest (infinite when that is zero).
-    The default window length is twice the state dimension.  ``x0`` must
-    be finite and ``0 < rank_tolerance < 1``.
+    ``window_length`` must be an integer; the default is twice the state
+    dimension.  ``x0`` must be finite and ``0 < rank_tolerance < 1``.
     """
     x0 = np.asarray(x0, dtype=float)
     n = model.state_dim
@@ -86,6 +86,9 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
         raise ValueError(f"x0 must be finite, got {x0}")
     if not 0.0 < rank_tolerance < 1.0:
         raise ValueError(f"rank_tolerance must be finite and in (0, 1), got {rank_tolerance}")
+    if window_length is not None and (isinstance(window_length, bool)
+                                      or not float(window_length).is_integer()):
+        raise ValueError(f"window_length must be an integer, got {window_length!r}")
     wl = 2 * n if window_length is None else int(window_length)
     if wl < -(-n // 2):
         raise ValueError(f"window_length {wl} too short for {n} parameters")

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
-                                    deformation_component, map_rotation,
-                                    map_scale, map_shear, map_translation,
-                                    rotation_about, scale_about, shear_along)
+                                    map_rotation, map_scale, map_shear,
+                                    map_translation)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform
-from locdecomp.frames import Heading, rotation_matrix
+from locdecomp.frames import Heading, rotate, rotation_matrix
 
 
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
@@ -102,9 +101,6 @@ class TestMapTranslation:
     def test_reads_no_kinematic_fields(self):
         assert map_translation().depends_on == frozenset()
 
-    def test_neutral_is_zero(self):
-        np.testing.assert_allclose(map_translation().neutral, [0.0, 0.0])
-
 
 class TestBodyOffset:
     def test_zero_heading_is_identity(self):
@@ -140,62 +136,73 @@ class TestBodyOffset:
 
 
 class TestTransformDifference:
-    def test_identity_transform_gives_zero(self):
+    def test_zero_parameters_give_zero(self):
         rng = np.random.default_rng(2)
-        for transform in (rotation_about(), scale_about(), shear_along()):
+        for comp in (map_rotation(), map_scale(), map_shear()):
             for _ in range(20):
                 u = make_input(position=rng.normal(size=2) * 100.0)
-                out = deformation_component(transform).evaluate(transform.neutral, u)
+                out = comp.evaluate(np.zeros(1), u)
                 np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
     def test_uniform_scale_about_origin(self):
         # doubling scale about the origin: inverse image of (10, 4) is (5, 2)
         u = make_input(position=(10.0, 4.0))
-        out = deformation_component(scale_about()).evaluate(np.array([1.0]), u)
+        out = map_scale().evaluate(np.array([1.0]), u)
         np.testing.assert_allclose(out, [5.0, 2.0], rtol=1e-15)
 
     def test_rotation_about_origin_closed_form(self):
         r, theta = 5.0, 0.4
         u = make_input(position=(r, 0.0))
         expected = np.array([r, 0.0]) - rotation_matrix(-theta) @ np.array([r, 0.0])
-        out = deformation_component(rotation_about()).evaluate(np.array([theta]), u)
+        out = map_rotation().evaluate(np.array([theta]), u)
         np.testing.assert_allclose(out, expected, rtol=1e-15)
-
-    def test_other_reference_uses_forward_map(self):
-        u = make_input(position=(10.0, 4.0))
-        out = deformation_component(scale_about(), "other").evaluate(np.array([1.0]), u)
-        np.testing.assert_allclose(out, [-10.0, -4.0], rtol=1e-15)
-
-    def test_unknown_reference_fails_at_construction(self):
-        message = "^reference must be 'ref' or 'other', got 'foo'$"
-        with pytest.raises(ValueError, match=message):
-            deformation_component(rotation_about(), "foo")
-        with pytest.raises(ValueError, match=message):
-            map_rotation(reference="foo")
 
     def test_zero_scale_factor_is_singular(self):
         u = make_input(position=(1.0, 1.0))
         with pytest.raises(SingularTransform):
-            deformation_component(scale_about()).evaluate(np.array([-1.0]), u)
-
-    def test_forward_inverse_round_trip(self):
-        rng = np.random.default_rng(4)
-        pivot = np.array([12.0, -7.0])
-        for transform in (rotation_about(pivot), scale_about(pivot),
-                          shear_along(pivot, "x"), shear_along(pivot, "y")):
-            for _ in range(20):
-                params = rng.normal(size=1) * 0.5
-                point = rng.normal(size=2) * 50.0
-                back = transform.inverse(transform.forward(point, params), params)
-                np.testing.assert_allclose(back, point, atol=1e-9)
+            map_scale().evaluate(np.array([-1.0]), u)
 
     def test_shear_displaces_one_axis_only(self):
         u = make_input(position=(3.0, 4.0))
-        out = deformation_component(shear_along(axis="x")).evaluate(np.array([0.5]), u)
+        out = map_shear(axis="x").evaluate(np.array([0.5]), u)
         # x-shear inverse subtracts k*y, so the difference is (k*y, 0)
         np.testing.assert_allclose(out, [2.0, 0.0], rtol=1e-15)
-        out_y = deformation_component(shear_along(axis="y")).evaluate(np.array([0.5]), u)
+        out_y = map_shear(axis="y").evaluate(np.array([0.5]), u)
         np.testing.assert_allclose(out_y, [0.0, 1.5], rtol=1e-15)
+
+    @pytest.mark.parametrize("deformation, forward, inverse_param, atol", [
+        (map_rotation, lambda lever, p: rotate(lever, p[..., 0]), lambda p: -p, 0.0),
+        (map_scale, lambda lever, p: (1.0 + p[..., :1]) * lever,
+         lambda p: 1.0 / (1.0 + p) - 1.0, 1e-12),
+        (lambda pivot: map_shear(pivot, "x"),
+         lambda lever, p: lever + (p[..., 0] * lever[..., 1])[..., None] * [1.0, 0.0],
+         lambda p: -p, 0.0),
+        (lambda pivot: map_shear(pivot, "y"),
+         lambda lever, p: lever + (p[..., 0] * lever[..., 0])[..., None] * [0.0, 1.0],
+         lambda p: -p, 0.0)],
+        ids=["rotation", "scale", "shear_x", "shear_y"])
+    def test_other_hosted_is_ref_hosted_at_inverse_parameter(self, deformation, forward,
+                                                             inverse_param, atol):
+        # a deformation hosted by the other localizer contributes
+        # p - forward(p; params), with the forward map about the pivot; the
+        # ref-hosted component at the inverse parameter gives the same: bit
+        # for bit for rotation and shear, up to rounding of 1 / (1 + sigma)
+        # for scale
+        rng = np.random.default_rng(4)
+        pivot = np.array([12.0, -7.0])
+        params = rng.normal(size=(7, 3, 50, 1)) * 0.3
+        positions = rng.normal(size=(3, 50, 2)) * 100.0
+        u = KinematicInput(t=np.arange(50.0), heading=Heading(np.zeros(50), np.zeros(50)),
+                           ref_position=positions)
+        other_hosted = positions - (pivot + forward(positions - pivot, params))
+        out = deformation(pivot).evaluate(inverse_param(params), u)
+        np.testing.assert_allclose(out, other_hosted, rtol=0.0, atol=atol)
+
+    def test_pivot_and_axis_are_checked_at_construction(self):
+        with pytest.raises(ValueError, match="pivot"):
+            map_rotation(pivot=(1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="^axis must be 'x' or 'y', got 'z'$"):
+            map_shear(axis="z")
 
 
 class TestCompositeModel:
@@ -265,13 +272,12 @@ class TestCompositeModel:
             u = make_input(angle=rng.uniform(-np.pi, np.pi),
                            position=rng.normal(size=2) * 20.0)
             np.testing.assert_allclose(
-                model.evaluate(model.neutral_state(), u),
+                model.evaluate(np.zeros(model.state_dim), u),
                 [0.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("deformation", [
         map_rotation(pivot=(5.0, -3.0)), map_scale(pivot=(5.0, -3.0)),
-        map_shear(pivot=(5.0, -3.0), axis="x"), map_shear(pivot=(5.0, -3.0), axis="y"),
-        map_rotation(pivot=(5.0, -3.0), reference="other")])
+        map_shear(pivot=(5.0, -3.0), axis="x"), map_shear(pivot=(5.0, -3.0), axis="y")])
     def test_stacked_states_match_pointwise(self, deformation):
         # sigma points x runs x state against one reference position per run
         model = CompositeModel(components=(body_offset(), map_translation(),
@@ -321,7 +327,6 @@ class TestDeformationComponents:
         assert map_rotation().name == "map_rotation"
         assert map_scale().name == "map_scale"
         assert map_shear().name == "map_shear"
-        assert deformation_component(rotation_about()).name == "rotation"
 
     def test_depends_on_position(self):
         for comp in (map_rotation(), map_scale(), map_shear()):

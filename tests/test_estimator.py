@@ -1,4 +1,5 @@
 import re
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -622,10 +623,9 @@ class TestFilterRuns:
     @pytest.mark.parametrize("n_inputs", [2, 4])
     def test_rejects_input_count_mismatch(self, n_inputs):
         model = CompositeModel(components=(map_translation(),))
-        with pytest.raises(DimensionMismatch, match=f"must yield 3 .* got {n_inputs}"):
+        with pytest.raises(DimensionMismatch, match=f"must hold 3 .* got {n_inputs}"):
             list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
-                             np.tile(np.eye(2), (3, 1, 1)),
-                             (make_input() for _ in range(n_inputs))))
+                             np.tile(np.eye(2), (3, 1, 1)), [make_input()] * n_inputs))
 
     def test_rejects_belief_of_another_dimension(self):
         # a 5-parameter model with a 4-dimensional belief failed at step 0
@@ -639,6 +639,31 @@ class TestFilterRuns:
         with pytest.raises(DimensionMismatch, match=message):
             next(filter_runs(model, cfg, np.zeros((1, 2, 2)),
                              np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
+
+    def test_inputs_are_fetched_one_step_at_a_time(self):
+        # building every step's input before step 0 held them all for the
+        # whole pass, memory that grew with the steps
+        class Counting(Sequence):
+            def __init__(self, series):
+                self.series, self.fetched = series, 0
+
+            def __len__(self):
+                return len(self.series)
+
+            def __getitem__(self, k):
+                self.fetched += 1
+                return self.series[k]
+
+        n = 6
+        inputs = Counting(KinematicInput(t=np.arange(float(n)),
+                                         heading=Heading(np.linspace(0.0, 1.0, n), np.zeros(n)),
+                                         ref_position=np.zeros((n, 2))))
+        model = CompositeModel(components=(body_offset(), map_translation()))
+        steps = filter_runs(model, make_config(4), np.ones((2, n, 2)),
+                            np.tile(0.04 * np.eye(2), (n, 1, 1)), inputs)
+        for k, _ in enumerate(steps):
+            assert inputs.fetched <= k + 1
+        assert inputs.fetched == n
 
     def test_indefinite_prior_fails_its_step(self):
         # Q (set past validation) drives the second coordinate's prior

@@ -10,8 +10,8 @@ import pytest
 from locdecomp import harness
 from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
-                                    body_offset, map_rotation, map_shear,
-                                    map_translation)
+                                    body_offset, map_rotation, map_scale,
+                                    map_shear, map_translation)
 from locdecomp.estimator import GaussianBelief, UkfConfig, filter_runs
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
@@ -309,8 +309,7 @@ def tripwire(threshold):
         return np.zeros(params.shape[:-1] + (2,))
 
     return ErrorComponent(name="tripwire", param_dim=1,
-                          depends_on=frozenset({"ref_position"}),
-                          neutral=np.zeros(1), fn=fn)
+                          depends_on=frozenset({"ref_position"}), fn=fn)
 
 
 class TestExperimentErrors:
@@ -538,8 +537,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("entry, expected", [
         ({"type": "map_shear", "axis": "y", "pivot": [1.0, 2.0]},
          lambda centroid: map_shear(pivot=(1.0, 2.0), axis="y")),
-        ({"type": "map_rotation", "reference": "other"},
-         lambda centroid: map_rotation(pivot=centroid, reference="other"))])
+        ({"type": "map_scale", "pivot": [-3.0, 5.0]},
+         lambda centroid: map_scale(pivot=(-3.0, 5.0)))])
     def test_component_options_reach_the_factory(self, entry, expected):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"] = [entry]
@@ -551,12 +550,17 @@ class TestParseConfig:
         np.testing.assert_array_equal(comp.evaluate([0.3], u), built.evaluate([0.3], u))
 
     def test_unknown_reference_is_rejected_at_load(self):
-        raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["model"] = [{"type": "map_rotation", "reference": "foo"}]
-        raw["injection"]["true_params"] = [0.1]
-        with pytest.raises(ValueError, match="^reference must be 'ref' or 'other', "
-                                             "got 'foo'$"):
-            parse_config(raw)
+        # "reference" is no key: an other-hosted deformation is the
+        # ref-hosted one at the inverse parameter, so "other" must not load
+        # and silently run the ref-hosted model
+        for value in ("other", "ref", "foo"):
+            raw = json.loads(json.dumps(BASE_CONFIG))
+            raw["model"] = [{"type": "map_rotation", "reference": value}]
+            raw["injection"]["true_params"] = [0.1]
+            with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['reference'\] in "
+                                                  r"component 'map_rotation'; allowed: "
+                                                  r"\['initial', 'pivot', 'type'\]$"):
+                parse_config(raw)
 
     @pytest.mark.parametrize("section, key", [
         (None, "runs"), ("injection", "seed"), ("trajectory", "n_samples"),

@@ -237,6 +237,19 @@ class TestRankTestArguments:
             numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
                                 rank_tolerance=bad)
 
+    @pytest.mark.parametrize("bad", [8.9, 2.5, True, False])
+    def test_rejects_non_integer_window_length(self, bad):
+        # truncating ran 8.9 as a window of 8 and 2.5 as one of 2
+        with pytest.raises(ValueError,
+                           match=f"^window_length must be an integer, got {bad!r}$"):
+            numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
+                                window_length=bad)
+
+    def test_integral_float_window_length_is_accepted(self):
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
+                                     window_length=8.0)
+        assert report.window_length == 8
+
     @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
     def test_rejects_series_with_run_axis(self, model):
         # with a map_rotation this gave numpy's broadcast error, and without

@@ -195,7 +195,7 @@ class TestInjectErrors:
 
     def test_noiseless_neutral_parameters_give_zero_difference(self):
         trajectory = synthesize_trajectory("corner", 30)
-        cfg = InjectionConfig(true_params=BODY_MAP.neutral_state(),
+        cfg = InjectionConfig(true_params=np.zeros(BODY_MAP.state_dim),
                               noise_sigma_ref=0.0, noise_sigma_other=0.0,
                               rng_seed=1)
         p_ref, p_other, _ = inject_one(trajectory, cfg)
