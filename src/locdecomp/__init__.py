@@ -14,7 +14,7 @@ repeated simulated runs.
 from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            body_offset, map_rotation, map_scale, map_shear,
                            map_translation)
-from .estimator import GaussianBelief, UkfConfig, filter_runs
+from .estimator import UkfConfig, filter_runs
 from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
                          FilterStepError, NonMonotoneTime, NotPSD, ParseError,
                          SingularTransform, ZeroTurnRate)
@@ -34,7 +34,7 @@ __all__ = [
     "Heading", "heading_rates", "normalize_angle", "rotate", "rotation_matrix",
     "CompositeModel", "ErrorComponent", "KinematicInput", "body_offset",
     "map_rotation", "map_scale", "map_shear", "map_translation",
-    "GaussianBelief", "UkfConfig", "filter_runs",
+    "UkfConfig", "filter_runs",
     "ObservabilityReport", "closed_form_decomposition", "difference_rates",
     "numerical_rank_test",
     "InjectionConfig", "inject_runs", "load_trajectory", "synthesize_trajectory",

@@ -39,7 +39,8 @@ from .exceptions import NonMonotoneTime, ParseError
 from .frames import Heading
 from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, build_trajectory,
                       emit_results, load_config, run_experiment, write_table)
-from .observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
+from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_RANK_TOL,
+                            DEFAULT_SMOOTH_WINDOW, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
 from .simulation import inject_runs
 
@@ -49,11 +50,13 @@ DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
 
 
 def write_data_file(path, inputs: KinematicInput, p_other, r) -> Path:
-    """Write the record ``(inputs, p_other, r)`` as a simulated data file;
-    the file stores variances, so ``r`` must be diagonal."""
+    """Write the record ``(inputs, p_other, r)`` of one run as a simulated
+    data file: positions (N, 2), or (1, N, 2) as :func:`inject_runs` returns
+    them for one seed.  The file stores variances, so ``r`` must be diagonal."""
     if np.any(r[:, [0, 1], [1, 0]]):
         raise ValueError("r must be diagonal: the data file stores variances only")
-    table = np.column_stack([inputs.t, inputs.ref_position, p_other, inputs.heading.angle,
+    table = np.column_stack([inputs.t, inputs.ref_position.reshape(-1, 2),
+                             np.reshape(p_other, (-1, 2)), inputs.heading.angle,
                              inputs.heading.rate, r[:, 0, 0], r[:, 1, 1]])
     return write_table(path, table, ",".join(DATA_COLUMNS), comments="# ")
 
@@ -120,12 +123,10 @@ def _output_path(args, cfg: ExperimentConfig, name: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    trajectory = build_trajectory(cfg.trajectory)
-    p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, [cfg.injection.rng_seed])
-    r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
-    out = write_data_file(_output_path(args, cfg, "simulated.csv"),
-                          replace(trajectory, ref_position=p_ref[0]), p_other[0], r)
-    print(f"wrote {len(trajectory)} steps to {out}")
+    inputs, p_other, r = inject_runs(build_trajectory(cfg.trajectory), cfg.injection,
+                                     cfg.model, [cfg.injection.rng_seed])
+    out = write_data_file(_output_path(args, cfg, "simulated.csv"), inputs, p_other, r)
+    print(f"wrote {len(inputs)} steps to {out}")
     return 0
 
 
@@ -162,7 +163,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_observability(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = numerical_rank_test(cfg.model, cfg.ukf.initial_belief.mean,
+    report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean,
                                  build_trajectory(cfg.trajectory),
                                  window_length=args.window,
                                  rank_tolerance=args.tolerance)
@@ -244,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="closed-form decomposition of a data file")
     p.add_argument("--data", type=Path, required=True, help="simulated data file")
-    p.add_argument("--min-turn-rate", type=float, default=1e-3,
+    p.add_argument("--min-turn-rate", type=float, default=DEFAULT_MIN_TURN_RATE,
                    help="skip steps with |heading rate| at or below this")
-    p.add_argument("--smooth-window", type=int, default=3,
+    p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW,
                    help="moving-average width for difference rates (odd)")
     p.set_defaults(func=_cmd_oracle)
     return parser

@@ -127,14 +127,6 @@ class ErrorComponent:
                              f"known: {KINEMATIC_FIELDS}")
         object.__setattr__(self, "depends_on", frozenset(self.depends_on))
 
-    def evaluate(self, params, u: KinematicInput) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        if params.shape[-1:] != (self.param_dim,):
-            raise DimensionMismatch(
-                f"component '{self.name}' expects {self.param_dim} parameters, "
-                f"got shape {params.shape}")
-        return as_points(self.fn(params, u), f"output of '{self.name}'")
-
 
 @dataclass(frozen=True)
 class CompositeModel:

@@ -9,10 +9,10 @@ with its composed covariance.
 
 Sigma points follow the scaled construction of Wan and van der Merwe
 (parameters ``alpha``, ``beta``, ``kappa``).  Covariances are validated
-where they enter (belief, process noise, measurement covariances) and
-stored as their exact symmetric part ``(m + m.T) / 2``, so every prior and
-posterior derived from them is exactly symmetric and no step checks
-symmetry.
+where they enter (initial covariance, process noise, measurement
+covariances) and stored as their exact symmetric part ``(m + m.T) / 2``,
+so every prior and posterior derived from them is exactly symmetric and no
+step checks symmetry.
 
 The math is written once over a run axis (means (B, n), covariances
 (B, n, n)): :func:`filter_runs` is the filter, B runs in one vectorized
@@ -90,29 +90,10 @@ def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
     return sym
 
 
-@dataclass
-class GaussianBelief:
-    """Mean and covariance of a Gaussian state estimate."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        if self.mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {self.mean.shape}")
-        if not np.all(np.isfinite(self.mean)):
-            raise ValueError("mean must be finite")
-        self.covariance = _check_covariance(self.covariance, "covariance", self.mean.size)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
 @dataclass(frozen=True)
 class UkfConfig:
-    """Sigma-point spread parameters, process noise and initial belief.
+    """Initial mean and covariance, process noise and sigma-point spread
+    parameters.
 
     ``beta = 2`` is optimal for Gaussian priors in the scaled construction;
     a small ``alpha`` keeps the points close to the mean, which suits the
@@ -122,13 +103,23 @@ class UkfConfig:
     """
 
     process_noise: np.ndarray
-    initial_belief: GaussianBelief
+    initial_mean: np.ndarray
+    initial_covariance: np.ndarray
     alpha: float = 0.1
     beta: float = 2.0
     kappa: float = 0.0
     mahalanobis_gate: float | None = None
 
     def __post_init__(self):
+        mean = np.atleast_1d(np.asarray(self.initial_mean, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError(f"initial_mean must be a vector, got shape {mean.shape}")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("initial_mean must be finite")
+        n = mean.size
+        object.__setattr__(self, "initial_mean", mean)
+        object.__setattr__(self, "initial_covariance", _check_covariance(
+            self.initial_covariance, "initial_covariance", n))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         for name in ("beta", "kappa"):
@@ -138,11 +129,10 @@ class UkfConfig:
         if gate is not None and not 0.0 < gate < np.inf:
             raise ValueError(f"mahalanobis_gate must be None or a finite value above 0, "
                              f"got {gate}")
-        if self.initial_belief.dim + self.kappa <= 0.0:
-            raise ValueError(f"kappa must exceed -n = {-self.initial_belief.dim}, got {self.kappa}")
-        q = _check_covariance(self.process_noise, "process_noise",
-                              self.initial_belief.dim)
-        object.__setattr__(self, "process_noise", q)
+        if n + self.kappa <= 0.0:
+            raise ValueError(f"kappa must exceed -n = {-n}, got {self.kappa}")
+        object.__setattr__(self, "process_noise",
+                           _check_covariance(self.process_noise, "process_noise", n))
 
 
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
@@ -233,20 +223,22 @@ def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
 
 
 def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
-    """Filter B runs from ``cfg.initial_belief`` in one vectorized pass.
+    """Filter B runs from ``cfg.initial_mean`` and ``cfg.initial_covariance``
+    in one vectorized pass.
 
     ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
     covariances (N, 2, 2) shared by the runs, and ``inputs`` is a sequence
     of N kinematic inputs (a series of N, or a list), indexed one step at a
     time, whose ``ref_position`` is shared (2,) or per run (B, 2); other
-    shapes, counts or initial belief dimensions raise
+    shapes, counts or initial state dimensions raise
     :class:`~locdecomp.exceptions.DimensionMismatch` before any step.
     Yields the posterior means (B, n) and covariances (B, n, n) after each
     step.  Errors raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
     """
-    if cfg.initial_belief.dim != model.state_dim:
-        raise DimensionMismatch(f"belief dimension {cfg.initial_belief.dim} does not "
+    n = cfg.initial_mean.size
+    if n != model.state_dim:
+        raise DimensionMismatch(f"initial state dimension {n} does not "
                                 f"match model state dimension {model.state_dim}")
     d = np.asarray(d, dtype=float)
     if d.ndim != 3 or d.shape[2] != 2:
@@ -265,9 +257,9 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
     if bad_steps.size:
         raise FilterStepError(int(bad_steps[0]), "observed difference must be finite")
-    weights = _sigma_weights(cfg.initial_belief.dim, cfg)
-    means = np.tile(cfg.initial_belief.mean, (d.shape[0], 1))
-    covs = np.tile(cfg.initial_belief.covariance, (d.shape[0], 1, 1))
+    weights = _sigma_weights(n, cfg)
+    means = np.tile(cfg.initial_mean, (d.shape[0], 1))
+    covs = np.tile(cfg.initial_covariance, (d.shape[0], 1, 1))
     for step in range(n_steps):
         try:
             means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],

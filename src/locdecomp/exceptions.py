@@ -13,7 +13,7 @@ class DimensionMismatch(ValueError):
 
 
 class SingularTransform(ValueError):
-    """A parametric planar transform is not invertible at the given parameters."""
+    """A map deformation is not invertible at the given parameters."""
 
 
 class NotPSD(ValueError):

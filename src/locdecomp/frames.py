@@ -15,6 +15,7 @@ frame, by minus the heading back).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,16 @@ def as_vec2(v, name: str = "vector") -> np.ndarray:
     if arr.shape != (2,):
         raise ValueError(f"{name} must have shape (2,), got {arr.shape}")
     return as_points(arr, name)
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as an int: an integral number such as ``8`` or ``8.0``; a
+    boolean, a string, None or a fractional number raises ValueError naming
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

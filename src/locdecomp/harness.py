@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import numbers
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 
@@ -30,10 +30,11 @@ import numpy as np
 
 from . import error_models
 from .error_models import CompositeModel, KinematicInput
-from .estimator import GaussianBelief, UkfConfig, filter_runs
+from .estimator import UkfConfig, filter_runs
 from .exceptions import ConfigError, ExperimentRunError, NotPSD
-from .simulation import (InjectionConfig, inject_runs, load_trajectory,
-                         synthesize_trajectory)
+from .frames import as_count
+from .simulation import (DEFAULT_SPEED_MPS, DEFAULT_STEP_S, InjectionConfig,
+                         inject_runs, load_trajectory, synthesize_trajectory)
 
 DEFAULT_CONVERGENCE_THRESHOLD_M2 = 0.1
 FLOAT_FORMAT = "%.9g"
@@ -49,8 +50,8 @@ class SyntheticTrajectory:
 
     kind: str
     n_samples: int
-    step: float = 1.0
-    speed: float = 10.0
+    step: float = DEFAULT_STEP_S
+    speed: float = DEFAULT_SPEED_MPS
     initial_heading: float = 0.0
     turn_samples: int | None = None
 
@@ -84,9 +85,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"true_params dimension {self.injection.true_params.size} does not "
                 f"match model state dimension {self.model.state_dim}")
-        if self.ukf.initial_belief.dim != self.model.state_dim:
+        if self.ukf.initial_mean.size != self.model.state_dim:
             raise ConfigError(
-                f"filter dimension {self.ukf.initial_belief.dim} does not match "
+                f"filter dimension {self.ukf.initial_mean.size} does not match "
                 f"model state dimension {self.model.state_dim}")
 
 
@@ -148,10 +149,8 @@ def _estimate_runs(trajectory, cfg: ExperimentConfig, runs):
     Yields each step's posterior means, shape (runs, dim).
     """
     seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in runs]
-    p_ref, d = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
-    np.subtract(p_ref, d, out=d)    # the differences overwrite the other localizer
-    r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
-    inputs = replace(trajectory, ref_position=p_ref)
+    inputs, d, r = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
+    np.subtract(inputs.ref_position, d, out=d)   # the differences overwrite p_other
     for posterior, _ in filter_runs(cfg.model, cfg.ukf, d, r, inputs):
         yield posterior
 
@@ -193,7 +192,7 @@ def run_experiment(cfg: ExperimentConfig) -> MseSeries:
         mean=mean,
         variance=variance,
         true_params=truth.copy(),
-        initial_mse=(cfg.ukf.initial_belief.mean - truth) ** 2,
+        initial_mse=(cfg.ukf.initial_mean - truth) ** 2,
         n_runs=cfg.n_runs,
     )
 
@@ -304,12 +303,11 @@ def _build_component(entry: dict, centroid: np.ndarray):
 
 
 def _integer(value, key: str) -> int:
-    """``value`` as an int: an integral number such as ``200`` or ``200.0``;
-    a boolean or any other value raises ConfigError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    """:func:`~locdecomp.frames.as_count`, raising ConfigError naming ``key``."""
+    try:
+        return as_count(value, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _real(value, key: str, scalar: bool = True):
@@ -381,10 +379,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             trajectory = SyntheticTrajectory(
                 kind=traj_raw["kind"],
                 n_samples=_integer(traj_raw["n_samples"], "trajectory.n_samples"),
-                step=_real(traj_raw.get("step", 1.0), "trajectory.step"),
-                speed=_real(traj_raw.get("speed", 10.0), "trajectory.speed"),
-                initial_heading=_real(traj_raw.get("initial_heading", 0.0),
-                                      "trajectory.initial_heading"),
+                **{key: _real(traj_raw[key], f"trajectory.{key}")
+                   for key in ("step", "speed", "initial_heading") if key in traj_raw},
                 turn_samples=(_integer(traj_raw["turn_samples"], "trajectory.turn_samples")
                               if "turn_samples" in traj_raw else None))
         except KeyError as exc:
@@ -423,9 +419,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             rng_seed=seed)
 
     filt_raw = raw["filter"]
-    _reject_unknown(filt_raw, {"alpha", "beta", "kappa", "process_noise",
-                               "initial_mean", "initial_covariance",
-                               "mahalanobis_gate"}, "filter")
+    _reject_unknown(filt_raw, {f.name for f in fields(UkfConfig)}, "filter")
     dim = model.state_dim
     if "process_noise" not in filt_raw or "initial_covariance" not in filt_raw:
         raise ConfigError("filter needs 'process_noise' and 'initial_covariance'")
@@ -437,13 +431,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError(f"initial_mean needs {dim} entries, got {x0.shape}")
     ukf = UkfConfig(
         process_noise=_as_matrix(filt_raw["process_noise"], dim, "process_noise"),
-        initial_belief=GaussianBelief(
-            mean=x0,
-            covariance=_as_matrix(filt_raw["initial_covariance"], dim,
-                                  "initial_covariance")),
-        alpha=_real(filt_raw.get("alpha", 0.1), "filter.alpha"),
-        beta=_real(filt_raw.get("beta", 2.0), "filter.beta"),
-        kappa=_real(filt_raw.get("kappa", 0.0), "filter.kappa"),
+        initial_mean=x0,
+        initial_covariance=_as_matrix(filt_raw["initial_covariance"], dim,
+                                      "initial_covariance"),
+        **{key: _real(filt_raw[key], f"filter.{key}")
+           for key in ("alpha", "beta", "kappa") if key in filt_raw},
         mahalanobis_gate=(_real(filt_raw["mahalanobis_gate"], "filter.mahalanobis_gate")
                           if filt_raw.get("mahalanobis_gate") is not None else None))
 

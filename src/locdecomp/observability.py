@@ -32,9 +32,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, ZeroTurnRate
+from .frames import as_count
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_MIN_TURN_RATE = 1e-3
+DEFAULT_SMOOTH_WINDOW = 3
 # rows of stacked window Jacobians decomposed per batched SVD; bounds the
 # memory of the rank test on long trajectories
 _BLOCK_ROWS = 1 << 16
@@ -86,10 +88,7 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
         raise ValueError(f"x0 must be finite, got {x0}")
     if not 0.0 < rank_tolerance < 1.0:
         raise ValueError(f"rank_tolerance must be finite and in (0, 1), got {rank_tolerance}")
-    if window_length is not None and (isinstance(window_length, bool)
-                                      or not float(window_length).is_integer()):
-        raise ValueError(f"window_length must be an integer, got {window_length!r}")
-    wl = 2 * n if window_length is None else int(window_length)
+    wl = 2 * n if window_length is None else as_count(window_length, "window_length")
     if wl < -(-n // 2):
         raise ValueError(f"window_length {wl} too short for {n} parameters")
     if inputs.ref_position.shape != (len(inputs), 2):
@@ -171,7 +170,7 @@ def closed_form_decomposition(d, d_rate, heading_angle, heading_rate,
     return np.stack([body_x, body_y, map_e, map_n], axis=-1)
 
 
-def difference_rates(t, d_series, smooth_window: int = 3) -> np.ndarray:
+def difference_rates(t, d_series, smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
     """Time derivatives of a sampled difference series by central differences.
 
     The series is smoothed with a centered moving average (edge-replicated)

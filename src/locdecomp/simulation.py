@@ -33,7 +33,7 @@ import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, NonMonotoneTime, ParseError
-from .frames import Heading, as_vec2, heading_rates
+from .frames import Heading, as_count, as_vec2, heading_rates
 
 DEFAULT_STEP_S = 1.0
 DEFAULT_SPEED_MPS = 10.0
@@ -183,6 +183,7 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
     """
     if kind not in ("straight", "corner"):
         raise ValueError(f"kind must be 'straight' or 'corner', got {kind!r}")
+    n_samples = as_count(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if not 0.0 < step < np.inf:
@@ -201,13 +202,11 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
         max_turn = (n_samples - TURN_COUNT - 1) // TURN_COUNT
         if turn_samples is None:
             turn = max(1, min(max(2, n_samples // 10), max_turn))
-        elif isinstance(turn_samples, bool) or not float(turn_samples).is_integer():
-            raise ValueError(f"turn_samples must be an integer, got {turn_samples!r}")
-        elif 1 <= turn_samples <= max_turn:
-            turn = int(turn_samples)
         else:
-            raise ValueError(f"turn_samples must be in [1, {max_turn}] for {n_samples} "
-                             f"samples, got {turn_samples}")
+            turn = as_count(turn_samples, "turn_samples")
+            if not 1 <= turn <= max_turn:
+                raise ValueError(f"turn_samples must be in [1, {max_turn}] for "
+                                 f"{n_samples} samples, got {turn_samples}")
         n_legs = TURN_COUNT + 1
         leg_total = n_samples - TURN_COUNT * turn
         base, extra = divmod(leg_total, n_legs)
@@ -237,18 +236,22 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
                           ref_position=positions)
 
 
-def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig,
-                model: CompositeModel, seeds) -> tuple[np.ndarray, np.ndarray]:
+def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: CompositeModel,
+                seeds) -> tuple[KinematicInput, np.ndarray, np.ndarray]:
     """Simulate the two localizer outputs of several runs along a trajectory
     series.
 
     The reference localizer reports the true position plus its noise; the
-    kinematic input is the series with that (measured) reference position; the
     other localizer reports the true position displaced by the model output
-    at the true parameters, plus its own noise.  Run ``i`` draws its
-    reference noise (N, 2), then its other noise (N, 2), from
-    ``default_rng(seeds[i])``, so a seed reproduces bit-identical outputs in
-    any batch.  Returns ``(p_ref, p_other)``, each of shape (runs, N, 2).
+    at the true parameters, evaluated at that (measured) reference position,
+    plus its own noise.  Run ``i`` draws its reference noise (N, 2), then its
+    other noise (N, 2), from ``default_rng(seeds[i])``, so a seed reproduces
+    bit-identical outputs in any batch.  Returns the record ``(inputs,
+    p_other, r)`` that :func:`~locdecomp.estimator.filter_runs` reads: the
+    series with the reference positions (runs, N, 2) in ``ref_position``,
+    the other localizer's positions (runs, N, 2) and the measurement
+    covariances (N, 2, 2), a read-only view of
+    :meth:`InjectionConfig.observation_covariance` at every step.
     """
     if cfg.true_params.shape != (model.state_dim,):
         raise DimensionMismatch(
@@ -262,6 +265,7 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig,
         p_ref[i] = rng.normal(0.0, cfg.noise_sigma_ref, (n, 2))
         p_other[i] = rng.normal(0.0, cfg.noise_sigma_other, (n, 2))
     p_ref += trajectory.ref_position
-    u = replace(trajectory, ref_position=p_ref)
-    p_other += trajectory.ref_position - model.evaluate(cfg.true_params, u)
-    return p_ref, p_other
+    inputs = replace(trajectory, ref_position=p_ref)
+    p_other += trajectory.ref_position - model.evaluate(cfg.true_params, inputs)
+    r = np.broadcast_to(cfg.observation_covariance(), (n, 2, 2))
+    return inputs, p_other, r

@@ -33,7 +33,6 @@ The experiment also has to finish within 30 s.
 """
 
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from scipy import stats
 from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
-from locdecomp.estimator import GaussianBelief, UkfConfig, filter_runs
+from locdecomp.estimator import UkfConfig, filter_runs
 from locdecomp.frames import Heading, rotation_matrix
 from locdecomp.harness import (ExperimentConfig, SyntheticTrajectory,
                                build_trajectory, run_experiment)
@@ -70,8 +69,8 @@ SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def reference_ukf_config() -> UkfConfig:
-    return UkfConfig(process_noise=PROCESS_NOISE,
-                     initial_belief=GaussianBelief(np.zeros(4), INITIAL_COVARIANCE))
+    return UkfConfig(process_noise=PROCESS_NOISE, initial_mean=np.zeros(4),
+                     initial_covariance=INITIAL_COVARIANCE)
 
 
 def experiment_config(kind: str, n_samples: int, heading: float = 0.0,
@@ -90,10 +89,9 @@ def experiment_config(kind: str, n_samples: int, heading: float = 0.0,
 def one_run(trajectory, injection):
     """One run injected at ``injection.rng_seed`` as ``filter_runs`` takes it:
     differences (1, N, 2), covariances (N, 2, 2) and the series carrying the
-    measured reference positions."""
-    p_ref, p_other = inject_runs(trajectory, injection, BODY_MAP, [injection.rng_seed])
-    r = np.tile(injection.observation_covariance(), (len(trajectory), 1, 1))
-    return p_ref - p_other, r, replace(trajectory, ref_position=p_ref[0])
+    measured reference positions (1, N, 2)."""
+    inputs, p_other, r = inject_runs(trajectory, injection, BODY_MAP, [injection.rng_seed])
+    return inputs.ref_position - p_other, r, inputs
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -240,16 +238,16 @@ def test_criterion_5_linear_kf_equivalence():
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cfg = UkfConfig(process_noise=0.1 * np.eye(2),
-                        initial_belief=GaussianBelief(np.zeros(2), 10.0 * np.eye(2)))
+        cfg = UkfConfig(process_noise=0.1 * np.eye(2), initial_mean=np.zeros(2),
+                        initial_covariance=10.0 * np.eye(2))
         d, r, inputs = np.empty((1, 100, 2)), np.empty((100, 2, 2)), []
         for k in range(100):
             d[0, k] = rng.normal(size=2) * 5.0
             r[k] = np.diag(rng.uniform(0.01, 0.5, 2))
             inputs.append(KinematicInput(t=float(k), heading=Heading(0.0),
                                          ref_position=np.zeros(2)))
-        mean = cfg.initial_belief.mean.copy()
-        cov = cfg.initial_belief.covariance.copy()
+        mean = cfg.initial_mean.copy()
+        cov = cfg.initial_covariance.copy()
         for k, (means, covs) in enumerate(filter_runs(model, cfg, d, r, inputs)):
             mean, cov = linear_kalman_step(mean, cov, d[0, k], np.eye(2), r[k],
                                            cfg.process_noise)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +6,9 @@ import pytest
 
 from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
-from locdecomp.estimator import GaussianBelief
+from locdecomp.error_models import KinematicInput
 from locdecomp.exceptions import FilterStepError, NonMonotoneTime, ParseError
+from locdecomp.frames import Heading
 from locdecomp.harness import build_trajectory, load_config
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                                      difference_rates)
@@ -92,39 +92,43 @@ class TestSimulateAndFilter:
         data = tmp_path / "data.csv"
         main(["simulate", "--config", str(config), "--out", str(data)])
         cfg = load_config(config)
-        trajectory = build_trajectory(cfg.trajectory)
-        p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model,
-                                     [cfg.injection.rng_seed])
-        r = np.broadcast_to(cfg.injection.observation_covariance(), (60, 2, 2))
-        expected = write_data_file(tmp_path / "expected.csv",
-                                   replace(trajectory, ref_position=p_ref[0]),
-                                   p_other[0], r)
+        record = inject_runs(build_trajectory(cfg.trajectory), cfg.injection, cfg.model,
+                             [cfg.injection.rng_seed])
+        expected = write_data_file(tmp_path / "expected.csv", *record)
         assert data.read_bytes() == expected.read_bytes()
 
 
 def test_file_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsys):
-    # simulate, filter and oracle pass arrays from end to end: the only
-    # GaussianBelief is the initial one that load_config makes
+    # simulate, filter and oracle pass arrays from end to end: they construct
+    # as many KinematicInput and Heading objects for 60 rows as for 90
     built = []
-    original = GaussianBelief.__post_init__
+    for cls in (Heading, KinematicInput):
+        def counted(self, _original=cls.__post_init__):
+            built.append(type(self).__name__)
+            _original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
 
-    def counted(self):
-        built.append(type(self).__name__)
-        original(self)
+    def constructions(n_samples):
+        folder = tmp_path / str(n_samples)
+        folder.mkdir()
+        config = write_config(folder, trajectory={"kind": "corner", "n_samples": n_samples})
+        data = folder / "data.csv"
+        commands = {
+            "simulate": ["--config", str(config), "--out", str(data)],
+            "filter": ["--config", str(config), "--data", str(data),
+                       "--out", str(folder / "estimates.csv")],
+            "oracle": ["--data", str(data)],
+        }
+        counts = {}
+        for command, args in commands.items():
+            built.clear()
+            assert main([command] + args) == 0
+            counts[command] = sorted(built)
+        return counts
 
-    monkeypatch.setattr(GaussianBelief, "__post_init__", counted)
-    config = write_config(tmp_path)
-    data = tmp_path / "data.csv"
-    commands = {
-        "simulate": ["--config", str(config), "--out", str(data)],
-        "filter": ["--config", str(config), "--data", str(data),
-                   "--out", str(tmp_path / "estimates.csv")],
-        "oracle": ["--data", str(data)],
-    }
-    for command, args in commands.items():
-        built.clear()
-        assert main([command] + args) == 0
-        assert built == ([] if command == "oracle" else ["GaussianBelief"]), command
+    short = constructions(60)
+    assert short == constructions(90)
+    assert short["oracle"] == ["Heading", "KinematicInput"]
 
 
 class TestReadDataFile:

@@ -8,6 +8,11 @@ from locdecomp.exceptions import DimensionMismatch, SingularTransform
 from locdecomp.frames import Heading, rotate, rotation_matrix
 
 
+def evaluate(comp, params, u):
+    """A component's contribution, evaluated as a one-component model."""
+    return CompositeModel(components=(comp,)).evaluate(params, u)
+
+
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
     return KinematicInput(t=t, heading=Heading(angle=angle, rate=rate),
                           ref_position=np.asarray(position, dtype=float))
@@ -91,11 +96,11 @@ class TestKinematicSeries:
 class TestMapTranslation:
     def test_returns_parameters_unchanged(self):
         comp = map_translation()
-        np.testing.assert_allclose(comp.evaluate([3.0, 2.0], make_input()),
+        np.testing.assert_allclose(evaluate(comp, [3.0, 2.0], make_input()),
                                    [3.0, 2.0])
-        np.testing.assert_allclose(comp.evaluate([0.0, 0.0], make_input()),
+        np.testing.assert_allclose(evaluate(comp, [0.0, 0.0], make_input()),
                                    [0.0, 0.0])
-        np.testing.assert_allclose(comp.evaluate([-1.5, 4.0], make_input(angle=1.0)),
+        np.testing.assert_allclose(evaluate(comp, [-1.5, 4.0], make_input(angle=1.0)),
                                    [-1.5, 4.0])
 
     def test_reads_no_kinematic_fields(self):
@@ -105,20 +110,20 @@ class TestMapTranslation:
 class TestBodyOffset:
     def test_zero_heading_is_identity(self):
         comp = body_offset()
-        np.testing.assert_allclose(comp.evaluate([2.0, 1.0], make_input(angle=0.0)),
+        np.testing.assert_allclose(evaluate(comp, [2.0, 1.0], make_input(angle=0.0)),
                                    [2.0, 1.0])
 
     def test_quarter_turn(self):
         comp = body_offset()
         np.testing.assert_allclose(
-            comp.evaluate([2.0, 1.0], make_input(angle=np.pi / 2)),
+            evaluate(comp, [2.0, 1.0], make_input(angle=np.pi / 2)),
             [-1.0, 2.0], atol=1e-12)
 
     def test_matches_rotation_matrix(self):
         comp = body_offset()
         gamma = 2.0
         expected = rotation_matrix(gamma) @ np.array([2.0, 1.0])
-        np.testing.assert_allclose(comp.evaluate([2.0, 1.0], make_input(angle=gamma)),
+        np.testing.assert_allclose(evaluate(comp, [2.0, 1.0], make_input(angle=gamma)),
                                    expected, rtol=1e-15)
 
     def test_norm_preserving_in_parameters(self):
@@ -127,7 +132,7 @@ class TestBodyOffset:
         for _ in range(50):
             params = rng.normal(size=2) * 3.0
             gamma = rng.uniform(-np.pi, np.pi)
-            out = comp.evaluate(params, make_input(angle=gamma))
+            out = evaluate(comp, params, make_input(angle=gamma))
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(params),
                                                         rel=1e-12)
 
@@ -141,33 +146,33 @@ class TestTransformDifference:
         for comp in (map_rotation(), map_scale(), map_shear()):
             for _ in range(20):
                 u = make_input(position=rng.normal(size=2) * 100.0)
-                out = comp.evaluate(np.zeros(1), u)
+                out = evaluate(comp, np.zeros(1), u)
                 np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
     def test_uniform_scale_about_origin(self):
         # doubling scale about the origin: inverse image of (10, 4) is (5, 2)
         u = make_input(position=(10.0, 4.0))
-        out = map_scale().evaluate(np.array([1.0]), u)
+        out = evaluate(map_scale(), np.array([1.0]), u)
         np.testing.assert_allclose(out, [5.0, 2.0], rtol=1e-15)
 
     def test_rotation_about_origin_closed_form(self):
         r, theta = 5.0, 0.4
         u = make_input(position=(r, 0.0))
         expected = np.array([r, 0.0]) - rotation_matrix(-theta) @ np.array([r, 0.0])
-        out = map_rotation().evaluate(np.array([theta]), u)
+        out = evaluate(map_rotation(), np.array([theta]), u)
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_zero_scale_factor_is_singular(self):
         u = make_input(position=(1.0, 1.0))
         with pytest.raises(SingularTransform):
-            map_scale().evaluate(np.array([-1.0]), u)
+            evaluate(map_scale(), np.array([-1.0]), u)
 
     def test_shear_displaces_one_axis_only(self):
         u = make_input(position=(3.0, 4.0))
-        out = map_shear(axis="x").evaluate(np.array([0.5]), u)
+        out = evaluate(map_shear(axis="x"), np.array([0.5]), u)
         # x-shear inverse subtracts k*y, so the difference is (k*y, 0)
         np.testing.assert_allclose(out, [2.0, 0.0], rtol=1e-15)
-        out_y = map_shear(axis="y").evaluate(np.array([0.5]), u)
+        out_y = evaluate(map_shear(axis="y"), np.array([0.5]), u)
         np.testing.assert_allclose(out_y, [0.0, 1.5], rtol=1e-15)
 
     @pytest.mark.parametrize("deformation, forward, inverse_param, atol", [
@@ -195,7 +200,7 @@ class TestTransformDifference:
         u = KinematicInput(t=np.arange(50.0), heading=Heading(np.zeros(50), np.zeros(50)),
                            ref_position=positions)
         other_hosted = positions - (pivot + forward(positions - pivot, params))
-        out = deformation(pivot).evaluate(inverse_param(params), u)
+        out = evaluate(deformation(pivot), inverse_param(params), u)
         np.testing.assert_allclose(out, other_hosted, rtol=0.0, atol=atol)
 
     def test_pivot_and_axis_are_checked_at_construction(self):
@@ -321,7 +326,7 @@ class TestDeformationComponents:
         u = make_input(position=(4.0, 1.0))
         lever = np.array([3.0, 0.0])
         expected = lever - rotation_matrix(-0.2) @ lever
-        np.testing.assert_allclose(comp.evaluate([0.2], u), expected, rtol=1e-12)
+        np.testing.assert_allclose(evaluate(comp, [0.2], u), expected, rtol=1e-12)
 
     def test_names(self):
         assert map_rotation().name == "map_rotation"

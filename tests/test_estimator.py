@@ -1,5 +1,6 @@
 import re
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,9 @@ import pytest
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_shear,
                                     map_translation)
-from locdecomp.estimator import (PSD_TOL, GaussianBelief, UkfConfig,
-                                 _check_covariance, _check_psd, _covariance_sqrt,
-                                 _inverse_2x2, _sigma_points, _sigma_weights, _update,
-                                 filter_runs)
+from locdecomp.estimator import (PSD_TOL, UkfConfig, _check_covariance, _check_psd,
+                                 _covariance_sqrt, _inverse_2x2, _sigma_points,
+                                 _sigma_weights, _update, filter_runs)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 from locdecomp.frames import Heading
 
@@ -22,9 +22,8 @@ def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
 
 def make_config(dim, q=0.1, p0=10.0, x0=None, **kwargs):
     x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-    return UkfConfig(process_noise=q * np.eye(dim),
-                     initial_belief=GaussianBelief(x0, p0 * np.eye(dim)),
-                     **kwargs)
+    return UkfConfig(process_noise=q * np.eye(dim), initial_mean=x0,
+                     initial_covariance=p0 * np.eye(dim), **kwargs)
 
 
 def filter_one(model, cfg, d, r, inputs):
@@ -87,12 +86,13 @@ def floor_matrices():
     return at, below
 
 
-def sigma_points(belief, cfg):
-    """The scaled sigma points (2n+1, n) of one belief and their mean and
-    covariance weights, formed as a filter step forms them."""
-    scale, wm, wc = _sigma_weights(belief.dim, cfg)
-    spread = np.sqrt(scale) * _covariance_sqrt(belief.covariance[None])
-    return _sigma_points(belief.mean[None], spread)[:, 0], wm, wc
+def sigma_points(cfg):
+    """The scaled sigma points (2n+1, n) of a configuration's initial mean
+    and covariance and their mean and covariance weights, formed as a filter
+    step forms them."""
+    scale, wm, wc = _sigma_weights(cfg.initial_mean.size, cfg)
+    spread = np.sqrt(scale) * _covariance_sqrt(cfg.initial_covariance[None])
+    return _sigma_points(cfg.initial_mean[None], spread)[:, 0], wm, wc
 
 
 def gated_priors(model, cfg, n_steps):
@@ -101,11 +101,10 @@ def gated_priors(model, cfg, n_steps):
     the prior: the previous covariance plus the process noise."""
     d = np.full((1, n_steps, 2), 1e6)
     r = np.tile(0.01 * np.eye(2), (n_steps, 1, 1))
-    gated = UkfConfig(process_noise=cfg.process_noise, initial_belief=cfg.initial_belief,
-                      mahalanobis_gate=3.0)
+    gated = replace(cfg, mahalanobis_gate=3.0)
     steps = list(filter_runs(model, gated, d, r, [make_input()] * n_steps))
     for means, _ in steps:
-        np.testing.assert_array_equal(means[0], cfg.initial_belief.mean)
+        np.testing.assert_array_equal(means[0], cfg.initial_mean)
     return [covs[0] for _, covs in steps]
 
 
@@ -145,18 +144,32 @@ NON_FINITE = [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]]),
               np.array([[np.nan, 0.0], [0.0, 1.0]])]
 
 
-class TestGaussianBelief:
+def initial_state(mean, covariance):
+    """A configuration from an initial mean and covariance alone."""
+    return UkfConfig(process_noise=np.eye(np.size(mean)), initial_mean=mean,
+                     initial_covariance=covariance)
+
+
+class TestInitialState:
     def test_rejects_asymmetric_covariance(self):
-        with pytest.raises(NotPSD):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(NotPSD, match="^initial_covariance is not symmetric"):
+            initial_state(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_indefinite_covariance(self):
-        with pytest.raises(NotPSD):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(NotPSD, match="^initial_covariance has negative eigenvalue"):
+            initial_state(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            GaussianBelief(np.zeros(3), np.eye(2))
+        with pytest.raises(DimensionMismatch, match="^initial_covariance must have shape"):
+            initial_state(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize("mean, message", [
+        (np.zeros((2, 1)), "^initial_mean must be a vector"),
+        ([0.0, np.nan], "^initial_mean must be finite$"),
+    ])
+    def test_rejects_bad_mean(self, mean, message):
+        with pytest.raises(ValueError, match=message):
+            initial_state(mean, np.eye(2))
 
 
 class TestCovarianceCheck:
@@ -213,11 +226,10 @@ class TestCovarianceCheck:
         # a covariance asymmetric within tolerance enters as (m + m.T) / 2,
         # so every prior and posterior derived from it is symmetric too
         expected = np.array([[1.0, 5e-13], [5e-13, 1.0]])
-        belief = GaussianBelief(np.zeros(2), NEARLY_SYMMETRIC)
+        cfg = UkfConfig(process_noise=NEARLY_SYMMETRIC, initial_mean=np.zeros(2),
+                        initial_covariance=NEARLY_SYMMETRIC)
         # filter_runs's R: the next test
-        stored = [belief.covariance,
-                  UkfConfig(process_noise=NEARLY_SYMMETRIC,
-                            initial_belief=belief).process_noise]
+        stored = [cfg.initial_covariance, cfg.process_noise]
         for m in stored:
             np.testing.assert_array_equal(m, m.T)
             np.testing.assert_array_equal(m, expected)
@@ -236,11 +248,11 @@ class TestCovarianceCheck:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_is_rejected_at_every_boundary(self, bad):
-        with pytest.raises(NotPSD, match="^covariance must be finite$"):
-            GaussianBelief(np.zeros(2), bad)
+        with pytest.raises(NotPSD, match="^initial_covariance must be finite$"):
+            initial_state(np.zeros(2), bad)
         with pytest.raises(NotPSD, match="^process_noise must be finite$"):
-            UkfConfig(process_noise=bad,
-                      initial_belief=GaussianBelief(np.zeros(2), np.eye(2)))
+            UkfConfig(process_noise=bad, initial_mean=np.zeros(2),
+                      initial_covariance=np.eye(2))
         with pytest.raises(NotPSD, match="^R must be finite$"):
             next(filter_runs(CompositeModel(components=(map_translation(),)),
                              make_config(2), np.zeros((1, 1, 2)), bad[None],
@@ -334,7 +346,7 @@ class TestSigmaPoints:
     def test_scalar_closed_form(self):
         # for n=1 the non-central points sit at +/- sqrt(1 + lambda) * sigma
         cfg = make_config(1, p0=1.0)
-        points, _, _ = sigma_points(cfg.initial_belief, cfg)
+        points, _, _ = sigma_points(cfg)
         lam = cfg.alpha ** 2 * (1 + cfg.kappa) - 1
         expected = np.sqrt(1 + lam)
         np.testing.assert_allclose(sorted(points.ravel()),
@@ -344,9 +356,7 @@ class TestSigmaPoints:
         rng = np.random.default_rng(1)
         for dim in (1, 2, 3, 4, 5, 6):
             mean = rng.normal(size=dim) * 10.0
-            belief = GaussianBelief(mean, random_psd(rng, dim, 4.0))
-            cfg = UkfConfig(process_noise=np.eye(dim), initial_belief=belief)
-            points, wm, _ = sigma_points(belief, cfg)
+            points, wm, _ = sigma_points(initial_state(mean, random_psd(rng, dim, 4.0)))
             np.testing.assert_allclose(wm @ points, mean,
                                        rtol=1e-12, atol=1e-12)
 
@@ -356,18 +366,14 @@ class TestSigmaPoints:
             dim = rng.integers(1, 7)
             mean = rng.normal(size=dim)
             cov = random_psd(rng, dim, scale=float(rng.uniform(0.1, 20.0)))
-            belief = GaussianBelief(mean, cov)
-            cfg = UkfConfig(process_noise=np.eye(dim), initial_belief=belief)
-            points, _, wc = sigma_points(belief, cfg)
+            points, _, wc = sigma_points(initial_state(mean, cov))
             diffs = points - mean
             recon = (wc[:, None] * diffs).T @ diffs
             np.testing.assert_allclose(recon, cov, rtol=1e-9, atol=1e-9)
 
     def test_zero_covariance_collapses_to_mean(self):
-        belief = GaussianBelief(np.array([1.0, -2.0]), np.zeros((2, 2)))
-        cfg = UkfConfig(process_noise=np.eye(2), initial_belief=belief)
-        points, _, _ = sigma_points(belief, cfg)
-        np.testing.assert_allclose(points, np.tile(belief.mean, (5, 1)))
+        points, _, _ = sigma_points(initial_state([1.0, -2.0], np.zeros((2, 2))))
+        np.testing.assert_allclose(points, np.tile([1.0, -2.0], (5, 1)))
 
     def test_stack_with_singular_member_roots_each_matrix(self):
         # the batched Cholesky fails on the singular member; every member
@@ -405,7 +411,7 @@ class TestPredict:
         model = CompositeModel(components=(body_offset(), map_translation(), map_rotation()))
         cfg = make_config(5, q=0.0, x0=[0.5, -0.2, 1.0, 2.0, 0.01])
         for prior in gated_priors(model, cfg, 2):
-            np.testing.assert_array_equal(prior, cfg.initial_belief.covariance)
+            np.testing.assert_array_equal(prior, cfg.initial_covariance)
 
     def test_adds_process_noise(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
@@ -430,7 +436,7 @@ class TestPredict:
             dim = int(rng.integers(1, 6))
             cov = random_psd(rng, dim)
             cfg = UkfConfig(process_noise=random_psd(rng, dim, 0.3),
-                            initial_belief=GaussianBelief(rng.normal(size=dim), cov))
+                            initial_mean=rng.normal(size=dim), initial_covariance=cov)
             (prior,) = gated_priors(CompositeModel(components=models[dim]), cfg, 1)
             before = np.linalg.eigvalsh(cov)
             after = np.linalg.eigvalsh(prior)
@@ -459,8 +465,8 @@ class TestUpdate:
             d[k] = rng.normal(size=2) * 3.0
             r[k] = random_psd(rng, 2, 0.05)
         means, covs = filter_one(model, cfg, d, r, [make_input()] * 20)
-        mean_kf = cfg.initial_belief.mean.copy()
-        cov_kf = cfg.initial_belief.covariance.copy()
+        mean_kf = cfg.initial_mean.copy()
+        cov_kf = cfg.initial_covariance.copy()
         for k in range(20):
             mean_kf, cov_kf = linear_kalman_step(mean_kf, cov_kf, d[k], np.eye(2), r[k],
                                                  cfg.process_noise)
@@ -471,9 +477,9 @@ class TestUpdate:
         model = CompositeModel(components=(body_offset(), map_translation()))
         cfg = make_config(4, x0=[2.0, 1.0, 3.0, 2.0])
         u = make_input(angle=0.6)
-        predicted = model.evaluate(cfg.initial_belief.mean, u)
+        predicted = model.evaluate(cfg.initial_mean, u)
         (mean,), _ = filter_one(model, cfg, predicted[None], 0.04 * np.eye(2)[None], [u])
-        np.testing.assert_allclose(mean, cfg.initial_belief.mean, atol=1e-9)
+        np.testing.assert_allclose(mean, cfg.initial_mean, atol=1e-9)
 
     def test_dimension_mismatch(self):
         model = CompositeModel(components=(map_translation(),))
@@ -485,9 +491,9 @@ class TestUpdate:
         model = CompositeModel(components=(body_offset(), map_translation()))
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            belief = GaussianBelief(rng.normal(size=4) * 3.0, random_psd(rng, 4, 5.0))
             cfg = UkfConfig(process_noise=random_psd(rng, 4, 0.05),
-                            initial_belief=belief)
+                            initial_mean=rng.normal(size=4) * 3.0,
+                            initial_covariance=random_psd(rng, 4, 5.0))
             u = make_input(angle=rng.uniform(-np.pi, np.pi))
             d = rng.normal(size=2) * 5.0
             _, (cov,) = filter_one(model, cfg, d[None], random_psd(rng, 2, 0.1)[None], [u])
@@ -499,8 +505,8 @@ class TestUpdate:
         cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
         (mean,), (cov,) = filter_one(model, cfg, [[100.0, 100.0]], 0.01 * np.eye(2)[None],
                                      [make_input()])
-        np.testing.assert_array_equal(mean, cfg.initial_belief.mean)
-        np.testing.assert_array_equal(cov, cfg.initial_belief.covariance)
+        np.testing.assert_array_equal(mean, cfg.initial_mean)
+        np.testing.assert_array_equal(cov, cfg.initial_covariance)
 
 
 class TestInverse2x2:
@@ -525,7 +531,7 @@ class TestInverse2x2:
             _inverse_2x2(batch)
 
     def test_singular_innovation_covariance_fails_the_update(self):
-        # a collapsed belief leaves S = R, which here is PSD but singular
+        # a collapsed covariance leaves S = R, which here is PSD but singular
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=0.0)
         with pytest.raises(FilterStepError,
@@ -577,8 +583,8 @@ class TestFilterRuns:
         d = np.array([[[100.0, 100.0]], [[0.5, -0.5]]])   # runs x steps x 2
         r = 0.01 * np.eye(2)[None]
         (means, covs), = filter_runs(model, cfg, d, r, [make_input()])
-        np.testing.assert_array_equal(means[0], cfg.initial_belief.mean)
-        np.testing.assert_array_equal(covs[0], cfg.initial_belief.covariance)
+        np.testing.assert_array_equal(means[0], cfg.initial_mean)
+        np.testing.assert_array_equal(covs[0], cfg.initial_covariance)
         (alone_mean,), (alone_cov,) = filter_one(model, cfg, d[1], r, [make_input()])
         np.testing.assert_allclose(means[1], alone_mean, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(covs[1], alone_cov, rtol=0.0, atol=1e-12)
@@ -586,15 +592,14 @@ class TestFilterRuns:
     def test_step_without_process_noise_equals_update(self):
         model = CompositeModel(components=(body_offset(), map_rotation(pivot=(3.0, -1.0))))
         rng = np.random.default_rng(11)
-        cfg = UkfConfig(process_noise=np.zeros((3, 3)),
-                        initial_belief=GaussianBelief(rng.normal(size=3),
-                                                      random_psd(rng, 3)))
+        cfg = UkfConfig(process_noise=np.zeros((3, 3)), initial_mean=rng.normal(size=3),
+                        initial_covariance=random_psd(rng, 3))
         u = make_input(angle=0.7, position=(20.0, 5.0))
         d = rng.normal(size=(3, 1, 2))
         r = random_psd(rng, 2, 0.1)[None]
         (means, covs), = filter_runs(model, cfg, d, r, [u])
         for run in range(3):
-            alone = _update(cfg.initial_belief.mean[None], cfg.initial_belief.covariance[None],
+            alone = _update(cfg.initial_mean[None], cfg.initial_covariance[None],
                             d[run], r[0], u, model, cfg, _sigma_weights(3, cfg))
             np.testing.assert_array_equal(means[run], alone[0][0])
             np.testing.assert_array_equal(covs[run], alone[1][0])
@@ -627,13 +632,13 @@ class TestFilterRuns:
             list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
                              np.tile(np.eye(2), (3, 1, 1)), [make_input()] * n_inputs))
 
-    def test_rejects_belief_of_another_dimension(self):
-        # a 5-parameter model with a 4-dimensional belief failed at step 0
+    def test_rejects_initial_state_of_another_dimension(self):
+        # a 5-parameter model with a 4-dimensional initial state failed at step 0
         # inside the model, and an empty stream passed unchecked
         model = CompositeModel(components=(body_offset(), map_translation(),
                                            map_rotation()))
         cfg = make_config(4)
-        message = "belief dimension 4 does not match model state dimension 5"
+        message = "initial state dimension 4 does not match model state dimension 5"
         with pytest.raises(DimensionMismatch, match=message):
             next(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)), []))
         with pytest.raises(DimensionMismatch, match=message):
@@ -711,7 +716,7 @@ class TestRunFilter:
     """One run, a batch of one, through ``filter_runs``."""
 
     def test_empty_stream_returns_initial_only(self):
-        # no step: the initial belief stays the only estimate
+        # no step: the initial mean stays the only estimate
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2)
         assert list(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)),
@@ -737,8 +742,8 @@ class TestRunFilter:
                 r[k] = np.diag(rng.uniform(0.01, 0.2, 2))
             means, covs = filter_one(model, cfg, d, r,
                                      [make_input(t=float(k)) for k in range(100)])
-            mean = cfg.initial_belief.mean.copy()
-            cov = cfg.initial_belief.covariance.copy()
+            mean = cfg.initial_mean.copy()
+            cov = cfg.initial_covariance.copy()
             for k in range(100):
                 mean, cov = linear_kalman_step(mean, cov, d[k], np.eye(2), r[k],
                                                cfg.process_noise)
@@ -783,7 +788,7 @@ class TestRunFilter:
             d = np.array([model.evaluate(true, u) for u in inputs])
             means, _ = filter_one(model, cfg, d, np.tile(0.04 * np.eye(2), (len(d), 1, 1)),
                                   inputs)
-            initial_error = np.linalg.norm(cfg.initial_belief.mean - true)
+            initial_error = np.linalg.norm(cfg.initial_mean - true)
             final_error = np.linalg.norm(means[-1] - true)
             wins += final_error < initial_error
         assert wins >= 95

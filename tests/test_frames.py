@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from locdecomp.frames import (Heading, heading_rates, normalize_angle, rotate,
-                              rotation_matrix)
+from locdecomp.frames import (Heading, as_count, heading_rates, normalize_angle,
+                              rotate, rotation_matrix)
 
 
 class TestRotationMatrix:
@@ -100,6 +100,19 @@ class TestHeading:
             Heading(angle=np.inf)
         with pytest.raises(ValueError):
             Heading(angle=0.0, rate=np.nan)
+
+
+class TestAsCount:
+    @pytest.mark.parametrize("value", [8, 8.0, np.int64(8), np.float64(8.0)])
+    def test_integral_numbers_are_accepted(self, value):
+        count = as_count(value, "n")
+        assert count == 8 and type(count) is int
+
+    @pytest.mark.parametrize("bad", [8.5, True, False, "8", "abc", None,
+                                     float("nan"), float("inf"), [8]])
+    def test_anything_else_is_rejected_naming_the_argument(self, bad):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got "):
+            as_count(bad, "n")
 
 
 class TestHeadingRates:

@@ -1,7 +1,6 @@
 import json
 import re
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_scale,
                                     map_shear, map_translation)
-from locdecomp.estimator import GaussianBelief, UkfConfig, filter_runs
+from locdecomp.estimator import UkfConfig, filter_runs
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
 from locdecomp.frames import Heading
@@ -38,8 +37,8 @@ def small_config(n_runs=5, seed=99, n_samples=40, noise=0.2, kind="corner",
         model=model,
         injection=InjectionConfig.with_total_sigma(list(true_params), noise,
                                                    rng_seed=seed),
-        ukf=UkfConfig(process_noise=eye * q,
-                      initial_belief=GaussianBelief(np.zeros(dim), eye * p0)),
+        ukf=UkfConfig(process_noise=eye * q, initial_mean=np.zeros(dim),
+                      initial_covariance=eye * p0),
         n_runs=n_runs,
     )
 
@@ -48,14 +47,12 @@ def per_run_estimates(cfg, runs=None):
     """Reference: each run simulated and filtered on its own, a batch of one
     for ``inject_runs`` and then for ``filter_runs``."""
     trajectory = build_trajectory(cfg.trajectory)
-    r = np.tile(cfg.injection.observation_covariance(), (len(trajectory), 1, 1))
     out = []
     for run in range(cfg.n_runs) if runs is None else runs:
         seed = derive_run_seed(cfg.injection.rng_seed, run)
-        p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, [seed])
-        inputs = replace(trajectory, ref_position=p_ref[0])
-        out.append([means[0] for means, _ in
-                    filter_runs(cfg.model, cfg.ukf, p_ref - p_other, r, inputs)])
+        inputs, p_other, r = inject_runs(trajectory, cfg.injection, cfg.model, [seed])
+        out.append([means[0] for means, _ in filter_runs(
+            cfg.model, cfg.ukf, inputs.ref_position - p_other, r, inputs)])
     return np.array(out)
 
 
@@ -159,18 +156,16 @@ class TestBatchedEquivalence:
                            p0=[10.0, 10.0, 10.0, 10.0, 0.01])
         trajectory = build_trajectory(cfg.trajectory)
         seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
-        p_ref, p_other = inject_runs(trajectory, cfg.injection, model, seeds)
-        d = p_ref - p_other
-        r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
 
-        def filtered(runs):
-            inputs = replace(trajectory, ref_position=p_ref[runs])
-            steps = list(filter_runs(model, cfg.ukf, d[runs], r, inputs))
+        def filtered(seeds):
+            inputs, p_other, r = inject_runs(trajectory, cfg.injection, model, seeds)
+            steps = list(filter_runs(model, cfg.ukf, inputs.ref_position - p_other, r,
+                                     inputs))
             return np.stack([m for m, _ in steps]), np.stack([c for _, c in steps])
 
-        means, covs = filtered(slice(None))
+        means, covs = filtered(seeds)
         for run in (0, 17, 99):
-            alone_means, alone_covs = filtered([run])
+            alone_means, alone_covs = filtered([seeds[run]])
             np.testing.assert_array_equal(alone_means[:, 0], means[:, run])
             np.testing.assert_array_equal(alone_covs[:, 0], covs[:, run])
 
@@ -181,7 +176,7 @@ class TestBatchedEquivalence:
         cfg = small_config(n_runs=4, q=[0.1, 0.1, 0.1, 0.0],
                            p0=[10.0, 10.0, 10.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(cfg.ukf.initial_belief.covariance + cfg.ukf.process_noise)
+            np.linalg.cholesky(cfg.ukf.initial_covariance + cfg.ukf.process_noise)
         np.testing.assert_allclose(batched_estimates(cfg), per_run_estimates(cfg),
                                    rtol=0.0, atol=1e-12)
 
@@ -262,16 +257,15 @@ def test_shipped_corner_filter_pass_validates_no_sample(monkeypatch):
     cfg = load_config(ROOT / "configs" / "corner.json")
     trajectory = build_trajectory(cfg.trajectory)
     seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
-    p_ref, p_other = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
-    inputs = replace(trajectory, ref_position=p_ref)
-    r = np.broadcast_to(cfg.injection.observation_covariance(), (len(trajectory), 2, 2))
+    inputs, p_other, r = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
     built = []
     for cls in (Heading, KinematicInput):
         def counted(self, _original=cls.__post_init__):
             built.append(type(self).__name__)
             _original(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    passes = list(filter_runs(cfg.model, cfg.ukf, p_ref - p_other, r, inputs))
+    passes = list(filter_runs(cfg.model, cfg.ukf, inputs.ref_position - p_other, r,
+                              inputs))
     assert len(passes) == len(trajectory) == 200 and cfg.n_runs == 100
     assert built == []
 
@@ -292,7 +286,7 @@ def test_observe_config_builds_no_per_sample_objects(monkeypatch, capsys):
     trajectory = build_trajectory(cfg.trajectory)
     inject_runs(trajectory, cfg.injection, cfg.model,
                 [derive_run_seed(cfg.injection.rng_seed, r) for r in range(3)])
-    numerical_rank_test(cfg.model, cfg.ukf.initial_belief.mean, trajectory)
+    numerical_rank_test(cfg.model, cfg.ukf.initial_mean, trajectory)
     assert cli_main(["observability", "--config", str(path)]) == 0
     capsys.readouterr()
     assert len(trajectory) == 1000
@@ -419,7 +413,7 @@ class TestParseConfig:
         assert cfg.model.state_dim == 4
         assert cfg.injection.noise_sigma_ref == pytest.approx(0.2 / np.sqrt(2))
         np.testing.assert_allclose(cfg.ukf.process_noise, 0.1 * np.eye(4))
-        np.testing.assert_allclose(cfg.ukf.initial_belief.mean, np.zeros(4))
+        np.testing.assert_allclose(cfg.ukf.initial_mean, np.zeros(4))
 
     def test_unknown_top_level_key(self):
         raw = dict(BASE_CONFIG, typo=1)
@@ -443,14 +437,14 @@ class TestParseConfig:
         raw["model"] = [{"type": "body_offset", "initial": [0.5, 0.5]},
                         {"type": "map_translation"}]
         cfg = parse_config(raw)
-        np.testing.assert_allclose(cfg.ukf.initial_belief.mean,
+        np.testing.assert_allclose(cfg.ukf.initial_mean,
                                    [0.5, 0.5, 0.0, 0.0])
 
     def test_explicit_initial_mean_wins(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["filter"]["initial_mean"] = [1.0, 1.0, 1.0, 1.0]
         cfg = parse_config(raw)
-        np.testing.assert_allclose(cfg.ukf.initial_belief.mean, np.ones(4))
+        np.testing.assert_allclose(cfg.ukf.initial_mean, np.ones(4))
 
     def test_total_and_split_sigmas_are_exclusive(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -470,7 +464,7 @@ class TestParseConfig:
         from locdecomp.error_models import KinematicInput
         from locdecomp.frames import Heading
         u = KinematicInput(t=0.0, heading=Heading(0.0), ref_position=centroid)
-        np.testing.assert_allclose(comp.evaluate([0.3], u), [0.0, 0.0],
+        np.testing.assert_allclose(comp.fn(np.array([0.3]), u), [0.0, 0.0],
                                    atol=1e-12)
 
     def test_matrix_process_noise(self):
@@ -504,7 +498,7 @@ class TestParseConfig:
          r"^initial_mean must be finite, got \[nan  0.  0.  0.\]$")])
     def test_non_finite_filter_setting_names_its_key(self, key, value, error, message):
         # an infinite scalar warned in its product with the identity, and a
-        # NaN initial belief failed naming no key
+        # a NaN initial mean failed naming no key
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["filter"][key] = value
         with pytest.raises(error, match=message):
@@ -547,7 +541,8 @@ class TestParseConfig:
         built = expected(corner_centroid(50))
         u = KinematicInput(t=0.0, heading=Heading(0.0), ref_position=np.array([4.0, 7.0]))
         assert comp.name == built.name
-        np.testing.assert_array_equal(comp.evaluate([0.3], u), built.evaluate([0.3], u))
+        np.testing.assert_array_equal(comp.fn(np.array([0.3]), u),
+                                      built.fn(np.array([0.3]), u))
 
     def test_unknown_reference_is_rejected_at_load(self):
         # "reference" is no key: an other-hosted deformation is the
@@ -574,7 +569,7 @@ class TestParseConfig:
             (raw if section is None else raw[section])[key] = value
             return parse_config(raw)
 
-        for bad in (2.5, 200.9, 1.7, True, False, "20", None, float("nan")):
+        for bad in (2.5, 200.9, 1.7, True, False, "20", "abc", None, float("nan")):
             with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
                 parsed(bad)
         # a value valid for the key: 50 samples fit turns of at most 8

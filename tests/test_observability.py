@@ -237,9 +237,9 @@ class TestRankTestArguments:
             numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
                                 rank_tolerance=bad)
 
-    @pytest.mark.parametrize("bad", [8.9, 2.5, True, False])
+    @pytest.mark.parametrize("bad", [8.9, 2.5, True, False, "8", "abc"])
     def test_rejects_non_integer_window_length(self, bad):
-        # truncating ran 8.9 as a window of 8 and 2.5 as one of 2
+        # truncating ran 8.9 as a window of 8 and 2.5 as one of 2, and "8" as 8
         with pytest.raises(ValueError,
                            match=f"^window_length must be an integer, got {bad!r}$"):
             numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),

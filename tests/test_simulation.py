@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +13,9 @@ BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
 
 def inject_one(trajectory, cfg):
     """One run of ``inject_runs`` at ``cfg.rng_seed``: both localizer outputs
-    (N, 2) and the series carrying the measured reference positions."""
-    p_ref, p_other = inject_runs(trajectory, cfg, BODY_MAP, [cfg.rng_seed])
-    return p_ref[0], p_other[0], replace(trajectory, ref_position=p_ref[0])
+    (N, 2) and the series carrying the measured reference positions (1, N, 2)."""
+    inputs, p_other, _ = inject_runs(trajectory, cfg, BODY_MAP, [cfg.rng_seed])
+    return inputs.ref_position[0], p_other[0], inputs
 
 
 def count_heading_change_events(trajectory):
@@ -147,9 +146,9 @@ class TestSynthesizeTrajectory:
                                              rf"samples, got {turn}$"):
             synthesize_trajectory("corner", 50, turn_samples=turn)
 
-    @pytest.mark.parametrize("turn", [2.5, True, 3.0000001, float("nan")])
+    @pytest.mark.parametrize("turn", [2.5, True, 3.0000001, float("nan"), "8", "abc"])
     def test_non_integral_turn_samples_rejected(self, turn):
-        # 2.5 was truncated to 2 and True read as 1
+        # 2.5 was truncated to 2, True read as 1, and "abc" failed naming no argument
         with pytest.raises(ValueError, match=rf"^turn_samples must be an integer, "
                                              rf"got {turn!r}$"):
             synthesize_trajectory("corner", 50, turn_samples=turn)
@@ -171,6 +170,16 @@ class TestSynthesizeTrajectory:
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             synthesize_trajectory("straight", 1)
+
+    @pytest.mark.parametrize("bad", [50.5, True, "8", "abc", None])
+    def test_non_integral_n_samples_rejected(self, bad):
+        # "abc", None and 50.5 raised a TypeError naming no argument
+        with pytest.raises(ValueError, match=rf"^n_samples must be an integer, "
+                                             rf"got {bad!r}$"):
+            synthesize_trajectory("corner", bad)
+
+    def test_integral_float_n_samples_is_accepted(self):
+        assert len(synthesize_trajectory("corner", 50.0)) == 50
 
     @pytest.mark.parametrize("kind", ["straight", "corner"])
     @pytest.mark.parametrize("name, value", [
@@ -227,6 +236,23 @@ class TestInjectErrors:
         a_ref, a_other, _ = inject_one(trajectory, InjectionConfig(rng_seed=1, **base))
         b_ref, b_other, _ = inject_one(trajectory, InjectionConfig(rng_seed=2, **base))
         assert not np.allclose(a_ref[0] - a_other[0], b_ref[0] - b_other[0])
+
+    def test_returns_the_record_that_filter_runs_reads(self):
+        # the series carries each run's measured reference positions, and r
+        # the difference covariance at every step
+        trajectory = synthesize_trajectory("corner", 30)
+        cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_ref=0.1,
+                              noise_sigma_other=0.2, rng_seed=0)
+        seeds = [5, 6, 7]
+        inputs, p_other, r = inject_runs(trajectory, cfg, BODY_MAP, seeds)
+        assert inputs.ref_position.shape == p_other.shape == (3, 30, 2)
+        for i, seed in enumerate(seeds):
+            noise = np.random.default_rng(seed).normal(0.0, 0.1, (30, 2))
+            np.testing.assert_array_equal(inputs.ref_position[i],
+                                          trajectory.ref_position + noise)
+        np.testing.assert_array_equal(inputs.t, trajectory.t)
+        np.testing.assert_array_equal(inputs.heading.angle, trajectory.heading.angle)
+        np.testing.assert_array_equal(r, np.tile((0.1 ** 2 + 0.2 ** 2) * np.eye(2), (30, 1, 1)))
 
     def test_observation_covariance_is_sum_of_localizer_variances(self):
         cfg = InjectionConfig.with_total_sigma([0.0, 0.0], 0.2, rng_seed=0)
