@@ -18,8 +18,7 @@ from .estimator import UkfConfig, filter_runs
 from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
                          FilterStepError, NonMonotoneTime, NotPSD, ParseError,
                          SingularTransform, ZeroTurnRate)
-from .frames import (Heading, heading_rates, normalize_angle, rotate,
-                     rotation_matrix)
+from .frames import heading_rates, normalize_angle, rotate, rotation_matrix
 from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
                       SyntheticTrajectory, build_trajectory, derive_run_seed,
                       emit_results, load_config, parse_config, run_experiment)
@@ -31,7 +30,7 @@ from .simulation import (InjectionConfig, inject_runs, load_trajectory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Heading", "heading_rates", "normalize_angle", "rotate", "rotation_matrix",
+    "heading_rates", "normalize_angle", "rotate", "rotation_matrix",
     "CompositeModel", "ErrorComponent", "KinematicInput", "body_offset",
     "map_rotation", "map_scale", "map_shear", "map_translation",
     "UkfConfig", "filter_runs",

@@ -36,7 +36,6 @@ import numpy as np
 from .error_models import KinematicInput
 from .estimator import filter_runs
 from .exceptions import NonMonotoneTime, ParseError
-from .frames import Heading
 from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, build_trajectory,
                       emit_results, load_config, run_experiment, write_table)
 from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_RANK_TOL,
@@ -56,8 +55,8 @@ def write_data_file(path, inputs: KinematicInput, p_other, r) -> Path:
     if np.any(r[:, [0, 1], [1, 0]]):
         raise ValueError("r must be diagonal: the data file stores variances only")
     table = np.column_stack([inputs.t, inputs.ref_position.reshape(-1, 2),
-                             np.reshape(p_other, (-1, 2)), inputs.heading.angle,
-                             inputs.heading.rate, r[:, 0, 0], r[:, 1, 1]])
+                             np.reshape(p_other, (-1, 2)), inputs.heading,
+                             inputs.heading_rate, r[:, 0, 0], r[:, 1, 1]])
     return write_table(path, table, ",".join(DATA_COLUMNS), comments="# ")
 
 
@@ -87,14 +86,14 @@ def read_data_file(path) -> tuple[KinematicInput, np.ndarray, np.ndarray]:
                 if value < 0.0:
                     raise ParseError(f"{column} must be non-negative, got {value}", line_no)
             if rows and values[0] <= rows[-1][0]:
-                raise NonMonotoneTime(f"line {line_no}: timestamp {values[0]} does not "
-                                      f"increase past {rows[-1][0]}")
+                raise NonMonotoneTime(f"timestamp {values[0]} does not increase "
+                                      f"past {rows[-1][0]}", line_no)
             rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data lines found")
     table = np.array(rows)
-    inputs = KinematicInput(t=table[:, 0], heading=Heading(table[:, 5], table[:, 6]),
-                            ref_position=table[:, 1:3])
+    inputs = KinematicInput(t=table[:, 0], heading=table[:, 5], ref_position=table[:, 1:3],
+                            heading_rate=table[:, 6])
     return inputs, table[:, 3:5], table[:, 7:, None] * np.eye(2)
 
 
@@ -193,12 +192,12 @@ def _cmd_oracle(args) -> int:
     inputs, p_other, _ = read_data_file(args.data)
     d = inputs.ref_position - p_other
     rates = difference_rates(inputs.t, d, smooth_window=args.smooth_window)
-    turning = np.flatnonzero(np.abs(inputs.heading.rate) > args.min_turn_rate)
+    turning = np.flatnonzero(np.abs(inputs.heading_rate) > args.min_turn_rate)
     print("step,t_s,body_x,body_y,map_east,map_north")
     if not turning.size:
         print("no steps with sufficient turn rate", file=sys.stderr)
         return 1
-    angle, rate = inputs.heading.angle[turning], inputs.heading.rate[turning]
+    angle, rate = inputs.heading[turning], inputs.heading_rate[turning]
     estimates = closed_form_decomposition(d[turning], rates[turning], angle, rate,
                                           min_turn_rate=args.min_turn_rate)
     np.savetxt(sys.stdout, np.column_stack([turning, inputs.t[turning], estimates]),

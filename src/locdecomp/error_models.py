@@ -8,12 +8,14 @@ navigation frame.  Components are array-native: parameters of shape
 kinematic fields broadcast against the leading parameter axes, so one call
 covers every sigma point of every run.  The kinematic state of a whole
 trajectory is one :class:`KinematicInput` series, whose sample axis is the
-last axis of ``t`` and of the heading arrays and axis -2 of
+last axis of ``t``, ``heading`` and ``heading_rate`` and axis -2 of
 ``ref_position``; indexing it gives one sample.  Components declare which
-kinematic fields they read; state-independent components (e.g. a uniform
-map translation) declare none.  A :class:`CompositeModel` stacks the parameters of all active
-components into one state vector and enforces that each kinematic field
-feeds at most one component, so the contributions remain separable.
+kinematic fields they read (``"heading"`` stands for both ``heading`` and
+``heading_rate``); state-independent components (e.g. a uniform map
+translation) declare none.  A :class:`CompositeModel` stacks the
+parameters of all active components into one state vector and enforces
+that each kinematic field feeds at most one component, so the
+contributions remain separable.
 
 Shipped components:
 
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DimensionMismatch, SingularTransform
-from .frames import Heading, as_points, as_vec2, rotate
+from .frames import as_points, as_vec2, normalize_angle, rotate
 
 KINEMATIC_FIELDS = ("heading", "ref_position")
 MIN_SCALE = 1e-9
@@ -50,10 +52,13 @@ MIN_SCALE = 1e-9
 class KinematicInput:
     """Measured agent state at one time step, or a series of N of them.
 
+    ``heading`` is the heading angle, normalized to ``(-pi, pi]`` at
+    construction, and ``heading_rate`` its measured time derivative (see
+    :func:`~locdecomp.frames.heading_rates`); both must be finite.
     ``ref_position`` is the reference localizer's navigation-frame position
-    estimate; position-dependent components evaluate at it.  A sample has a
-    scalar ``t`` and ``ref_position`` (2,), or (..., 2) for one per run.  A
-    series has ``t``, heading angles and rates of shape (N,) and
+    estimate; position-dependent components evaluate at it.  A sample has
+    scalar ``t``, ``heading`` and ``heading_rate`` and ``ref_position``
+    (2,), or (..., 2) for one per run.  A series has them of shape (N,) and
     ``ref_position`` (..., N, 2); it has a length and is indexed over this
     sample axis: an integer gives one sample, a slice or an index array a
     sub-series, and iteration yields the samples in order.  Indexing does
@@ -62,16 +67,24 @@ class KinematicInput:
     """
 
     t: float
-    heading: Heading
+    heading: float
     ref_position: np.ndarray
+    heading_rate: float = 0.0
 
     def __post_init__(self):
+        heading = np.asarray(self.heading, dtype=float)
+        rate = np.asarray(self.heading_rate, dtype=float)
+        if not (np.isfinite(heading).all() and np.isfinite(rate).all()):
+            raise ValueError(f"heading must be finite, got {self.heading}, {self.heading_rate}")
         if not np.all(np.isfinite(self.t)):
             raise ValueError(f"timestamp must be finite, got {self.t}")
+        object.__setattr__(self, "heading",
+                           normalize_angle(heading if heading.ndim else float(heading)))
+        object.__setattr__(self, "heading_rate", rate if rate.ndim else float(rate))
         object.__setattr__(self, "ref_position", as_points(self.ref_position, "ref_position"))
         if np.ndim(self.t) == 1:
             object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-            shapes = (np.shape(self.heading.angle), np.shape(self.heading.rate),
+            shapes = (np.shape(self.heading), np.shape(self.heading_rate),
                       self.ref_position.shape[-2:-1])
             if any(shape != self.t.shape for shape in shapes):
                 raise DimensionMismatch(f"a series of {self.t.size} timestamps needs as many "
@@ -84,12 +97,11 @@ class KinematicInput:
 
     def __getitem__(self, key) -> "KinematicInput":
         len(self)  # a single sample raises here
-        angle, rate = self.heading.angle[key], self.heading.rate[key]
-        if np.ndim(angle) == 0:
-            angle, rate = float(angle), float(rate)
-        return _trusted(KinematicInput, t=self.t[key],
-                        heading=_trusted(Heading, angle=angle, rate=rate),
-                        ref_position=self.ref_position[..., key, :])
+        heading, rate = self.heading[key], self.heading_rate[key]
+        if np.ndim(heading) == 0:
+            heading, rate = float(heading), float(rate)
+        return _trusted(KinematicInput, t=self.t[key], heading=heading,
+                        ref_position=self.ref_position[..., key, :], heading_rate=rate)
 
 
 def _trusted(cls, **fields):
@@ -189,7 +201,7 @@ def map_translation() -> ErrorComponent:
 def body_offset() -> ErrorComponent:
     """Vehicle-fixed localizer offset, rotated into the navigation frame by heading."""
     def fn(params, u):
-        return rotate(params, u.heading.angle)
+        return rotate(params, u.heading)
 
     return ErrorComponent(name="body_offset", param_dim=2,
                           depends_on=frozenset({"heading"}), fn=fn)

@@ -24,8 +24,8 @@ class ZeroTurnRate(ValueError):
     """The closed-form decomposition needs a turning agent (heading rate != 0)."""
 
 
-class ParseError(ValueError):
-    """A trajectory or data file line could not be parsed."""
+class _LineError(ValueError):
+    """An error at a line of a file, named in the message when it is known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -34,7 +34,11 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class NonMonotoneTime(ValueError):
+class ParseError(_LineError):
+    """A trajectory or data file line could not be parsed."""
+
+
+class NonMonotoneTime(_LineError):
     """Timestamps in a trajectory are not strictly increasing."""
 
 

@@ -6,17 +6,17 @@ Two Cartesian frames are used throughout:
 - body frame: vehicle-fixed, x = forward, y = left
 
 The heading angle ``gamma`` is the rotation from navigation to body axes
-(0 = facing east, counter-clockwise positive) and is always normalized to
-``(-pi, pi]``.  Frame membership of a vector is a documented convention,
-not enforced by types; conversions go through explicit rotations only
-(:func:`rotate` by the heading takes a body-frame vector to the navigation
-frame, by minus the heading back).
+(0 = facing east, counter-clockwise positive);
+:class:`~locdecomp.error_models.KinematicInput` normalizes it to
+``(-pi, pi]`` at construction.  Frame membership of a vector is a
+documented convention, not enforced by types; conversions go through
+explicit rotations only (:func:`rotate` by the heading takes a body-frame
+vector to the navigation frame, by minus the heading back).
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,29 +58,6 @@ def as_count(value, name: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class Heading:
-    """Heading angle and its time derivative.
-
-    Both are scalars, or arrays for a series of samples.  ``angle`` is
-    normalized to ``(-pi, pi]`` at construction; ``rate`` is an explicit
-    measured input, not differentiated internally (see
-    :func:`heading_rates` for filling it from sampled angles).
-    """
-
-    angle: float
-    rate: float = 0.0
-
-    def __post_init__(self):
-        angle = np.asarray(self.angle, dtype=float)
-        rate = np.asarray(self.rate, dtype=float)
-        if not (np.isfinite(angle).all() and np.isfinite(rate).all()):
-            raise ValueError(f"heading must be finite, got {self.angle}, {self.rate}")
-        angle = angle if angle.ndim else float(angle)
-        object.__setattr__(self, "angle", normalize_angle(angle))
-        object.__setattr__(self, "rate", rate if rate.ndim else float(rate))
-
-
 def rotation_matrix(gamma: float) -> np.ndarray:
     """2x2 rotation matrix for a counter-clockwise rotation by ``gamma``."""
     c, s = np.cos(gamma), np.sin(gamma)
@@ -100,7 +77,7 @@ def rotate(v, angle) -> np.ndarray:
 
 
 def heading_rates(t, angles) -> np.ndarray:
-    """Heading rates by central differences over sampled heading angles.
+    """Rates of sampled heading angles by central differences.
 
     Angles are unwrapped first so a crossing of the +/-pi seam does not
     produce a spurious rate spike.  Endpoints use one-sided differences.

@@ -76,6 +76,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs"))
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if not 0.0 < self.convergence_threshold < np.inf:

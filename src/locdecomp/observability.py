@@ -116,7 +116,7 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     # a window is degenerate when each of its samples repeats the previous
     # one in every field the model reads
     read = set().union(*(comp.depends_on for comp in model.components))
-    angle, rate, position = inputs.heading.angle, inputs.heading.rate, inputs.ref_position
+    angle, rate, position = inputs.heading, inputs.heading_rate, inputs.ref_position
     repeats = np.full(len(inputs) - 1, bool(read))
     if "heading" in read:
         repeats &= (angle[1:] == angle[:-1]) & (rate[1:] == rate[:-1])

@@ -1,7 +1,7 @@
 """Trajectory ingestion and ground-truth error injection.
 
 A trajectory is one :class:`~locdecomp.error_models.KinematicInput`
-series: ``t``, heading angles and rates of shape (N,), and the true
+series: ``t``, ``heading`` and ``heading_rate`` of shape (N,), and the true
 positions, standing in for the reference localizer, in ``ref_position``
 (N, 2).  Axis -2 of ``ref_position`` is the sample axis; indexing a series
 gives one sample, slicing it a sub-series.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, NonMonotoneTime, ParseError
-from .frames import Heading, as_count, as_vec2, heading_rates
+from .frames import as_count, as_vec2, heading_rates
 
 DEFAULT_STEP_S = 1.0
 DEFAULT_SPEED_MPS = 10.0
@@ -48,8 +48,8 @@ class InjectionConfig:
     noise then has covariance ``(sigma_ref^2 + sigma_other^2) * I``.  Use
     :meth:`with_total_sigma` to split a single total disturbance evenly
     across the two localizers.  ``true_params`` must be finite, the sigmas
-    finite and at least 0, and ``rng_seed`` at least 0, as numpy's seed
-    sequences require.
+    finite and at least 0, and ``rng_seed`` an integer at least 0, as
+    numpy's seed sequences require.
     """
 
     true_params: np.ndarray
@@ -65,6 +65,7 @@ class InjectionConfig:
         for name in ("noise_sigma_ref", "noise_sigma_other"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        object.__setattr__(self, "rng_seed", as_count(self.rng_seed, "seed"))
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
@@ -135,8 +136,8 @@ def load_trajectory(source) -> KinematicInput:
         east = _parse_float(tokens[1], line_no, "east_m")
         north = _parse_float(tokens[2], line_no, "north_m")
         if times and t <= times[-1]:
-            raise NonMonotoneTime(
-                f"line {line_no}: timestamp {t} does not increase past {times[-1]}")
+            raise NonMonotoneTime(f"timestamp {t} does not increase past {times[-1]}",
+                                  line_no)
         line_nos.append(line_no)
         times.append(t)
         positions.append(np.array([east, north]))
@@ -160,8 +161,8 @@ def load_trajectory(source) -> KinematicInput:
 
     t = np.array(times)
     angles = np.array(angles)
-    return KinematicInput(t=t, heading=Heading(angles, heading_rates(t, angles)),
-                          ref_position=np.vstack(positions))
+    return KinematicInput(t=t, heading=angles, ref_position=np.vstack(positions),
+                          heading_rate=heading_rates(t, angles))
 
 
 def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_S,
@@ -214,26 +215,22 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
         # inner legs first: adjacent turns would merge into one heading event
         for i in [1, 2, 3, 4, 0, 5][:extra]:
             legs[i] += 1
-        angles_list: list[float] = []
-        current = float(initial_heading)
-        direction = 1.0
-        for i in range(TURN_COUNT):
-            angles_list.extend([current] * legs[i])
-            increment = direction * (np.pi / 2.0) / turn
-            for _ in range(turn):
-                current += increment
-                angles_list.append(current)
-            direction = -direction
-        angles_list.extend([current] * legs[TURN_COUNT])
-        angles = np.array(angles_list[:n_samples])
+        # the initial heading, then one increment per sample: 0 on the legs,
+        # a quarter turn spread evenly over each turn, alternating in sign
+        increments = np.zeros(n_samples)
+        increments[0] = initial_heading
+        starts = np.cumsum(legs[:TURN_COUNT]) + turn * np.arange(TURN_COUNT)
+        signs = (-1.0) ** np.arange(TURN_COUNT)
+        increments[starts[:, None] + np.arange(turn)] = (signs * (np.pi / 2.0) / turn)[:, None]
+        angles = np.cumsum(increments)
 
     t = np.arange(n_samples) * step
     positions = np.empty((n_samples, 2))
     positions[0] = as_vec2(start, "start")
     steps = speed * step * np.column_stack([np.cos(angles[1:]), np.sin(angles[1:])])
     positions[1:] = positions[0] + np.cumsum(steps, axis=0)
-    return KinematicInput(t=t, heading=Heading(angles, heading_rates(t, angles)),
-                          ref_position=positions)
+    return KinematicInput(t=t, heading=angles, ref_position=positions,
+                          heading_rate=heading_rates(t, angles))
 
 
 def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: CompositeModel,

@@ -43,7 +43,7 @@ from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
 from locdecomp.estimator import UkfConfig, filter_runs
-from locdecomp.frames import Heading, rotation_matrix
+from locdecomp.frames import rotation_matrix
 from locdecomp.harness import (ExperimentConfig, SyntheticTrajectory,
                                build_trajectory, run_experiment)
 from locdecomp.observability import (closed_form_decomposition, difference_rates,
@@ -144,7 +144,7 @@ def test_criterion_1_corner_convergence(corner_result):
     final = series.final_mse
     cfg = experiment_config("corner", 200)
     trajectory = build_trajectory(cfg.trajectory)
-    cov, bias, error_cov = expected_corner_error([s.heading.angle for s in trajectory])
+    cov, bias, error_cov = expected_corner_error([s.heading for s in trajectory])
     expected = bias ** 2 + np.diag(error_cov)
     lo, hi = np.outer(stats.chi2.ppf([0.0005, 0.9995], N_RUNS) / N_RUNS, expected)
 
@@ -186,10 +186,10 @@ def test_criterion_3_closed_form_oracle_equivalence():
 
     d = d[0]
     rates = difference_rates(inputs.t, d)
-    estimates = [closed_form_decomposition(d[k], rates[k], u.heading.angle,
-                                           u.heading.rate)
+    estimates = [closed_form_decomposition(d[k], rates[k], u.heading,
+                                           u.heading_rate)
                  for k, u in enumerate(inputs)
-                 if abs(u.heading.rate) > 1e-3]
+                 if abs(u.heading_rate) > 1e-3]
     oracle_mean = np.mean(estimates, axis=0)
     gap = np.abs(terminal - oracle_mean)
     ok = bool(np.all(gap < 0.05))
@@ -208,7 +208,7 @@ def test_criterion_4_observability_rank():
     placements = rng.integers(0, len(full_report.window_starts), size=100)
     failures = []
     for start in placements:
-        window_angles = {inputs[k].heading.angle
+        window_angles = {inputs[k].heading
                          for k in range(start, start + window_length)}
         rank = full_report.rank_profile[start]
         if len(window_angles) > 1:
@@ -244,7 +244,7 @@ def test_criterion_5_linear_kf_equivalence():
         for k in range(100):
             d[0, k] = rng.normal(size=2) * 5.0
             r[k] = np.diag(rng.uniform(0.01, 0.5, 2))
-            inputs.append(KinematicInput(t=float(k), heading=Heading(0.0),
+            inputs.append(KinematicInput(t=float(k), heading=0.0,
                                          ref_position=np.zeros(2)))
         mean = cfg.initial_mean.copy()
         cov = cfg.initial_covariance.copy()
@@ -299,7 +299,7 @@ def test_criterion_7_round_trip():
 def test_criterion_8_jumps_at_turning_points(corner_result):
     series, _ = corner_result
     trajectory = build_trajectory(experiment_config("corner", 200).trajectory)
-    angles = np.unwrap([s.heading.angle for s in trajectory])
+    angles = np.unwrap([s.heading for s in trajectory])
     changing = np.abs(np.diff(angles)) > 1e-9
     onsets = np.where(np.diff(np.concatenate([[0], changing.astype(int)])) == 1)[0]
     assert len(onsets) == 5

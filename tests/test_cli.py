@@ -8,7 +8,6 @@ from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
 from locdecomp.error_models import KinematicInput
 from locdecomp.exceptions import FilterStepError, NonMonotoneTime, ParseError
-from locdecomp.frames import Heading
 from locdecomp.harness import build_trajectory, load_config
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                                      difference_rates)
@@ -81,8 +80,8 @@ class TestSimulateAndFilter:
             inputs, p_other, r = record
             again, p_other_again, r_again = read_data_file(rewritten)
             for a, b in [(inputs.t, again.t), (inputs.ref_position, again.ref_position),
-                         (inputs.heading.angle, again.heading.angle),
-                         (inputs.heading.rate, again.heading.rate),
+                         (inputs.heading, again.heading),
+                         (inputs.heading_rate, again.heading_rate),
                          (p_other, p_other_again), (r, r_again)]:
                 np.testing.assert_array_equal(a, b)
 
@@ -100,13 +99,15 @@ class TestSimulateAndFilter:
 
 def test_file_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsys):
     # simulate, filter and oracle pass arrays from end to end: they construct
-    # as many KinematicInput and Heading objects for 60 rows as for 90
+    # as many KinematicInput objects for 60 rows as for 90
     built = []
-    for cls in (Heading, KinematicInput):
-        def counted(self, _original=cls.__post_init__):
-            built.append(type(self).__name__)
-            _original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    original = KinematicInput.__post_init__
+
+    def counted(self):
+        built.append(type(self).__name__)
+        original(self)
+
+    monkeypatch.setattr(KinematicInput, "__post_init__", counted)
 
     def constructions(n_samples):
         folder = tmp_path / str(n_samples)
@@ -128,7 +129,7 @@ def test_file_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsys):
 
     short = constructions(60)
     assert short == constructions(90)
-    assert short["oracle"] == ["Heading", "KinematicInput"]
+    assert short["oracle"] == ["KinematicInput"]
 
 
 class TestReadDataFile:
@@ -145,8 +146,8 @@ class TestReadDataFile:
         np.testing.assert_array_equal(inputs.t, [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_array_equal(inputs.ref_position, np.tile([1.0, 2.0], (4, 1)))
         np.testing.assert_array_equal(p_other, np.tile([0.5, 1.5], (4, 1)))
-        np.testing.assert_array_equal(inputs.heading.angle, np.full(4, 0.3))
-        np.testing.assert_array_equal(inputs.heading.rate, np.zeros(4))
+        np.testing.assert_array_equal(inputs.heading, np.full(4, 0.3))
+        np.testing.assert_array_equal(inputs.heading_rate, np.zeros(4))
         np.testing.assert_array_equal(r, np.tile(np.diag([0.04, 0.04]), (4, 1, 1)))
 
     @pytest.mark.parametrize("column, value", [
@@ -177,8 +178,9 @@ class TestReadDataFile:
     @pytest.mark.parametrize("t", [1.0, 0.5])
     def test_non_increasing_time_names_its_line(self, tmp_path, t):
         with pytest.raises(NonMonotoneTime,
-                           match=f"^line 4: timestamp {t} does not increase past 1.0$"):
+                           match=f"^line 4: timestamp {t} does not increase past 1.0$") as info:
             read_data_file(self.write_rows(tmp_path, [t] + GOOD_ROW[1:]))
+        assert info.value.line == 4
 
     def test_non_numeric_field_names_its_line(self, tmp_path):
         row = [2.0] + GOOD_ROW[1:5] + ["east"] + GOOD_ROW[6:]
@@ -336,8 +338,8 @@ class TestOracleCommand:
         expected = []
         for k in range(len(inputs)):
             u = inputs[k]
-            if abs(u.heading.rate) > 1e-3:
-                x = closed_form_decomposition(d[k], rates[k], u.heading.angle, u.heading.rate)
+            if abs(u.heading_rate) > 1e-3:
+                x = closed_form_decomposition(d[k], rates[k], u.heading, u.heading_rate)
                 expected.append(",".join(f"{v:.9g}" for v in [k, u.t, *x]))
         assert rows == expected
 

@@ -5,7 +5,7 @@ from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_shear,
                                     map_translation)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform
-from locdecomp.frames import Heading, rotate, rotation_matrix
+from locdecomp.frames import rotate, rotation_matrix
 
 
 def evaluate(comp, params, u):
@@ -14,7 +14,7 @@ def evaluate(comp, params, u):
 
 
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
-    return KinematicInput(t=t, heading=Heading(angle=angle, rate=rate),
+    return KinematicInput(t=t, heading=angle, heading_rate=rate,
                           ref_position=np.asarray(position, dtype=float))
 
 
@@ -25,7 +25,7 @@ class TestKinematicSeries:
     POSITIONS = np.arange(8.0).reshape(4, 2)
 
     def series(self, positions=None):
-        return KinematicInput(t=self.T, heading=Heading(self.ANGLES, self.RATES),
+        return KinematicInput(t=self.T, heading=self.ANGLES, heading_rate=self.RATES,
                               ref_position=self.POSITIONS if positions is None else positions)
 
     def test_length(self):
@@ -36,10 +36,10 @@ class TestKinematicSeries:
         for k in (0, 1, 2, 3, -1):
             u = series[k]
             # what building the sample on its own gives, bit for bit
-            alone = Heading(self.ANGLES[k], self.RATES[k])
+            alone = make_input(self.ANGLES[k], self.RATES[k])
             assert u.t == self.T[k] and np.ndim(u.t) == 0
-            assert type(u.heading.angle) is float and u.heading.angle == alone.angle
-            assert type(u.heading.rate) is float and u.heading.rate == alone.rate
+            assert type(u.heading) is float and u.heading == alone.heading
+            assert type(u.heading_rate) is float and u.heading_rate == alone.heading_rate
             np.testing.assert_array_equal(u.ref_position, self.POSITIONS[k])
         with pytest.raises(IndexError):
             series[4]
@@ -50,8 +50,8 @@ class TestKinematicSeries:
             sub = series[key]
             assert len(sub) == len(self.T[key])
             np.testing.assert_array_equal(sub.t, self.T[key])
-            np.testing.assert_array_equal(sub.heading.angle, series.heading.angle[key])
-            np.testing.assert_array_equal(sub.heading.rate, self.RATES[key])
+            np.testing.assert_array_equal(sub.heading, series.heading[key])
+            np.testing.assert_array_equal(sub.heading_rate, self.RATES[key])
             np.testing.assert_array_equal(sub.ref_position, self.POSITIONS[key])
 
     def test_iteration_yields_the_samples_in_order(self):
@@ -81,7 +81,7 @@ class TestKinematicSeries:
     ])
     def test_rejects_sample_count_mismatch(self, angles, rates, positions):
         with pytest.raises(DimensionMismatch):
-            KinematicInput(t=self.T, heading=Heading(angles, rates), ref_position=positions)
+            KinematicInput(t=self.T, heading=angles, heading_rate=rates, ref_position=positions)
 
     def test_single_sample_has_no_sample_axis(self):
         for u in (make_input(), self.series()[1]):
@@ -197,7 +197,7 @@ class TestTransformDifference:
         pivot = np.array([12.0, -7.0])
         params = rng.normal(size=(7, 3, 50, 1)) * 0.3
         positions = rng.normal(size=(3, 50, 2)) * 100.0
-        u = KinematicInput(t=np.arange(50.0), heading=Heading(np.zeros(50), np.zeros(50)),
+        u = KinematicInput(t=np.arange(50.0), heading=np.zeros(50), heading_rate=np.zeros(50),
                            ref_position=positions)
         other_hosted = positions - (pivot + forward(positions - pivot, params))
         out = evaluate(deformation(pivot), inverse_param(params), u)
@@ -305,7 +305,7 @@ class TestCompositeModel:
         angles = rng.uniform(-np.pi, np.pi, 6)
         positions = rng.normal(size=(4, 6, 2)) * 10.0   # runs x samples
         x = np.array([2.0, 1.0, 3.0, 2.0, 0.1])
-        u = KinematicInput(t=np.arange(6.0), heading=Heading(angle=angles, rate=np.zeros(6)),
+        u = KinematicInput(t=np.arange(6.0), heading=angles, heading_rate=np.zeros(6),
                            ref_position=positions)
         out = model.evaluate(x, u)
         assert out.shape == (4, 6, 2)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from locdecomp import error_models
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_shear,
                                     map_translation)
@@ -12,11 +13,10 @@ from locdecomp.estimator import (PSD_TOL, UkfConfig, _check_covariance, _check_p
                                  _covariance_sqrt, _inverse_2x2, _sigma_points,
                                  _sigma_weights, _update, filter_runs)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
-from locdecomp.frames import Heading
 
 
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
-    return KinematicInput(t=t, heading=Heading(angle=angle, rate=rate),
+    return KinematicInput(t=t, heading=angle, heading_rate=rate,
                           ref_position=np.asarray(position, dtype=float))
 
 
@@ -645,9 +645,17 @@ class TestFilterRuns:
             next(filter_runs(model, cfg, np.zeros((1, 2, 2)),
                              np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
 
-    def test_inputs_are_fetched_one_step_at_a_time(self):
+    def test_inputs_are_fetched_one_step_at_a_time(self, monkeypatch):
         # building every step's input before step 0 held them all for the
         # whole pass, memory that grew with the steps
+        built = []
+
+        def trusted(cls, _original=error_models._trusted, **fields):
+            built.append(cls.__name__)
+            return _original(cls, **fields)
+
+        monkeypatch.setattr(error_models, "_trusted", trusted)
+
         class Counting(Sequence):
             def __init__(self, series):
                 self.series, self.fetched = series, 0
@@ -660,15 +668,16 @@ class TestFilterRuns:
                 return self.series[k]
 
         n = 6
-        inputs = Counting(KinematicInput(t=np.arange(float(n)),
-                                         heading=Heading(np.linspace(0.0, 1.0, n), np.zeros(n)),
-                                         ref_position=np.zeros((n, 2))))
+        inputs = Counting(KinematicInput(t=np.arange(float(n)), heading=np.linspace(0.0, 1.0, n),
+                                         ref_position=np.zeros((n, 2)), heading_rate=np.zeros(n)))
         model = CompositeModel(components=(body_offset(), map_translation()))
         steps = filter_runs(model, make_config(4), np.ones((2, n, 2)),
                             np.tile(0.04 * np.eye(2), (n, 1, 1)), inputs)
         for k, _ in enumerate(steps):
             assert inputs.fetched <= k + 1
         assert inputs.fetched == n
+        # each step's sample is one object, with no nested heading object
+        assert built == ["KinematicInput"] * n
 
     def test_indefinite_prior_fails_its_step(self):
         # Q (set past validation) drives the second coordinate's prior

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from locdecomp.frames import (Heading, as_count, heading_rates, normalize_angle,
-                              rotate, rotation_matrix)
+from locdecomp.error_models import KinematicInput
+from locdecomp.exceptions import DimensionMismatch
+from locdecomp.frames import (as_count, heading_rates, normalize_angle, rotate,
+                              rotation_matrix)
 
 
 class TestRotationMatrix:
@@ -90,16 +92,29 @@ class TestNormalizeAngle:
 
 
 class TestHeading:
+    """The heading fields of a :class:`KinematicInput`."""
+
     def test_normalizes_at_construction(self):
-        h = Heading(angle=3 * np.pi, rate=0.1)
-        assert h.angle == pytest.approx(np.pi)
-        assert h.rate == 0.1
+        u = KinematicInput(t=0.0, heading=3 * np.pi, ref_position=np.zeros(2),
+                           heading_rate=0.1)
+        assert u.heading == pytest.approx(np.pi)
+        assert u.heading_rate == 0.1
+        series = KinematicInput(t=np.arange(3.0), heading=[3 * np.pi, -np.pi, 0.2],
+                                ref_position=np.zeros((3, 2)), heading_rate=np.zeros(3))
+        np.testing.assert_allclose(series.heading, [np.pi, np.pi, 0.2], atol=1e-12)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Heading(angle=np.inf)
-        with pytest.raises(ValueError):
-            Heading(angle=0.0, rate=np.nan)
+        for heading, rate in [(np.inf, 0.0), (0.0, np.nan), ([0.0, np.nan], np.zeros(2))]:
+            with pytest.raises(ValueError, match=r"^heading must be finite, got "):
+                KinematicInput(t=np.arange(float(np.size(heading))), heading=heading,
+                               ref_position=np.zeros((np.size(heading), 2)), heading_rate=rate)
+
+    @pytest.mark.parametrize("heading, rate", [(np.zeros(2), np.zeros(3)),
+                                               (np.zeros(3), 0.0), (0.0, np.zeros(3))])
+    def test_rejects_series_shape_mismatch(self, heading, rate):
+        with pytest.raises(DimensionMismatch, match="heading angles, rates and positions"):
+            KinematicInput(t=np.arange(3.0), heading=heading, ref_position=np.zeros((3, 2)),
+                           heading_rate=rate)
 
 
 class TestAsCount:

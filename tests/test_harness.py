@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInp
 from locdecomp.estimator import UkfConfig, filter_runs
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
-from locdecomp.frames import Heading
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                SyntheticTrajectory, build_trajectory,
                                derive_run_seed, emit_results, load_config,
@@ -259,11 +259,13 @@ def test_shipped_corner_filter_pass_validates_no_sample(monkeypatch):
     seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
     inputs, p_other, r = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
     built = []
-    for cls in (Heading, KinematicInput):
-        def counted(self, _original=cls.__post_init__):
-            built.append(type(self).__name__)
-            _original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    original = KinematicInput.__post_init__
+
+    def counted(self):
+        built.append(type(self).__name__)
+        original(self)
+
+    monkeypatch.setattr(KinematicInput, "__post_init__", counted)
     passes = list(filter_runs(cfg.model, cfg.ukf, inputs.ref_position - p_other, r,
                               inputs))
     assert len(passes) == len(trajectory) == 200 and cfg.n_runs == 100
@@ -272,15 +274,15 @@ def test_shipped_corner_filter_pass_validates_no_sample(monkeypatch):
 
 def test_observe_config_builds_no_per_sample_objects(monkeypatch, capsys):
     # a trajectory is one series: loading, building, injecting and ranking
-    # it construct a fixed number of Heading objects, not one per sample
+    # it construct a fixed number of KinematicInput objects, not one per sample
     built = []
-    original = Heading.__post_init__
+    original = KinematicInput.__post_init__
 
     def counted(self):
-        built.append(np.shape(self.angle))
+        built.append(np.shape(self.heading))
         original(self)
 
-    monkeypatch.setattr(Heading, "__post_init__", counted)
+    monkeypatch.setattr(KinematicInput, "__post_init__", counted)
     path = ROOT / "bench" / "configs" / "observe.json"
     cfg = load_config(path)
     trajectory = build_trajectory(cfg.trajectory)
@@ -290,8 +292,9 @@ def test_observe_config_builds_no_per_sample_objects(monkeypatch, capsys):
     assert cli_main(["observability", "--config", str(path)]) == 0
     capsys.readouterr()
     assert len(trajectory) == 1000
-    # one per trajectory build: load_config, build_trajectory, and the CLI's two
-    assert built == [(1000,)] * 4
+    # one per trajectory build (load_config, build_trajectory, and the CLI's
+    # two) and one where inject_runs puts the runs' positions in the series
+    assert built == [(1000,)] * 5
 
 
 def tripwire(threshold):
@@ -379,6 +382,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(n_runs=0)
 
+    @pytest.mark.parametrize("n_runs", [2.5, True, "3", None])
+    def test_n_runs_must_be_an_integer(self, n_runs):
+        # 2.5 built and failed only inside run_experiment's range()
+        with pytest.raises(ConfigError, match=f"^n_runs must be an integer, got {n_runs!r}$"):
+            replace(small_config(), n_runs=n_runs)
+        assert type(replace(small_config(), n_runs=3.0).n_runs) is int
+
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan"), float("inf")])
     def test_rejects_meaningless_convergence_threshold(self, threshold):
         # every parameter would read "converged = false", or every one true
@@ -462,8 +472,7 @@ class TestParseConfig:
         # at the centroid the deformation contributes nothing regardless of
         # the parameter, which pins the pivot
         from locdecomp.error_models import KinematicInput
-        from locdecomp.frames import Heading
-        u = KinematicInput(t=0.0, heading=Heading(0.0), ref_position=centroid)
+        u = KinematicInput(t=0.0, heading=0.0, ref_position=centroid)
         np.testing.assert_allclose(comp.fn(np.array([0.3]), u), [0.0, 0.0],
                                    atol=1e-12)
 
@@ -539,7 +548,7 @@ class TestParseConfig:
         raw["injection"]["true_params"] = [0.1]
         comp = parse_config(raw).model.components[0]
         built = expected(corner_centroid(50))
-        u = KinematicInput(t=0.0, heading=Heading(0.0), ref_position=np.array([4.0, 7.0]))
+        u = KinematicInput(t=0.0, heading=0.0, ref_position=np.array([4.0, 7.0]))
         assert comp.name == built.name
         np.testing.assert_array_equal(comp.fn(np.array([0.3]), u),
                                       built.fn(np.array([0.3]), u))

@@ -7,7 +7,7 @@ from locdecomp import observability
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_translation)
 from locdecomp.exceptions import DimensionMismatch, ZeroTurnRate
-from locdecomp.frames import Heading, rotation_matrix
+from locdecomp.frames import rotation_matrix
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
                                      difference_rates, numerical_rank_test)
 from locdecomp.simulation import synthesize_trajectory
@@ -24,7 +24,7 @@ SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
-    return KinematicInput(t=t, heading=Heading(angle=angle, rate=rate),
+    return KinematicInput(t=t, heading=angle, heading_rate=rate,
                           ref_position=np.asarray(position, dtype=float))
 
 
@@ -33,7 +33,7 @@ def make_series(angles, position=(0.0, 0.0)):
     rates and one fixed position."""
     angles = np.asarray(angles, dtype=float)
     n = angles.size
-    return KinematicInput(t=np.arange(float(n)), heading=Heading(angles, np.zeros(n)),
+    return KinematicInput(t=np.arange(float(n)), heading=angles, heading_rate=np.zeros(n),
                           ref_position=np.tile(position, (n, 1)))
 
 
@@ -114,8 +114,8 @@ def reference_rank_test(model, x0, inputs, window_length,
     read = set().union(*(comp.depends_on for comp in model.components))
 
     def same_inputs(u, v):
-        return (("heading" not in read or (u.heading.angle == v.heading.angle
-                                           and u.heading.rate == v.heading.rate))
+        return (("heading" not in read or (u.heading == v.heading
+                                           and u.heading_rate == v.heading_rate))
                 and ("ref_position" not in read
                      or np.array_equal(u.ref_position, v.ref_position)))
 
@@ -324,7 +324,7 @@ class TestClosedFormDecomposition:
         for start, rank in zip(report.window_starts, report.rank_profile):
             u = inputs[start]
             next_u = inputs[start + 1]
-            turning = abs(next_u.heading.angle - u.heading.angle) > 1e-12
+            turning = abs(next_u.heading - u.heading) > 1e-12
             if turning:
                 assert rank == 4
             else:

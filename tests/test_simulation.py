@@ -5,6 +5,7 @@ import pytest
 
 from locdecomp.error_models import CompositeModel, body_offset, map_translation
 from locdecomp.exceptions import (DimensionMismatch, NonMonotoneTime, ParseError)
+from locdecomp.frames import normalize_angle
 from locdecomp.simulation import (InjectionConfig, inject_runs, load_trajectory,
                                   synthesize_trajectory)
 
@@ -19,7 +20,7 @@ def inject_one(trajectory, cfg):
 
 
 def count_heading_change_events(trajectory):
-    angles = np.array([s.heading.angle for s in trajectory])
+    angles = np.array([s.heading for s in trajectory])
     changing = np.abs(np.diff(np.unwrap(angles))) > 1e-9
     # count maximal runs of consecutive changes
     return int(np.sum(np.diff(np.concatenate([[0], changing.astype(int)])) == 1))
@@ -35,19 +36,23 @@ class TestLoadTrajectory:
         samples = load_trajectory(content)
         assert len(samples) == 3
         np.testing.assert_allclose(samples[1].ref_position, [2.0, 3.0])
-        assert samples[2].heading.angle == pytest.approx(0.3)
+        assert samples[2].heading == pytest.approx(0.3)
         # central differences over the heading column
-        assert samples[1].heading.rate == pytest.approx(0.1)
+        assert samples[1].heading_rate == pytest.approx(0.1)
 
     def test_duplicate_timestamp(self):
         content = io.StringIO("0.0, 1.0, 2.0\n0.0, 2.0, 3.0\n")
-        with pytest.raises(NonMonotoneTime):
+        with pytest.raises(NonMonotoneTime,
+                           match=r"^line 2: timestamp 0.0 does not increase past 0.0$") as info:
             load_trajectory(content)
+        assert info.value.line == 2
 
     def test_decreasing_timestamp(self):
-        content = io.StringIO("1.0, 1.0, 2.0\n0.5, 2.0, 3.0\n")
-        with pytest.raises(NonMonotoneTime):
+        content = io.StringIO("# t, east, north\n1.0, 1.0, 2.0\n0.5, 2.0, 3.0\n")
+        with pytest.raises(NonMonotoneTime,
+                           match=r"^line 3: timestamp 0.5 does not increase past 1.0$") as info:
             load_trajectory(content)
+        assert info.value.line == 3
 
     def test_headings_derived_from_bearings(self):
         content = io.StringIO(
@@ -57,9 +62,9 @@ class TestLoadTrajectory:
         samples = load_trajectory(content)
         deltas = [(1.0, 0.0), (0.0, 1.0)]
         expected = [np.arctan2(dn, de) for de, dn in deltas]
-        assert samples[0].heading.angle == pytest.approx(expected[0])
-        assert samples[1].heading.angle == pytest.approx(expected[1])
-        assert samples[2].heading.angle == pytest.approx(expected[1])
+        assert samples[0].heading == pytest.approx(expected[0])
+        assert samples[1].heading == pytest.approx(expected[1])
+        assert samples[2].heading == pytest.approx(expected[1])
 
     def test_parse_error_carries_line_number(self):
         content = io.StringIO("0.0, 1.0, 2.0\n1.0, oops, 2.0\n")
@@ -102,13 +107,13 @@ class TestLoadTrajectory:
 
     def test_repeated_position_with_headings_accepted(self):
         content = io.StringIO("0.0, 0.0, 2.0, -1.5\n1.0, 0.0, 2.0, -1.5\n")
-        np.testing.assert_array_equal(load_trajectory(content).heading.angle, [-1.5, -1.5])
+        np.testing.assert_array_equal(load_trajectory(content).heading, [-1.5, -1.5])
 
 
 class TestSynthesizeTrajectory:
     def test_straight_headings_all_equal(self):
         trajectory = synthesize_trajectory("straight", 100)
-        angles = {s.heading.angle for s in trajectory}
+        angles = {s.heading for s in trajectory}
         assert len(angles) == 1
         assert len(trajectory) == 100
 
@@ -119,7 +124,7 @@ class TestSynthesizeTrajectory:
 
     def test_corner_turns_are_quarter_turns(self):
         trajectory = synthesize_trajectory("corner", 200)
-        angles = np.unwrap([s.heading.angle for s in trajectory])
+        angles = np.unwrap([s.heading for s in trajectory])
         total_sweep = np.abs(np.diff(angles)).sum()
         assert total_sweep == pytest.approx(5 * np.pi / 2, rel=1e-9)
 
@@ -155,8 +160,34 @@ class TestSynthesizeTrajectory:
 
     def test_turn_samples_at_the_bounds_are_kept(self):
         for turn in (1, 8, 8.0):
-            angles = synthesize_trajectory("corner", 50, turn_samples=turn).heading.angle
+            angles = synthesize_trajectory("corner", 50, turn_samples=turn).heading
             assert np.count_nonzero(np.diff(angles)) == 5 * turn
+
+    @pytest.mark.parametrize("initial_heading", [0.0, 1.3, -2.9, np.pi])
+    def test_corner_headings_equal_the_loop_reference(self, initial_heading):
+        # the headings are one cumulative sum; the loop below adds the same
+        # increments in the same order, so the two agree bit for bit
+        def loop_headings(n, turn):
+            max_turn = (n - 6) // 5
+            turn = max(1, min(max(2, n // 10), max_turn)) if turn is None else turn
+            legs = [(n - 5 * turn) // 6] * 6
+            for i in [1, 2, 3, 4, 0, 5][:(n - 5 * turn) % 6]:
+                legs[i] += 1
+            angles, current, direction = [], initial_heading, 1.0
+            for i in range(5):
+                angles.extend([current] * legs[i])
+                for _ in range(turn):
+                    current += direction * (np.pi / 2.0) / turn
+                    angles.append(current)
+                direction = -direction
+            return np.array(angles + [current] * legs[5])
+
+        for n in [21, 26, 50, 57, 200, 399, 1000]:
+            for turn in [None, 1, 2, 3]:
+                trajectory = synthesize_trajectory("corner", n, turn_samples=turn,
+                                                   initial_heading=initial_heading)
+                np.testing.assert_array_equal(trajectory.heading,
+                                              normalize_angle(loop_headings(n, turn)))
 
     def test_timestamps_use_step(self):
         trajectory = synthesize_trajectory("straight", 5, step=0.25)
@@ -251,7 +282,7 @@ class TestInjectErrors:
             np.testing.assert_array_equal(inputs.ref_position[i],
                                           trajectory.ref_position + noise)
         np.testing.assert_array_equal(inputs.t, trajectory.t)
-        np.testing.assert_array_equal(inputs.heading.angle, trajectory.heading.angle)
+        np.testing.assert_array_equal(inputs.heading, trajectory.heading)
         np.testing.assert_array_equal(r, np.tile((0.1 ** 2 + 0.2 ** 2) * np.eye(2), (30, 1, 1)))
 
     def test_observation_covariance_is_sum_of_localizer_variances(self):
@@ -294,4 +325,16 @@ class TestInjectErrors:
             InjectionConfig.with_total_sigma([1.0, 2.0], value, rng_seed=0)
         with pytest.raises(ValueError, match="^true_params must be finite, got "):
             InjectionConfig.with_total_sigma([value, 2.0], 0.2, rng_seed=0)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            InjectionConfig(**dict(base, rng_seed=value))
+
+    @pytest.mark.parametrize("seed", [2.5, True, "7", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 2.5 ran as seed 2, and "7" failed comparing a string with 0
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            InjectionConfig.with_total_sigma([1.0, 2.0], 0.2, rng_seed=seed)
+
+    def test_integral_float_seed_is_the_int(self):
+        cfg = InjectionConfig.with_total_sigma([1.0, 2.0], 0.2, rng_seed=7.0)
+        assert cfg.rng_seed == 7 and type(cfg.rng_seed) is int
 
