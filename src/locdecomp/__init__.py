@@ -20,8 +20,8 @@ from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
                          SingularTransform, ZeroTurnRate)
 from .frames import heading_rates, normalize_angle, rotate, rotation_matrix
 from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
-                      SyntheticTrajectory, build_trajectory, derive_run_seed,
-                      emit_results, load_config, parse_config, run_experiment)
+                      SyntheticTrajectory, derive_run_seed, emit_results,
+                      load_config, parse_config, run_experiment)
 from .observability import (ObservabilityReport, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
 from .simulation import (InjectionConfig, inject_runs, load_trajectory,
@@ -38,8 +38,8 @@ __all__ = [
     "numerical_rank_test",
     "InjectionConfig", "inject_runs", "load_trajectory", "synthesize_trajectory",
     "ExperimentConfig", "FileTrajectory", "MseSeries", "SyntheticTrajectory",
-    "build_trajectory", "derive_run_seed", "emit_results", "load_config",
-    "parse_config", "run_experiment",
+    "derive_run_seed", "emit_results", "load_config", "parse_config",
+    "run_experiment",
     "ConfigError", "DimensionMismatch", "ExperimentRunError", "FilterStepError",
     "NonMonotoneTime", "NotPSD", "ParseError", "SingularTransform", "ZeroTurnRate",
 ]

@@ -36,8 +36,8 @@ import numpy as np
 from .error_models import KinematicInput
 from .estimator import filter_runs
 from .exceptions import NonMonotoneTime, ParseError
-from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, build_trajectory,
-                      emit_results, load_config, run_experiment, write_table)
+from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, emit_results,
+                      load_config, run_experiment, write_table)
 from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_RANK_TOL,
                             DEFAULT_SMOOTH_WINDOW, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
@@ -122,8 +122,8 @@ def _output_path(args, cfg: ExperimentConfig, name: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    inputs, p_other, r = inject_runs(build_trajectory(cfg.trajectory), cfg.injection,
-                                     cfg.model, [cfg.injection.rng_seed])
+    inputs, p_other, r = inject_runs(cfg.trajectory.series, cfg.injection, cfg.model,
+                                     [cfg.injection.rng_seed])
     out = write_data_file(_output_path(args, cfg, "simulated.csv"), inputs, p_other, r)
     print(f"wrote {len(inputs)} steps to {out}")
     return 0
@@ -162,26 +162,23 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_observability(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean,
-                                 build_trajectory(cfg.trajectory),
+    report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series,
                                  window_length=args.window,
                                  rank_tolerance=args.tolerance)
-    print(f"state_dim = {report.state_dim}")
-    print(f"window_length = {report.window_length}")
-    print(f"observable = {str(report.observable).lower()}")
-    print(f"deficient_windows = {len(report.deficient_windows)}")
-    print(f"degenerate_windows = {len(report.degenerate_windows)}")
-    print("start,end,rank,condition")
+    wl, dim = report.window_length, report.state_dim
     degenerate = set(report.degenerate_windows)
-    for start, rank, cond in zip(report.window_starts, report.rank_profile,
-                                 report.condition_numbers):
-        end = start + report.window_length
-        mark = ""
-        if rank < report.state_dim:
-            mark = ",DEFICIENT"
-        if (start, end) in degenerate:
-            mark += ",DEGENERATE"
-        print(f"{start},{end},{rank},{_fmt(cond)}{mark}")
+    row = f"%d,%d,%d,{FLOAT_FORMAT}%s"
+    print("\n".join([
+        f"state_dim = {dim}",
+        f"window_length = {wl}",
+        f"observable = {str(report.observable).lower()}",
+        f"deficient_windows = {len(report.deficient_windows)}",
+        f"degenerate_windows = {len(report.degenerate_windows)}",
+        "start,end,rank,condition",
+        *(row % (start, start + wl, rank, cond, (",DEFICIENT" if rank < dim else "")
+                 + (",DEGENERATE" if (start, start + wl) in degenerate else ""))
+          for start, rank, cond in zip(report.window_starts, report.rank_profile,
+                                       report.condition_numbers))]))
     return 0
 
 
@@ -193,6 +190,11 @@ def _cmd_oracle(args) -> int:
     d = inputs.ref_position - p_other
     rates = difference_rates(inputs.t, d, smooth_window=args.smooth_window)
     turning = np.flatnonzero(np.abs(inputs.heading_rate) > args.min_turn_rate)
+    # a window wider than a turn averages the turn's rates with the legs'
+    shortest = min(map(len, np.split(turning, np.flatnonzero(np.diff(turning) > 1) + 1)))
+    if turning.size and args.smooth_window > shortest:
+        raise ValueError(f"smooth_window {args.smooth_window} is wider than the shortest "
+                         f"turn of {shortest} samples")
     print("step,t_s,body_x,body_y,map_east,map_north")
     if not turning.size:
         print("no steps with sufficient turn rate", file=sys.stderr)
@@ -214,41 +216,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "localization estimates into parameterized error components.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", type=Path, required=config_required,
-                       help="experiment configuration file (JSON)")
-        p.add_argument("--seed", type=int, help="override the injection seed")
-        p.add_argument("--out", type=Path, help="override the output path")
+    def add_command(name, func, help_text, common=True):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if common:
+            p.add_argument("--config", type=Path, required=True,
+                           help="experiment configuration file (JSON)")
+            p.add_argument("--seed", type=int, help="override the injection seed")
+            p.add_argument("--out", type=Path, help="override the output path")
+        return p
 
-    p = sub.add_parser("simulate", help="generate injected localizer data")
-    add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("filter", help="run the filter over a data file")
-    add_common(p)
+    add_command("simulate", _cmd_simulate, "generate injected localizer data")
+    p = add_command("filter", _cmd_filter, "run the filter over a data file")
     p.add_argument("--data", type=Path, required=True, help="simulated data file")
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    add_common(p)
+    p = add_command("experiment", _cmd_experiment, "run a Monte Carlo experiment")
     p.add_argument("--runs", type=int, help="override the number of runs")
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("observability", help="windowed rank report")
-    add_common(p)
+    p = add_command("observability", _cmd_observability, "windowed rank report")
     p.add_argument("--window", type=int, default=None,
                    help="window length in samples (default: 2 * state_dim)")
     p.add_argument("--tolerance", type=float, default=DEFAULT_RANK_TOL,
                    help="relative singular value cutoff for the rank")
-    p.set_defaults(func=_cmd_observability)
-
-    p = sub.add_parser("oracle", help="closed-form decomposition of a data file")
+    p = add_command("oracle", _cmd_oracle, "closed-form decomposition of a data file",
+                    common=False)
     p.add_argument("--data", type=Path, required=True, help="simulated data file")
     p.add_argument("--min-turn-rate", type=float, default=DEFAULT_MIN_TURN_RATE,
                    help="skip steps with |heading rate| at or below this")
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW,
                    help="moving-average width for difference rates (odd)")
-    p.set_defaults(func=_cmd_oracle)
     return parser
 
 

@@ -165,14 +165,10 @@ class CompositeModel:
                         f"kinematic field '{f}' feeds both '{seen[f]}' and "
                         f"'{comp.name}'; each field may drive only one component")
                 seen[f] = comp.name
-        offsets = []
-        total = 0
-        for comp in components:
-            offsets.append(total)
-            total += comp.param_dim
+        offsets = np.cumsum([0] + [comp.param_dim for comp in components]).tolist()
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "state_dim", total)
+        object.__setattr__(self, "offsets", tuple(offsets[:-1]))
+        object.__setattr__(self, "state_dim", offsets[-1])
 
     def evaluate(self, x, u: KinematicInput) -> np.ndarray:
         """Predicted localizer difference: states (..., n) give (..., 2)."""

@@ -40,6 +40,7 @@ import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, FilterStepError, NotPSD
+from .frames import as_real
 
 SYM_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -120,13 +121,13 @@ class UkfConfig:
         object.__setattr__(self, "initial_mean", mean)
         object.__setattr__(self, "initial_covariance", _check_covariance(
             self.initial_covariance, "initial_covariance", n))
-        if not 0.0 < self.alpha <= 1.0:
+        if not 0.0 < as_real(self.alpha, "alpha") <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         for name in ("beta", "kappa"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(as_real(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         gate = self.mahalanobis_gate
-        if gate is not None and not 0.0 < gate < np.inf:
+        if gate is not None and not 0.0 < as_real(gate, "mahalanobis_gate") < np.inf:
             raise ValueError(f"mahalanobis_gate must be None or a finite value above 0, "
                              f"got {gate}")
         if n + self.kappa <= 0.0:

@@ -58,6 +58,14 @@ def as_count(value, name: str) -> int:
     return int(value)
 
 
+def as_real(value, name: str) -> float:
+    """``value`` as a float: a real number such as ``0.1`` or ``1``; a boolean,
+    a string, None or a non-real number raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def rotation_matrix(gamma: float) -> np.ndarray:
     """2x2 rotation matrix for a counter-clockwise rotation by ``gamma``."""
     c, s = np.cos(gamma), np.sin(gamma)

@@ -3,13 +3,16 @@
 An experiment couples a trajectory source, a composed error model, an
 injection configuration and a filter configuration, runs a number of
 independent simulate-then-filter pipelines and aggregates the per-step,
-per-parameter mean squared estimation error across runs.  All runs share
-the trajectory, the model and the filter settings, so an experiment is one
-batched pass: synthesize the trajectory, inject errors into every run as
-arrays, filter every run in one vectorized pass, take the moments over
-blocks of steps as the filter yields them.  Only the injected series grow
-with the number of steps, and the blocks are of nearly equal length, so
-the moments equal those of one stack of all steps bit for bit.
+per-parameter mean squared estimation error across runs.  A trajectory
+section builds its series once, on the first read of its ``series``
+property (loading the configuration reads it for the pivot centroid), and
+every later reader gets that same series.  All runs share the trajectory,
+the model and the filter settings, so an experiment is one batched pass:
+inject errors into every run as arrays, filter every run in one vectorized
+pass, take the moments over blocks of steps as the filter yields them.
+Only the injected series grow with the number of steps, and the blocks are
+of nearly equal length, so the moments equal those of one stack of all
+steps bit for bit.
 
 Per-run seeds are derived by mixing the master seed with the run index, so
 a run's numbers depend only on its index, not on the batch around it.  The
@@ -23,6 +26,7 @@ import json
 import numbers
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -32,7 +36,7 @@ from . import error_models
 from .error_models import CompositeModel, KinematicInput
 from .estimator import UkfConfig, filter_runs
 from .exceptions import ConfigError, ExperimentRunError, NotPSD
-from .frames import as_count
+from .frames import as_count, as_real
 from .simulation import (DEFAULT_SPEED_MPS, DEFAULT_STEP_S, InjectionConfig,
                          inject_runs, load_trajectory, synthesize_trajectory)
 
@@ -55,12 +59,22 @@ class SyntheticTrajectory:
     initial_heading: float = 0.0
     turn_samples: int | None = None
 
+    @cached_property
+    def series(self) -> KinematicInput:
+        """:func:`~locdecomp.simulation.synthesize_trajectory` of the fields, built once."""
+        return synthesize_trajectory(**{f.name: getattr(self, f.name) for f in fields(self)})
+
 
 @dataclass(frozen=True)
 class FileTrajectory:
     """Trajectory loaded from a delimiter-separated text file."""
 
     path: str
+
+    @cached_property
+    def series(self) -> KinematicInput:
+        """:func:`~locdecomp.simulation.load_trajectory` of ``path``, read once."""
+        return load_trajectory(self.path)
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs"))
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if not 0.0 < self.convergence_threshold < np.inf:
+        if not 0.0 < _real(self.convergence_threshold, "convergence_threshold") < np.inf:
             raise ConfigError(f"convergence_threshold must be a finite value above 0, "
                               f"got {self.convergence_threshold}")
         if self.injection.true_params.shape != (self.model.state_dim,):
@@ -134,16 +148,6 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def build_trajectory(source) -> KinematicInput:
-    """The trajectory series a configuration's trajectory section describes."""
-    if isinstance(source, FileTrajectory):
-        return load_trajectory(source.path)
-    return synthesize_trajectory(kind=source.kind, n_samples=source.n_samples,
-                                 step=source.step, speed=source.speed,
-                                 initial_heading=source.initial_heading,
-                                 turn_samples=source.turn_samples)
-
-
 def _estimate_runs(trajectory, cfg: ExperimentConfig, runs):
     """Simulate and filter the given runs as one batch.
 
@@ -162,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig) -> MseSeries:
     A failure raises :class:`~locdecomp.exceptions.ExperimentRunError`
     naming the lowest failing run index, chained from that run's error.
     """
-    trajectory = build_trajectory(cfg.trajectory)
+    trajectory = cfg.trajectory.series
     truth = cfg.injection.true_params
     n_steps = len(trajectory)
     mse, mean, variance = np.empty((3, n_steps, cfg.model.state_dim))
@@ -287,10 +291,9 @@ def _build_component(entry: dict, centroid: np.ndarray):
     factory, option_keys = _COMPONENTS[kind]
     _reject_unknown(entry, option_keys | {"type", "initial"}, f"component {kind!r}")
     options = {key: entry[key] for key in option_keys & entry.keys()}
-    if "pivot" in options:
-        options["pivot"] = _real(options["pivot"], f"model.{kind}.pivot", scalar=False)
     if "pivot" in option_keys:
-        options.setdefault("pivot", centroid)
+        options["pivot"] = (_real(entry["pivot"], f"model.{kind}.pivot", scalar=False)
+                            if "pivot" in entry else centroid)
     comp = factory(**options)
     initial = entry.get("initial")
     guess = (np.zeros(comp.param_dim) if initial is None
@@ -312,19 +315,23 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str, scalar: bool = True):
-    """``value`` as a float, or with ``scalar=False`` as a float array of a
-    number or a (nested) list of numbers; a boolean, a string, null, or a
-    list where one number is expected, raises ConfigError naming ``key``."""
+    """``value`` as a float (:func:`~locdecomp.frames.as_real`), or with
+    ``scalar=False`` as a float array of a number or a (nested) list of
+    numbers; a boolean, a string, null, or a list where one number is
+    expected, raises ConfigError naming ``key``."""
+    if scalar:
+        try:
+            return as_real(value, key)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
     def real(v):
-        if isinstance(v, (list, tuple)) and not scalar:
+        if isinstance(v, (list, tuple)):
             return all(real(item) for item in v)
         return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
     if not real(value):
-        expected = "a number" if scalar else "a number or a list of numbers"
-        raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    if scalar:
-        return float(value)
+        raise ConfigError(f"{key} must be a number or a list of numbers, got {value!r}")
     try:
         return np.asarray(value, dtype=float)
     except ValueError:   # a ragged list
@@ -369,10 +376,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     traj_raw = raw["trajectory"]
     if "file" in traj_raw:
         _reject_unknown(traj_raw, {"file"}, "trajectory")
-        path = Path(traj_raw["file"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        trajectory = FileTrajectory(path=str(path))
+        # an absolute path replaces base_dir
+        trajectory = FileTrajectory(path=str(Path(base_dir or "") / traj_raw["file"]))
     else:
         _reject_unknown(traj_raw, {"kind", "n_samples", "step", "speed",
                                    "initial_heading", "turn_samples"}, "trajectory")
@@ -387,7 +392,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"trajectory section is missing {exc}") from None
 
-    centroid = build_trajectory(trajectory).ref_position.mean(axis=0)
+    centroid = trajectory.series.ref_position.mean(axis=0)
 
     model_raw = raw["model"]
     if not isinstance(model_raw, list) or not model_raw:
@@ -412,12 +417,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             seed)
     else:
         injection = InjectionConfig(
-            true_params=true_params,
-            noise_sigma_ref=_real(inj_raw.get("noise_sigma_ref", 0.0),
-                                  "injection.noise_sigma_ref"),
-            noise_sigma_other=_real(inj_raw.get("noise_sigma_other", 0.0),
-                                    "injection.noise_sigma_other"),
-            rng_seed=seed)
+            true_params=true_params, rng_seed=seed,
+            **{key: _real(inj_raw.get(key, 0.0), f"injection.{key}")
+               for key in ("noise_sigma_ref", "noise_sigma_other")})
 
     filt_raw = raw["filter"]
     _reject_unknown(filt_raw, {f.name for f in fields(UkfConfig)}, "filter")

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, ZeroTurnRate
-from .frames import as_count
+from .frames import as_count, as_real
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_MIN_TURN_RATE = 1e-3
@@ -86,7 +86,7 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0}")
-    if not 0.0 < rank_tolerance < 1.0:
+    if not 0.0 < as_real(rank_tolerance, "rank_tolerance") < 1.0:
         raise ValueError(f"rank_tolerance must be finite and in (0, 1), got {rank_tolerance}")
     wl = 2 * n if window_length is None else as_count(window_length, "window_length")
     if wl < -(-n // 2):
@@ -153,7 +153,7 @@ def closed_form_decomposition(d, d_rate, heading_angle, heading_rate,
     ``min_turn_rate`` must be finite and at least 0.  Returns ``(body_x,
     body_y, map_east, map_north)`` on a last axis of 4.
     """
-    if not 0.0 <= min_turn_rate < np.inf:
+    if not 0.0 <= as_real(min_turn_rate, "min_turn_rate") < np.inf:
         raise ValueError(f"min_turn_rate must be finite and >= 0, got {min_turn_rate}")
     d = np.asarray(d, dtype=float)
     d_rate = np.asarray(d_rate, dtype=float)

@@ -25,7 +25,6 @@ heading series.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, NonMonotoneTime, ParseError
-from .frames import as_count, as_vec2, heading_rates
+from .frames import as_count, as_real, as_vec2, heading_rates
 
 DEFAULT_STEP_S = 1.0
 DEFAULT_SPEED_MPS = 10.0
@@ -63,7 +62,7 @@ class InjectionConfig:
         if not np.all(np.isfinite(self.true_params)):
             raise ValueError(f"true_params must be finite, got {self.true_params}")
         for name in ("noise_sigma_ref", "noise_sigma_other"):
-            if not 0.0 <= getattr(self, name) < np.inf:
+            if not 0.0 <= as_real(getattr(self, name), name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "rng_seed", as_count(self.rng_seed, "seed"))
         if self.rng_seed < 0:
@@ -73,7 +72,7 @@ class InjectionConfig:
     def with_total_sigma(cls, true_params, total_sigma: float,
                          rng_seed: int) -> "InjectionConfig":
         """Equal-variance split of one total noise level across both localizers."""
-        if not 0.0 <= total_sigma < np.inf:
+        if not 0.0 <= as_real(total_sigma, "total_sigma") < np.inf:
             raise ValueError(f"total_sigma must be finite and >= 0, got {total_sigma}")
         per = total_sigma / np.sqrt(2.0)
         return cls(true_params=true_params, noise_sigma_ref=per,
@@ -111,7 +110,7 @@ def load_trajectory(source) -> KinematicInput:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             return load_trajectory(handle)
-    if not isinstance(source, io.TextIOBase) and not hasattr(source, "__iter__"):
+    if not hasattr(source, "__iter__"):
         raise TypeError(f"cannot read a trajectory from {type(source)!r}")
 
     line_nos: list[int] = []
@@ -187,10 +186,10 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
     n_samples = as_count(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if not 0.0 < step < np.inf:
+    if not 0.0 < as_real(step, "step") < np.inf:
         raise ValueError(f"step must be finite and > 0, got {step}")
     for name, value in (("speed", speed), ("initial_heading", initial_heading)):
-        if not np.isfinite(value):
+        if not np.isfinite(as_real(value, name)):
             raise ValueError(f"{name} must be finite, got {value}")
     if kind == "corner" and n_samples < 4 * TURN_COUNT:
         raise ValueError(f"a corner segment needs at least {4 * TURN_COUNT} "

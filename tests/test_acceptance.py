@@ -44,8 +44,7 @@ from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
 from locdecomp.estimator import UkfConfig, filter_runs
 from locdecomp.frames import rotation_matrix
-from locdecomp.harness import (ExperimentConfig, SyntheticTrajectory,
-                               build_trajectory, run_experiment)
+from locdecomp.harness import ExperimentConfig, SyntheticTrajectory, run_experiment
 from locdecomp.observability import (closed_form_decomposition, difference_rates,
                                      numerical_rank_test)
 from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
@@ -143,7 +142,7 @@ def test_criterion_1_corner_convergence(corner_result):
     series, elapsed = corner_result
     final = series.final_mse
     cfg = experiment_config("corner", 200)
-    trajectory = build_trajectory(cfg.trajectory)
+    trajectory = cfg.trajectory.series
     cov, bias, error_cov = expected_corner_error([s.heading for s in trajectory])
     expected = bias ** 2 + np.diag(error_cov)
     lo, hi = np.outer(stats.chi2.ppf([0.0005, 0.9995], N_RUNS) / N_RUNS, expected)
@@ -298,7 +297,7 @@ def test_criterion_7_round_trip():
 
 def test_criterion_8_jumps_at_turning_points(corner_result):
     series, _ = corner_result
-    trajectory = build_trajectory(experiment_config("corner", 200).trajectory)
+    trajectory = experiment_config("corner", 200).trajectory.series
     angles = np.unwrap([s.heading for s in trajectory])
     changing = np.abs(np.diff(angles)) > 1e-9
     onsets = np.where(np.diff(np.concatenate([[0], changing.astype(int)])) == 1)[0]

@@ -8,9 +8,9 @@ from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
 from locdecomp.error_models import KinematicInput
 from locdecomp.exceptions import FilterStepError, NonMonotoneTime, ParseError
-from locdecomp.harness import build_trajectory, load_config
+from locdecomp.harness import FLOAT_FORMAT, load_config
 from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
-                                     difference_rates)
+                                     difference_rates, numerical_rank_test)
 from locdecomp.simulation import inject_runs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,7 +91,7 @@ class TestSimulateAndFilter:
         data = tmp_path / "data.csv"
         main(["simulate", "--config", str(config), "--out", str(data)])
         cfg = load_config(config)
-        record = inject_runs(build_trajectory(cfg.trajectory), cfg.injection, cfg.model,
+        record = inject_runs(cfg.trajectory.series, cfg.injection, cfg.model,
                              [cfg.injection.rng_seed])
         expected = write_data_file(tmp_path / "expected.csv", *record)
         assert data.read_bytes() == expected.read_bytes()
@@ -260,6 +260,42 @@ class TestObservabilityCommand:
         np.testing.assert_allclose(*zip(*full), rtol=1e-6)
 
 
+def per_line_report(report):
+    """The observability report formatted one line at a time."""
+    lines = [f"state_dim = {report.state_dim}",
+             f"window_length = {report.window_length}",
+             f"observable = {str(report.observable).lower()}",
+             f"deficient_windows = {len(report.deficient_windows)}",
+             f"degenerate_windows = {len(report.degenerate_windows)}",
+             "start,end,rank,condition"]
+    for start, rank, cond in zip(report.window_starts, report.rank_profile,
+                                 report.condition_numbers):
+        end = start + report.window_length
+        mark = ""
+        if rank < report.state_dim:
+            mark = ",DEFICIENT"
+        if (start, end) in report.degenerate_windows:
+            mark += ",DEGENERATE"
+        lines.append(f"{start},{end},{rank},{FLOAT_FORMAT % cond}{mark}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("config", ["observe", "corner_200"])
+def test_report_equals_the_per_line_formatting(tmp_path, capsys, config):
+    # the report is printed in one write; on the 200-sample corner some
+    # windows on the legs are DEFICIENT and DEGENERATE, next to full-rank ones
+    path = (ROOT / "bench" / "configs" / "observe.json" if config == "observe"
+            else write_config(tmp_path, trajectory={"kind": "corner", "n_samples": 200}))
+    assert main(["observability", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    cfg = load_config(path)
+    report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series)
+    assert out == per_line_report(report)
+    marks = {tuple(window[4:]) for window in parse_report(out)[1]}
+    assert marks == ({(), ("DEFICIENT",)} if config == "observe" else
+                     {(), ("DEFICIENT",), ("DEFICIENT", "DEGENERATE")})
+
+
 class TestOracleCommand:
     def test_noiseless_oracle_recovers_parameters(self, tmp_path, capsys):
         # turns must be several samples long or the finite-difference rates
@@ -322,6 +358,20 @@ class TestOracleCommand:
         assert out == ""
         assert err == ("locdecomp oracle: smooth_window 100001 is wider than the "
                        "series of 200 samples\n")
+
+    def test_rejects_window_wider_than_a_turn(self, tmp_path, capsys):
+        # window 101 on the shipped corner data (turns of 21 samples) printed
+        # a mean of -0.16, -0.09, 3.71, 4.10 against the truth 2, 1, 3, 2
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
+        capsys.readouterr()
+        assert main(["oracle", "--data", str(data), "--smooth-window", "21"]) == 0
+        assert "mean over 105 turning steps" in capsys.readouterr().out
+        assert main(["oracle", "--data", str(data), "--smooth-window", "23"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("locdecomp oracle: smooth_window 23 is wider than the shortest "
+                       "turn of 21 samples\n")
 
     def test_estimates_match_the_scalar_decomposition(self, tmp_path, capsys):
         # one broadcast call over the turning samples equals the per-sample

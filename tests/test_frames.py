@@ -3,7 +3,7 @@ import pytest
 
 from locdecomp.error_models import KinematicInput
 from locdecomp.exceptions import DimensionMismatch
-from locdecomp.frames import (as_count, heading_rates, normalize_angle, rotate,
+from locdecomp.frames import (as_count, as_real, heading_rates, normalize_angle, rotate,
                               rotation_matrix)
 
 
@@ -128,6 +128,25 @@ class TestAsCount:
     def test_anything_else_is_rejected_naming_the_argument(self, bad):
         with pytest.raises(ValueError, match=rf"^n must be an integer, got "):
             as_count(bad, "n")
+
+
+class TestAsReal:
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5)])
+    def test_real_numbers_are_accepted(self, value):
+        real = as_real(value, "x")
+        assert real == 0.5 and type(real) is float
+
+    def test_integers_are_accepted(self):
+        assert as_real(2, "x") == as_real(np.int64(2), "x") == 2.0
+
+    def test_non_finite_numbers_are_left_to_the_bound_checks(self):
+        assert np.isnan(as_real(float("nan"), "x"))
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", "abc", None,
+                                     [0.5], 1j])
+    def test_anything_else_is_rejected_naming_the_argument(self, bad):
+        with pytest.raises(ValueError, match=r"^x must be a number, got "):
+            as_real(bad, "x")
 
 
 class TestHeadingRates:

@@ -16,11 +16,10 @@ from locdecomp.estimator import UkfConfig, filter_runs
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
                                   NotPSD)
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
-                               SyntheticTrajectory, build_trajectory,
-                               derive_run_seed, emit_results, load_config,
-                               parse_config, run_experiment, _estimate_runs)
-from locdecomp.observability import numerical_rank_test
-from locdecomp.simulation import InjectionConfig, inject_runs
+                               SyntheticTrajectory, derive_run_seed, emit_results,
+                               load_config, parse_config, run_experiment, _estimate_runs)
+from locdecomp.observability import closed_form_decomposition, numerical_rank_test
+from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
 
 ROOT = Path(__file__).resolve().parents[1]
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
@@ -46,7 +45,7 @@ def small_config(n_runs=5, seed=99, n_samples=40, noise=0.2, kind="corner",
 def per_run_estimates(cfg, runs=None):
     """Reference: each run simulated and filtered on its own, a batch of one
     for ``inject_runs`` and then for ``filter_runs``."""
-    trajectory = build_trajectory(cfg.trajectory)
+    trajectory = cfg.trajectory.series
     out = []
     for run in range(cfg.n_runs) if runs is None else runs:
         seed = derive_run_seed(cfg.injection.rng_seed, run)
@@ -58,12 +57,12 @@ def per_run_estimates(cfg, runs=None):
 
 def batched_estimates(cfg, runs=None):
     runs = range(cfg.n_runs) if runs is None else runs
-    return np.stack(list(_estimate_runs(build_trajectory(cfg.trajectory), cfg, runs)),
+    return np.stack(list(_estimate_runs(cfg.trajectory.series, cfg, runs)),
                     axis=1)
 
 
 def corner_centroid(n_samples):
-    trajectory = build_trajectory(SyntheticTrajectory(kind="corner", n_samples=n_samples))
+    trajectory = SyntheticTrajectory(kind="corner", n_samples=n_samples).series
     return trajectory.ref_position.mean(axis=0)
 
 
@@ -154,7 +153,7 @@ class TestBatchedEquivalence:
                            true_params=(2.0, 1.0, 3.0, 2.0, 0.02),
                            q=[0.1, 0.1, 0.1, 0.1, 1e-4],
                            p0=[10.0, 10.0, 10.0, 10.0, 0.01])
-        trajectory = build_trajectory(cfg.trajectory)
+        trajectory = cfg.trajectory.series
         seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
 
         def filtered(seeds):
@@ -237,7 +236,7 @@ def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
     # one of the priors (their sigma-point roots) and one of the posteriors,
     # plus one of all measurement covariances at the boundary
     cfg = load_config(ROOT / "configs" / "corner.json")
-    trajectory = build_trajectory(cfg.trajectory)
+    trajectory = cfg.trajectory.series
     shapes = {"cholesky": [], "eigvalsh": [], "eigh": [], "solve": []}
     for name, seen in shapes.items():
         def counted(a, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
@@ -255,7 +254,7 @@ def test_shipped_corner_filter_pass_validates_no_sample(monkeypatch):
     # the series is validated once, where it is built; the per-step
     # samples the filter reads are views of its arrays
     cfg = load_config(ROOT / "configs" / "corner.json")
-    trajectory = build_trajectory(cfg.trajectory)
+    trajectory = cfg.trajectory.series
     seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
     inputs, p_other, r = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
     built = []
@@ -285,16 +284,17 @@ def test_observe_config_builds_no_per_sample_objects(monkeypatch, capsys):
     monkeypatch.setattr(KinematicInput, "__post_init__", counted)
     path = ROOT / "bench" / "configs" / "observe.json"
     cfg = load_config(path)
-    trajectory = build_trajectory(cfg.trajectory)
+    trajectory = cfg.trajectory.series
     inject_runs(trajectory, cfg.injection, cfg.model,
                 [derive_run_seed(cfg.injection.rng_seed, r) for r in range(3)])
     numerical_rank_test(cfg.model, cfg.ukf.initial_mean, trajectory)
     assert cli_main(["observability", "--config", str(path)]) == 0
     capsys.readouterr()
     assert len(trajectory) == 1000
-    # one per trajectory build (load_config, build_trajectory, and the CLI's
-    # two) and one where inject_runs puts the runs' positions in the series
-    assert built == [(1000,)] * 5
+    # one per configuration loaded (a configuration builds its series once:
+    # the pivot centroid, the rank test and the CLI read the same one) and
+    # one where inject_runs puts the runs' positions in the series
+    assert built == [(1000,)] * 3
 
 
 def tripwire(threshold):
@@ -406,6 +406,37 @@ class TestConfigValidation:
                 ukf=cfg.ukf, n_runs=1)
 
 
+REAL_SETTINGS = {
+    "convergence_threshold":
+        lambda v: replace(small_config(), convergence_threshold=v),
+    "alpha": lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), alpha=v),
+    "beta": lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), beta=v),
+    "kappa": lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), kappa=v),
+    "mahalanobis_gate":
+        lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), mahalanobis_gate=v),
+    "noise_sigma_ref": lambda v: InjectionConfig([1, 2, 3, 4], v, 0.1, 1),
+    "noise_sigma_other": lambda v: InjectionConfig([1, 2, 3, 4], 0.1, v, 1),
+    "total_sigma": lambda v: InjectionConfig.with_total_sigma([1, 2, 3, 4], v, 1),
+    "step": lambda v: synthesize_trajectory("corner", 50, step=v),
+    "speed": lambda v: synthesize_trajectory("corner", 50, speed=v),
+    "initial_heading": lambda v: synthesize_trajectory("corner", 50, initial_heading=v),
+    "min_turn_rate": lambda v: closed_form_decomposition(
+        np.ones(2), np.ones(2), 0.0, 1.0, min_turn_rate=v),
+    "rank_tolerance": lambda v: numerical_rank_test(
+        BODY_MAP, np.zeros(4), synthesize_trajectory("corner", 50), rank_tolerance=v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "0.1"])
+@pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
+def test_api_real_settings_reject_booleans_and_strings(name, bad):
+    # True was read as 1 (a 1 s step, a unit noise sigma, alpha 1) and "0.1"
+    # raised Python's "'<' not supported", naming no argument
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got "
+                                         rf"{re.escape(repr(bad))}$"):
+        REAL_SETTINGS[name](bad)
+
+
 BASE_CONFIG = {
     "trajectory": {"kind": "corner", "n_samples": 50},
     "model": [{"type": "body_offset"}, {"type": "map_translation"}],
@@ -467,7 +498,7 @@ class TestParseConfig:
         raw["model"] = [{"type": "map_scale"}]
         raw["injection"]["true_params"] = [0.1]
         cfg = parse_config(raw)
-        centroid = build_trajectory(cfg.trajectory).ref_position.mean(axis=0)
+        centroid = cfg.trajectory.series.ref_position.mean(axis=0)
         comp = cfg.model.components[0]
         # at the centroid the deformation contributes nothing regardless of
         # the parameter, which pins the pivot
@@ -492,7 +523,27 @@ class TestParseConfig:
         config_path.write_text(json.dumps(raw))
         cfg = load_config(config_path)
         assert isinstance(cfg.trajectory, FileTrajectory)
-        assert len(build_trajectory(cfg.trajectory)) == 2
+        assert len(cfg.trajectory.series) == 2
+
+    def test_file_trajectory_is_read_once(self, tmp_path):
+        # the series is read when the configuration loads (the pivot
+        # centroid), and the experiment runs on that read
+        trace = tmp_path / "trace.csv"
+        series = synthesize_trajectory("corner", 50)
+        np.savetxt(trace, np.column_stack([series.t, series.ref_position, series.heading]),
+                   fmt="%.17e", delimiter=",")
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["trajectory"] = {"file": "trace.csv"}
+        raw["model"].append({"type": "map_rotation"})
+        raw["injection"]["true_params"].append(0.01)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        cfg = load_config(config_path)
+        trace.unlink()
+        result = run_experiment(cfg)
+        assert result.n_steps == 50
+        np.testing.assert_array_equal(cfg.trajectory.series.ref_position,
+                                      series.ref_position)
 
     def test_non_finite_process_noise(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
