@@ -15,7 +15,8 @@ directory, where ``experiment`` writes its results.  Invalid input exits
 with status 2 and one line on stderr.
 
 A simulated data file is comma-separated text, one step per line under a
-``#`` header naming the columns.  It holds one record
+``#`` header naming the columns, read by
+:func:`~locdecomp.simulation.read_table`.  It holds one record
 ``(inputs, p_other, r)``: a kinematic input series with the reference
 positions in ``ref_position`` (N, 2), the other localizer's positions
 (N, 2) and diagonal measurement covariances (N, 2, 2).  The file commands
@@ -35,13 +36,13 @@ import numpy as np
 
 from .error_models import KinematicInput
 from .estimator import filter_runs
-from .exceptions import NonMonotoneTime, ParseError
+from .exceptions import ParseError
 from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, emit_results,
                       load_config, run_experiment, write_table)
 from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_RANK_TOL,
                             DEFAULT_SMOOTH_WINDOW, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
-from .simulation import inject_runs
+from .simulation import inject_runs, read_table
 
 DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
                 "other_north_m", "heading_rad", "heading_rate_rps",
@@ -62,36 +63,14 @@ def write_data_file(path, inputs: KinematicInput, p_other, r) -> Path:
 
 def read_data_file(path) -> tuple[KinematicInput, np.ndarray, np.ndarray]:
     """Read a simulated data file as the record ``(inputs, p_other, r)`` of
-    :func:`write_data_file`.  A wrong field count, a non-numeric or
-    non-finite field or a negative variance raises ``ParseError``, a
-    timestamp that does not increase ``NonMonotoneTime``; both name the line."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split(",")
-            if len(tokens) != len(DATA_COLUMNS):
-                raise ParseError(f"expected {len(DATA_COLUMNS)} fields, got "
-                                 f"{len(tokens)}", line_no)
-            try:
-                values = [float(tok) for tok in tokens]
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from exc
-            finite = np.isfinite(values)
-            if not finite.all():
-                raise ParseError(f"{DATA_COLUMNS[np.argmin(finite)]} must be finite", line_no)
-            for column, value in zip(DATA_COLUMNS[-2:], values[-2:]):
-                if value < 0.0:
-                    raise ParseError(f"{column} must be non-negative, got {value}", line_no)
-            if rows and values[0] <= rows[-1][0]:
-                raise NonMonotoneTime(f"timestamp {values[0]} does not increase "
-                                      f"past {rows[-1][0]}", line_no)
-            rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data lines found")
-    table = np.array(rows)
+    :func:`write_data_file`.  Besides the faults of
+    :func:`~locdecomp.simulation.read_table`, a negative variance raises
+    ``ParseError`` naming its line and column."""
+    table, line_nos = read_table(path, DATA_COLUMNS)
+    rows, cols = np.nonzero(table[:, 7:] < 0.0)
+    if rows.size:
+        raise ParseError(f"{DATA_COLUMNS[7 + cols[0]]} must be non-negative, got "
+                         f"{table[rows[0], 7 + cols[0]]}", line_nos[rows[0]])
     inputs = KinematicInput(t=table[:, 0], heading=table[:, 5], ref_position=table[:, 1:3],
                             heading_rate=table[:, 6])
     return inputs, table[:, 3:5], table[:, 7:, None] * np.eye(2)

@@ -98,7 +98,8 @@ class UkfConfig:
 
     ``beta = 2`` is optimal for Gaussian priors in the scaled construction;
     a small ``alpha`` keeps the points close to the mean, which suits the
-    mildly nonlinear rotation measurements handled here.  ``mahalanobis_gate``
+    mildly nonlinear rotation measurements handled here, but it must keep
+    the spread ``n + lambda`` above 0 in floating point.  ``mahalanobis_gate``
     optionally skips updates whose normalized innovation exceeds the gate
     (off by default; the simulated pipelines have no outliers).
     """
@@ -132,6 +133,10 @@ class UkfConfig:
                              f"got {gate}")
         if n + self.kappa <= 0.0:
             raise ValueError(f"kappa must exceed -n = {-n}, got {self.kappa}")
+        # n + lambda as _sigma_weights computes it: a tiny alpha rounds it to 0
+        if n + (self.alpha ** 2 * (n + self.kappa) - n) <= 0.0:
+            raise ValueError(f"alpha must keep the sigma-point scale n + lambda above 0, "
+                             f"got {self.alpha}")
         object.__setattr__(self, "process_noise",
                            _check_covariance(self.process_noise, "process_noise", n))
 
@@ -157,8 +162,6 @@ def _sigma_weights(n: int, cfg: UkfConfig) -> tuple[float, np.ndarray, np.ndarra
     2n+1 scaled sigma points of an n-dimensional state."""
     lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
     scale = n + lam
-    if scale <= 0.0:
-        raise ValueError(f"sigma-point scale n + lambda = {scale} must be positive")
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale

@@ -6,10 +6,11 @@ independent simulate-then-filter pipelines and aggregates the per-step,
 per-parameter mean squared estimation error across runs.  A trajectory
 section builds its series once, on the first read of its ``series``
 property (loading the configuration reads it for the pivot centroid), and
-every later reader gets that same series.  All runs share the trajectory,
-the model and the filter settings, so an experiment is one batched pass:
-inject errors into every run as arrays, filter every run in one vectorized
-pass, take the moments over blocks of steps as the filter yields them.
+every later reader gets that same series, its arrays read-only.  All runs
+share the trajectory, the model and the filter settings, so an experiment
+is one batched pass: inject errors into every run as arrays, filter every
+run in one vectorized pass, take the moments over blocks of steps as the
+filter yields them.
 Only the injected series grow with the number of steps, and the blocks are
 of nearly equal length, so the moments equal those of one stack of all
 steps bit for bit.
@@ -62,7 +63,8 @@ class SyntheticTrajectory:
     @cached_property
     def series(self) -> KinematicInput:
         """:func:`~locdecomp.simulation.synthesize_trajectory` of the fields, built once."""
-        return synthesize_trajectory(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return _read_only(synthesize_trajectory(
+            **{f.name: getattr(self, f.name) for f in fields(self)}))
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,15 @@ class FileTrajectory:
     @cached_property
     def series(self) -> KinematicInput:
         """:func:`~locdecomp.simulation.load_trajectory` of ``path``, read once."""
-        return load_trajectory(self.path)
+        return _read_only(load_trajectory(self.path))
+
+
+def _read_only(series: KinematicInput) -> KinematicInput:
+    """``series`` with its arrays made read-only: every reader of a
+    configuration shares them, so an in-place change would alter later runs."""
+    for name in ("t", "heading", "ref_position", "heading_rate"):
+        getattr(series, name).flags.writeable = False
+    return series
 
 
 @dataclass(frozen=True)
@@ -284,7 +294,7 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
 def _build_component(entry: dict, centroid: np.ndarray):
     if not isinstance(entry, dict) or "type" not in entry:
         raise ConfigError(f"each model entry needs a 'type', got {entry!r}")
-    kind = entry["type"]
+    kind = _string(entry["type"], "model.type")
     if kind not in _COMPONENTS:
         raise ConfigError(f"unknown component type {kind!r}; available: "
                           f"{sorted(_COMPONENTS)}")
@@ -304,6 +314,12 @@ def _build_component(entry: dict, centroid: np.ndarray):
     if not np.isfinite(guess).all():
         raise ConfigError(f"component {kind!r} initial guess must be finite, got {guess}")
     return comp, guess
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _integer(value, key: str) -> int:
@@ -377,7 +393,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if "file" in traj_raw:
         _reject_unknown(traj_raw, {"file"}, "trajectory")
         # an absolute path replaces base_dir
-        trajectory = FileTrajectory(path=str(Path(base_dir or "") / traj_raw["file"]))
+        trajectory = FileTrajectory(path=str(Path(base_dir or "")
+                                             / _string(traj_raw["file"], "trajectory.file")))
     else:
         _reject_unknown(traj_raw, {"kind", "n_samples", "step", "speed",
                                    "initial_heading", "turn_samples"}, "trajectory")
@@ -448,7 +465,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         convergence_threshold=_real(raw.get("convergence_threshold",
                                             DEFAULT_CONVERGENCE_THRESHOLD_M2),
                                     "convergence_threshold"),
-        output=raw.get("output"))
+        output=None if raw.get("output") is None else _string(raw["output"], "output"))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -14,13 +14,14 @@ plus its own noise.  The resulting difference observation then has the
 model output as its mean and the sum of the two noise covariances as its
 covariance, which is exactly what the estimator assumes.
 
-Trajectory files are delimiter-separated text, one sample per line, with
-columns ``t_s, east_m, north_m[, heading_rad]``.  Lines starting with
-``#`` are ignored and every numeric field must carry a decimal point.
-When the heading column is missing, headings are derived from the bearings
-of successive position deltas, so consecutive samples must not repeat a
-position; heading rates are always filled by central differences over the
-heading series.
+Both text formats, trajectory files and the CLI's simulated data files,
+are read by :func:`read_table`: comma-separated finite numbers, one row per
+line, blank and ``#`` lines skipped, timestamps strictly increasing; a
+fault names its line.  A trajectory file has columns ``t_s, east_m,
+north_m[, heading_rad]``, each number with a decimal point.  Without the
+heading column, headings are the bearings of successive position deltas,
+so consecutive samples must not repeat a position; heading rates are
+central differences over the headings.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, NonMonotoneTime, ParseError
-from .frames import as_count, as_real, as_vec2, heading_rates
+from .frames import as_count, as_real, heading_rates
 
 DEFAULT_STEP_S = 1.0
 DEFAULT_SPEED_MPS = 10.0
@@ -82,19 +83,53 @@ class InjectionConfig:
         return (self.noise_sigma_ref ** 2 + self.noise_sigma_other ** 2) * np.eye(2)
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
-    token = token.strip()
-    if "." not in token:
-        raise ParseError(f"field '{column}' value {token!r} lacks a decimal point",
-                         line_no)
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"field '{column}' value {token!r} is not a number",
-                         line_no) from None
-    if not np.isfinite(value):
-        raise ParseError(f"field '{column}' value {token!r} is not finite", line_no)
-    return value
+def read_table(source, columns, optional: int = 0, decimal_point: bool = False):
+    """Read a comma-separated table of finite floats from a path or an open
+    text stream, one row per line; blank lines and ``#`` lines are skipped.
+
+    Every row has the fields ``columns`` names or, the same in every row, up
+    to ``optional`` fewer (the last columns are optional).  With
+    ``decimal_point`` every field must carry one.  The first column, the
+    timestamp, must strictly increase.  Returns the table (M, k) and the
+    rows' M line numbers.  A fault raises :class:`ParseError`, a timestamp
+    that does not increase :class:`NonMonotoneTime`; both name the line, and
+    a bad field its column.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as handle:
+            return read_table(handle, columns, optional, decimal_point)
+    widths = range(len(columns) - optional, len(columns) + 1)
+    rows, line_nos = [], []
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = [token.strip() for token in line.split(",")]
+        if len(tokens) not in widths:
+            raise ParseError(f"expected {' or '.join(map(str, widths))} comma-separated "
+                             f"fields, got {len(tokens)}", line_no)
+        widths = (len(tokens),)   # the first row fixes the optional columns
+        row = []
+        for column, token in zip(columns, tokens):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(f"{column} value {token!r} is not a number",
+                                 line_no) from None
+            if not np.isfinite(value):
+                raise ParseError(f"{column} value {token!r} is not finite", line_no)
+            if decimal_point and "." not in token:
+                raise ParseError(f"{column} value {token!r} lacks a decimal point",
+                                 line_no)
+            row.append(value)
+        if rows and row[0] <= rows[-1][0]:
+            raise NonMonotoneTime(f"timestamp {row[0]} does not increase past "
+                                  f"{rows[-1][0]}", line_no)
+        rows.append(row)
+        line_nos.append(line_no)
+    if not rows:
+        raise ParseError(f"no data lines found in {getattr(source, 'name', 'the input')}")
+    return np.array(rows), line_nos
 
 
 def load_trajectory(source) -> KinematicInput:
@@ -107,69 +142,32 @@ def load_trajectory(source) -> KinematicInput:
     :class:`~locdecomp.exceptions.NonMonotoneTime` on repeated or
     decreasing timestamps.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_trajectory(handle)
-    if not hasattr(source, "__iter__"):
-        raise TypeError(f"cannot read a trajectory from {type(source)!r}")
-
-    line_nos: list[int] = []
-    times: list[float] = []
-    positions: list[np.ndarray] = []
-    angles: list[float] = []
-    has_heading: bool | None = None
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(",")
-        if len(tokens) not in (3, 4):
-            raise ParseError(f"expected 3 or 4 comma-separated fields, got "
-                             f"{len(tokens)}", line_no)
-        row_has_heading = len(tokens) == 4
-        if has_heading is None:
-            has_heading = row_has_heading
-        elif has_heading != row_has_heading:
-            raise ParseError("inconsistent column count across lines", line_no)
-        t = _parse_float(tokens[0], line_no, "t_s")
-        east = _parse_float(tokens[1], line_no, "east_m")
-        north = _parse_float(tokens[2], line_no, "north_m")
-        if times and t <= times[-1]:
-            raise NonMonotoneTime(f"timestamp {t} does not increase past {times[-1]}",
-                                  line_no)
-        line_nos.append(line_no)
-        times.append(t)
-        positions.append(np.array([east, north]))
-        if row_has_heading:
-            angles.append(_parse_float(tokens[3], line_no, "heading_rad"))
-
-    if not times:
-        raise ParseError("no data lines found")
-    if not has_heading:
-        if len(times) < 2:
+    table, line_nos = read_table(source, ("t_s", "east_m", "north_m", "heading_rad"),
+                                 optional=1, decimal_point=True)
+    t, positions = table[:, 0], table[:, 1:3]
+    if table.shape[1] == 4:
+        angles = table[:, 3]
+    else:
+        if len(t) < 2:
             raise ParseError("cannot derive headings from a single sample; "
                              "add a heading_rad column")
-        deltas = np.diff(np.vstack(positions), axis=0)
+        deltas = np.diff(positions, axis=0)
         still = np.flatnonzero(~deltas.any(axis=1))
         if still.size:
             raise ParseError("position repeats the previous sample, so its bearing "
                              "gives no heading; add a heading_rad column",
                              line_nos[still[0] + 1])
-        angles = [float(np.arctan2(dn, de)) for de, dn in deltas]
-        angles.append(angles[-1])
-
-    t = np.array(times)
-    angles = np.array(angles)
-    return KinematicInput(t=t, heading=angles, ref_position=np.vstack(positions),
+        angles = np.arctan2(deltas[:, 1], deltas[:, 0])
+        angles = np.append(angles, angles[-1])
+    return KinematicInput(t=t, heading=angles, ref_position=positions,
                           heading_rate=heading_rates(t, angles))
 
 
 def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_S,
                           speed: float = DEFAULT_SPEED_MPS,
                           initial_heading: float = 0.0,
-                          turn_samples: int | None = None,
-                          start=(0.0, 0.0)) -> KinematicInput:
-    """Generate a statistically analogous driving segment.
+                          turn_samples: int | None = None) -> KinematicInput:
+    """Generate a statistically analogous driving segment from the origin.
 
     ``kind="straight"`` holds the heading constant.  ``kind="corner"``
     produces a piecewise-straight path whose heading sweeps through five
@@ -224,8 +222,7 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
         angles = np.cumsum(increments)
 
     t = np.arange(n_samples) * step
-    positions = np.empty((n_samples, 2))
-    positions[0] = as_vec2(start, "start")
+    positions = np.zeros((n_samples, 2))
     steps = speed * step * np.column_stack([np.cos(angles[1:]), np.sin(angles[1:])])
     positions[1:] = positions[0] + np.cumsum(steps, axis=0)
     return KinematicInput(t=t, heading=angles, ref_position=positions,

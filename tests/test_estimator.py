@@ -323,6 +323,14 @@ class TestUkfConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             make_config(2, **{field: value})
 
+    @pytest.mark.parametrize("alpha", [1e-170, 1e-11])
+    def test_rejects_alpha_that_rounds_the_spread_to_zero(self, alpha):
+        # n = 2: alpha ** 2 underflows to 0 at 1e-170, and at 1e-11 the spread
+        # n + lambda rounds to 0; both failed only in the first filter step
+        with pytest.raises(ValueError, match=f"^alpha must keep the sigma-point scale "
+                                             f"n \\+ lambda above 0, got {alpha}$"):
+            make_config(2, alpha=alpha)
+
     @pytest.mark.parametrize("gate", [0.0, -3.0, np.nan, np.inf])
     def test_rejects_meaningless_mahalanobis_gate(self, gate):
         # 0 would skip every update, -3 act as 3, and nan or inf as no gate

@@ -545,6 +545,41 @@ class TestParseConfig:
         np.testing.assert_array_equal(cfg.trajectory.series.ref_position,
                                       series.ref_position)
 
+    @pytest.mark.parametrize("key, place", [
+        ("output", lambda raw: raw.update(output=5)),
+        ("trajectory.file", lambda raw: raw.update(trajectory={"file": 5})),
+        ("model.type", lambda raw: raw["model"].insert(0, {"type": ["x"]}))])
+    def test_string_keys_reject_other_types(self, tmp_path, capsys, key, place):
+        # each raised TypeError: a traceback and exit 1
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        place(raw)
+        with pytest.raises(ConfigError, match=rf"^{key} must be a string, got "):
+            parse_config(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["experiment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_shared_series_is_read_only(self, tmp_path, source):
+        # every reader of a configuration shares its series: a write in place
+        # shifted the positions of every later run
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        if source == "file":
+            series = synthesize_trajectory("corner", 50)
+            np.savetxt(tmp_path / "trace.csv", np.column_stack(
+                [series.t, series.ref_position, series.heading]), fmt="%.17e", delimiter=",")
+            raw["trajectory"] = {"file": "trace.csv"}
+        cfg = parse_config(raw, base_dir=tmp_path)
+        positions = cfg.trajectory.series.ref_position.copy()
+        expected = run_experiment(cfg)
+        for name in ("t", "heading", "ref_position", "heading_rate"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg.trajectory.series, name)[:] += 100.0
+        np.testing.assert_array_equal(cfg.trajectory.series.ref_position, positions)
+        np.testing.assert_array_equal(run_experiment(cfg).mean, expected.mean)
+
     def test_non_finite_process_noise(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["filter"]["process_noise"] = float("nan")

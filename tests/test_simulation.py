@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from locdecomp.cli import DATA_COLUMNS, read_data_file
 from locdecomp.error_models import CompositeModel, body_offset, map_translation
 from locdecomp.exceptions import (DimensionMismatch, NonMonotoneTime, ParseError)
 from locdecomp.frames import normalize_angle
@@ -73,8 +74,11 @@ class TestLoadTrajectory:
         assert excinfo.value.line == 2
 
     def test_missing_decimal_point_rejected(self):
-        content = io.StringIO("0, 1.0, 2.0\n")
-        with pytest.raises(ParseError):
+        # two rows with headings: a lone row without them fails for want of
+        # a bearing, whatever its fields
+        content = io.StringIO("0.0, 1.0, 2.0, 0.1\n1.0, 2, 3.0, 0.1\n")
+        with pytest.raises(ParseError, match="^line 2: east_m value '2' lacks a decimal "
+                                             "point$"):
             load_trajectory(content)
 
     def test_wrong_column_count(self):
@@ -108,6 +112,56 @@ class TestLoadTrajectory:
     def test_repeated_position_with_headings_accepted(self):
         content = io.StringIO("0.0, 0.0, 2.0, -1.5\n1.0, 0.0, 2.0, -1.5\n")
         np.testing.assert_array_equal(load_trajectory(content).heading, [-1.5, -1.5])
+
+    def test_first_row_fixes_the_heading_column(self):
+        content = io.StringIO("0.0, 0.0, 2.0, -1.5\n1.0, 0.0, 3.0\n")
+        with pytest.raises(ParseError, match="^line 2: expected 4 comma-separated fields, "
+                                             "got 3$"):
+            load_trajectory(content)
+
+
+# both text formats, each as three data rows under a comment line: the
+# reader, its columns and the fields of row k
+READERS = {
+    "trajectory": (load_trajectory, ("t_s", "east_m", "north_m"),
+                   lambda k: [f"{k}.0", f"{k}.5", "2.0"]),
+    "data": (read_data_file, DATA_COLUMNS,
+             lambda k: [f"{k}.0", "1.0", "2.0", "0.5", "1.5", "0.3", "0.0", "0.04", "0.04"]),
+}
+
+
+# fault -> (error, the field of the second data row, on line 3, that the
+# fault replaces by a value or, without one, drops; whether the message names
+# the field's column).  The comment-only file comments out every row.
+FAULTS = {
+    "non-numeric": (ParseError, 1, "east", True),
+    "non-finite": (ParseError, 2, "1.0e999", True),
+    "field count": (ParseError, -1, None, False),
+    "repeated timestamp": (NonMonotoneTime, 0, "0.0", False),
+    "comment-only": (ParseError, None, None, False),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_name_the_line_and_column_of_a_fault(tmp_path, reader, fault):
+    read, columns, row = READERS[reader]
+    error, index, value, names_column = FAULTS[fault]
+    rows = [row(k) for k in range(3)]
+    if index is None:
+        rows = [["#"] + fields for fields in rows]
+    elif value is None:
+        del rows[1][index]
+    else:
+        rows[1][index] = value
+    path = tmp_path / "table.csv"
+    path.write_text("# header\n" + "".join(", ".join(fields) + "\n" for fields in rows))
+    with pytest.raises(error) as excinfo:
+        read(path)
+    line = None if index is None else 3
+    assert excinfo.value.line == line
+    if names_column:
+        assert columns[index] in str(excinfo.value)
 
 
 class TestSynthesizeTrajectory:
