@@ -9,13 +9,11 @@ kinematic fields broadcast against the leading parameter axes, so one call
 covers every sigma point of every run.  The kinematic state of a whole
 trajectory is one :class:`KinematicInput` series, whose sample axis is the
 last axis of ``t``, ``heading`` and ``heading_rate`` and axis -2 of
-``ref_position``; indexing it gives one sample.  Components declare which
-kinematic fields they read (``"heading"`` stands for both ``heading`` and
-``heading_rate``); state-independent components (e.g. a uniform map
-translation) declare none.  A :class:`CompositeModel` stacks the
-parameters of all active components into one state vector and enforces
-that each kinematic field feeds at most one component, so the
-contributions remain separable.
+``ref_position``; indexing it gives one sample.  A :class:`CompositeModel`
+stacks the parameters of its components into one state vector and sums
+their contributions.  Whether that sum separates into its components
+depends on the trajectory driven, not on the components alone; the rank
+test in :mod:`locdecomp.observability` measures it along a trajectory.
 
 Shipped components:
 
@@ -44,7 +42,6 @@ import numpy as np
 from .exceptions import DimensionMismatch, SingularTransform
 from .frames import as_points, as_vec2, normalize_angle, rotate
 
-KINEMATIC_FIELDS = ("heading", "ref_position")
 MIN_SCALE = 1e-9
 
 
@@ -120,33 +117,26 @@ class ErrorComponent:
 
     ``fn(params, u)`` maps parameters (..., param_dim) to contributions
     (..., 2), broadcasting array fields of ``u`` against the leading axes.
-    It must be deterministic and read only the kinematic fields listed in
-    ``depends_on``.  The shipped components contribute nothing at zero
-    parameters, the filter's default initial guess.
+    It must be deterministic.  The shipped components contribute nothing at
+    zero parameters, the filter's default initial guess.
     """
 
     name: str
     param_dim: int
-    depends_on: frozenset
     fn: Callable[[np.ndarray, KinematicInput], np.ndarray]
 
     def __post_init__(self):
         if self.param_dim < 1:
             raise ValueError(f"param_dim must be >= 1, got {self.param_dim}")
-        unknown = set(self.depends_on) - set(KINEMATIC_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown kinematic fields {sorted(unknown)}; "
-                             f"known: {KINEMATIC_FIELDS}")
-        object.__setattr__(self, "depends_on", frozenset(self.depends_on))
 
 
 @dataclass(frozen=True)
 class CompositeModel:
     """Ordered combination of error components over one stacked state vector.
 
-    Construction rejects two components reading the same kinematic field:
-    a field contributing to several components makes their split
-    unrecoverable from the difference observations.
+    Any components combine.  Whether the difference observations along a
+    trajectory determine each component's parameters is measured there by
+    :func:`~locdecomp.observability.numerical_rank_test`, not assumed here.
     """
 
     components: tuple
@@ -157,14 +147,6 @@ class CompositeModel:
         components = tuple(self.components)
         if not components:
             raise ValueError("a composite model needs at least one component")
-        seen: dict[str, str] = {}
-        for comp in components:
-            for f in comp.depends_on:
-                if f in seen:
-                    raise ValueError(
-                        f"kinematic field '{f}' feeds both '{seen[f]}' and "
-                        f"'{comp.name}'; each field may drive only one component")
-                seen[f] = comp.name
         offsets = np.cumsum([0] + [comp.param_dim for comp in components]).tolist()
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "offsets", tuple(offsets[:-1]))
@@ -190,8 +172,7 @@ def map_translation() -> ErrorComponent:
     def fn(params, u):
         return params.copy()
 
-    return ErrorComponent(name="map_translation", param_dim=2,
-                          depends_on=frozenset(), fn=fn)
+    return ErrorComponent(name="map_translation", param_dim=2, fn=fn)
 
 
 def body_offset() -> ErrorComponent:
@@ -199,8 +180,7 @@ def body_offset() -> ErrorComponent:
     def fn(params, u):
         return rotate(params, u.heading)
 
-    return ErrorComponent(name="body_offset", param_dim=2,
-                          depends_on=frozenset({"heading"}), fn=fn)
+    return ErrorComponent(name="body_offset", param_dim=2, fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +199,7 @@ def _deformation(name: str, pivot, image) -> ErrorComponent:
     def fn(params, u):
         return u.ref_position - (pivot + image(u.ref_position - pivot, params))
 
-    return ErrorComponent(name=name, param_dim=1,
-                          depends_on=frozenset({"ref_position"}), fn=fn)
+    return ErrorComponent(name=name, param_dim=1, fn=fn)
 
 
 def map_rotation(pivot=(0.0, 0.0)) -> ErrorComponent:

@@ -468,11 +468,22 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         output=None if raw.get("output") is None else _string(raw["output"], "output"))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are all distinct; json keeps the last of a
+    repeated key, which would silently override the first."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment configuration from a JSON file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(raw, base_dir=path.parent)

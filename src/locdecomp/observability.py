@@ -48,9 +48,9 @@ class ObservabilityReport:
 
     ``observable`` is true iff at least one window attains full rank.
     ``deficient_windows`` and ``degenerate_windows`` list (start, end)
-    sample index pairs (end exclusive); a degenerate window is one whose
-    model-relevant inputs are all identical although the model depends on
-    the kinematic state, so no rank can be gained from it.
+    sample index pairs (end exclusive); a degenerate window is a deficient
+    one whose samples all have the same output Jacobian, so it holds no more
+    rank than one sample: the drive along it does not vary the model.
     """
 
     observable: bool
@@ -113,18 +113,12 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     ranks = np.sum(sv > rank_tolerance * sv[:, :1], axis=1)
     conds = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] > 0.0)
 
-    # a window is degenerate when each of its samples repeats the previous
-    # one in every field the model reads
-    read = set().union(*(comp.depends_on for comp in model.components))
-    angle, rate, position = inputs.heading, inputs.heading_rate, inputs.ref_position
-    repeats = np.full(len(inputs) - 1, bool(read))
-    if "heading" in read:
-        repeats &= (angle[1:] == angle[:-1]) & (rate[1:] == rate[:-1])
-    if "ref_position" in read:
-        repeats &= (position[1:] == position[:-1]).all(axis=1)
+    # a deficient window is degenerate when each sample's Jacobian equals
+    # the previous one's: no sample adds a row the first did not have
+    repeats = (jac[1:] == jac[:-1]).all(axis=(1, 2))
     run = np.concatenate([[0], np.cumsum(repeats)])
     starts = np.arange(len(windows))
-    degenerate = bool(read) & (run[starts + wl - 1] - run[starts] == wl - 1)
+    degenerate = (ranks < n) & (run[starts + wl - 1] - run[starts] == wl - 1)
 
     return ObservabilityReport(
         observable=bool(np.any(ranks == n)),

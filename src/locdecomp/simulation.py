@@ -90,18 +90,24 @@ def read_table(source, columns, optional: int = 0, decimal_point: bool = False):
     Every row has the fields ``columns`` names or, the same in every row, up
     to ``optional`` fewer (the last columns are optional).  With
     ``decimal_point`` every field must carry one.  The first column, the
-    timestamp, must strictly increase.  Returns the table (M, k) and the
-    rows' M line numbers.  A fault raises :class:`ParseError`, a timestamp
-    that does not increase :class:`NonMonotoneTime`; both name the line, and
-    a bad field its column.
+    timestamp, must strictly increase.  A byte-order mark before the first
+    line is skipped.  Returns the table (M, k) and the rows' M line numbers.
+    A fault raises :class:`ParseError`, also for bytes that are not UTF-8, a
+    timestamp that does not increase :class:`NonMonotoneTime`; both name the
+    line, and a bad field its column.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
+        # undecodable bytes become lone surrogates, reported with their line
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return read_table(handle, columns, optional, decimal_point)
     widths = range(len(columns) - optional, len(columns) + 1)
     rows, line_nos = [], []
     for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"text is not UTF-8 at character {exc.start + 1}", line_no) from None
+        line = (raw.removeprefix("\ufeff") if line_no == 1 else raw).strip()
         if not line or line.startswith("#"):
             continue
         tokens = [token.strip() for token in line.split(",")]

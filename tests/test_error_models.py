@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_shear,
                                     map_translation)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform
 from locdecomp.frames import rotate, rotation_matrix
+from locdecomp.observability import numerical_rank_test
+from locdecomp.simulation import synthesize_trajectory
+
+CORNER = synthesize_trajectory("corner", 200)
+PIVOT = CORNER.ref_position.mean(axis=0)
+COORDINATES = st.lists(st.floats(-1e4, 1e4, allow_subnormal=False), min_size=2,
+                       max_size=2).map(np.array)
 
 
 def evaluate(comp, params, u):
@@ -103,9 +112,6 @@ class TestMapTranslation:
         np.testing.assert_allclose(evaluate(comp, [-1.5, 4.0], make_input(angle=1.0)),
                                    [-1.5, 4.0])
 
-    def test_reads_no_kinematic_fields(self):
-        assert map_translation().depends_on == frozenset()
-
 
 class TestBodyOffset:
     def test_zero_heading_is_identity(self):
@@ -135,9 +141,6 @@ class TestBodyOffset:
             out = evaluate(comp, params, make_input(angle=gamma))
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(params),
                                                         rel=1e-12)
-
-    def test_depends_on_heading(self):
-        assert body_offset().depends_on == frozenset({"heading"})
 
 
 class TestTransformDifference:
@@ -203,6 +206,23 @@ class TestTransformDifference:
         out = evaluate(deformation(pivot), inverse_param(params), u)
         np.testing.assert_allclose(out, other_hosted, rtol=0.0, atol=atol)
 
+    @settings(derandomize=True, database=None)
+    @given(kind=st.sampled_from(["rotation", "scale", "shear_x", "shear_y"]),
+           p=COORDINATES, pivot=COORDINATES,
+           theta=st.floats(-0.5, 1.0, allow_subnormal=False))
+    def test_inverse_parameter_undoes_the_deformation(self, kind, p, pivot, theta):
+        # q = p - c(p, theta) is where the other localizer puts p; the
+        # component at the inverse parameter takes q back to p
+        comp, inverse = {
+            "rotation": (map_rotation(pivot), -theta),
+            "scale": (map_scale(pivot), 1.0 / (1.0 + theta) - 1.0),
+            "shear_x": (map_shear(pivot, "x"), -theta),
+            "shear_y": (map_shear(pivot, "y"), -theta)}[kind]
+        q = p - evaluate(comp, [theta], make_input(position=p))
+        back = q - evaluate(comp, [inverse], make_input(position=q))
+        np.testing.assert_allclose(back, p, rtol=0.0,
+                                   atol=1e-9 * np.abs([p, pivot]).max())
+
     def test_pivot_and_axis_are_checked_at_construction(self):
         with pytest.raises(ValueError, match="pivot"):
             map_rotation(pivot=(1.0, 2.0, 3.0))
@@ -216,11 +236,23 @@ class TestCompositeModel:
         assert model.state_dim == 4
         assert model.offsets == (0, 2)
 
-    def test_single_contribution_rule(self):
-        with pytest.raises(ValueError, match="heading"):
-            CompositeModel(components=(body_offset(), body_offset()))
-        with pytest.raises(ValueError, match="ref_position"):
-            CompositeModel(components=(map_rotation(), map_scale()))
+    @pytest.mark.parametrize("components, rank", [
+        ((map_rotation(PIVOT), map_scale(PIVOT)), 2),
+        ((map_rotation(PIVOT), map_shear(PIVOT)), 2),
+        ((body_offset(), map_translation(), map_rotation(PIVOT), map_scale(PIVOT)), 6),
+        ((body_offset(), body_offset()), 2),
+        ((map_translation(), map_translation()), 2),
+        # two opposite shears make a small rotation
+        ((map_rotation(PIVOT), map_scale(PIVOT), map_shear(PIVOT, "x"),
+          map_shear(PIVOT, "y")), 3)])
+    def test_separability_is_measured_not_declared(self, components, rank):
+        # any components combine; the whole corner's stacked Jacobian tells
+        # which sums split, whether or not their components read one field
+        model = CompositeModel(components=components)
+        report = numerical_rank_test(model, np.zeros(model.state_dim), CORNER,
+                                     window_length=len(CORNER))
+        assert report.rank_profile == [rank]
+        assert report.observable == (rank == model.state_dim)
 
     def test_body_plus_map_model_at_zero_heading(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
@@ -332,8 +364,4 @@ class TestDeformationComponents:
         assert map_rotation().name == "map_rotation"
         assert map_scale().name == "map_scale"
         assert map_shear().name == "map_shear"
-
-    def test_depends_on_position(self):
-        for comp in (map_rotation(), map_scale(), map_shear()):
-            assert comp.depends_on == frozenset({"ref_position"})
 

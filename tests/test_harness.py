@@ -305,8 +305,7 @@ def tripwire(threshold):
             raise FloatingPointError("tripwire")
         return np.zeros(params.shape[:-1] + (2,))
 
-    return ErrorComponent(name="tripwire", param_dim=1,
-                          depends_on=frozenset({"ref_position"}), fn=fn)
+    return ErrorComponent(name="tripwire", param_dim=1, fn=fn)
 
 
 class TestExperimentErrors:
@@ -506,6 +505,20 @@ class TestParseConfig:
         u = KinematicInput(t=0.0, heading=0.0, ref_position=centroid)
         np.testing.assert_allclose(comp.fn(np.array([0.3]), u), [0.0, 0.0],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("types, true_params", [
+        (["map_rotation", "map_scale"], [0.02, 0.01]),
+        (["body_offset", "map_translation", "map_rotation", "map_scale"],
+         [2.0, 1.0, 3.0, 2.0, 0.02, 0.01])])
+    def test_components_reading_one_field_load_and_run(self, types, true_params):
+        # both deformations read the reference position; the sum still splits
+        # on a corner, so the configuration loads and its runs converge
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["model"] = [{"type": kind} for kind in types]
+        raw["injection"]["true_params"] = true_params
+        raw["filter"] = {"process_noise": 0.0, "initial_covariance": 0.1}
+        series = run_experiment(parse_config(raw))
+        assert np.all(series.mse[-1] < 0.01 * series.initial_mse)
 
     def test_matrix_process_noise(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -729,6 +742,23 @@ class TestParseConfig:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_config(path)
+
+    @pytest.mark.parametrize("entry, repeated", [
+        ('"runs": 3', '"runs": 3, "runs": 5'),
+        ('"process_noise": 0.1', '"process_noise": 0.1, "process_noise": 1.0'),
+        ('{"type": "body_offset"}', '{"type": "body_offset", "type": "map_scale"}')],
+        ids=["top", "section", "component"])
+    def test_repeated_key_is_rejected_at_any_depth(self, tmp_path, capsys, entry, repeated):
+        # json keeps the last value: {"runs": 100, "runs": 5} ran 5 runs
+        text = json.dumps(BASE_CONFIG)
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(entry, repeated, 1))
+        key = entry.split('"')[1]
+        message = f"key '{key}' appears twice in one object"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(path)
+        assert cli_main(["experiment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"locdecomp experiment: {message}\n"
 
     def test_unknown_component_option(self):
         raw = json.loads(json.dumps(BASE_CONFIG))

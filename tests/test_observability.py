@@ -84,8 +84,23 @@ class TestNumericalRankTest:
         report = numerical_rank_test(TRANSLATION_ONLY, np.zeros(2), trajectory)
         assert report.observable
         assert all(rank == 2 for rank in report.rank_profile)
-        # a state-independent model has no inputs to degenerate on
+        # its Jacobian never varies, but a full-rank window is not degenerate
         assert report.degenerate_windows == []
+
+    def test_inseparable_state_independent_model_is_degenerate_everywhere(self):
+        model = CompositeModel(components=(map_translation(), map_translation()))
+        report = numerical_rank_test(model, np.zeros(4), synthesize_trajectory("corner", 30))
+        assert report.rank_profile == [2] * len(report.window_starts)
+        assert report.degenerate_windows == report.deficient_windows
+        assert len(report.degenerate_windows) == len(report.window_starts)
+
+    def test_degenerate_windows_follow_what_the_model_reads(self):
+        # the heading rate varies, the heading does not: a body offset reads
+        # only the heading, so a constant heading gives it nothing to gain
+        inputs = synthesize_trajectory("straight", 30)
+        inputs = replace(inputs, heading_rate=np.linspace(0.0, 1.0, 30))
+        report = numerical_rank_test(BODY_MAP, np.zeros(4), inputs)
+        assert len(report.degenerate_windows) == len(report.window_starts)
 
     def test_rank_invariant_under_time_rescaling(self):
         inputs = synthesize_trajectory("corner", 120)
@@ -107,18 +122,12 @@ def reference_rank_test(model, x0, inputs, window_length,
     """The rank test window by window: a central-difference Jacobian of each
     window's stacked output map and one SVD per window.
 
-    Returns ranks, condition numbers, deficient and degenerate windows.
+    Returns ranks, condition numbers, deficient and degenerate windows; a
+    deficient window is degenerate when every sample's two rows of its
+    Jacobian equal the first sample's.
     """
     x0 = np.asarray(x0, dtype=float)
     n, wl = model.state_dim, window_length
-    read = set().union(*(comp.depends_on for comp in model.components))
-
-    def same_inputs(u, v):
-        return (("heading" not in read or (u.heading == v.heading
-                                           and u.heading_rate == v.heading_rate))
-                and ("ref_position" not in read
-                     or np.array_equal(u.ref_position, v.ref_position)))
-
     ranks, conds, deficient, degenerate = [], [], [], []
     for start in range(len(inputs) - wl + 1):
         window = inputs[start:start + wl]
@@ -131,7 +140,8 @@ def reference_rank_test(model, x0, inputs, window_length,
             cols.append((np.concatenate([model.evaluate(xp, u) for u in window])
                          - np.concatenate([model.evaluate(xm, u) for u in window]))
                         / (2.0 * h))
-        sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        jac = np.column_stack(cols)
+        sv = np.linalg.svd(jac, compute_uv=False)
         if sv[0] > 0.0:
             rank = int(np.sum(sv > rank_tolerance * sv[0]))
             cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
@@ -141,8 +151,8 @@ def reference_rank_test(model, x0, inputs, window_length,
         conds.append(cond)
         if rank < n:
             deficient.append((start, start + wl))
-        if read and all(same_inputs(u, window[0]) for u in window[1:]):
-            degenerate.append((start, start + wl))
+            if (jac.reshape(wl, 2, n) == jac[:2]).all():
+                degenerate.append((start, start + wl))
     return ranks, conds, deficient, degenerate
 
 

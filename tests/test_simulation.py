@@ -2,13 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locdecomp.cli import DATA_COLUMNS, read_data_file
 from locdecomp.error_models import CompositeModel, body_offset, map_translation
 from locdecomp.exceptions import (DimensionMismatch, NonMonotoneTime, ParseError)
 from locdecomp.frames import normalize_angle
 from locdecomp.simulation import (InjectionConfig, inject_runs, load_trajectory,
-                                  synthesize_trajectory)
+                                  read_table, synthesize_trajectory)
 
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
 
@@ -128,6 +130,72 @@ READERS = {
     "data": (read_data_file, DATA_COLUMNS,
              lambda k: [f"{k}.0", "1.0", "2.0", "0.5", "1.5", "0.3", "0.0", "0.04", "0.04"]),
 }
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_skip_a_byte_order_mark(tmp_path, reader):
+    # a commented file saved with a mark failed on "'\ufeff# header' is not a number"
+    read, _, row = READERS[reader]
+    text = "# header\n" + "".join(", ".join(row(k)) + "\n" for k in range(3))
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for source in (path, io.StringIO("\ufeff" + text)):
+        out = read(source)
+        series = out if reader == "trajectory" else out[0]
+        np.testing.assert_array_equal(series.t, [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, reader):
+    # raised UnicodeDecodeError, which names a byte position but no line
+    read, _, row = READERS[reader]
+    lines = [b"# header\n"] + [(", ".join(row(k)) + "\n").encode() for k in range(3)]
+    lines[2] = lines[2].replace(b",", b"\xff,", 1)
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match="^line 3: text is not UTF-8 at character 4$"):
+        read(path)
+
+
+# characters a number, a comment or a field separator is made of, and some
+# that float() reads or the reader must reject: a digit in another script, a
+# byte-order mark, a control and a non-ASCII letter
+TEXT = st.text("0123456789.,+-eE#_ nafi\t\r\u0663\ufeff\x00\u00e9")
+
+
+@st.composite
+def table_lines(draw, row):
+    """Lines of random text, or valid rows with one field replaced."""
+    if draw(st.booleans()):
+        return draw(st.lists(TEXT, max_size=6))
+    rows = [row(k) for k in range(draw(st.integers(1, 5)))]
+    fields = rows[draw(st.integers(0, len(rows) - 1))]
+    fields[draw(st.integers(0, len(fields) - 1))] = draw(
+        TEXT | st.sampled_from(["", "nan", "-inf", "1e999", "1", "#", ",", "0.0, 0.0"]))
+    return [", ".join(fields) for fields in rows]
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(derandomize=True, database=None)
+@given(data=st.data())
+def test_read_table_on_fuzzed_lines_fails_only_at_a_line(reader, data):
+    _, columns, row = READERS[reader]
+    optional = int(reader == "trajectory")   # the heading column
+    text = "\n".join(data.draw(table_lines(row)))
+    n_lines = len(io.StringIO(text).readlines())
+    try:
+        table, line_nos = read_table(io.StringIO(text), columns, optional=optional,
+                                     decimal_point=bool(optional))
+    except (ParseError, NonMonotoneTime) as exc:
+        if exc.line is None:
+            assert str(exc).startswith("no data lines")
+        else:
+            assert 1 <= exc.line <= n_lines
+        return
+    assert len(columns) - optional <= table.shape[1] <= len(columns)
+    assert table.shape[0] == len(line_nos) and np.isfinite(table).all()
+    assert np.all(np.diff(table[:, 0]) > 0) and np.all(np.diff(line_nos) > 0)
+    assert 1 <= line_nos[0] and line_nos[-1] <= n_lines
 
 
 # fault -> (error, the field of the second data row, on line 3, that the
