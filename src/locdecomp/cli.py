@@ -12,7 +12,8 @@ Flags given on the command line override the corresponding configuration
 file values.  Without ``--out``, ``simulate`` and ``filter`` write
 ``simulated.csv`` and ``estimates.csv`` into the configuration's output
 directory, where ``experiment`` writes its results.  Invalid input exits
-with status 2 and one line on stderr.
+with status 2 and one line on stderr; a standard output closed by its
+reader exits with status 1 and nothing on stderr.
 
 A simulated data file is comma-separated text, one step per line under a
 ``#`` header naming the columns, read by
@@ -28,6 +29,7 @@ pass it as arrays: ``simulate`` writes one run of ``inject_runs``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -228,11 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.  Invalid input (the
     library's ``ValueError`` family, e.g. ``ParseError`` or ``ConfigError``)
-    and file errors print one line to stderr and return 2; runtime failures
+    and file errors print one line to stderr and return 2; a standard output
+    closed by its reader returns 1 with nothing on stderr; runtime failures
     such as ``FilterStepError`` propagate."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"locdecomp {args.command}: {exc}", file=sys.stderr)
         return 2

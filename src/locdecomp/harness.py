@@ -242,7 +242,6 @@ def emit_results(series: MseSeries, out_dir,
     if not str(out_dir):
         raise OSError("output path is empty")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     dim = series.state_dim
     header = (["step"] + [f"mse_x{j + 1}" for j in range(dim)]

@@ -9,7 +9,7 @@ module tests numerically on the map's Jacobian, without forming the stacked
 outputs themselves: each sample's output Jacobian is formed once by
 central differences, in one model evaluation over all samples; a sliding
 window stacks the Jacobian rows of its samples, and its rank is read off
-the singular values, computed for blocks of windows in one batch each.
+the singular values, computed for all windows in one batched SVD.
 
 The windowed test certifies local full rank along the given trajectory
 only; it does not prove global uniqueness over all conceivable inputs.
@@ -37,9 +37,6 @@ from .frames import as_count, as_real
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_MIN_TURN_RATE = 1e-3
 DEFAULT_SMOOTH_WINDOW = 3
-# rows of stacked window Jacobians decomposed per batched SVD; bounds the
-# memory of the rank test on long trajectories
-_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
@@ -105,11 +102,10 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     jac = ((out[:n] - out[n:]) / (2.0 * h[:, None, None])).transpose(1, 2, 0)
     windows = sliding_window_view(jac, wl, axis=0)  # (W, 2, n, wl)
 
-    per_block = max(1, _BLOCK_ROWS // (2 * wl))
-    sv = np.concatenate([
-        np.linalg.svd(np.moveaxis(windows[b:b + per_block], -1, 1)
-                      .reshape(-1, 2 * wl, n), compute_uv=False)
-        for b in range(0, len(windows), per_block)])
+    # the reshape merges the window-sample axis (stride 16 bytes) with the
+    # east/north axis (stride 8 bytes), so the stack stays a view of jac and
+    # the SVD reads it one window at a time: nothing is copied
+    sv = np.linalg.svd(np.moveaxis(windows, -1, 1).reshape(-1, 2 * wl, n), compute_uv=False)
     ranks = np.sum(sv > rank_tolerance * sv[:, :1], axis=1)
     conds = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] > 0.0)
 

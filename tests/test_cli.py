@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +520,23 @@ def test_out_names_a_file_or_an_existing_directory(tmp_path, capsys):
     named = tmp_path / "named.csv"
     assert main(["simulate", "--config", str(config), "--out", str(named)]) == 0
     assert named.read_bytes() == (tmp_path / "simulated.csv").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", [["observability"], ["experiment", "--runs", "2"]])
+def test_closed_output_pipe_exits_one_in_silence(tmp_path, command, unbuffered):
+    # buffered output meets the closed pipe at the final flush, unbuffered
+    # output at the first print
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "locdecomp.cli", *command,
+         "--config", str(CONFIGS / "corner.json"), "--out", str(tmp_path / "run")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()     # before the interpreter has started, let alone written
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 class TestShippedConfigs:

@@ -1,9 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from locdecomp import observability
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_translation)
 from locdecomp.exceptions import DimensionMismatch, ZeroTurnRate
@@ -224,15 +224,23 @@ class TestRankTestEquivalence:
         assert set(report.rank_profile) == {rank}
         assert report.condition_numbers == conds == [np.inf] * len(conds)
 
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        inputs = corner_inputs()
+    def test_memory_stays_below_one_copy_of_the_stacked_windows(self):
+        inputs = synthesize_trajectory("corner", 5000)
+        model = CompositeModel(components=(
+            body_offset(), map_translation(),
+            map_rotation(pivot=inputs.ref_position.mean(axis=0))))
         x0 = [2.0, 1.0, 3.0, 2.0, 0.01]
-        whole = numerical_rank_test(BODY_MAP_ROTATION, x0, inputs)
-        for rows in (1, 7, 60):  # one window per block; blocks not dividing W
-            monkeypatch.setattr(observability, "_BLOCK_ROWS", rows)
-            blocked = numerical_rank_test(BODY_MAP_ROTATION, x0, inputs)
-            assert blocked.rank_profile == whole.rank_profile
-            assert blocked.condition_numbers == whole.condition_numbers
+        wl, n = 200, model.state_dim
+        numerical_rank_test(model, x0, inputs, window_length=wl)  # lazy imports
+        tracemalloc.start()
+        try:
+            report = numerical_rank_test(model, x0, inputs, window_length=wl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stacked = len(report.window_starts) * 2 * wl * n * 8  # one copy, in bytes
+        assert peak < stacked / 4
+        assert set(report.rank_profile) == {3, 4, 5}
 
 
 class TestRankTestArguments:
