@@ -41,9 +41,9 @@ from .estimator import filter_runs
 from .exceptions import ParseError
 from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, emit_results,
                       load_config, run_experiment, write_table)
-from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_RANK_TOL,
-                            DEFAULT_SMOOTH_WINDOW, closed_form_decomposition,
-                            difference_rates, numerical_rank_test)
+from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_SMOOTH_WINDOW,
+                            closed_form_decomposition, difference_rates,
+                            numerical_rank_test)
 from .simulation import inject_runs, read_table
 
 DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
@@ -144,8 +144,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_observability(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series,
-                                 window_length=args.window,
-                                 rank_tolerance=args.tolerance)
+                                 window_length=args.window)
     wl, dim = report.window_length, report.state_dim
     degenerate = set(report.degenerate_windows)
     row = f"%d,%d,%d,{FLOAT_FORMAT}%s"
@@ -215,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("observability", _cmd_observability, "windowed rank report")
     p.add_argument("--window", type=int, default=None,
                    help="window length in samples (default: 2 * state_dim)")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_RANK_TOL,
-                   help="relative singular value cutoff for the rank")
     p = add_command("oracle", _cmd_oracle, "closed-form decomposition of a data file",
                     common=False)
     p.add_argument("--data", type=Path, required=True, help="simulated data file")

@@ -7,8 +7,9 @@ function is the composite difference model evaluated at the current
 kinematic input, and the measurement is the observed localizer difference
 with its composed covariance.
 
-Sigma points follow the scaled construction of Wan and van der Merwe
-(parameters ``alpha``, ``beta``, ``kappa``).  Covariances are validated
+Sigma points follow the scaled construction of Wan and van der Merwe ("The
+unscented Kalman filter for nonlinear estimation", 2000) at a fixed spread:
+``ALPHA = 0.1``, ``BETA = 2`` and ``KAPPA = 0``.  Covariances are validated
 where they enter (initial covariance, process noise, measurement
 covariances) and stored as their exact symmetric part ``(m + m.T) / 2``,
 so every prior and posterior derived from them is exactly symmetric and no
@@ -44,6 +45,11 @@ from .frames import as_real
 
 SYM_TOL = 1e-9
 PSD_TOL = 1e-9
+# the sigma-point spread: beta = 2 suits Gaussian priors, and a small alpha
+# keeps the points near the mean; at kappa = 0, n + lambda = alpha^2 n > 0
+ALPHA = 0.1
+BETA = 2.0
+KAPPA = 0.0
 _ADJUGATE = [3, 1, 2, 0]   # a flat 2x2 matrix's adjugate: entry order and signs
 _ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -93,23 +99,18 @@ def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UkfConfig:
-    """Initial mean and covariance, process noise and sigma-point spread
-    parameters.
+    """Initial mean and covariance and process noise of the filter.
 
-    ``beta = 2`` is optimal for Gaussian priors in the scaled construction;
-    a small ``alpha`` keeps the points close to the mean, which suits the
-    mildly nonlinear rotation measurements handled here, but it must keep
-    the spread ``n + lambda`` above 0 in floating point.  ``mahalanobis_gate``
-    optionally skips updates whose normalized innovation exceeds the gate
-    (off by default; the simulated pipelines have no outliers).
+    The sigma-point spread is fixed (``ALPHA``, ``BETA``, ``KAPPA``: the
+    standard scaled unscented transform of Wan and van der Merwe, 2000).
+    ``mahalanobis_gate`` optionally skips updates whose normalized
+    innovation exceeds the gate (off by default; the simulated pipelines
+    have no outliers).
     """
 
     process_noise: np.ndarray
     initial_mean: np.ndarray
     initial_covariance: np.ndarray
-    alpha: float = 0.1
-    beta: float = 2.0
-    kappa: float = 0.0
     mahalanobis_gate: float | None = None
 
     def __post_init__(self):
@@ -122,21 +123,10 @@ class UkfConfig:
         object.__setattr__(self, "initial_mean", mean)
         object.__setattr__(self, "initial_covariance", _check_covariance(
             self.initial_covariance, "initial_covariance", n))
-        if not 0.0 < as_real(self.alpha, "alpha") <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        for name in ("beta", "kappa"):
-            if not np.isfinite(as_real(getattr(self, name), name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         gate = self.mahalanobis_gate
         if gate is not None and not 0.0 < as_real(gate, "mahalanobis_gate") < np.inf:
             raise ValueError(f"mahalanobis_gate must be None or a finite value above 0, "
                              f"got {gate}")
-        if n + self.kappa <= 0.0:
-            raise ValueError(f"kappa must exceed -n = {-n}, got {self.kappa}")
-        # n + lambda as _sigma_weights computes it: a tiny alpha rounds it to 0
-        if n + (self.alpha ** 2 * (n + self.kappa) - n) <= 0.0:
-            raise ValueError(f"alpha must keep the sigma-point scale n + lambda above 0, "
-                             f"got {self.alpha}")
         object.__setattr__(self, "process_noise",
                            _check_covariance(self.process_noise, "process_noise", n))
 
@@ -157,15 +147,15 @@ def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _sigma_weights(n: int, cfg: UkfConfig) -> tuple[float, np.ndarray, np.ndarray]:
+def _sigma_weights(n: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Spread ``n + lambda`` and the mean and covariance weights of the
     2n+1 scaled sigma points of an n-dimensional state."""
-    lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
+    lam = ALPHA ** 2 * (n + KAPPA) - n
     scale = n + lam
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale
-    wc[0] = lam / scale + (1.0 - cfg.alpha ** 2 + cfg.beta)
+    wc[0] = lam / scale + (1.0 - ALPHA ** 2 + BETA)
     return scale, wm, wc
 
 
@@ -261,7 +251,7 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
     if bad_steps.size:
         raise FilterStepError(int(bad_steps[0]), "observed difference must be finite")
-    weights = _sigma_weights(n, cfg)
+    weights = _sigma_weights(n)
     means = np.tile(cfg.initial_mean, (d.shape[0], 1))
     covs = np.tile(cfg.initial_covariance, (d.shape[0], 1, 1))
     for step in range(n_steps):

@@ -89,11 +89,14 @@ def heading_rates(t, angles) -> np.ndarray:
 
     Angles are unwrapped first so a crossing of the +/-pi seam does not
     produce a spurious rate spike.  Endpoints use one-sided differences.
+    ``t`` must strictly increase.
     """
     t = np.asarray(t, dtype=float)
     angles = np.asarray(angles, dtype=float)
     if t.shape != angles.shape or t.ndim != 1:
         raise ValueError("t and angles must be 1-d arrays of equal length")
+    if not np.all(np.diff(t) > 0.0):
+        raise ValueError("t must strictly increase")
     if t.size < 2:
         return np.zeros_like(angles)
     return np.gradient(np.unwrap(angles), t)

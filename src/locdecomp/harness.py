@@ -298,21 +298,12 @@ def _build_component(entry: dict, centroid: np.ndarray):
         raise ConfigError(f"unknown component type {kind!r}; available: "
                           f"{sorted(_COMPONENTS)}")
     factory, option_keys = _COMPONENTS[kind]
-    _reject_unknown(entry, option_keys | {"type", "initial"}, f"component {kind!r}")
+    _reject_unknown(entry, option_keys | {"type"}, f"component {kind!r}")
     options = {key: entry[key] for key in option_keys & entry.keys()}
     if "pivot" in option_keys:
         options["pivot"] = (_real(entry["pivot"], f"model.{kind}.pivot", scalar=False)
                             if "pivot" in entry else centroid)
-    comp = factory(**options)
-    initial = entry.get("initial")
-    guess = (np.zeros(comp.param_dim) if initial is None
-             else _real(initial, f"model.{kind}.initial", scalar=False))
-    if guess.shape != (comp.param_dim,):
-        raise ConfigError(f"component {kind!r} initial guess must have "
-                          f"{comp.param_dim} entries, got {guess.shape}")
-    if not np.isfinite(guess).all():
-        raise ConfigError(f"component {kind!r} initial guess must be finite, got {guess}")
-    return comp, guess
+    return factory(**options)
 
 
 def _string(value, key: str) -> str:
@@ -413,9 +404,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     model_raw = raw["model"]
     if not isinstance(model_raw, list) or not model_raw:
         raise ConfigError("'model' must be a non-empty list of components")
-    built = [_build_component(entry, centroid) for entry in model_raw]
-    model = CompositeModel(components=tuple(comp for comp, _ in built))
-    default_x0 = np.concatenate([guess for _, guess in built])
+    model = CompositeModel(components=tuple(_build_component(entry, centroid)
+                                            for entry in model_raw))
 
     inj_raw = raw["injection"]
     _reject_unknown(inj_raw, {"true_params", "noise_sigma_ref", "noise_sigma_other",
@@ -443,7 +433,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if "process_noise" not in filt_raw or "initial_covariance" not in filt_raw:
         raise ConfigError("filter needs 'process_noise' and 'initial_covariance'")
     x0 = (_real(filt_raw["initial_mean"], "filter.initial_mean", scalar=False)
-          if "initial_mean" in filt_raw else default_x0)
+          if "initial_mean" in filt_raw else np.zeros(dim))
     if not np.isfinite(x0).all():
         raise ConfigError(f"initial_mean must be finite, got {x0}")
     if x0.shape != (dim,):
@@ -453,8 +443,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         initial_mean=x0,
         initial_covariance=_as_matrix(filt_raw["initial_covariance"], dim,
                                       "initial_covariance"),
-        **{key: _real(filt_raw[key], f"filter.{key}")
-           for key in ("alpha", "beta", "kappa") if key in filt_raw},
         mahalanobis_gate=(_real(filt_raw["mahalanobis_gate"], "filter.mahalanobis_gate")
                           if filt_raw.get("mahalanobis_gate") is not None else None))
 

@@ -34,7 +34,7 @@ from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, ZeroTurnRate
 from .frames import as_count, as_real
 
-DEFAULT_RANK_TOL = 1e-8
+RANK_TOL = 1e-8
 DEFAULT_MIN_TURN_RATE = 1e-3
 DEFAULT_SMOOTH_WINDOW = 3
 
@@ -61,8 +61,7 @@ class ObservabilityReport:
 
 
 def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
-                        window_length: int | None = None,
-                        rank_tolerance: float = DEFAULT_RANK_TOL) -> ObservabilityReport:
+                        window_length: int | None = None) -> ObservabilityReport:
     """Sliding-window rank test of the stacked sensitivity matrix along a
     :class:`~locdecomp.error_models.KinematicInput` series ``inputs`` whose
     ``ref_position`` is (N, 2).
@@ -71,11 +70,11 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     sample, by central differences (step ``1e-6 * max(1, |x0_j|)``) over
     one model evaluation of all samples.  Each window's sensitivity matrix
     stacks the rows of its samples in order (east, then north per sample);
-    its numerical rank is the number of singular values above
-    ``rank_tolerance`` times the largest one, and its condition number is
-    the ratio of the largest to the smallest (infinite when that is zero).
+    its numerical rank is the number of singular values above ``RANK_TOL``
+    (1e-8) times the largest one, and its condition number is the ratio of
+    the largest to the smallest (infinite when that is zero).
     ``window_length`` must be an integer; the default is twice the state
-    dimension.  ``x0`` must be finite and ``0 < rank_tolerance < 1``.
+    dimension.  ``x0`` must be finite.
     """
     x0 = np.asarray(x0, dtype=float)
     n = model.state_dim
@@ -83,8 +82,6 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0}")
-    if not 0.0 < as_real(rank_tolerance, "rank_tolerance") < 1.0:
-        raise ValueError(f"rank_tolerance must be finite and in (0, 1), got {rank_tolerance}")
     wl = 2 * n if window_length is None else as_count(window_length, "window_length")
     if wl < -(-n // 2):
         raise ValueError(f"window_length {wl} too short for {n} parameters")
@@ -106,7 +103,7 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     # east/north axis (stride 8 bytes), so the stack stays a view of jac and
     # the SVD reads it one window at a time: nothing is copied
     sv = np.linalg.svd(np.moveaxis(windows, -1, 1).reshape(-1, 2 * wl, n), compute_uv=False)
-    ranks = np.sum(sv > rank_tolerance * sv[:, :1], axis=1)
+    ranks = np.sum(sv > RANK_TOL * sv[:, :1], axis=1)
     conds = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] > 0.0)
 
     # a deficient window is degenerate when each sample's Jacobian equals
@@ -165,14 +162,17 @@ def difference_rates(t, d_series, smooth_window: int = DEFAULT_SMOOTH_WINDOW) ->
 
     The series is smoothed with a centered moving average (edge-replicated)
     before differentiating, since measured differences are noisy and the
-    closed-form decomposition consumes their rates directly.
-    ``smooth_window`` must be odd and no wider than the series; 1 disables
-    smoothing.
+    closed-form decomposition consumes their rates directly.  ``t`` must
+    strictly increase, and ``smooth_window`` must be an odd integer no wider
+    than the series; 1 disables smoothing.
     """
     t = np.asarray(t, dtype=float)
     d = np.asarray(d_series, dtype=float)
     if d.ndim != 2 or d.shape[1] != 2 or d.shape[0] != t.size:
         raise ValueError(f"d_series must have shape (len(t), 2), got {d.shape}")
+    if not np.all(np.diff(t) > 0.0):
+        raise ValueError("t must strictly increase")
+    smooth_window = as_count(smooth_window, "smooth_window")
     if smooth_window < 1 or smooth_window % 2 == 0:
         raise ValueError(f"smooth_window must be odd and >= 1, got {smooth_window}")
     if smooth_window > max(t.size, 1):

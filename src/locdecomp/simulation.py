@@ -19,9 +19,11 @@ are read by :func:`read_table`: comma-separated finite numbers, one row per
 line, blank and ``#`` lines skipped, timestamps strictly increasing; a
 fault names its line.  A trajectory file has columns ``t_s, east_m,
 north_m[, heading_rad]``, each number with a decimal point.  Without the
-heading column, headings are the bearings of successive position deltas,
-so consecutive samples must not repeat a position; heading rates are
-central differences over the headings.
+heading column, a sample's heading is the bearing of the step arriving at
+it (the first sample takes the first step's), as
+:func:`synthesize_trajectory` builds positions, so consecutive samples must
+not repeat a position; heading rates are central differences over the
+headings.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def load_trajectory(source) -> KinematicInput:
                              "gives no heading; add a heading_rad column",
                              line_nos[still[0] + 1])
         angles = np.arctan2(deltas[:, 1], deltas[:, 0])
-        angles = np.append(angles, angles[-1])
+        angles = np.concatenate([angles[:1], angles])
     return KinematicInput(t=t, heading=angles, ref_position=positions,
                           heading_rate=heading_rates(t, angles))
 

@@ -12,8 +12,8 @@ from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
 from locdecomp.error_models import KinematicInput
 from locdecomp.exceptions import FilterStepError, NonMonotoneTime, ParseError
 from locdecomp.harness import FLOAT_FORMAT, load_config
-from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
-                                     difference_rates, numerical_rank_test)
+from locdecomp.observability import (closed_form_decomposition, difference_rates,
+                                     numerical_rank_test)
 from locdecomp.simulation import inject_runs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -240,9 +240,13 @@ class TestObservabilityCommand:
         assert "observable = false" in out
         assert "DEFICIENT" in out
 
-    def test_tolerance_defaults_to_library_default(self):
-        args = build_parser().parse_args(["observability", "--config", "c.json"])
-        assert args.tolerance == DEFAULT_RANK_TOL
+    def test_tolerance_is_no_option(self, capsys):
+        # the rank cutoff is the library's fixed RANK_TOL
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["observability", "--config", "c.json",
+                                       "--tolerance", "1e-6"])
+        assert excinfo.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_matches_observe_golden(self, capsys):
         """The rank report on the benchmark's observe config equals its stored

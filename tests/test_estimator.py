@@ -1,6 +1,6 @@
 import re
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from locdecomp import error_models
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_rotation, map_scale, map_shear,
                                     map_translation)
-from locdecomp.estimator import (PSD_TOL, UkfConfig, _check_covariance, _check_psd,
-                                 _covariance_sqrt, _inverse_2x2, _sigma_points,
-                                 _sigma_weights, _update, filter_runs)
+from locdecomp.estimator import (ALPHA, BETA, KAPPA, PSD_TOL, UkfConfig,
+                                 _check_covariance, _check_psd, _covariance_sqrt,
+                                 _inverse_2x2, _sigma_points, _sigma_weights, _update,
+                                 filter_runs)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 
 
@@ -90,7 +91,7 @@ def sigma_points(cfg):
     """The scaled sigma points (2n+1, n) of a configuration's initial mean
     and covariance and their mean and covariance weights, formed as a filter
     step forms them."""
-    scale, wm, wc = _sigma_weights(cfg.initial_mean.size, cfg)
+    scale, wm, wc = _sigma_weights(cfg.initial_mean.size)
     spread = np.sqrt(scale) * _covariance_sqrt(cfg.initial_covariance[None])
     return _sigma_points(cfg.initial_mean[None], spread)[:, 0], wm, wc
 
@@ -108,17 +109,17 @@ def gated_priors(model, cfg, n_steps):
     return [covs[0] for _, covs in steps]
 
 
-def textbook_update(mean, prior, d, r, u, model, cfg):
+def textbook_update(mean, prior, d, r, u, model):
     """One run's measurement update as the textbook writes it: sums over
     the sigma points of weighted deviation products, and a linear solve.
     Returns the predicted difference, the innovation and cross covariances,
     and the posterior mean and covariance."""
     n = mean.size
-    lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
+    lam = ALPHA ** 2 * (n + KAPPA) - n
     wm = np.full(2 * n + 1, 0.5 / (n + lam))
     wm[0] = lam / (n + lam)
     wc = wm.copy()
-    wc[0] += 1.0 - cfg.alpha ** 2 + cfg.beta
+    wc[0] += 1.0 - ALPHA ** 2 + BETA
     root = np.sqrt(n + lam) * np.linalg.cholesky(prior)
     points = np.vstack([mean, mean + root.T, mean - root.T])
     outputs = model.evaluate(points, u)
@@ -309,28 +310,6 @@ class TestDiagonalShiftVerdict:
 
 
 class TestUkfConfig:
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_config(2, alpha=0.0)
-        with pytest.raises(ValueError):
-            make_config(2, alpha=1.5)
-
-    @pytest.mark.parametrize("field, value", [
-        ("beta", np.nan), ("beta", np.inf), ("kappa", np.nan), ("kappa", -np.inf),
-        ("kappa", -5.0), ("kappa", -2.0)])
-    def test_rejects_invalid_spread(self, field, value):
-        # n = 2: kappa must exceed -2, so that n + lambda > 0
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            make_config(2, **{field: value})
-
-    @pytest.mark.parametrize("alpha", [1e-170, 1e-11])
-    def test_rejects_alpha_that_rounds_the_spread_to_zero(self, alpha):
-        # n = 2: alpha ** 2 underflows to 0 at 1e-170, and at 1e-11 the spread
-        # n + lambda rounds to 0; both failed only in the first filter step
-        with pytest.raises(ValueError, match=f"^alpha must keep the sigma-point scale "
-                                             f"n \\+ lambda above 0, got {alpha}$"):
-            make_config(2, alpha=alpha)
-
     @pytest.mark.parametrize("gate", [0.0, -3.0, np.nan, np.inf])
     def test_rejects_meaningless_mahalanobis_gate(self, gate):
         # 0 would skip every update, -3 act as 3, and nan or inf as no gate
@@ -338,15 +317,18 @@ class TestUkfConfig:
                                              "finite value above 0"):
             make_config(2, mahalanobis_gate=gate)
 
-    def test_accepts_kappa_above_minus_n(self):
-        cfg = make_config(2, kappa=-1.5)
-        scale, wm, _ = _sigma_weights(2, cfg)
-        assert scale > 0.0
-        assert wm.sum() == pytest.approx(1.0, abs=1e-12)
+    def test_fields_are_the_filter_settings(self):
+        # the sigma-point spread is the module's ALPHA, BETA and KAPPA
+        assert [f.name for f in fields(UkfConfig)] == [
+            "process_noise", "initial_mean", "initial_covariance", "mahalanobis_gate"]
 
     def test_mean_weights_sum_to_one(self):
-        for dim in (1, 2, 4, 6):
-            _, wm, _ = _sigma_weights(dim, make_config(dim))
+        # the fixed ALPHA and KAPPA also keep the spread n + lambda above 0,
+        # which no check guards: at 0 or below the first filter step would
+        # divide by zero or take the square root of a negative number
+        for dim in range(1, 1001):
+            scale, wm, _ = _sigma_weights(dim)
+            assert scale > 0.0
             assert wm.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -355,7 +337,7 @@ class TestSigmaPoints:
         # for n=1 the non-central points sit at +/- sqrt(1 + lambda) * sigma
         cfg = make_config(1, p0=1.0)
         points, _, _ = sigma_points(cfg)
-        lam = cfg.alpha ** 2 * (1 + cfg.kappa) - 1
+        lam = ALPHA ** 2 * (1 + KAPPA) - 1
         expected = np.sqrt(1 + lam)
         np.testing.assert_allclose(sorted(points.ravel()),
                                    [-expected, 0.0, expected], atol=1e-12)
@@ -378,6 +360,20 @@ class TestSigmaPoints:
             diffs = points - mean
             recon = (wc[:, None] * diffs).T @ diffs
             np.testing.assert_allclose(recon, cov, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [8, 16, 32, 64, 128])
+    def test_fixed_spread_reconstructs_moments_in_larger_states(self, dim):
+        # the central mean weight stays 1 - 1 / ALPHA ** 2 = -99 at every
+        # dimension while the other weights shrink as 1 / n: the weighted
+        # sums still give back the mean and covariance
+        rng = np.random.default_rng(dim)
+        mean = rng.normal(size=dim) * 10.0
+        cov = random_psd(rng, dim, 4.0)
+        points, wm, wc = sigma_points(initial_state(mean, cov))
+        np.testing.assert_allclose(wm @ points, mean, rtol=1e-12, atol=1e-11)
+        diffs = points - mean
+        np.testing.assert_allclose((wc[:, None] * diffs).T @ diffs, cov,
+                                   rtol=1e-9, atol=1e-9 * np.trace(cov) / dim)
 
     def test_zero_covariance_collapses_to_mean(self):
         points, _, _ = sigma_points(initial_state([1.0, -2.0], np.zeros((2, 2))))
@@ -567,7 +563,7 @@ class TestPairCrossCovariance:
         cfg = make_config(n)
         d_random = rng.normal(size=(n_runs, 2))
         oracle = [textbook_update(means[k], priors[k], d_random[k], r,
-                                  make_input(angle=0.7, position=positions[k]), model, cfg)
+                                  make_input(angle=0.7, position=positions[k]), model)
                   for k in range(n_runs)]
         predicted, s, cross, oracle_means, oracle_covs = map(np.array, zip(*oracle))
         # three copies of each run: with the differences predicted + S e_j,
@@ -577,7 +573,7 @@ class TestPairCrossCovariance:
         u = make_input(angle=0.7, position=np.tile(positions, (3, 1)))
         post_means, post_covs = _update(
             np.tile(means, (3, 1)), np.tile(priors, (3, 1, 1)), d.reshape(-1, 2), r,
-            u, model, cfg, _sigma_weights(n, cfg))
+            u, model, cfg, _sigma_weights(n))
         moved = post_means.reshape(3, n_runs, n) - means
         assert relative_gap(np.stack(moved[:2], axis=-1), cross) <= 1e-12
         assert relative_gap(post_means[2 * n_runs:], oracle_means) <= 1e-12
@@ -608,7 +604,7 @@ class TestFilterRuns:
         (means, covs), = filter_runs(model, cfg, d, r, [u])
         for run in range(3):
             alone = _update(cfg.initial_mean[None], cfg.initial_covariance[None],
-                            d[run], r[0], u, model, cfg, _sigma_weights(3, cfg))
+                            d[run], r[0], u, model, cfg, _sigma_weights(3))
             np.testing.assert_array_equal(means[run], alone[0][0])
             np.testing.assert_array_equal(covs[run], alone[1][0])
 

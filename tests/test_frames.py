@@ -163,3 +163,10 @@ class TestHeadingRates:
 
     def test_single_sample_rate_is_zero(self):
         np.testing.assert_allclose(heading_rates([0.0], [1.0]), [0.0])
+
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                                   [0.0, 1.0, np.nan, 3.0]])
+    def test_rejects_times_that_do_not_increase(self, t):
+        # a repeated time gave NaN rates and a decreasing one wrong signs
+        with pytest.raises(ValueError, match="^t must strictly increase$"):
+            heading_rates(t, [0.0, 0.1, 0.2, 0.3])

@@ -408,9 +408,6 @@ class TestConfigValidation:
 REAL_SETTINGS = {
     "convergence_threshold":
         lambda v: replace(small_config(), convergence_threshold=v),
-    "alpha": lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), alpha=v),
-    "beta": lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), beta=v),
-    "kappa": lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), kappa=v),
     "mahalanobis_gate":
         lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), mahalanobis_gate=v),
     "noise_sigma_ref": lambda v: InjectionConfig([1, 2, 3, 4], v, 0.1, 1),
@@ -421,15 +418,13 @@ REAL_SETTINGS = {
     "initial_heading": lambda v: synthesize_trajectory("corner", 50, initial_heading=v),
     "min_turn_rate": lambda v: closed_form_decomposition(
         np.ones(2), np.ones(2), 0.0, 1.0, min_turn_rate=v),
-    "rank_tolerance": lambda v: numerical_rank_test(
-        BODY_MAP, np.zeros(4), synthesize_trajectory("corner", 50), rank_tolerance=v),
 }
 
 
 @pytest.mark.parametrize("bad", [True, "0.1"])
 @pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
 def test_api_real_settings_reject_booleans_and_strings(name, bad):
-    # True was read as 1 (a 1 s step, a unit noise sigma, alpha 1) and "0.1"
+    # True was read as 1 (a 1 s step, a unit noise sigma) and "0.1"
     # raised Python's "'<' not supported", naming no argument
     with pytest.raises(ValueError, match=rf"^{name} must be a number, got "
                                          rf"{re.escape(repr(bad))}$"):
@@ -471,14 +466,6 @@ class TestParseConfig:
         raw["model"] = [{"type": "warp_drive"}]
         with pytest.raises(ConfigError, match="warp_drive"):
             parse_config(raw)
-
-    def test_component_initial_guess_feeds_initial_mean(self):
-        raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["model"] = [{"type": "body_offset", "initial": [0.5, 0.5]},
-                        {"type": "map_translation"}]
-        cfg = parse_config(raw)
-        np.testing.assert_allclose(cfg.ukf.initial_mean,
-                                   [0.5, 0.5, 0.0, 0.0])
 
     def test_explicit_initial_mean_wins(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -612,19 +599,6 @@ class TestParseConfig:
         with pytest.raises(error, match=message):
             parse_config(raw)
 
-    def test_non_finite_component_guess_names_its_component(self):
-        raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["model"][0]["initial"] = [float("nan"), 0.0]
-        with pytest.raises(ConfigError, match=r"^component 'body_offset' initial guess "
-                                              r"must be finite, got \[nan  0.\]$"):
-            parse_config(raw)
-
-    def test_non_finite_beta(self):
-        raw = json.loads(json.dumps(BASE_CONFIG).replace(
-            '"initial_covariance": 10.0', '"initial_covariance": 10.0, "beta": NaN'))
-        with pytest.raises(ValueError, match="^beta must be finite"):
-            parse_config(raw)
-
     @pytest.mark.parametrize("section, value", [
         ("trajectory", 5), ("trajectory", "corner"), ("injection", [1.0]),
         ("filter", None)])
@@ -662,7 +636,7 @@ class TestParseConfig:
             raw["injection"]["true_params"] = [0.1]
             with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['reference'\] in "
                                                   r"component 'map_rotation'; allowed: "
-                                                  r"\['initial', 'pivot', 'type'\]$"):
+                                                  r"\['pivot', 'type'\]$"):
                 parse_config(raw)
 
     @pytest.mark.parametrize("section, key", [
@@ -693,8 +667,7 @@ class TestParseConfig:
         ("trajectory", "initial_heading", "0.5"),
         ("injection", "noise_sigma_total", True), ("injection", "true_params", "2.0"),
         ("injection", "true_params", [2.0, True, 3.0, 2.0]),
-        ("filter", "alpha", True), ("filter", "alpha", "0.1"), ("filter", "beta", None),
-        ("filter", "kappa", False), ("filter", "process_noise", True),
+        ("filter", "process_noise", True),
         ("filter", "process_noise", [0.1, 0.1, "0.1", 0.1]),
         ("filter", "initial_covariance", [[10.0, 0, 0, 0], [0, 10.0, 0, 0],
                                           [0, 0, 10.0, 0], [0, 0, 0, None]]),
@@ -703,7 +676,7 @@ class TestParseConfig:
         ("filter", "process_noise", [[0.1, 0, 0, 0], [0.1]]),
         ("filter", "initial_covariance", [10.0, [10.0], 10.0, 10.0])])
     def test_number_keys_reject_booleans_strings_and_null(self, section, key, bad):
-        # true was read as 1.0 (Q = I, alpha = 1) and "0.1" as 0.1; a ragged
+        # true was read as 1.0 (Q = I) and "0.1" as 0.1; a ragged
         # list failed with numpy's message, which names no key
         name = key if section is None else f"{section}.{key}"
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -713,7 +686,7 @@ class TestParseConfig:
                                               rf"got {re.escape(repr(bad))}$"):
             parse_config(raw)
 
-    @pytest.mark.parametrize("key, bad", [("pivot", [1.0, True]), ("initial", [False])])
+    @pytest.mark.parametrize("key, bad", [("pivot", [1.0, True])])
     def test_component_numbers_reject_booleans(self, key, bad):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"] = [{"type": "map_rotation", key: bad}]
@@ -743,6 +716,27 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_config(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("filter", "alpha", 0.1), ("filter", "beta", 2.0), ("filter", "kappa", 0.0),
+        ("model", "initial", [0.5, 0.5]), ("filter", "alpha", True),
+        ("filter", "alpha", 1e-170), ("filter", "beta", None), ("filter", "kappa", False),
+        ("model", "initial", [False])])
+    def test_removed_setting_fails_at_load(self, tmp_path, capsys, section, key, value):
+        # the sigma-point spread is fixed and filter.initial_mean is the one
+        # start, so a config setting either would run something it does not
+        # say; a value the old checks refused is refused as the unknown key
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        (raw["model"][0] if section == "model" else raw[section])[key] = value
+        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) \['{key}'\] in "):
+            parse_config(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry, repeated", [
         ('"runs": 3', '"runs": 3, "runs": 5'),
         ('"process_noise": 0.1', '"process_noise": 0.1, "process_noise": 1.0'),
@@ -765,7 +759,7 @@ class TestParseConfig:
         raw["model"] = [{"type": "body_offset", "pivot": [0.0, 0.0]}]
         with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['pivot'\] in "
                                               r"component 'body_offset'; allowed: "
-                                              r"\['initial', 'type'\]$"):
+                                              r"\['type'\]$"):
             parse_config(raw)
 
     def test_missing_section(self):

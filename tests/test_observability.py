@@ -1,14 +1,17 @@
+import inspect
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
+from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
+                                    body_offset,
                                     map_rotation, map_scale, map_translation)
 from locdecomp.exceptions import DimensionMismatch, ZeroTurnRate
 from locdecomp.frames import rotation_matrix
-from locdecomp.observability import (DEFAULT_RANK_TOL, closed_form_decomposition,
+from locdecomp.observability import (RANK_TOL, closed_form_decomposition,
                                      difference_rates, numerical_rank_test)
 from locdecomp.simulation import synthesize_trajectory
 
@@ -117,8 +120,19 @@ class TestNumericalRankTest:
         assert len(report.condition_numbers) == len(report.window_starts)
 
 
-def reference_rank_test(model, x0, inputs, window_length,
-                        rank_tolerance=DEFAULT_RANK_TOL):
+    @pytest.mark.parametrize("ratio, rank", [(1e-7, 2), (1e-9, 1)])
+    def test_rank_counts_singular_values_above_rank_tol(self, ratio, rank):
+        # every sample's Jacobian is diag(1, ratio), so the stacked window's
+        # singular values stand in that ratio: one counts only above RANK_TOL
+        scaled = ErrorComponent("scaled", 2, lambda p, u: p * [1.0, ratio])
+        report = numerical_rank_test(CompositeModel(components=(scaled,)), np.zeros(2),
+                                     make_series([0.0, 0.5, 1.0, 1.5]))
+        assert report.rank_profile == [rank]
+        assert report.observable == (rank == 2)
+        assert report.condition_numbers[0] == pytest.approx(1.0 / ratio, rel=1e-6)
+
+
+def reference_rank_test(model, x0, inputs, window_length):
     """The rank test window by window: a central-difference Jacobian of each
     window's stacked output map and one SVD per window.
 
@@ -143,7 +157,7 @@ def reference_rank_test(model, x0, inputs, window_length,
         jac = np.column_stack(cols)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[0] > 0.0:
-            rank = int(np.sum(sv > rank_tolerance * sv[0]))
+            rank = int(np.sum(sv > RANK_TOL * sv[0]))
             cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
         else:
             rank, cond = 0, float("inf")
@@ -249,11 +263,10 @@ class TestRankTestArguments:
         with pytest.raises(ValueError, match="x0"):
             numerical_rank_test(BODY_MAP, [0.0, bad, 0.0, 0.0], corner_inputs(40))
 
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf])
-    def test_rejects_rank_tolerance_outside_unit_interval(self, bad):
-        with pytest.raises(ValueError, match="rank_tolerance"):
-            numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
-                                rank_tolerance=bad)
+    def test_arguments_are_model_state_inputs_and_window(self):
+        # the rank cutoff is the module's RANK_TOL, not an argument
+        assert list(inspect.signature(numerical_rank_test).parameters) == [
+            "model", "x0", "inputs", "window_length"]
 
     @pytest.mark.parametrize("bad", [8.9, 2.5, True, False, "8", "abc"])
     def test_rejects_non_integer_window_length(self, bad):
@@ -380,3 +393,26 @@ class TestDifferenceRates:
     def test_rejects_even_window(self):
         with pytest.raises(ValueError):
             difference_rates(np.arange(5.0), np.zeros((5, 2)), smooth_window=2)
+
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                                   [0.0, 1.0, np.nan, 3.0]])
+    def test_rejects_times_that_do_not_increase(self, t):
+        # a repeated time gave NaN rows and a decreasing one wrong signs
+        d = np.column_stack([np.arange(4.0), -np.arange(4.0)])
+        with pytest.raises(ValueError, match="^t must strictly increase$"):
+            difference_rates(t, d, smooth_window=1)
+
+    @pytest.mark.parametrize("bad", [3.5, True, "3", None])
+    def test_window_must_be_an_integer(self, bad):
+        # 3.5 failed in numpy's padding, True ran as 1, and "3" and None
+        # raised a TypeError naming no argument
+        with pytest.raises(ValueError, match=f"^smooth_window must be an integer, "
+                                             f"got {re.escape(repr(bad))}$"):
+            difference_rates(np.arange(5.0), np.zeros((5, 2)), smooth_window=bad)
+
+    def test_integral_float_window_is_accepted(self):
+        # 3.0 failed in numpy's padding: "pad_width must be of integral type"
+        t = np.arange(5.0)
+        d = np.column_stack([t ** 2, -t])
+        np.testing.assert_array_equal(difference_rates(t, d, smooth_window=3.0),
+                                      difference_rates(t, d, smooth_window=3))

@@ -58,6 +58,8 @@ class TestLoadTrajectory:
         assert info.value.line == 3
 
     def test_headings_derived_from_bearings(self):
+        # each sample takes the bearing of the step arriving at it, the
+        # first sample the first step's
         content = io.StringIO(
             "0.0, 0.0, 0.0\n"
             "1.0, 1.0, 0.0\n"
@@ -66,8 +68,34 @@ class TestLoadTrajectory:
         deltas = [(1.0, 0.0), (0.0, 1.0)]
         expected = [np.arctan2(dn, de) for de, dn in deltas]
         assert samples[0].heading == pytest.approx(expected[0])
-        assert samples[1].heading == pytest.approx(expected[1])
+        assert samples[1].heading == pytest.approx(expected[0])
         assert samples[2].heading == pytest.approx(expected[1])
+
+    @pytest.mark.parametrize("initial_heading", [0.0, 2.5, -3.0])
+    def test_synthesized_corner_round_trips_without_headings(self, tmp_path,
+                                                            initial_heading):
+        # bearings of the steps leaving each sample put every turn sample's
+        # heading one sample early, up to 0.52 rad off
+        synth = synthesize_trajectory("corner", 60, turn_samples=3,
+                                      initial_heading=initial_heading)
+        path = tmp_path / "corner.csv"
+        np.savetxt(path, np.column_stack([synth.t, synth.ref_position]),
+                   fmt="%.17e", delimiter=", ")
+        loaded = load_trajectory(path)
+        np.testing.assert_array_equal(loaded.ref_position, synth.ref_position)
+        assert np.abs(normalize_angle(loaded.heading - synth.heading)).max() <= 1e-12
+        np.testing.assert_allclose(loaded.heading_rate, synth.heading_rate,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_synthesized_straight_round_trips_without_headings(self, tmp_path):
+        # every step's bearing is the heading, the first sample's included
+        synth = synthesize_trajectory("straight", 20, initial_heading=-1.2)
+        path = tmp_path / "straight.csv"
+        np.savetxt(path, np.column_stack([synth.t, synth.ref_position]),
+                   fmt="%.17e", delimiter=", ")
+        loaded = load_trajectory(path)
+        assert np.abs(normalize_angle(loaded.heading - synth.heading)).max() <= 1e-12
+        np.testing.assert_allclose(loaded.heading_rate, np.zeros(20), rtol=0.0, atol=1e-12)
 
     def test_parse_error_carries_line_number(self):
         content = io.StringIO("0.0, 1.0, 2.0\n1.0, oops, 2.0\n")
