@@ -38,7 +38,7 @@ import numpy as np
 
 from .error_models import KinematicInput
 from .estimator import filter_runs
-from .exceptions import ParseError
+from .exceptions import DimensionMismatch, ParseError
 from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, emit_results,
                       load_config, run_experiment, write_table)
 from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_SMOOTH_WINDOW,
@@ -55,6 +55,10 @@ def write_data_file(path, inputs: KinematicInput, p_other, r) -> Path:
     """Write the record ``(inputs, p_other, r)`` of one run as a simulated
     data file: positions (N, 2), or (1, N, 2) as :func:`inject_runs` returns
     them for one seed.  The file stores variances, so ``r`` must be diagonal."""
+    n = len(inputs)
+    if np.shape(p_other) not in ((n, 2), (1, n, 2)):
+        raise DimensionMismatch(f"p_other must have shape ({n}, 2) or (1, {n}, 2), as a "
+                                f"data file holds one run, got {np.shape(p_other)}")
     if np.any(r[:, [0, 1], [1, 0]]):
         raise ValueError("r must be diagonal: the data file stores variances only")
     table = np.column_stack([inputs.t, inputs.ref_position.reshape(-1, 2),
@@ -85,7 +89,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "runs", None) is not None:
         updates["n_runs"] = args.runs
     if getattr(args, "out", None) is not None:
-        updates["output"] = str(args.out)
+        # checked as given: Path("") is the working directory
+        if not args.out:
+            raise ValueError("--out must name a path, got ''")
+        updates["output"] = args.out
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -98,7 +105,8 @@ def _output_path(args, cfg: ExperimentConfig, name: str) -> Path:
     into; without it, ``name`` goes into the experiment's output directory."""
     if args.out is None:
         return _output_dir(cfg) / name
-    return args.out / name if args.out.is_dir() else args.out
+    out = Path(args.out)
+    return out / name if out.is_dir() else out
 
 
 def _cmd_simulate(args) -> int:
@@ -143,8 +151,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_observability(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series,
-                                 window_length=args.window)
+    report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series)
     wl, dim = report.window_length, report.state_dim
     degenerate = set(report.degenerate_windows)
     row = f"%d,%d,%d,{FLOAT_FORMAT}%s"
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", type=Path, required=True,
                            help="experiment configuration file (JSON)")
             p.add_argument("--seed", type=int, help="override the injection seed")
-            p.add_argument("--out", type=Path, help="override the output path")
+            p.add_argument("--out", help="override the output path")
         return p
 
     add_command("simulate", _cmd_simulate, "generate injected localizer data")
@@ -211,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True, help="simulated data file")
     p = add_command("experiment", _cmd_experiment, "run a Monte Carlo experiment")
     p.add_argument("--runs", type=int, help="override the number of runs")
-    p = add_command("observability", _cmd_observability, "windowed rank report")
-    p.add_argument("--window", type=int, default=None,
-                   help="window length in samples (default: 2 * state_dim)")
+    add_command("observability", _cmd_observability,
+                "windowed rank report over windows of 2 * state_dim samples")
     p = add_command("oracle", _cmd_oracle, "closed-form decomposition of a data file",
                     common=False)
     p.add_argument("--data", type=Path, required=True, help="simulated data file")

@@ -51,14 +51,14 @@ _BLOCK_STEPS = 32
 
 @dataclass(frozen=True)
 class SyntheticTrajectory:
-    """Synthetic segment settings (see :func:`~locdecomp.simulation.synthesize_trajectory`)."""
+    """Synthetic segment settings (see :func:`~locdecomp.simulation.synthesize_trajectory`);
+    a corner's turns take that function's default width."""
 
     kind: str
     n_samples: int
     step: float = DEFAULT_STEP_S
     speed: float = DEFAULT_SPEED_MPS
     initial_heading: float = 0.0
-    turn_samples: int | None = None
 
     @cached_property
     def series(self) -> KinematicInput:
@@ -103,6 +103,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs"))
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        if self.output == "":
+            raise ConfigError("output must name a path, got ''")
         if not 0.0 < _real(self.convergence_threshold, "convergence_threshold") < np.inf:
             raise ConfigError(f"convergence_threshold must be a finite value above 0, "
                               f"got {self.convergence_threshold}")
@@ -387,15 +389,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
                                              / _string(traj_raw["file"], "trajectory.file")))
     else:
         _reject_unknown(traj_raw, {"kind", "n_samples", "step", "speed",
-                                   "initial_heading", "turn_samples"}, "trajectory")
+                                   "initial_heading"}, "trajectory")
         try:
             trajectory = SyntheticTrajectory(
                 kind=traj_raw["kind"],
                 n_samples=_integer(traj_raw["n_samples"], "trajectory.n_samples"),
                 **{key: _real(traj_raw[key], f"trajectory.{key}")
-                   for key in ("step", "speed", "initial_heading") if key in traj_raw},
-                turn_samples=(_integer(traj_raw["turn_samples"], "trajectory.turn_samples")
-                              if "turn_samples" in traj_raw else None))
+                   for key in ("step", "speed", "initial_heading") if key in traj_raw})
         except KeyError as exc:
             raise ConfigError(f"trajectory section is missing {exc}") from None
 
@@ -408,24 +408,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
                                             for entry in model_raw))
 
     inj_raw = raw["injection"]
-    _reject_unknown(inj_raw, {"true_params", "noise_sigma_ref", "noise_sigma_other",
-                              "noise_sigma_total", "seed"}, "injection")
+    _reject_unknown(inj_raw, {"true_params", "noise_sigma_total", "seed"}, "injection")
     if "true_params" not in inj_raw or "seed" not in inj_raw:
         raise ConfigError("injection needs 'true_params' and 'seed'")
-    true_params = _real(inj_raw["true_params"], "injection.true_params", scalar=False)
-    seed = _integer(inj_raw["seed"], "injection.seed")
-    if "noise_sigma_total" in inj_raw:
-        if "noise_sigma_ref" in inj_raw or "noise_sigma_other" in inj_raw:
-            raise ConfigError("give either noise_sigma_total or the per-localizer "
-                              "sigmas, not both")
-        injection = InjectionConfig.with_total_sigma(
-            true_params, _real(inj_raw["noise_sigma_total"], "injection.noise_sigma_total"),
-            seed)
-    else:
-        injection = InjectionConfig(
-            true_params=true_params, rng_seed=seed,
-            **{key: _real(inj_raw.get(key, 0.0), f"injection.{key}")
-               for key in ("noise_sigma_ref", "noise_sigma_other")})
+    injection = InjectionConfig.with_total_sigma(
+        _real(inj_raw["true_params"], "injection.true_params", scalar=False),
+        _real(inj_raw.get("noise_sigma_total", 0.0), "injection.noise_sigma_total"),
+        _integer(inj_raw["seed"], "injection.seed"))
 
     filt_raw = raw["filter"]
     _reject_unknown(filt_raw, {f.name for f in fields(UkfConfig)}, "filter")

@@ -10,7 +10,8 @@ import pytest
 from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
 from locdecomp.error_models import KinematicInput
-from locdecomp.exceptions import FilterStepError, NonMonotoneTime, ParseError
+from locdecomp.exceptions import (DimensionMismatch, FilterStepError, NonMonotoneTime,
+                                  ParseError)
 from locdecomp.harness import FLOAT_FORMAT, load_config
 from locdecomp.observability import (closed_form_decomposition, difference_rates,
                                      numerical_rank_test)
@@ -172,6 +173,15 @@ class TestReadDataFile:
             read_data_file(self.write_rows(tmp_path, row))
         assert excinfo.value.line == 4
 
+    def test_writer_rejects_a_multi_run_record(self, tmp_path):
+        # numpy's column_stack failed on the stacked runs, naming no argument
+        cfg = load_config(CONFIGS / "corner.json")
+        record = inject_runs(cfg.trajectory.series, cfg.injection, cfg.model, [1, 2, 3])
+        with pytest.raises(DimensionMismatch, match=r"^p_other must have shape \(200, 2\) "
+                                                    r"or \(1, 200, 2\), .* got \(3, 200, 2\)$"):
+            write_data_file(tmp_path / "out.csv", *record)
+        assert not (tmp_path / "out.csv").exists()
+
     def test_writer_rejects_correlated_covariances(self, tmp_path):
         inputs, p_other, r = read_data_file(self.write_rows(tmp_path, [2.0] + GOOD_ROW[1:]))
         r[1, 0, 1] = r[1, 1, 0] = 0.01
@@ -240,13 +250,14 @@ class TestObservabilityCommand:
         assert "observable = false" in out
         assert "DEFICIENT" in out
 
-    def test_tolerance_is_no_option(self, capsys):
-        # the rank cutoff is the library's fixed RANK_TOL
+    @pytest.mark.parametrize("flag, value", [("--tolerance", "1e-6"), ("--window", "5")])
+    def test_rank_settings_are_no_options(self, capsys, flag, value):
+        # the rank cutoff is the library's fixed RANK_TOL and the windows
+        # are twice the state dimension long
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["observability", "--config", "c.json",
-                                       "--tolerance", "1e-6"])
+            build_parser().parse_args(["observability", "--config", "c.json", flag, value])
         assert excinfo.value.code == 2
-        assert "--tolerance" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_matches_observe_golden(self, capsys):
         """The rank report on the benchmark's observe config equals its stored
@@ -430,14 +441,31 @@ class TestInputErrors:
         assert err.startswith("locdecomp experiment: mahalanobis_gate must be")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("turn", [0, 999])
-    def test_out_of_range_turn_samples(self, tmp_path, capsys, turn):
-        config = write_config(tmp_path, trajectory={"kind": "corner", "n_samples": 50,
-                                                    "turn_samples": turn})
-        assert main(["experiment", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert err == (f"locdecomp experiment: turn_samples must be in [1, 8] for 50 "
-                       f"samples, got {turn}\n")
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["filter", "--data", "data.csv"], ["experiment", "--runs", "2"],
+        ["observability"]])
+    def test_empty_out_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        # argparse read "" as Path("."), so simulate and experiment wrote
+        # their files into the working directory with status 0
+        config = write_config(tmp_path)
+        main(["simulate", "--config", str(config), "--out", str(tmp_path / "data.csv")])
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([command[0], "--config", str(config), "--out", "", *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"locdecomp {command[0]}: --out must name a path, "
+                                  f"got ''\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_empty_output_in_config(self, tmp_path, monkeypatch, capsys):
+        # "output": "" wrote to results/ as if the key were absent
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, output="")
+        assert main(["experiment", "--config", str(config), "--runs", "2"]) == 2
+        assert capsys.readouterr().err == ("locdecomp experiment: output must name a "
+                                           "path, got ''\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("key, value, named", [
         ("noise_sigma_total", "NaN", "total_sigma"),
@@ -518,12 +546,17 @@ def test_commands_share_the_configured_output_directory(tmp_path, monkeypatch, c
         "estimates.csv", "mse.csv", "simulated.csv", "summary.txt"]
 
 
-def test_out_names_a_file_or_an_existing_directory(tmp_path, capsys):
+def test_out_names_a_file_or_an_existing_directory(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
     named = tmp_path / "named.csv"
     assert main(["simulate", "--config", str(config), "--out", str(named)]) == 0
     assert named.read_bytes() == (tmp_path / "simulated.csv").read_bytes()
+    # "." is the working directory
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert main(["simulate", "--config", str(config), "--out", "."]) == 0
+    assert Path("simulated.csv").read_bytes() == named.read_bytes()
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -473,12 +473,6 @@ class TestParseConfig:
         cfg = parse_config(raw)
         np.testing.assert_allclose(cfg.ukf.initial_mean, np.ones(4))
 
-    def test_total_and_split_sigmas_are_exclusive(self):
-        raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["injection"]["noise_sigma_ref"] = 0.1
-        with pytest.raises(ConfigError):
-            parse_config(raw)
-
     def test_pivot_defaults_to_trajectory_centroid(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"] = [{"type": "map_scale"}]
@@ -640,8 +634,7 @@ class TestParseConfig:
                 parse_config(raw)
 
     @pytest.mark.parametrize("section, key", [
-        (None, "runs"), ("injection", "seed"), ("trajectory", "n_samples"),
-        ("trajectory", "turn_samples")])
+        (None, "runs"), ("injection", "seed"), ("trajectory", "n_samples")])
     def test_integer_keys_are_checked_not_truncated(self, section, key):
         # truncating would run 2 runs for "runs": 2.5 and 1 for "runs": true
         name = key if section is None else f"{section}.{key}"
@@ -654,13 +647,10 @@ class TestParseConfig:
         for bad in (2.5, 200.9, 1.7, True, False, "20", "abc", None, float("nan")):
             with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
                 parsed(bad)
-        # a value valid for the key: 50 samples fit turns of at most 8
-        valid = 8 if key == "turn_samples" else 20
-        cfg = parsed(float(valid))
-        values = (cfg.n_runs, cfg.injection.rng_seed, cfg.trajectory.n_samples,
-                  cfg.trajectory.turn_samples)
-        assert valid in values
-        assert all(type(v) is int for v in values if v is not None)
+        cfg = parsed(20.0)
+        values = (cfg.n_runs, cfg.injection.rng_seed, cfg.trajectory.n_samples)
+        assert 20 in values
+        assert all(type(v) is int for v in values)
 
     @pytest.mark.parametrize("section, key, bad", [
         ("trajectory", "step", True), ("trajectory", "speed", True),
@@ -695,14 +685,6 @@ class TestParseConfig:
                                               rf"number or a list of numbers"):
             parse_config(raw)
 
-    def test_noise_sigma_ref_rejects_null(self):
-        raw = json.loads(json.dumps(BASE_CONFIG))
-        del raw["injection"]["noise_sigma_total"]
-        raw["injection"].update(noise_sigma_ref=0.1, noise_sigma_other=None)
-        with pytest.raises(ConfigError, match="^injection.noise_sigma_other must be a "
-                                              "number, got None$"):
-            parse_config(raw)
-
     @pytest.mark.parametrize("key, value, message", [
         ("noise_sigma_total", "NaN", "total_sigma must be finite and >= 0, got nan"),
         ("noise_sigma_total", "Infinity", "total_sigma must be finite and >= 0, got inf"),
@@ -720,11 +702,15 @@ class TestParseConfig:
         ("filter", "alpha", 0.1), ("filter", "beta", 2.0), ("filter", "kappa", 0.0),
         ("model", "initial", [0.5, 0.5]), ("filter", "alpha", True),
         ("filter", "alpha", 1e-170), ("filter", "beta", None), ("filter", "kappa", False),
-        ("model", "initial", [False])])
+        ("model", "initial", [False]), ("injection", "noise_sigma_ref", 0.1),
+        ("injection", "noise_sigma_other", 0.1), ("injection", "noise_sigma_other", None),
+        ("trajectory", "turn_samples", 4), ("trajectory", "turn_samples", 0)])
     def test_removed_setting_fails_at_load(self, tmp_path, capsys, section, key, value):
-        # the sigma-point spread is fixed and filter.initial_mean is the one
-        # start, so a config setting either would run something it does not
-        # say; a value the old checks refused is refused as the unknown key
+        # the sigma-point spread is fixed, filter.initial_mean is the one
+        # start, noise_sigma_total the one noise level (only the total reaches
+        # the difference) and a corner's turns take the default width, so a
+        # config setting any of them would run something it does not say; a
+        # value the old checks refused is refused as the unknown key
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw["model"][0] if section == "model" else raw[section])[key] = value
         with pytest.raises(ConfigError, match=rf"^unknown key\(s\) \['{key}'\] in "):
