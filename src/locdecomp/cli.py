@@ -87,6 +87,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         updates["injection"] = replace(cfg.injection, rng_seed=args.seed)
     if getattr(args, "runs", None) is not None:
+        if args.runs < 1:
+            raise ValueError(f"--runs must be >= 1, got {args.runs}")
         updates["n_runs"] = args.runs
     if getattr(args, "out", None) is not None:
         # checked as given: Path("") is the working directory
@@ -170,25 +172,21 @@ def _cmd_observability(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if not 0.0 <= args.min_turn_rate < np.inf:
-        raise ValueError(f"--min-turn-rate must be finite and >= 0, "
-                         f"got {args.min_turn_rate}")
     inputs, p_other, _ = read_data_file(args.data)
     d = inputs.ref_position - p_other
-    rates = difference_rates(inputs.t, d, smooth_window=args.smooth_window)
-    turning = np.flatnonzero(np.abs(inputs.heading_rate) > args.min_turn_rate)
+    rates = difference_rates(inputs.t, d)
+    turning = np.flatnonzero(np.abs(inputs.heading_rate) > DEFAULT_MIN_TURN_RATE)
     # a window wider than a turn averages the turn's rates with the legs'
     shortest = min(map(len, np.split(turning, np.flatnonzero(np.diff(turning) > 1) + 1)))
-    if turning.size and args.smooth_window > shortest:
-        raise ValueError(f"smooth_window {args.smooth_window} is wider than the shortest "
-                         f"turn of {shortest} samples")
+    if turning.size and DEFAULT_SMOOTH_WINDOW > shortest:
+        raise ValueError(f"smooth_window {DEFAULT_SMOOTH_WINDOW} is wider than the "
+                         f"shortest turn of {shortest} samples")
     print("step,t_s,body_x,body_y,map_east,map_north")
     if not turning.size:
         print("no steps with sufficient turn rate", file=sys.stderr)
         return 1
     angle, rate = inputs.heading[turning], inputs.heading_rate[turning]
-    estimates = closed_form_decomposition(d[turning], rates[turning], angle, rate,
-                                          min_turn_rate=args.min_turn_rate)
+    estimates = closed_form_decomposition(d[turning], rates[turning], angle, rate)
     np.savetxt(sys.stdout, np.column_stack([turning, inputs.t[turning], estimates]),
                fmt=FLOAT_FORMAT, delimiter=",")
     print(f"mean over {turning.size} turning steps: "
@@ -223,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("oracle", _cmd_oracle, "closed-form decomposition of a data file",
                     common=False)
     p.add_argument("--data", type=Path, required=True, help="simulated data file")
-    p.add_argument("--min-turn-rate", type=float, default=DEFAULT_MIN_TURN_RATE,
-                   help="skip steps with |heading rate| at or below this")
-    p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW,
-                   help="moving-average width for difference rates (odd)")
     return parser
 
 

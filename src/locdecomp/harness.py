@@ -161,22 +161,25 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 
 
 def _estimate_runs(trajectory, cfg: ExperimentConfig, runs):
-    """Simulate and filter the given runs as one batch.
-
-    Yields each step's posterior means, shape (runs, dim).
+    """Simulate the given runs as one batch and return the filter's pass
+    over them, an iterator of each step's posterior means, shape (runs, dim).
+    The injection runs in the call, so a truth at which the model is
+    singular raises here, before any filter step.
     """
     seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in runs]
     inputs, d, r = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
     np.subtract(inputs.ref_position, d, out=d)   # the differences overwrite p_other
-    for posterior, _ in filter_runs(cfg.model, cfg.ukf, d, r, inputs):
-        yield posterior
+    return (posterior for posterior, _ in filter_runs(cfg.model, cfg.ukf, d, r, inputs))
 
 
 def run_experiment(cfg: ExperimentConfig) -> MseSeries:
     """Execute the Monte Carlo batch and aggregate the error statistics.
 
-    A failure raises :class:`~locdecomp.exceptions.ExperimentRunError`
-    naming the lowest failing run index, chained from that run's error.
+    A failure of a run's filter pass raises
+    :class:`~locdecomp.exceptions.ExperimentRunError` naming the lowest
+    failing run index, chained from that run's error; a truth at which the
+    model is singular raises its
+    :class:`~locdecomp.exceptions.SingularTransform` before any run.
     """
     trajectory = cfg.trajectory.series
     truth = cfg.injection.true_params
@@ -275,13 +278,14 @@ def emit_results(series: MseSeries, out_dir,
 # configuration files
 # ---------------------------------------------------------------------------
 
-# component type -> (factory, option keys passed to it from the entry)
+# component type -> factory of the trajectory centroid, the deformations' pivot
+# (with map_translation in the model, another pivot adds only a constant shift)
 _COMPONENTS = {
-    "body_offset": (error_models.body_offset, set()),
-    "map_translation": (error_models.map_translation, set()),
-    "map_rotation": (error_models.map_rotation, {"pivot"}),
-    "map_scale": (error_models.map_scale, {"pivot"}),
-    "map_shear": (error_models.map_shear, {"pivot", "axis"}),
+    "body_offset": lambda centroid: error_models.body_offset(),
+    "map_translation": lambda centroid: error_models.map_translation(),
+    "map_rotation": error_models.map_rotation,
+    "map_scale": error_models.map_scale,
+    "map_shear": error_models.map_shear,
 }
 
 
@@ -299,13 +303,8 @@ def _build_component(entry: dict, centroid: np.ndarray):
     if kind not in _COMPONENTS:
         raise ConfigError(f"unknown component type {kind!r}; available: "
                           f"{sorted(_COMPONENTS)}")
-    factory, option_keys = _COMPONENTS[kind]
-    _reject_unknown(entry, option_keys | {"type"}, f"component {kind!r}")
-    options = {key: entry[key] for key in option_keys & entry.keys()}
-    if "pivot" in option_keys:
-        options["pivot"] = (_real(entry["pivot"], f"model.{kind}.pivot", scalar=False)
-                            if "pivot" in entry else centroid)
-    return factory(**options)
+    _reject_unknown(entry, {"type"}, f"component {kind!r}")
+    return _COMPONENTS[kind](centroid)
 
 
 def _string(value, key: str) -> str:
@@ -411,9 +410,12 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     _reject_unknown(inj_raw, {"true_params", "noise_sigma_total", "seed"}, "injection")
     if "true_params" not in inj_raw or "seed" not in inj_raw:
         raise ConfigError("injection needs 'true_params' and 'seed'")
+    sigma = _real(inj_raw.get("noise_sigma_total", 0.0), "injection.noise_sigma_total")
+    if not 0.0 <= sigma < np.inf:
+        raise ConfigError(f"injection.noise_sigma_total must be finite and >= 0, "
+                          f"got {sigma}")
     injection = InjectionConfig.with_total_sigma(
-        _real(inj_raw["true_params"], "injection.true_params", scalar=False),
-        _real(inj_raw.get("noise_sigma_total", 0.0), "injection.noise_sigma_total"),
+        _real(inj_raw["true_params"], "injection.true_params", scalar=False), sigma,
         _integer(inj_raw["seed"], "injection.seed"))
 
     filt_raw = raw["filter"]
@@ -435,9 +437,12 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         mahalanobis_gate=(_real(filt_raw["mahalanobis_gate"], "filter.mahalanobis_gate")
                           if filt_raw.get("mahalanobis_gate") is not None else None))
 
+    n_runs = _integer(raw.get("runs", 1), "runs")
+    if n_runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {n_runs}")
     return ExperimentConfig(
         trajectory=trajectory, model=model, injection=injection, ukf=ukf,
-        n_runs=_integer(raw.get("runs", 1), "runs"),
+        n_runs=n_runs,
         convergence_threshold=_real(raw.get("convergence_threshold",
                                             DEFAULT_CONVERGENCE_THRESHOLD_M2),
                                     "convergence_threshold"),

@@ -37,6 +37,19 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def turn_data_file(path, n_samples, turn_samples):
+    """A data file of a straight drive east whose one turn, from sample 8,
+    has ``turn_samples`` turning samples; the other localizer is 1 m off."""
+    rate = np.zeros(n_samples)
+    rate[8:8 + turn_samples] = 0.5
+    t = np.arange(n_samples, dtype=float)
+    inputs = KinematicInput(t=t, heading=np.cumsum(rate),
+                            ref_position=np.column_stack([10.0 * t, 0.0 * t]),
+                            heading_rate=rate)
+    r = np.broadcast_to(0.04 * np.eye(2), (n_samples, 2, 2))
+    return write_data_file(path, inputs, inputs.ref_position - 1.0, r)
+
+
 def parse_report(text):
     """Header lines and (start, end, rank, condition, marks...) rows of an
     observability report."""
@@ -353,44 +366,39 @@ class TestOracleCommand:
         assert capsys.readouterr().err.startswith(
             "locdecomp oracle: line 20: timestamp 17.0 does not increase past 17.0")
 
-    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
-    def test_rejects_negative_or_non_finite_min_turn_rate(self, tmp_path, capsys, bad):
-        # -1 printed nan and inf rows and exited 0; nan and inf found no
-        # turning step and exited 1
-        data = tmp_path / "data.csv"
-        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
-        capsys.readouterr()
-        assert main(["oracle", "--data", str(data), "--min-turn-rate", bad]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"locdecomp oracle: --min-turn-rate must be finite and >= 0, "
-                       f"got {float(bad)}\n")
+    @pytest.mark.parametrize("flag, value", [("--min-turn-rate", "0.01"),
+                                             ("--smooth-window", "5")])
+    def test_turn_settings_are_no_options(self, capsys, flag, value):
+        # the oracle takes the library's DEFAULT_MIN_TURN_RATE and
+        # DEFAULT_SMOOTH_WINDOW
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["oracle", "--data", "d.csv", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_rejects_window_wider_than_the_series(self, tmp_path, capsys):
-        # window 100001 on 200 samples printed estimates near zero for the
+        # a window wider than the series printed estimates near zero for the
         # body offset and exited 0
-        data = tmp_path / "data.csv"
-        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
-        capsys.readouterr()
-        assert main(["oracle", "--data", str(data), "--smooth-window", "100001"]) == 2
+        data = turn_data_file(tmp_path / "data.csv", n_samples=2, turn_samples=0)
+        assert main(["oracle", "--data", str(data)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("locdecomp oracle: smooth_window 100001 is wider than the "
-                       "series of 200 samples\n")
+        assert err == ("locdecomp oracle: smooth_window 3 is wider than the "
+                       "series of 2 samples\n")
 
     def test_rejects_window_wider_than_a_turn(self, tmp_path, capsys):
+        # a window wider than a turn averages the turn's rates with the legs':
         # window 101 on the shipped corner data (turns of 21 samples) printed
         # a mean of -0.16, -0.09, 3.71, 4.10 against the truth 2, 1, 3, 2
-        data = tmp_path / "data.csv"
-        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
-        capsys.readouterr()
-        assert main(["oracle", "--data", str(data), "--smooth-window", "21"]) == 0
-        assert "mean over 105 turning steps" in capsys.readouterr().out
-        assert main(["oracle", "--data", str(data), "--smooth-window", "23"]) == 2
+        data = turn_data_file(tmp_path / "data.csv", n_samples=20, turn_samples=3)
+        assert main(["oracle", "--data", str(data)]) == 0
+        assert "mean over 3 turning steps" in capsys.readouterr().out
+        turn_data_file(data, n_samples=20, turn_samples=2)
+        assert main(["oracle", "--data", str(data)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("locdecomp oracle: smooth_window 23 is wider than the shortest "
-                       "turn of 21 samples\n")
+        assert err == ("locdecomp oracle: smooth_window 3 is wider than the shortest "
+                       "turn of 2 samples\n")
 
     def test_estimates_match_the_scalar_decomposition(self, tmp_path, capsys):
         # one broadcast call over the turning samples equals the per-sample
@@ -467,8 +475,36 @@ class TestInputErrors:
                                            "path, got ''\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("args, overrides, message", [
+        ([], {"runs": 0}, "runs must be >= 1, got 0"),
+        (["--runs", "0"], {}, "--runs must be >= 1, got 0"),
+        ([], {"injection": {"true_params": [2.0, 1.0, 3.0, 2.0],
+                            "noise_sigma_total": -0.1, "seed": 11}},
+         "injection.noise_sigma_total must be finite and >= 0, got -0.1")],
+        ids=["runs", "--runs", "noise_sigma_total"])
+    def test_config_error_names_the_key(self, tmp_path, capsys, args, overrides, message):
+        # each named the library's argument, n_runs or total_sigma
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(config), "--out", str(out), *args]) == 2
+        assert capsys.readouterr().err == f"locdecomp experiment: {message}\n"
+        assert not out.exists()
+
+    def test_singular_truth_is_invalid_input(self, tmp_path, capsys):
+        # a scale deviation of -1 collapses the map: experiment printed a
+        # traceback ending in ExperimentRunError "run 0: ..." and exited 1
+        config = write_config(tmp_path, model=[{"type": "map_scale"}],
+                              injection={"true_params": [-1.0],
+                                         "noise_sigma_total": 0.2, "seed": 11})
+        out = tmp_path / "out"
+        for command in ["experiment", "simulate"]:
+            assert main([command, "--config", str(config), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (f"locdecomp {command}: scale factor 0.0 "
+                                               f"is not invertible\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("key, value, named", [
-        ("noise_sigma_total", "NaN", "total_sigma"),
+        ("noise_sigma_total", "NaN", "injection.noise_sigma_total"),
         ("true_params", "[NaN, 1.0, 3.0, 2.0]", "true_params"),
         ("process_noise", "true", "filter.process_noise"),
         ("process_noise", "[[0.1, 0, 0, 0], [0.1]]", "filter.process_noise"),

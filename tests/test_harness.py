@@ -14,7 +14,7 @@ from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInp
                                     map_shear, map_translation)
 from locdecomp.estimator import UkfConfig, filter_runs
 from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
-                                  NotPSD)
+                                  NotPSD, SingularTransform)
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                SyntheticTrajectory, derive_run_seed, emit_results,
                                load_config, parse_config, run_experiment, _estimate_runs)
@@ -332,6 +332,14 @@ class TestExperimentErrors:
         assert cause.step == failures[lowest]
         assert isinstance(cause.__cause__, FloatingPointError)
 
+    def test_singular_truth_is_the_configs_error(self):
+        # the injection evaluates the model at the truth once for all runs;
+        # it raised inside the batch and was relabelled "run 0: ..."
+        cfg = small_config(model=CompositeModel(components=(map_scale(),)),
+                           true_params=(-1.0,))
+        with pytest.raises(SingularTransform, match="^scale factor 0.0 is not invertible$"):
+            run_experiment(cfg)
+
 
 class TestMseSeriesConvergence:
     def test_flag_definition(self):
@@ -378,8 +386,22 @@ class TestEmitResults:
 
 class TestConfigValidation:
     def test_rejects_zero_runs(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^n_runs must be >= 1, got 0$"):
             small_config(n_runs=0)
+        # a configuration file names its own key
+        with pytest.raises(ConfigError, match="^runs must be >= 1, got 0$"):
+            parse_config(dict(BASE_CONFIG, runs=0))
+
+    def test_negative_noise_names_the_config_key(self):
+        # the library names its argument, a configuration file its key
+        with pytest.raises(ValueError, match="^total_sigma must be finite and >= 0, "
+                                             "got -0.1$"):
+            InjectionConfig.with_total_sigma([1.0, 2.0, 3.0, 4.0], -0.1, 1)
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["injection"]["noise_sigma_total"] = -0.1
+        with pytest.raises(ConfigError, match="^injection.noise_sigma_total must be "
+                                              "finite and >= 0, got -0.1$"):
+            parse_config(raw)
 
     @pytest.mark.parametrize("n_runs", [2.5, True, "3", None])
     def test_n_runs_must_be_an_integer(self, n_runs):
@@ -473,19 +495,26 @@ class TestParseConfig:
         cfg = parse_config(raw)
         np.testing.assert_allclose(cfg.ukf.initial_mean, np.ones(4))
 
-    def test_pivot_defaults_to_trajectory_centroid(self):
+    @pytest.mark.parametrize("factory", [map_rotation, map_scale, map_shear],
+                             ids=lambda factory: factory.__name__)
+    def test_pivot_defaults_to_trajectory_centroid(self, factory):
+        kind = factory.__name__
         raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["model"] = [{"type": "map_scale"}]
+        raw["model"] = [{"type": kind}]
         raw["injection"]["true_params"] = [0.1]
         cfg = parse_config(raw)
         centroid = cfg.trajectory.series.ref_position.mean(axis=0)
         comp = cfg.model.components[0]
         # at the centroid the deformation contributes nothing regardless of
-        # the parameter, which pins the pivot
-        from locdecomp.error_models import KinematicInput
+        # the parameter, which pins the pivot; elsewhere it is the library's
+        # deformation about the centroid (a shear along x)
         u = KinematicInput(t=0.0, heading=0.0, ref_position=centroid)
         np.testing.assert_allclose(comp.fn(np.array([0.3]), u), [0.0, 0.0],
                                    atol=1e-12)
+        u = KinematicInput(t=0.0, heading=0.0, ref_position=np.array([4.0, 7.0]))
+        assert comp.name == kind
+        np.testing.assert_array_equal(comp.fn(np.array([0.3]), u),
+                                      factory(pivot=centroid).fn(np.array([0.3]), u))
 
     @pytest.mark.parametrize("types, true_params", [
         (["map_rotation", "map_scale"], [0.02, 0.01]),
@@ -604,21 +633,28 @@ class TestParseConfig:
                                  f"{type(value).__name__}$"):
             parse_config(raw)
 
-    @pytest.mark.parametrize("entry, expected", [
-        ({"type": "map_shear", "axis": "y", "pivot": [1.0, 2.0]},
-         lambda centroid: map_shear(pivot=(1.0, 2.0), axis="y")),
-        ({"type": "map_scale", "pivot": [-3.0, 5.0]},
-         lambda centroid: map_scale(pivot=(-3.0, 5.0)))])
-    def test_component_options_reach_the_factory(self, entry, expected):
+    @pytest.mark.parametrize("kind, key, value", [
+        ("map_rotation", "pivot", [0.0, 0.0]), ("map_rotation", "pivot", [1.0, True]),
+        ("map_scale", "pivot", [-3.0, 5.0]), ("map_shear", "pivot", [1.0, 2.0]),
+        ("map_shear", "axis", "y"), ("map_shear", "axis", "x")])
+    def test_removed_component_key_fails_at_load(self, tmp_path, capsys, kind, key, value):
+        # with map_translation in the model, a deformation about another pivot
+        # is the one about the centroid plus a constant shift, so neither the
+        # pivot nor the shear axis is a setting; a value the old checks
+        # refused is refused as the unknown key
         raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["model"] = [entry]
-        raw["injection"]["true_params"] = [0.1]
-        comp = parse_config(raw).model.components[0]
-        built = expected(corner_centroid(50))
-        u = KinematicInput(t=0.0, heading=0.0, ref_position=np.array([4.0, 7.0]))
-        assert comp.name == built.name
-        np.testing.assert_array_equal(comp.fn(np.array([0.3]), u),
-                                      built.fn(np.array([0.3]), u))
+        raw["model"].append({"type": kind, key: value})
+        raw["injection"]["true_params"].append(0.01)
+        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) \['{key}'\] in "
+                                              rf"component '{kind}'; allowed: \['type'\]$"):
+            parse_config(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+        assert not out.exists()
 
     def test_unknown_reference_is_rejected_at_load(self):
         # "reference" is no key: an other-hosted deformation is the
@@ -630,7 +666,7 @@ class TestParseConfig:
             raw["injection"]["true_params"] = [0.1]
             with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['reference'\] in "
                                                   r"component 'map_rotation'; allowed: "
-                                                  r"\['pivot', 'type'\]$"):
+                                                  r"\['type'\]$"):
                 parse_config(raw)
 
     @pytest.mark.parametrize("section, key", [
@@ -676,18 +712,11 @@ class TestParseConfig:
                                               rf"got {re.escape(repr(bad))}$"):
             parse_config(raw)
 
-    @pytest.mark.parametrize("key, bad", [("pivot", [1.0, True])])
-    def test_component_numbers_reject_booleans(self, key, bad):
-        raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["model"] = [{"type": "map_rotation", key: bad}]
-        raw["injection"]["true_params"] = [0.1]
-        with pytest.raises(ConfigError, match=rf"^model.map_rotation.{key} must be a "
-                                              rf"number or a list of numbers"):
-            parse_config(raw)
-
     @pytest.mark.parametrize("key, value, message", [
-        ("noise_sigma_total", "NaN", "total_sigma must be finite and >= 0, got nan"),
-        ("noise_sigma_total", "Infinity", "total_sigma must be finite and >= 0, got inf"),
+        ("noise_sigma_total", "NaN",
+         "injection.noise_sigma_total must be finite and >= 0, got nan"),
+        ("noise_sigma_total", "Infinity",
+         "injection.noise_sigma_total must be finite and >= 0, got inf"),
         ("true_params", "[NaN, 1.0, 3.0, 2.0]", "true_params must be finite, got ")])
     def test_non_finite_injection_fails_at_load(self, tmp_path, key, value, message):
         # json reads NaN and Infinity; the runs then failed with exit 1
