@@ -41,9 +41,8 @@ from .estimator import filter_runs
 from .exceptions import DimensionMismatch, ParseError
 from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, emit_results,
                       load_config, run_experiment, write_table)
-from .observability import (DEFAULT_MIN_TURN_RATE, DEFAULT_SMOOTH_WINDOW,
-                            closed_form_decomposition, difference_rates,
-                            numerical_rank_test)
+from .observability import (MIN_TURN_RATE, SMOOTH_WINDOW, closed_form_decomposition,
+                            difference_rates, numerical_rank_test)
 from .simulation import inject_runs, read_table
 
 DATA_COLUMNS = ("t_s", "ref_east_m", "ref_north_m", "other_east_m",
@@ -175,11 +174,11 @@ def _cmd_oracle(args) -> int:
     inputs, p_other, _ = read_data_file(args.data)
     d = inputs.ref_position - p_other
     rates = difference_rates(inputs.t, d)
-    turning = np.flatnonzero(np.abs(inputs.heading_rate) > DEFAULT_MIN_TURN_RATE)
+    turning = np.flatnonzero(np.abs(inputs.heading_rate) > MIN_TURN_RATE)
     # a window wider than a turn averages the turn's rates with the legs'
     shortest = min(map(len, np.split(turning, np.flatnonzero(np.diff(turning) > 1) + 1)))
-    if turning.size and DEFAULT_SMOOTH_WINDOW > shortest:
-        raise ValueError(f"smooth_window {DEFAULT_SMOOTH_WINDOW} is wider than the "
+    if turning.size and SMOOTH_WINDOW > shortest:
+        raise ValueError(f"smooth_window {SMOOTH_WINDOW} is wider than the "
                          f"shortest turn of {shortest} samples")
     print("step,t_s,body_x,body_y,map_east,map_north")
     if not turning.size:

@@ -21,7 +21,7 @@ Shipped components:
 - ``body_offset``       vehicle-fixed localizer offset, rotated by heading
 - ``map_rotation``      map rotated about a pivot
 - ``map_scale``         map uniformly scaled about a pivot
-- ``map_shear``         axis-aligned map shear about a pivot
+- ``map_shear``         map shear along x about a pivot
 
 The three map deformations are hosted by the reference localizer: the
 other localizer's estimate is the reference position ``p`` mapped back
@@ -226,18 +226,12 @@ def map_scale(pivot=(0.0, 0.0)) -> ErrorComponent:
     return _deformation("map_scale", pivot, image)
 
 
-def map_shear(pivot=(0.0, 0.0), axis: str = "x") -> ErrorComponent:
-    """Map sheared along an axis about a pivot; estimate the shear factor.
-
-    ``axis="x"`` displaces the x coordinate proportionally to y;
-    ``axis="y"`` the converse.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    row, col = (0, 1) if axis == "x" else (1, 0)
-    unit = np.eye(2)[row]
+def map_shear(pivot=(0.0, 0.0)) -> ErrorComponent:
+    """Map sheared along x about a pivot; estimate the shear factor, by
+    which the x coordinate is displaced proportionally to y."""
+    unit = np.array([1.0, 0.0])
 
     def image(lever, params):
-        return lever + (-params[..., 0] * lever[..., col])[..., None] * unit
+        return lever + (-params[..., 0] * lever[..., 1])[..., None] * unit
 
     return _deformation("map_shear", pivot, image)

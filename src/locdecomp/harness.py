@@ -36,7 +36,7 @@ import numpy as np
 from . import error_models
 from .error_models import CompositeModel, KinematicInput
 from .estimator import UkfConfig, filter_runs
-from .exceptions import ConfigError, ExperimentRunError, NotPSD
+from .exceptions import ConfigError, ExperimentRunError, NotPSD, SingularTransform
 from .frames import as_count, as_real
 from .simulation import (DEFAULT_SPEED_MPS, DEFAULT_STEP_S, InjectionConfig,
                          inject_runs, load_trajectory, synthesize_trajectory)
@@ -116,6 +116,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"filter dimension {self.ukf.initial_mean.size} does not match "
                 f"model state dimension {self.model.state_dim}")
+        # the filter's first sigma point is the initial mean
+        try:
+            self.model.evaluate(self.ukf.initial_mean, self.trajectory.series)
+        except SingularTransform as exc:
+            raise ConfigError(f"initial_mean {self.ukf.initial_mean.tolist()}: {exc}") from None
 
 
 @dataclass

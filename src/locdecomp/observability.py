@@ -32,11 +32,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, ZeroTurnRate
-from .frames import as_count, as_real
+from .frames import as_count
 
 RANK_TOL = 1e-8
-DEFAULT_MIN_TURN_RATE = 1e-3
-DEFAULT_SMOOTH_WINDOW = 3
+MIN_TURN_RATE = 1e-3
+SMOOTH_WINDOW = 3
 
 
 @dataclass
@@ -125,8 +125,7 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
     )
 
 
-def closed_form_decomposition(d, d_rate, heading_angle, heading_rate,
-                              min_turn_rate: float = DEFAULT_MIN_TURN_RATE) -> np.ndarray:
+def closed_form_decomposition(d, d_rate, heading_angle, heading_rate) -> np.ndarray:
     """Analytic split of difference observations into body and map offsets.
 
     For the model consisting of a vehicle-fixed offset (rotated by heading)
@@ -134,20 +133,19 @@ def closed_form_decomposition(d, d_rate, heading_angle, heading_rate,
     closed form from the difference vector, its time derivative, the
     heading and the heading rate.  The heading must be changing: the
     formulas divide by the heading rate, and with a constant heading the
-    two offsets are indistinguishable.
+    two offsets are indistinguishable.  Every heading rate must exceed
+    ``MIN_TURN_RATE`` (1e-3 rad/s) in magnitude, else
+    :class:`~locdecomp.exceptions.ZeroTurnRate` is raised, also for a NaN.
 
-    ``d`` and ``d_rate`` (..., 2) broadcast against the headings (...), and
-    ``min_turn_rate`` must be finite and at least 0.  Returns ``(body_x,
-    body_y, map_east, map_north)`` on a last axis of 4.
+    ``d`` and ``d_rate`` (..., 2) broadcast against the headings (...).
+    Returns ``(body_x, body_y, map_east, map_north)`` on a last axis of 4.
     """
-    if not 0.0 <= as_real(min_turn_rate, "min_turn_rate") < np.inf:
-        raise ValueError(f"min_turn_rate must be finite and >= 0, got {min_turn_rate}")
     d = np.asarray(d, dtype=float)
     d_rate = np.asarray(d_rate, dtype=float)
-    slowest = np.abs(heading_rate).min()
-    if slowest <= min_turn_rate:
+    slowest = np.abs(heading_rate).min(initial=np.inf)
+    if not slowest > MIN_TURN_RATE:
         raise ZeroTurnRate(
-            f"|heading rate| = {slowest} <= {min_turn_rate}; the agent "
+            f"|heading rate| = {slowest} <= {MIN_TURN_RATE}; the agent "
             "must be turning to separate the body offset from the map offset")
     c, s = np.cos(heading_angle), np.sin(heading_angle)
     body_x = (-d_rate[..., 0] * s + d_rate[..., 1] * c) / heading_rate
@@ -157,14 +155,14 @@ def closed_form_decomposition(d, d_rate, heading_angle, heading_rate,
     return np.stack([body_x, body_y, map_e, map_n], axis=-1)
 
 
-def difference_rates(t, d_series, smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
+def difference_rates(t, d_series) -> np.ndarray:
     """Time derivatives of a sampled difference series by central differences.
 
-    The series is smoothed with a centered moving average (edge-replicated)
-    before differentiating, since measured differences are noisy and the
-    closed-form decomposition consumes their rates directly.  ``t`` must
-    strictly increase, and ``smooth_window`` must be an odd integer no wider
-    than the series; 1 disables smoothing.
+    The series is smoothed with a centered moving average of
+    ``SMOOTH_WINDOW`` (3) samples, edge-replicated, before differentiating,
+    since measured differences are noisy and the closed-form decomposition
+    consumes their rates directly.  ``t`` must strictly increase over at
+    least ``SMOOTH_WINDOW`` samples.
     """
     t = np.asarray(t, dtype=float)
     d = np.asarray(d_series, dtype=float)
@@ -172,18 +170,12 @@ def difference_rates(t, d_series, smooth_window: int = DEFAULT_SMOOTH_WINDOW) ->
         raise ValueError(f"d_series must have shape (len(t), 2), got {d.shape}")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("t must strictly increase")
-    smooth_window = as_count(smooth_window, "smooth_window")
-    if smooth_window < 1 or smooth_window % 2 == 0:
-        raise ValueError(f"smooth_window must be odd and >= 1, got {smooth_window}")
-    if smooth_window > max(t.size, 1):
-        raise ValueError(f"smooth_window {smooth_window} is wider than the series "
+    if SMOOTH_WINDOW > t.size:
+        raise ValueError(f"smooth_window {SMOOTH_WINDOW} is wider than the series "
                          f"of {t.size} samples")
-    if t.size < 2:
-        return np.zeros_like(d)
-    if smooth_window > 1:
-        half = smooth_window // 2
-        padded = np.pad(d, ((half, half), (0, 0)), mode="edge")
-        kernel = np.full(smooth_window, 1.0 / smooth_window)
-        d = np.column_stack([np.convolve(padded[:, k], kernel, mode="valid")
-                             for k in range(2)])
+    half = SMOOTH_WINDOW // 2
+    padded = np.pad(d, ((half, half), (0, 0)), mode="edge")
+    kernel = np.full(SMOOTH_WINDOW, 1.0 / SMOOTH_WINDOW)
+    d = np.column_stack([np.convolve(padded[:, k], kernel, mode="valid")
+                         for k in range(2)])
     return np.gradient(d, t, axis=0)

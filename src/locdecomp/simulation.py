@@ -173,19 +173,15 @@ def load_trajectory(source) -> KinematicInput:
 
 def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_S,
                           speed: float = DEFAULT_SPEED_MPS,
-                          initial_heading: float = 0.0,
-                          turn_samples: int | None = None) -> KinematicInput:
+                          initial_heading: float = 0.0) -> KinematicInput:
     """Generate a statistically analogous driving segment from the origin.
 
     ``kind="straight"`` holds the heading constant.  ``kind="corner"``
     produces a piecewise-straight path whose heading sweeps through five
     90-degree turns with alternating direction, each ramped linearly over
-    ``turn_samples`` samples and separated by straight legs, i.e. exactly
-    five heading-change events.  ``turn_samples`` must be an integer in
-    ``[1, (n_samples - 6) // 5]``, so that the legs keep the turns apart;
-    the default, a tenth of the trajectory, is clamped to that range.
-    ``step`` must be finite and above 0, ``speed`` and ``initial_heading``
-    finite.
+    a tenth of the samples (rounded down) and separated by straight legs,
+    i.e. exactly five heading-change events.  ``step`` must be finite and
+    above 0, ``speed`` and ``initial_heading`` finite.
     """
     if kind not in ("straight", "corner"):
         raise ValueError(f"kind must be 'straight' or 'corner', got {kind!r}")
@@ -205,14 +201,8 @@ def synthesize_trajectory(kind: str, n_samples: int, step: float = DEFAULT_STEP_
     if kind == "straight":
         angles = np.full(n_samples, float(initial_heading))
     else:
-        max_turn = (n_samples - TURN_COUNT - 1) // TURN_COUNT
-        if turn_samples is None:
-            turn = max(1, min(max(2, n_samples // 10), max_turn))
-        else:
-            turn = as_count(turn_samples, "turn_samples")
-            if not 1 <= turn <= max_turn:
-                raise ValueError(f"turn_samples must be in [1, {max_turn}] for "
-                                 f"{n_samples} samples, got {turn_samples}")
+        # at least 2 samples, and the turns leave half the samples to the legs
+        turn = n_samples // 10
         n_legs = TURN_COUNT + 1
         leg_total = n_samples - TURN_COUNT * turn
         base, extra = divmod(leg_total, n_legs)

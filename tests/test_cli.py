@@ -369,8 +369,7 @@ class TestOracleCommand:
     @pytest.mark.parametrize("flag, value", [("--min-turn-rate", "0.01"),
                                              ("--smooth-window", "5")])
     def test_turn_settings_are_no_options(self, capsys, flag, value):
-        # the oracle takes the library's DEFAULT_MIN_TURN_RATE and
-        # DEFAULT_SMOOTH_WINDOW
+        # the oracle takes the library's MIN_TURN_RATE and SMOOTH_WINDOW
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["oracle", "--data", "d.csv", flag, value])
         assert excinfo.value.code == 2
@@ -502,6 +501,25 @@ class TestInputErrors:
             assert capsys.readouterr().err == (f"locdecomp {command}: scale factor 0.0 "
                                                f"is not invertible\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "simulate", "filter", "observability"])
+    def test_singular_initial_mean_is_invalid_input(self, tmp_path, capsys, command):
+        # the filter's first sigma point is its initial mean: experiment
+        # printed a traceback ending in ExperimentRunError "run 0: step 0:
+        # ..." and exited 1, and observability reported the model observable
+        config = write_config(tmp_path, model=[{"type": "map_scale"}],
+                              injection={"true_params": [0.01],
+                                         "noise_sigma_total": 0.2, "seed": 11},
+                              filter={"process_noise": 0.1, "initial_mean": [-1.0],
+                                      "initial_covariance": 10.0})
+        out = tmp_path / "out"
+        extra = ["--data", str(tmp_path / "missing.csv")] if command == "filter" else []
+        assert main([command, "--config", str(config), "--out", str(out), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"locdecomp {command}: initial_mean [-1.0]: scale factor "
+                                f"0.0 is not invertible\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, named", [
         ("noise_sigma_total", "NaN", "injection.noise_sigma_total"),

@@ -172,23 +172,18 @@ class TestTransformDifference:
 
     def test_shear_displaces_one_axis_only(self):
         u = make_input(position=(3.0, 4.0))
-        out = evaluate(map_shear(axis="x"), np.array([0.5]), u)
-        # x-shear inverse subtracts k*y, so the difference is (k*y, 0)
+        out = evaluate(map_shear(), np.array([0.5]), u)
+        # the inverse of a shear along x subtracts k*y, so the difference is (k*y, 0)
         np.testing.assert_allclose(out, [2.0, 0.0], rtol=1e-15)
-        out_y = evaluate(map_shear(axis="y"), np.array([0.5]), u)
-        np.testing.assert_allclose(out_y, [0.0, 1.5], rtol=1e-15)
 
     @pytest.mark.parametrize("deformation, forward, inverse_param, atol", [
         (map_rotation, lambda lever, p: rotate(lever, p[..., 0]), lambda p: -p, 0.0),
         (map_scale, lambda lever, p: (1.0 + p[..., :1]) * lever,
          lambda p: 1.0 / (1.0 + p) - 1.0, 1e-12),
-        (lambda pivot: map_shear(pivot, "x"),
+        (map_shear,
          lambda lever, p: lever + (p[..., 0] * lever[..., 1])[..., None] * [1.0, 0.0],
-         lambda p: -p, 0.0),
-        (lambda pivot: map_shear(pivot, "y"),
-         lambda lever, p: lever + (p[..., 0] * lever[..., 0])[..., None] * [0.0, 1.0],
          lambda p: -p, 0.0)],
-        ids=["rotation", "scale", "shear_x", "shear_y"])
+        ids=["rotation", "scale", "shear_x"])
     def test_other_hosted_is_ref_hosted_at_inverse_parameter(self, deformation, forward,
                                                              inverse_param, atol):
         # a deformation hosted by the other localizer contributes
@@ -207,7 +202,7 @@ class TestTransformDifference:
         np.testing.assert_allclose(out, other_hosted, rtol=0.0, atol=atol)
 
     @settings(derandomize=True, database=None)
-    @given(kind=st.sampled_from(["rotation", "scale", "shear_x", "shear_y"]),
+    @given(kind=st.sampled_from(["rotation", "scale", "shear"]),
            p=COORDINATES, pivot=COORDINATES,
            theta=st.floats(-0.5, 1.0, allow_subnormal=False))
     def test_inverse_parameter_undoes_the_deformation(self, kind, p, pivot, theta):
@@ -216,18 +211,15 @@ class TestTransformDifference:
         comp, inverse = {
             "rotation": (map_rotation(pivot), -theta),
             "scale": (map_scale(pivot), 1.0 / (1.0 + theta) - 1.0),
-            "shear_x": (map_shear(pivot, "x"), -theta),
-            "shear_y": (map_shear(pivot, "y"), -theta)}[kind]
+            "shear": (map_shear(pivot), -theta)}[kind]
         q = p - evaluate(comp, [theta], make_input(position=p))
         back = q - evaluate(comp, [inverse], make_input(position=q))
         np.testing.assert_allclose(back, p, rtol=0.0,
                                    atol=1e-9 * np.abs([p, pivot]).max())
 
-    def test_pivot_and_axis_are_checked_at_construction(self):
+    def test_pivot_is_checked_at_construction(self):
         with pytest.raises(ValueError, match="pivot"):
             map_rotation(pivot=(1.0, 2.0, 3.0))
-        with pytest.raises(ValueError, match="^axis must be 'x' or 'y', got 'z'$"):
-            map_shear(axis="z")
 
 
 class TestCompositeModel:
@@ -242,9 +234,8 @@ class TestCompositeModel:
         ((body_offset(), map_translation(), map_rotation(PIVOT), map_scale(PIVOT)), 6),
         ((body_offset(), body_offset()), 2),
         ((map_translation(), map_translation()), 2),
-        # two opposite shears make a small rotation
-        ((map_rotation(PIVOT), map_scale(PIVOT), map_shear(PIVOT, "x"),
-          map_shear(PIVOT, "y")), 3)])
+        # rotation, scale and shear are three independent linear maps
+        ((map_rotation(PIVOT), map_scale(PIVOT), map_shear(PIVOT)), 3)])
     def test_separability_is_measured_not_declared(self, components, rank):
         # any components combine; the whole corner's stacked Jacobian tells
         # which sums split, whether or not their components read one field
@@ -314,7 +305,7 @@ class TestCompositeModel:
 
     @pytest.mark.parametrize("deformation", [
         map_rotation(pivot=(5.0, -3.0)), map_scale(pivot=(5.0, -3.0)),
-        map_shear(pivot=(5.0, -3.0), axis="x"), map_shear(pivot=(5.0, -3.0), axis="y")])
+        map_shear(pivot=(5.0, -3.0))])
     def test_stacked_states_match_pointwise(self, deformation):
         # sigma points x runs x state against one reference position per run
         model = CompositeModel(components=(body_offset(), map_translation(),

@@ -18,7 +18,7 @@ from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepErr
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                SyntheticTrajectory, derive_run_seed, emit_results,
                                load_config, parse_config, run_experiment, _estimate_runs)
-from locdecomp.observability import closed_form_decomposition, numerical_rank_test
+from locdecomp.observability import numerical_rank_test
 from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -340,6 +340,15 @@ class TestExperimentErrors:
         with pytest.raises(SingularTransform, match="^scale factor 0.0 is not invertible$"):
             run_experiment(cfg)
 
+    def test_singular_initial_mean_is_the_configs_error(self):
+        # the filter's first sigma point is its initial mean; the first step
+        # failed in every run and was reported as "run 0: step 0: ..."
+        cfg = small_config(model=CompositeModel(components=(map_scale(),)),
+                           true_params=(0.01,))
+        with pytest.raises(ConfigError, match=r"^initial_mean \[-1.0\]: scale factor 0.0 "
+                                              r"is not invertible$"):
+            replace(cfg, ukf=replace(cfg.ukf, initial_mean=np.array([-1.0])))
+
 
 class TestMseSeriesConvergence:
     def test_flag_definition(self):
@@ -438,8 +447,6 @@ REAL_SETTINGS = {
     "step": lambda v: synthesize_trajectory("corner", 50, step=v),
     "speed": lambda v: synthesize_trajectory("corner", 50, speed=v),
     "initial_heading": lambda v: synthesize_trajectory("corner", 50, initial_heading=v),
-    "min_turn_rate": lambda v: closed_form_decomposition(
-        np.ones(2), np.ones(2), 0.0, 1.0, min_turn_rate=v),
 }
 
 

@@ -1,5 +1,4 @@
 import inspect
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -185,8 +184,10 @@ def assert_matches_reference(model, x0, inputs, window_length):
     return report
 
 
-def corner_inputs(n_samples=80):
-    return synthesize_trajectory("corner", n_samples, turn_samples=4)
+def corner_inputs(n_samples=120):
+    # 120 samples turn over 12 and run straight over legs of 10, so a window
+    # of up to 10 samples fits on a leg
+    return synthesize_trajectory("corner", n_samples)
 
 
 class TestRankTestEquivalence:
@@ -324,13 +325,17 @@ class TestClosedFormDecomposition:
         assert single[0].shape == (4,)
         np.testing.assert_array_equal(batch, single)
 
-    @pytest.mark.parametrize("bad", [-1.0, -1e-12, np.nan, np.inf])
-    def test_rejects_negative_or_non_finite_min_turn_rate(self, bad):
-        # a negative floor let a zero heading rate through to the division
-        with pytest.raises(ValueError,
-                           match=f"^min_turn_rate must be finite and >= 0, got {bad}$"):
-            closed_form_decomposition(np.zeros(2), np.zeros(2), 0.3, 0.0,
-                                      min_turn_rate=bad)
+    def test_nan_turn_rate_raises(self):
+        # NaN <= MIN_TURN_RATE is false, so the guard returned NaN estimates
+        with pytest.raises(ZeroTurnRate, match=r"^\|heading rate\| = nan <= 0.001"):
+            closed_form_decomposition(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3),
+                                      [0.5, np.nan, 0.2])
+
+    def test_empty_input_gives_empty_estimates(self):
+        # the guard's minimum over no rates raised numpy's "zero-size array"
+        out = closed_form_decomposition(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
+                                        np.zeros(0))
+        assert out.shape == (0, 4)
 
     def test_any_slow_sample_raises(self):
         with pytest.raises(ZeroTurnRate, match=r"\|heading rate\| = 0.0005 <= 0.001"):
@@ -348,7 +353,7 @@ class TestClosedFormDecomposition:
             np.testing.assert_allclose(recovered, x, rtol=1e-9, atol=1e-9)
 
     def test_agrees_with_rank_test_on_turning_windows(self):
-        inputs = synthesize_trajectory("corner", 100, turn_samples=10)
+        inputs = synthesize_trajectory("corner", 100)
         report = numerical_rank_test(BODY_MAP, np.zeros(4), inputs,
                                      window_length=2)
         x = np.array([2.0, 1.0, 3.0, 2.0])
@@ -363,19 +368,23 @@ class TestClosedFormDecomposition:
 
 
 class TestDifferenceRates:
-    def test_linear_series_recovers_slope(self):
-        t = np.arange(30.0)
-        slope = np.array([0.3, -0.7])
-        d = t[:, None] * slope
-        rates = difference_rates(t, d, smooth_window=1)
-        np.testing.assert_allclose(rates, np.tile(slope, (30, 1)), atol=1e-12)
+    def test_matches_moving_average_then_gradient(self):
+        # an independent reference: the 3-sample moving average with the end
+        # samples repeated, then numpy's central differences
+        rng = np.random.default_rng(15)
+        t = np.cumsum(rng.uniform(0.5, 1.5, 30))
+        d = rng.normal(size=(30, 2))
+        padded = np.concatenate([d[:1], d, d[-1:]])
+        smooth = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
+        np.testing.assert_allclose(difference_rates(t, d),
+                                   np.gradient(smooth, t, axis=0), rtol=0.0, atol=1e-12)
 
     def test_smoothing_attenuates_noise(self):
         rng = np.random.default_rng(14)
         t = np.arange(200.0)
         d = np.column_stack([0.5 * t, -0.2 * t]) + rng.normal(0, 0.1, (200, 2))
-        raw = difference_rates(t, d, smooth_window=1)
-        smooth = difference_rates(t, d, smooth_window=3)
+        raw = np.gradient(d, t, axis=0)
+        smooth = difference_rates(t, d)
         truth = np.tile([0.5, -0.2], (200, 1))
         assert (np.linalg.norm(smooth - truth)
                 < np.linalg.norm(raw - truth))
@@ -383,16 +392,12 @@ class TestDifferenceRates:
     def test_rejects_window_wider_than_the_series(self):
         # such a window flattened the rates toward zero, and the oracle's
         # body offset with them
-        t = np.arange(5.0)
+        t = np.arange(3.0)
         d = np.column_stack([t, -t])
-        assert np.isfinite(difference_rates(t, d, smooth_window=5)).all()
-        with pytest.raises(ValueError, match="^smooth_window 7 is wider than the "
-                                             "series of 5 samples$"):
-            difference_rates(t, d, smooth_window=7)
-
-    def test_rejects_even_window(self):
-        with pytest.raises(ValueError):
-            difference_rates(np.arange(5.0), np.zeros((5, 2)), smooth_window=2)
+        assert np.isfinite(difference_rates(t, d)).all()
+        with pytest.raises(ValueError, match="^smooth_window 3 is wider than the "
+                                             "series of 2 samples$"):
+            difference_rates(t[:2], d[:2])
 
     @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
                                    [0.0, 1.0, np.nan, 3.0]])
@@ -400,19 +405,4 @@ class TestDifferenceRates:
         # a repeated time gave NaN rows and a decreasing one wrong signs
         d = np.column_stack([np.arange(4.0), -np.arange(4.0)])
         with pytest.raises(ValueError, match="^t must strictly increase$"):
-            difference_rates(t, d, smooth_window=1)
-
-    @pytest.mark.parametrize("bad", [3.5, True, "3", None])
-    def test_window_must_be_an_integer(self, bad):
-        # 3.5 failed in numpy's padding, True ran as 1, and "3" and None
-        # raised a TypeError naming no argument
-        with pytest.raises(ValueError, match=f"^smooth_window must be an integer, "
-                                             f"got {re.escape(repr(bad))}$"):
-            difference_rates(np.arange(5.0), np.zeros((5, 2)), smooth_window=bad)
-
-    def test_integral_float_window_is_accepted(self):
-        # 3.0 failed in numpy's padding: "pad_width must be of integral type"
-        t = np.arange(5.0)
-        d = np.column_stack([t ** 2, -t])
-        np.testing.assert_array_equal(difference_rates(t, d, smooth_window=3.0),
-                                      difference_rates(t, d, smooth_window=3))
+            difference_rates(t, d)

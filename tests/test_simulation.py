@@ -76,8 +76,7 @@ class TestLoadTrajectory:
                                                             initial_heading):
         # bearings of the steps leaving each sample put every turn sample's
         # heading one sample early, up to 0.52 rad off
-        synth = synthesize_trajectory("corner", 60, turn_samples=3,
-                                      initial_heading=initial_heading)
+        synth = synthesize_trajectory("corner", 30, initial_heading=initial_heading)
         path = tmp_path / "corner.csv"
         np.savetxt(path, np.column_stack([synth.t, synth.ref_position]),
                    fmt="%.17e", delimiter=", ")
@@ -294,32 +293,12 @@ class TestSynthesizeTrajectory:
         with pytest.raises(ValueError, match="corner segment"):
             synthesize_trajectory("corner", 19)
 
-    @pytest.mark.parametrize("turn", [0, 999])
-    def test_out_of_range_turn_samples_rejected(self, turn):
-        # the turn length was clamped silently, to 1 and to 8 samples
-        with pytest.raises(ValueError, match=rf"^turn_samples must be in \[1, 8\] for 50 "
-                                             rf"samples, got {turn}$"):
-            synthesize_trajectory("corner", 50, turn_samples=turn)
-
-    @pytest.mark.parametrize("turn", [2.5, True, 3.0000001, float("nan"), "8", "abc"])
-    def test_non_integral_turn_samples_rejected(self, turn):
-        # 2.5 was truncated to 2, True read as 1, and "abc" failed naming no argument
-        with pytest.raises(ValueError, match=rf"^turn_samples must be an integer, "
-                                             rf"got {turn!r}$"):
-            synthesize_trajectory("corner", 50, turn_samples=turn)
-
-    def test_turn_samples_at_the_bounds_are_kept(self):
-        for turn in (1, 8, 8.0):
-            angles = synthesize_trajectory("corner", 50, turn_samples=turn).heading
-            assert np.count_nonzero(np.diff(angles)) == 5 * turn
-
     @pytest.mark.parametrize("initial_heading", [0.0, 1.3, -2.9, np.pi])
     def test_corner_headings_equal_the_loop_reference(self, initial_heading):
         # the headings are one cumulative sum; the loop below adds the same
         # increments in the same order, so the two agree bit for bit
-        def loop_headings(n, turn):
-            max_turn = (n - 6) // 5
-            turn = max(1, min(max(2, n // 10), max_turn)) if turn is None else turn
+        def loop_headings(n):
+            turn = n // 10
             legs = [(n - 5 * turn) // 6] * 6
             for i in [1, 2, 3, 4, 0, 5][:(n - 5 * turn) % 6]:
                 legs[i] += 1
@@ -332,12 +311,11 @@ class TestSynthesizeTrajectory:
                 direction = -direction
             return np.array(angles + [current] * legs[5])
 
-        for n in [21, 26, 50, 57, 200, 399, 1000]:
-            for turn in [None, 1, 2, 3]:
-                trajectory = synthesize_trajectory("corner", n, turn_samples=turn,
-                                                   initial_heading=initial_heading)
-                np.testing.assert_array_equal(trajectory.heading,
-                                              normalize_angle(loop_headings(n, turn)))
+        # turns of 2, 3, 5, 20, 39 and 100 samples, legs of every remainder
+        for n in [20, 21, 26, 29, 30, 35, 50, 57, 200, 399, 1000]:
+            trajectory = synthesize_trajectory("corner", n, initial_heading=initial_heading)
+            np.testing.assert_array_equal(trajectory.heading,
+                                          normalize_angle(loop_headings(n)))
 
     def test_timestamps_use_step(self):
         trajectory = synthesize_trajectory("straight", 5, step=0.25)
