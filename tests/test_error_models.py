@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,14 @@ class TestTransformDifference:
         # the inverse of a shear along x subtracts k*y, so the difference is (k*y, 0)
         np.testing.assert_allclose(out, [2.0, 0.0], rtol=1e-15)
 
+    @pytest.mark.parametrize("position, expected", [((3.0, -5.0), [0.0, 0.0]),
+                                                    ((-4.0, -1.0), [2.0, 0.0])])
+    def test_shear_moves_x_by_the_height_above_the_pivot(self, position, expected):
+        # points level with the pivot stay put; the rest move along x only
+        out = evaluate(map_shear(pivot=(1.0, -5.0)), np.array([0.5]),
+                       make_input(position=position))
+        np.testing.assert_allclose(out, expected, rtol=1e-15)
+
     @pytest.mark.parametrize("deformation, forward, inverse_param, atol", [
         (map_rotation, lambda lever, p: rotate(lever, p[..., 0]), lambda p: -p, 0.0),
         (map_scale, lambda lever, p: (1.0 + p[..., :1]) * lever,
@@ -216,6 +226,10 @@ class TestTransformDifference:
         back = q - evaluate(comp, [inverse], make_input(position=q))
         np.testing.assert_allclose(back, p, rtol=0.0,
                                    atol=1e-9 * np.abs([p, pivot]).max())
+
+    def test_shear_takes_only_a_pivot(self):
+        # the shear runs along x; the axis is not an argument
+        assert list(inspect.signature(map_shear).parameters) == ["pivot"]
 
     def test_pivot_is_checked_at_construction(self):
         with pytest.raises(ValueError, match="pivot"):

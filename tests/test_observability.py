@@ -337,6 +337,26 @@ class TestClosedFormDecomposition:
                                         np.zeros(0))
         assert out.shape == (0, 4)
 
+    def test_arguments_are_differences_and_headings(self):
+        # the turn-rate floor is the module's MIN_TURN_RATE, not an argument
+        assert list(inspect.signature(closed_form_decomposition).parameters) == [
+            "d", "d_rate", "heading_angle", "heading_rate"]
+
+    @pytest.mark.parametrize("rate, turning", [(1e-3, False), (-1e-3, False),
+                                               (1.001e-3, True), (-1.001e-3, True)])
+    def test_turn_rate_floor_is_strict_in_magnitude(self, rate, turning):
+        # a left and a right turn meet the same floor, and a rate at the
+        # floor is too slow
+        x = np.array([2.0, 1.0, 3.0, 2.0])
+        d, d_rate = forward_difference_and_rate(x, angle=0.7, rate=rate)
+        if turning:
+            np.testing.assert_allclose(closed_form_decomposition(d, d_rate, 0.7, rate), x,
+                                       rtol=1e-9)
+        else:
+            with pytest.raises(ZeroTurnRate, match=rf"^\|heading rate\| = {abs(rate)} "
+                                                   rf"<= 0.001"):
+                closed_form_decomposition(d, d_rate, 0.7, rate)
+
     def test_any_slow_sample_raises(self):
         with pytest.raises(ZeroTurnRate, match=r"\|heading rate\| = 0.0005 <= 0.001"):
             closed_form_decomposition(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3),
@@ -368,12 +388,18 @@ class TestClosedFormDecomposition:
 
 
 class TestDifferenceRates:
-    def test_matches_moving_average_then_gradient(self):
+    def test_arguments_are_times_and_series(self):
+        # the smoothing window is the module's SMOOTH_WINDOW, not an argument
+        assert list(inspect.signature(difference_rates).parameters) == ["t", "d_series"]
+
+    @pytest.mark.parametrize("n", [3, 4, 30])
+    def test_matches_moving_average_then_gradient(self, n):
         # an independent reference: the 3-sample moving average with the end
-        # samples repeated, then numpy's central differences
+        # samples repeated, then numpy's central differences; 3 samples are
+        # one window wide
         rng = np.random.default_rng(15)
-        t = np.cumsum(rng.uniform(0.5, 1.5, 30))
-        d = rng.normal(size=(30, 2))
+        t = np.cumsum(rng.uniform(0.5, 1.5, n))
+        d = rng.normal(size=(n, 2))
         padded = np.concatenate([d[:1], d, d[-1:]])
         smooth = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
         np.testing.assert_allclose(difference_rates(t, d),
@@ -389,15 +415,16 @@ class TestDifferenceRates:
         assert (np.linalg.norm(smooth - truth)
                 < np.linalg.norm(raw - truth))
 
-    def test_rejects_window_wider_than_the_series(self):
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_rejects_window_wider_than_the_series(self, n):
         # such a window flattened the rates toward zero, and the oracle's
         # body offset with them
         t = np.arange(3.0)
         d = np.column_stack([t, -t])
         assert np.isfinite(difference_rates(t, d)).all()
-        with pytest.raises(ValueError, match="^smooth_window 3 is wider than the "
-                                             "series of 2 samples$"):
-            difference_rates(t[:2], d[:2])
+        with pytest.raises(ValueError, match=f"^smooth_window 3 is wider than the "
+                                             f"series of {n} samples$"):
+            difference_rates(t[:n], d[:n])
 
     @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
                                    [0.0, 1.0, np.nan, 3.0]])

@@ -1,3 +1,4 @@
+import inspect
 import io
 
 import numpy as np
@@ -292,6 +293,22 @@ class TestSynthesizeTrajectory:
     def test_corner_too_small_for_five_turns_rejected(self):
         with pytest.raises(ValueError, match="corner segment"):
             synthesize_trajectory("corner", 19)
+
+    def test_arguments_are_kind_count_and_drive(self):
+        # a corner's turn width follows from n_samples, it is not an argument
+        assert list(inspect.signature(synthesize_trajectory).parameters) == [
+            "kind", "n_samples", "step", "speed", "initial_heading"]
+
+    @pytest.mark.parametrize("n", [20, 29, 30, 57, 1000])
+    def test_corner_turns_take_a_tenth_of_the_samples(self, n):
+        # five turns of n // 10 samples, each a quarter turn in equal
+        # steps, and every leg between them at least one sample long
+        increments = np.diff(synthesize_trajectory("corner", n).heading)
+        turning = np.flatnonzero(increments)
+        assert turning.size == 5 * (n // 10)
+        np.testing.assert_allclose(np.abs(increments[turning]), np.pi / 2 / (n // 10),
+                                   rtol=1e-12)
+        assert np.count_nonzero(np.diff(turning) > 1) == 4
 
     @pytest.mark.parametrize("initial_heading", [0.0, 1.3, -2.9, np.pi])
     def test_corner_headings_equal_the_loop_reference(self, initial_heading):
