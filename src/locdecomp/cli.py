@@ -178,8 +178,8 @@ def _cmd_oracle(args) -> int:
     # a window wider than a turn averages the turn's rates with the legs'
     shortest = min(map(len, np.split(turning, np.flatnonzero(np.diff(turning) > 1) + 1)))
     if turning.size and SMOOTH_WINDOW > shortest:
-        raise ValueError(f"smooth_window {SMOOTH_WINDOW} is wider than the "
-                         f"shortest turn of {shortest} samples")
+        raise ValueError(f"the {SMOOTH_WINDOW}-sample smoothing window (SMOOTH_WINDOW) "
+                         f"is wider than the shortest turn of {shortest} samples")
     print("step,t_s,body_x,body_y,map_east,map_north")
     if not turning.size:
         print("no steps with sufficient turn rate", file=sys.stderr)

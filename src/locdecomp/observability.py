@@ -68,11 +68,14 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
 
     The 2 x n Jacobian of the model output at ``x0`` is formed once per
     sample, by central differences (step ``1e-6 * max(1, |x0_j|)``) over
-    one model evaluation of all samples.  Each window's sensitivity matrix
-    stacks the rows of its samples in order (east, then north per sample);
-    its numerical rank is the number of singular values above ``RANK_TOL``
-    (1e-8) times the largest one, and its condition number is the ratio of
-    the largest to the smallest (infinite when that is zero).
+    one model evaluation of all samples, which also evaluates ``x0``, so a
+    deformation singular there raises
+    :class:`~locdecomp.exceptions.SingularTransform`.  Each window's
+    sensitivity matrix stacks the rows of its samples in order (east, then
+    north per sample); its numerical rank is the number of singular values
+    above ``RANK_TOL`` (1e-8) times the largest one, and its condition
+    number is the ratio of the largest to the smallest (infinite when that
+    is zero).
     ``window_length`` must be an integer; the default is twice the state
     dimension.  ``x0`` must be finite.
     """
@@ -93,10 +96,12 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
                          f"one window of {wl}")
 
     h = 1e-6 * np.maximum(1.0, np.abs(x0))
-    states = np.concatenate([x0 + np.diag(h), x0 - np.diag(h)])[:, None, :]
+    # x0 is the last state: the steps either side of a singular point are
+    # regular, so only x0 can raise
+    states = np.concatenate([x0 + np.diag(h), x0 - np.diag(h), x0[None]])[:, None, :]
     # a model of state-independent components returns no sample axis
-    out = np.broadcast_to(model.evaluate(states, inputs), (2 * n, len(inputs), 2))
-    jac = ((out[:n] - out[n:]) / (2.0 * h[:, None, None])).transpose(1, 2, 0)
+    out = np.broadcast_to(model.evaluate(states, inputs), (2 * n + 1, len(inputs), 2))
+    jac = ((out[:n] - out[n:2 * n]) / (2.0 * h[:, None, None])).transpose(1, 2, 0)
     windows = sliding_window_view(jac, wl, axis=0)  # (W, 2, n, wl)
 
     # the reshape merges the window-sample axis (stride 16 bytes) with the
@@ -171,8 +176,8 @@ def difference_rates(t, d_series) -> np.ndarray:
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("t must strictly increase")
     if SMOOTH_WINDOW > t.size:
-        raise ValueError(f"smooth_window {SMOOTH_WINDOW} is wider than the series "
-                         f"of {t.size} samples")
+        raise ValueError(f"the {SMOOTH_WINDOW}-sample smoothing window (SMOOTH_WINDOW) "
+                         f"is wider than the series of {t.size} samples")
     half = SMOOTH_WINDOW // 2
     padded = np.pad(d, ((half, half), (0, 0)), mode="edge")
     kernel = np.full(SMOOTH_WINDOW, 1.0 / SMOOTH_WINDOW)

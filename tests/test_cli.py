@@ -352,20 +352,6 @@ class TestOracleCommand:
         assert main(["oracle", "--data", str(data)]) == 1
         assert "no steps" in capsys.readouterr().err
 
-    def test_repeated_timestamp_is_rejected(self, tmp_path, capsys):
-        # a repeated timestamp made the difference rates divide by zero, and
-        # the oracle printed nan estimates and exited 0
-        data = tmp_path / "data.csv"
-        main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
-        lines = data.read_text().splitlines(keepends=True)
-        row = lines[19].split(",")   # data row 18 takes the timestamp of row 17
-        lines[19] = ",".join([lines[18].split(",")[0]] + row[1:])
-        data.write_text("".join(lines))
-        capsys.readouterr()
-        assert main(["oracle", "--data", str(data)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "locdecomp oracle: line 20: timestamp 17.0 does not increase past 17.0")
-
     @pytest.mark.parametrize("flag, value", [("--min-turn-rate", "0.01"),
                                              ("--smooth-window", "5")])
     def test_turn_settings_are_no_options(self, capsys, flag, value):
@@ -382,8 +368,8 @@ class TestOracleCommand:
         assert main(["oracle", "--data", str(data)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("locdecomp oracle: smooth_window 3 is wider than the "
-                       "series of 2 samples\n")
+        assert err == ("locdecomp oracle: the 3-sample smoothing window (SMOOTH_WINDOW) "
+                       "is wider than the series of 2 samples\n")
 
     def test_rejects_window_wider_than_a_turn(self, tmp_path, capsys):
         # a window wider than a turn averages the turn's rates with the legs':
@@ -396,8 +382,8 @@ class TestOracleCommand:
         assert main(["oracle", "--data", str(data)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("locdecomp oracle: smooth_window 3 is wider than the shortest "
-                       "turn of 2 samples\n")
+        assert err == ("locdecomp oracle: the 3-sample smoothing window (SMOOTH_WINDOW) "
+                       "is wider than the shortest turn of 2 samples\n")
 
     def test_estimates_match_the_scalar_decomposition(self, tmp_path, capsys):
         # one broadcast call over the turning samples equals the per-sample
@@ -569,6 +555,38 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("locdecomp experiment: seed must be >= 0, got -")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, message", [
+        ("oracle", "line 20: timestamp 17.0 does not increase past 17.0"),
+        ("filter", "line 5: ref_east_m value 'east' is not a number"),
+        ("experiment", "line 3: timestamp 0.5 does not increase past 1.0")],
+        ids=["oracle", "filter", "experiment"])
+    def test_malformed_file_names_its_line(self, tmp_path, capsys, command, message):
+        # a repeated timestamp made the oracle's difference rates divide by
+        # zero, and it printed nan estimates and exited 0; experiment reads a
+        # trajectory file, the other two a data file
+        out = tmp_path / "out"
+        if command == "experiment":
+            (tmp_path / "trajectory.csv").write_text(
+                "0.0, 0.0, 0.0\n1.0, 10.0, 0.0\n0.5, 20.0, 0.0\n")
+            config = write_config(tmp_path, trajectory={"file": "trajectory.csv"})
+            args = ["--config", str(config), "--out", str(out)]
+        else:
+            data = tmp_path / "data.csv"
+            main(["simulate", "--config", str(CONFIGS / "corner.json"), "--out", str(data)])
+            rows = [line.split(",") for line in data.read_text().splitlines(keepends=True)]
+            if command == "oracle":
+                rows[19][0] = rows[18][0]   # line 20 repeats the timestamp of line 19
+            else:
+                rows[4][1] = "east"         # line 5's ref_east_m is a word
+            data.write_text("".join(",".join(fields) for fields in rows))
+            args = ["--data", str(data)]
+            if command == "filter":
+                args += ["--config", str(CONFIGS / "corner.json"), "--out", str(out)]
+        capsys.readouterr()
+        assert main([command, *args]) == 2
+        assert capsys.readouterr() == ("", f"locdecomp {command}: {message}\n")
+        assert not out.exists()
 
     def test_filter_failure_still_raises(self, tmp_path):
         config = write_config(tmp_path)

@@ -529,12 +529,16 @@ class TestParseConfig:
          [2.0, 1.0, 3.0, 2.0, 0.02, 0.01])])
     def test_components_reading_one_field_load_and_run(self, types, true_params):
         # both deformations read the reference position; the sum still splits
-        # on a corner, so the configuration loads and its runs converge
+        # on a corner, so the configuration loads, the rank test finds it
+        # observable and its runs converge
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"] = [{"type": kind} for kind in types]
         raw["injection"]["true_params"] = true_params
         raw["filter"] = {"process_noise": 0.0, "initial_covariance": 0.1}
-        series = run_experiment(parse_config(raw))
+        cfg = parse_config(raw)
+        assert numerical_rank_test(cfg.model, cfg.ukf.initial_mean,
+                                   cfg.trajectory.series).observable
+        series = run_experiment(cfg)
         assert np.all(series.mse[-1] < 0.01 * series.initial_mse)
 
     def test_matrix_process_noise(self):
@@ -643,12 +647,14 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind, key, value", [
         ("map_rotation", "pivot", [0.0, 0.0]), ("map_rotation", "pivot", [1.0, True]),
         ("map_scale", "pivot", [-3.0, 5.0]), ("map_shear", "pivot", [1.0, 2.0]),
-        ("map_shear", "axis", "y"), ("map_shear", "axis", "x")])
+        ("map_shear", "axis", "y"), ("map_shear", "axis", "x"),
+        ("map_rotation", "reference", "other")])
     def test_removed_component_key_fails_at_load(self, tmp_path, capsys, kind, key, value):
         # with map_translation in the model, a deformation about another pivot
         # is the one about the centroid plus a constant shift, so neither the
-        # pivot nor the shear axis is a setting; a value the old checks
-        # refused is refused as the unknown key
+        # pivot nor the shear axis is a setting, and one hosted by the other
+        # localizer is the ref-hosted one at the inverse parameter; a value
+        # the old checks refused is refused as the unknown key
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"].append({"type": kind, key: value})
         raw["injection"]["true_params"].append(0.01)

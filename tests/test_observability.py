@@ -8,7 +8,7 @@ import pytest
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset,
                                     map_rotation, map_scale, map_translation)
-from locdecomp.exceptions import DimensionMismatch, ZeroTurnRate
+from locdecomp.exceptions import DimensionMismatch, SingularTransform, ZeroTurnRate
 from locdecomp.frames import rotation_matrix
 from locdecomp.observability import (RANK_TOL, closed_form_decomposition,
                                      difference_rates, numerical_rank_test)
@@ -264,6 +264,13 @@ class TestRankTestArguments:
         with pytest.raises(ValueError, match="x0"):
             numerical_rank_test(BODY_MAP, [0.0, bad, 0.0, 0.0], corner_inputs(40))
 
+    def test_rejects_x0_at_which_a_deformation_is_singular(self):
+        # the central differences step over the singular point: a scale
+        # deviation of -1 was reported observable, every condition number 1.0
+        model = CompositeModel(components=(map_scale(),))
+        with pytest.raises(SingularTransform, match="^scale factor 0.0 is not invertible$"):
+            numerical_rank_test(model, [-1.0], synthesize_trajectory("corner", 200))
+
     def test_arguments_are_model_state_inputs_and_window(self):
         # the rank cutoff is the module's RANK_TOL, not an argument
         assert list(inspect.signature(numerical_rank_test).parameters) == [
@@ -422,8 +429,9 @@ class TestDifferenceRates:
         t = np.arange(3.0)
         d = np.column_stack([t, -t])
         assert np.isfinite(difference_rates(t, d)).all()
-        with pytest.raises(ValueError, match=f"^smooth_window 3 is wider than the "
-                                             f"series of {n} samples$"):
+        with pytest.raises(ValueError, match=rf"^the 3-sample smoothing window "
+                                             rf"\(SMOOTH_WINDOW\) is wider than the "
+                                             rf"series of {n} samples$"):
             difference_rates(t[:n], d[:n])
 
     @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
