@@ -16,8 +16,8 @@ from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            map_translation)
 from .estimator import UkfConfig, filter_runs
 from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
-                         FilterStepError, NonMonotoneTime, NotPSD, ParseError,
-                         SingularTransform, ZeroTurnRate)
+                         FilterStepError, NotPSD, ParseError, SingularTransform,
+                         ZeroTurnRate)
 from .frames import heading_rates, normalize_angle, rotate, rotation_matrix
 from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
                       SyntheticTrajectory, derive_run_seed, emit_results,
@@ -41,5 +41,5 @@ __all__ = [
     "derive_run_seed", "emit_results", "load_config", "parse_config",
     "run_experiment",
     "ConfigError", "DimensionMismatch", "ExperimentRunError", "FilterStepError",
-    "NonMonotoneTime", "NotPSD", "ParseError", "SingularTransform", "ZeroTurnRate",
+    "NotPSD", "ParseError", "SingularTransform", "ZeroTurnRate",
 ]

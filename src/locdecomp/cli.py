@@ -8,12 +8,16 @@ Subcommands:
 - ``observability``  windowed rank report for a model along a trajectory
 - ``oracle``         per-step closed-form decomposition of a data file
 
-Flags given on the command line override the corresponding configuration
-file values.  Without ``--out``, ``simulate`` and ``filter`` write
-``simulated.csv`` and ``estimates.csv`` into the configuration's output
-directory, where ``experiment`` writes its results.  Invalid input exits
-with status 2 and one line on stderr; a standard output closed by its
-reader exits with status 1 and nothing on stderr.
+Each subcommand takes the options listed in ``COMMANDS`` and no others.
+``--seed`` and ``--runs`` override the configuration file's values
+(``observability`` accepts ``--seed`` and ignores it).  ``--out`` names
+``experiment``'s output directory, and the file ``simulate`` or ``filter``
+writes, or an existing directory to write it into.  Without ``--out``,
+``simulate`` and ``filter`` write ``simulated.csv`` and ``estimates.csv``
+into the configuration's output directory, where ``experiment`` writes
+``mse.csv`` and ``summary.txt``; ``experiment`` then prints the summary.
+Invalid input exits with status 2 and one line on stderr; a standard
+output closed by its reader exits with status 1 and nothing on stderr.
 
 A simulated data file is comma-separated text, one step per line under a
 ``#`` header naming the columns, read by
@@ -83,44 +87,42 @@ def read_data_file(path) -> tuple[KinematicInput, np.ndarray, np.ndarray]:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["injection"] = replace(cfg.injection, rng_seed=args.seed)
     if getattr(args, "runs", None) is not None:
         if args.runs < 1:
             raise ValueError(f"--runs must be >= 1, got {args.runs}")
         updates["n_runs"] = args.runs
-    if getattr(args, "out", None) is not None:
-        # checked as given: Path("") is the working directory
-        if not args.out:
-            raise ValueError("--out must name a path, got ''")
-        updates["output"] = args.out
     return replace(cfg, **updates) if updates else cfg
 
 
-def _output_dir(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.output or "results")
-
-
-def _output_path(args, cfg: ExperimentConfig, name: str) -> Path:
-    """``--out`` names the file, or an existing directory to write ``name``
-    into; without it, ``name`` goes into the experiment's output directory."""
+def _output_path(args, cfg: ExperimentConfig, name: str | None = None) -> Path:
+    """Where a command writes: ``--out``, else the configuration's output
+    directory.  With ``name``, the file: ``--out`` names it, or an existing
+    directory to write ``name`` into."""
     if args.out is None:
-        return _output_dir(cfg) / name
+        folder = Path(cfg.output or "results")
+        return folder if name is None else folder / name
+    # checked as given: Path("") is the working directory
+    if not args.out:
+        raise ValueError("--out must name a path, got ''")
     out = Path(args.out)
-    return out / name if out.is_dir() else out
+    return out / name if name is not None and out.is_dir() else out
 
 
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    path = _output_path(args, cfg, "simulated.csv")
     inputs, p_other, r = inject_runs(cfg.trajectory.series, cfg.injection, cfg.model,
                                      [cfg.injection.rng_seed])
-    out = write_data_file(_output_path(args, cfg, "simulated.csv"), inputs, p_other, r)
+    out = write_data_file(path, inputs, p_other, r)
     print(f"wrote {len(inputs)} steps to {out}")
     return 0
 
 
 def _cmd_filter(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
+    path = _output_path(args, cfg, "estimates.csv")
     inputs, p_other, r = read_data_file(args.data)
     dim = cfg.model.state_dim
     passes = filter_runs(cfg.model, cfg.ukf, (inputs.ref_position - p_other)[None], r, inputs)
@@ -128,8 +130,7 @@ def _cmd_filter(args) -> int:
         np.concatenate([means[0], np.diagonal(covs[0])]) for means, covs in passes]])
     header = (["step", "t_s"] + [f"mean_x{j + 1}" for j in range(dim)]
               + [f"var_x{j + 1}" for j in range(dim)])
-    out = write_table(_output_path(args, cfg, "estimates.csv"), table, ",".join(header),
-                      comments="# ")
+    out = write_table(path, table, ",".join(header), comments="# ")
     print(f"wrote {len(table)} steps to {out}")
     print("final estimate: " + ", ".join(_fmt(v) for v in table[-1, 2:2 + dim]))
     return 0
@@ -137,21 +138,16 @@ def _cmd_filter(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    series = run_experiment(cfg)
-    paths = emit_results(series, _output_dir(cfg), cfg.convergence_threshold)
-    print(f"{cfg.n_runs} runs x {series.n_steps} steps")
-    print("final MSE:      " + ", ".join(_fmt(v) for v in series.final_mse))
-    print("initial MSE:    " + ", ".join(_fmt(v) for v in series.initial_mse))
-    print("final estimate: " + ", ".join(_fmt(v) for v in series.mean[-1]))
-    flags = series.converged(cfg.convergence_threshold)
-    print("converged:      " + ", ".join(str(bool(f)).lower() for f in flags))
+    folder = _output_path(args, cfg)
+    paths = emit_results(run_experiment(cfg), folder, cfg.convergence_threshold)
+    print(paths[1].read_text(encoding="utf-8"), end="")   # summary.txt
     for path in paths:
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_observability(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series)
     wl, dim = report.window_length, report.state_dim
     degenerate = set(report.degenerate_windows)
@@ -193,33 +189,41 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+_ARGUMENTS = {
+    "--config": dict(type=Path, required=True, help="experiment configuration file (JSON)"),
+    "--data": dict(type=Path, required=True, help="simulated data file"),
+    "--seed": dict(type=int, help="override the injection seed"),
+    "--runs": dict(type=int, help="override the number of runs"),
+    "--out": dict(help="override the output path"),
+}
+# subcommand -> (handler, help, options).  observability's --seed is a no-op,
+# as the rank test draws no random numbers; it is accepted so that one
+# argument list (bench/run.py) serves every subcommand
+COMMANDS = {
+    "simulate": (_cmd_simulate, "generate injected localizer data",
+                 ("--config", "--seed", "--out")),
+    "filter": (_cmd_filter, "run the filter over a data file",
+               ("--config", "--data", "--out")),
+    "experiment": (_cmd_experiment, "run a Monte Carlo experiment",
+                   ("--config", "--seed", "--runs", "--out")),
+    "observability": (_cmd_observability,
+                      "windowed rank report over windows of 2 * state_dim samples",
+                      ("--config", "--seed")),
+    "oracle": (_cmd_oracle, "closed-form decomposition of a data file", ("--data",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locdecomp",
         description="Decompose the disparity between two independent "
                     "localization estimates into parameterized error components.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, func, help_text, common=True):
+    for name, (func, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        if common:
-            p.add_argument("--config", type=Path, required=True,
-                           help="experiment configuration file (JSON)")
-            p.add_argument("--seed", type=int, help="override the injection seed")
-            p.add_argument("--out", help="override the output path")
-        return p
-
-    add_command("simulate", _cmd_simulate, "generate injected localizer data")
-    p = add_command("filter", _cmd_filter, "run the filter over a data file")
-    p.add_argument("--data", type=Path, required=True, help="simulated data file")
-    p = add_command("experiment", _cmd_experiment, "run a Monte Carlo experiment")
-    p.add_argument("--runs", type=int, help="override the number of runs")
-    add_command("observability", _cmd_observability,
-                "windowed rank report over windows of 2 * state_dim samples")
-    p = add_command("oracle", _cmd_oracle, "closed-form decomposition of a data file",
-                    common=False)
-    p.add_argument("--data", type=Path, required=True, help="simulated data file")
+        for option in options:
+            p.add_argument(option, **_ARGUMENTS[option])
     return parser
 
 

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DimensionMismatch, SingularTransform
-from .frames import as_points, as_vec2, normalize_angle, rotate
+from .frames import as_points, normalize_angle, rotate
 
 MIN_SCALE = 1e-9
 
@@ -75,6 +75,10 @@ class KinematicInput:
             raise ValueError(f"heading must be finite, got {self.heading}, {self.heading_rate}")
         if not np.all(np.isfinite(self.t)):
             raise ValueError(f"timestamp must be finite, got {self.t}")
+        shapes = (np.shape(self.t), heading.shape, rate.shape)
+        if np.ndim(self.t) > 1 or (np.ndim(self.t) == 0 and shapes != ((),) * 3):
+            raise DimensionMismatch(f"t, heading and heading_rate must be scalars for a "
+                                    f"sample or of shape (N,) for a series, got {shapes}")
         object.__setattr__(self, "heading",
                            normalize_angle(heading if heading.ndim else float(heading)))
         object.__setattr__(self, "heading_rate", rate if rate.ndim else float(rate))
@@ -194,7 +198,9 @@ def _deformation(name: str, pivot, image) -> ErrorComponent:
     back through the deformation, ``pivot + image(p - pivot, params)``, so
     the contribution is ``p`` minus that point.
     """
-    pivot = as_vec2(pivot, "pivot")
+    if np.shape(pivot) != (2,):
+        raise ValueError(f"pivot must have shape (2,), got {np.shape(pivot)}")
+    pivot = as_points(pivot, "pivot")
 
     def fn(params, u):
         return u.ref_position - (pivot + image(u.ref_position - pivot, params))

@@ -24,22 +24,15 @@ class ZeroTurnRate(ValueError):
     """The closed-form decomposition needs a turning agent (heading rate != 0)."""
 
 
-class _LineError(ValueError):
-    """An error at a line of a file, named in the message when it is known."""
+class ParseError(ValueError):
+    """A trajectory or data file line is malformed; ``line`` is its number,
+    named in the message when it is known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class ParseError(_LineError):
-    """A trajectory or data file line could not be parsed."""
-
-
-class NonMonotoneTime(_LineError):
-    """Timestamps in a trajectory are not strictly increasing."""
 
 
 class FilterStepError(RuntimeError):

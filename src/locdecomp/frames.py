@@ -40,14 +40,6 @@ def as_points(v, name: str = "points") -> np.ndarray:
     return arr
 
 
-def as_vec2(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float vector of shape (2,)."""
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must have shape (2,), got {arr.shape}")
-    return as_points(arr, name)
-
-
 def as_count(value, name: str) -> int:
     """``value`` as an int: an integral number such as ``8`` or ``8.0``; a
     boolean, a string, None or a fractional number raises ValueError naming

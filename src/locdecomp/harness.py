@@ -155,9 +155,6 @@ class MseSeries:
     def final_mse(self) -> np.ndarray:
         return self.mse[-1]
 
-    def converged(self, threshold: float = DEFAULT_CONVERGENCE_THRESHOLD_M2) -> np.ndarray:
-        return self.final_mse < threshold
-
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Stable per-run seed; depends only on (master_seed, run_index)."""
@@ -244,8 +241,10 @@ def emit_results(series: MseSeries, out_dir,
     """Write the per-step MSE table and the run summary.
 
     Creates ``mse.csv`` (columns ``step, mse_x1.., mean_x1..``) and
-    ``summary.txt`` under ``out_dir``.  Formatting is deterministic (9
-    significant digits), so identical series produce identical bytes.
+    ``summary.txt`` under ``out_dir``; the summary flags a parameter
+    converged when its final MSE lies below ``convergence_threshold``.
+    Formatting is deterministic (9 significant digits), so identical series
+    produce identical bytes.
     """
     if series.n_steps == 0:
         raise ValueError("cannot emit an empty series")
@@ -259,7 +258,6 @@ def emit_results(series: MseSeries, out_dir,
     table_path = write_table(out_dir / "mse.csv", np.column_stack(
         [np.arange(series.n_steps), series.mse, series.mean]), ",".join(header))
 
-    flags = series.converged(convergence_threshold)
     summary_path = out_dir / "summary.txt"
     out = [
         f"runs = {series.n_runs}",
@@ -273,7 +271,8 @@ def emit_results(series: MseSeries, out_dir,
         "mse_ratio = " + ",".join(
             _fmt(f / i) if i > 0.0 else "inf"
             for f, i in zip(series.final_mse, series.initial_mse)),
-        "converged = " + ",".join(str(bool(f)).lower() for f in flags),
+        "converged = " + ",".join("true" if f < convergence_threshold else "false"
+                                  for f in series.final_mse),
     ]
     summary_path.write_text("\n".join(out) + "\n", encoding="utf-8")
     return [table_path, summary_path]

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
-from .exceptions import DimensionMismatch, NonMonotoneTime, ParseError
+from .exceptions import DimensionMismatch, ParseError
 from .frames import as_count, as_real, heading_rates
 
 DEFAULT_STEP_S = 1.0
@@ -94,9 +94,9 @@ def read_table(source, columns, optional: int = 0, decimal_point: bool = False):
     ``decimal_point`` every field must carry one.  The first column, the
     timestamp, must strictly increase.  A byte-order mark before the first
     line is skipped.  Returns the table (M, k) and the rows' M line numbers.
-    A fault raises :class:`ParseError`, also for bytes that are not UTF-8, a
-    timestamp that does not increase :class:`NonMonotoneTime`; both name the
-    line, and a bad field its column.
+    A fault, also bytes that are not UTF-8 or a timestamp that does not
+    increase, raises :class:`ParseError` naming the line, and a bad field
+    its column.
     """
     if isinstance(source, (str, Path)):
         # undecodable bytes become lone surrogates, reported with their line
@@ -131,8 +131,8 @@ def read_table(source, columns, optional: int = 0, decimal_point: bool = False):
                                  line_no)
             row.append(value)
         if rows and row[0] <= rows[-1][0]:
-            raise NonMonotoneTime(f"timestamp {row[0]} does not increase past "
-                                  f"{rows[-1][0]}", line_no)
+            raise ParseError(f"timestamp {row[0]} does not increase past {rows[-1][0]}",
+                             line_no)
         rows.append(row)
         line_nos.append(line_no)
     if not rows:
@@ -145,10 +145,9 @@ def load_trajectory(source) -> KinematicInput:
 
     ``source`` may be a path or an open text stream.  Raises
     :class:`~locdecomp.exceptions.ParseError` with the offending line number,
-    also for a sample that repeats the previous position in a file without
-    headings (its bearing is undefined), and
-    :class:`~locdecomp.exceptions.NonMonotoneTime` on repeated or
-    decreasing timestamps.
+    also for repeated or decreasing timestamps and for a sample that repeats
+    the previous position in a file without headings (its bearing is
+    undefined).
     """
     table, line_nos = read_table(source, ("t_s", "east_m", "north_m", "heading_rad"),
                                  optional=1, decimal_point=True)

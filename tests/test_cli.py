@@ -10,8 +10,7 @@ import pytest
 from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
 from locdecomp.error_models import KinematicInput
-from locdecomp.exceptions import (DimensionMismatch, FilterStepError, NonMonotoneTime,
-                                  ParseError)
+from locdecomp.exceptions import DimensionMismatch, FilterStepError, ParseError
 from locdecomp.harness import FLOAT_FORMAT, load_config
 from locdecomp.observability import (closed_form_decomposition, difference_rates,
                                      numerical_rank_test)
@@ -60,6 +59,28 @@ def parse_report(text):
         start, end, rank, cond, *marks = line.split(",")
         windows.append((int(start), int(end), int(rank), float(cond), *marks))
     return lines[:table], windows
+
+
+OPTION_VALUES = {"--config": "c.json", "--data": "d.csv", "--seed": "1", "--runs": "2",
+                 "--out": "o"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("simulate", ["--config", "--seed", "--out"]),
+    ("filter", ["--config", "--data", "--out"]),
+    ("experiment", ["--config", "--seed", "--runs", "--out"]),
+    ("observability", ["--config", "--seed"]),
+    ("oracle", ["--data"])])
+def test_each_command_takes_its_options_only(capsys, command, options):
+    # filter accepted --seed and observability --out, and both ignored them
+    argv = [command] + [a for option in options for a in (option, OPTION_VALUES[option])]
+    args = build_parser().parse_args(argv)
+    assert sorted(vars(args)) == sorted(["command", "func", *(o[2:] for o in options)])
+    for option in OPTION_VALUES.keys() - options:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + [option, OPTION_VALUES[option]])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option} " in capsys.readouterr().err
 
 
 class TestSimulateAndFilter:
@@ -203,7 +224,7 @@ class TestReadDataFile:
 
     @pytest.mark.parametrize("t", [1.0, 0.5])
     def test_non_increasing_time_names_its_line(self, tmp_path, t):
-        with pytest.raises(NonMonotoneTime,
+        with pytest.raises(ParseError,
                            match=f"^line 4: timestamp {t} does not increase past 1.0$") as info:
             read_data_file(self.write_rows(tmp_path, [t] + GOOD_ROW[1:]))
         assert info.value.line == 4
@@ -220,9 +241,10 @@ class TestExperiment:
         out = tmp_path / "results"
         assert main(["experiment", "--config", str(config), "--out",
                      str(out)]) == 0
-        assert (out / "mse.csv").exists()
-        assert (out / "summary.txt").exists()
-        assert "final MSE" in capsys.readouterr().out
+        # the summary it wrote, then the files
+        assert capsys.readouterr().out == ((out / "summary.txt").read_text()
+                                           + f"wrote {out / 'mse.csv'}\n"
+                                           + f"wrote {out / 'summary.txt'}\n")
 
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path)
@@ -435,8 +457,7 @@ class TestInputErrors:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", [
-        ["simulate"], ["filter", "--data", "data.csv"], ["experiment", "--runs", "2"],
-        ["observability"]])
+        ["simulate"], ["filter", "--data", "data.csv"], ["experiment", "--runs", "2"]])
     def test_empty_out_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
         # argparse read "" as Path("."), so simulate and experiment wrote
         # their files into the working directory with status 0
@@ -445,6 +466,9 @@ class TestInputErrors:
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.iterdir())
         capsys.readouterr()
+        # the path is checked before any simulation or filter pass
+        for name in ("inject_runs", "read_data_file", "run_experiment"):
+            monkeypatch.setattr(f"locdecomp.cli.{name}", None)
         assert main([command[0], "--config", str(config), "--out", "", *command[1:]]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"locdecomp {command[0]}: --out must name a path, "
@@ -500,7 +524,9 @@ class TestInputErrors:
                                       "initial_covariance": 10.0})
         out = tmp_path / "out"
         extra = ["--data", str(tmp_path / "missing.csv")] if command == "filter" else []
-        assert main([command, "--config", str(config), "--out", str(out), *extra]) == 2
+        if command != "observability":
+            extra += ["--out", str(out)]
+        assert main([command, "--config", str(config), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"locdecomp {command}: initial_mean [-1.0]: scale factor "
@@ -639,9 +665,10 @@ def test_closed_output_pipe_exits_one_in_silence(tmp_path, command, unbuffered):
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
+    out = ["--out", str(tmp_path / "run")] if command[0] == "experiment" else []
     proc = subprocess.Popen(
         [sys.executable, "-m", "locdecomp.cli", *command,
-         "--config", str(CONFIGS / "corner.json"), "--out", str(tmp_path / "run")],
+         "--config", str(CONFIGS / "corner.json"), *out],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()     # before the interpreter has started, let alone written
     _, err = proc.communicate(timeout=60)

@@ -94,6 +94,15 @@ class TestKinematicSeries:
         with pytest.raises(DimensionMismatch):
             KinematicInput(t=self.T, heading=angles, heading_rate=rates, ref_position=positions)
 
+    @pytest.mark.parametrize("t, angle, rate", [
+        (0.0, 0.1, np.array([1.0, 2.0])), (0.0, np.array([0.1, 0.2]), 0.0),
+        (np.zeros((2, 2)), np.zeros(2), np.zeros(2))])
+    def test_rejects_a_sample_of_another_shape(self, t, angle, rate):
+        # a sample has a scalar t, heading and heading_rate; a 2-d t was
+        # accepted and failed later, at len()
+        with pytest.raises(DimensionMismatch, match="^t, heading and heading_rate must be "):
+            KinematicInput(t=t, heading=angle, ref_position=[0.0, 0.0], heading_rate=rate)
+
     def test_single_sample_has_no_sample_axis(self):
         for u in (make_input(), self.series()[1]):
             with pytest.raises(TypeError):
@@ -232,8 +241,10 @@ class TestTransformDifference:
         assert list(inspect.signature(map_shear).parameters) == ["pivot"]
 
     def test_pivot_is_checked_at_construction(self):
-        with pytest.raises(ValueError, match="pivot"):
+        with pytest.raises(ValueError, match=r"^pivot must have shape \(2,\), got \(3,\)$"):
             map_rotation(pivot=(1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match=r"^pivot must be finite"):
+            map_scale(pivot=(1.0, np.nan))
 
 
 class TestCompositeModel:

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from locdecomp import error_models
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
@@ -14,6 +15,8 @@ from locdecomp.estimator import (ALPHA, BETA, KAPPA, PSD_TOL, UkfConfig,
                                  _inverse_2x2, _sigma_points, _sigma_weights, _update,
                                  filter_runs)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
+from locdecomp.harness import derive_run_seed
+from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
 
 
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
@@ -776,7 +779,6 @@ class TestRunFilter:
         # a single 90-degree sweep leaves a residual split in whichever
         # direction goes unobserved last; the five-turn segment re-excites
         # every direction and pins all four parameters
-        from locdecomp.simulation import synthesize_trajectory
         model = CompositeModel(components=(body_offset(), map_translation()))
         true = np.array([2.0, 1.0, 3.0, 2.0])
         cfg = make_config(4, q=0.1, p0=10.0)
@@ -805,3 +807,26 @@ class TestRunFilter:
             final_error = np.linalg.norm(means[-1] - true)
             wins += final_error < initial_error
         assert wins >= 95
+
+
+@pytest.mark.parametrize("deformation, value", [(map_scale, 0.01), (map_rotation, 0.02)])
+def test_spread_keeps_a_wide_prior_consistent(deformation, value):
+    """Why ALPHA is 0.1: from a wide prior (P0 = 10 I) a deformation's
+    sigma points at ALPHA = 1 lie far off the linear regime; the cubature
+    rule (ALPHA = 1, BETA = 0) ends the scale case at a mean estimate near
+    -271 and a mean NEES of 6e8, and the rotation case at a NEES of 83.  The mean final NEES of 20
+    consistent runs of a 5-d state is chi^2(100) / 20; it must lie in that
+    law's two-sided 99.9 % band."""
+    trajectory = synthesize_trajectory("corner", 200)
+    model = CompositeModel(components=(
+        body_offset(), map_translation(), deformation(trajectory.ref_position.mean(axis=0))))
+    truth = np.array([2.0, 1.0, 3.0, 2.0, value])
+    seeds = [derive_run_seed(20260808, run) for run in range(20)]
+    inputs, p_other, r = inject_runs(trajectory, InjectionConfig.with_total_sigma(truth, 0.2, 0),
+                                     model, seeds)
+    *_, (means, covs) = filter_runs(model, make_config(5, q=0.0), inputs.ref_position - p_other,
+                                    r, inputs)
+    err = means - truth
+    nees = np.einsum("bi,bi->b", err, np.linalg.solve(covs, err[..., None])[..., 0])
+    low, high = stats.chi2.ppf([0.0005, 0.9995], 5 * len(seeds)) / len(seeds)
+    assert low < nees.mean() < high
