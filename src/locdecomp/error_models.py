@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DimensionMismatch, SingularTransform
-from .frames import as_points, normalize_angle, rotate
+from .frames import as_count, as_points, normalize_angle, rotate
 
 MIN_SCALE = 1e-9
 
@@ -54,7 +54,7 @@ class KinematicInput:
     :func:`~locdecomp.frames.heading_rates`); both must be finite.
     ``ref_position`` is the reference localizer's navigation-frame position
     estimate; position-dependent components evaluate at it.  A sample has
-    scalar ``t``, ``heading`` and ``heading_rate`` and ``ref_position``
+    float ``t``, ``heading`` and ``heading_rate`` and ``ref_position``
     (2,), or (..., 2) for one per run.  A series has them of shape (N,) and
     ``ref_position`` (..., N, 2); it has a length and is indexed over this
     sample axis: an integer gives one sample, a slice or an index array a
@@ -69,27 +69,23 @@ class KinematicInput:
     heading_rate: float = 0.0
 
     def __post_init__(self):
+        t = np.asarray(self.t, dtype=float)
         heading = np.asarray(self.heading, dtype=float)
         rate = np.asarray(self.heading_rate, dtype=float)
         if not (np.isfinite(heading).all() and np.isfinite(rate).all()):
             raise ValueError(f"heading must be finite, got {self.heading}, {self.heading_rate}")
-        if not np.all(np.isfinite(self.t)):
+        if not np.isfinite(t).all():
             raise ValueError(f"timestamp must be finite, got {self.t}")
-        shapes = (np.shape(self.t), heading.shape, rate.shape)
-        if np.ndim(self.t) > 1 or (np.ndim(self.t) == 0 and shapes != ((),) * 3):
-            raise DimensionMismatch(f"t, heading and heading_rate must be scalars for a "
-                                    f"sample or of shape (N,) for a series, got {shapes}")
+        positions = as_points(self.ref_position, "ref_position")
+        shapes = (t.shape, heading.shape, rate.shape, positions.shape[-2:-1] if t.ndim else ())
+        if t.ndim > 1 or any(shape != t.shape for shape in shapes):
+            raise DimensionMismatch(f"t, heading and heading_rate must be scalars, or (N,) with "
+                                    f"N heading angles, rates and positions; got {shapes}")
+        object.__setattr__(self, "t", t if t.ndim else float(t))
         object.__setattr__(self, "heading",
-                           normalize_angle(heading if heading.ndim else float(heading)))
-        object.__setattr__(self, "heading_rate", rate if rate.ndim else float(rate))
-        object.__setattr__(self, "ref_position", as_points(self.ref_position, "ref_position"))
-        if np.ndim(self.t) == 1:
-            object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-            shapes = (np.shape(self.heading), np.shape(self.heading_rate),
-                      self.ref_position.shape[-2:-1])
-            if any(shape != self.t.shape for shape in shapes):
-                raise DimensionMismatch(f"a series of {self.t.size} timestamps needs as many "
-                                        f"heading angles, rates and positions, got {shapes}")
+                           normalize_angle(heading if t.ndim else float(heading)))
+        object.__setattr__(self, "heading_rate", rate if t.ndim else float(rate))
+        object.__setattr__(self, "ref_position", positions)
 
     def __len__(self) -> int:
         if np.ndim(self.t) != 1:
@@ -98,10 +94,10 @@ class KinematicInput:
 
     def __getitem__(self, key) -> "KinematicInput":
         len(self)  # a single sample raises here
-        heading, rate = self.heading[key], self.heading_rate[key]
-        if np.ndim(heading) == 0:
-            heading, rate = float(heading), float(rate)
-        return _trusted(KinematicInput, t=self.t[key], heading=heading,
+        t, heading, rate = self.t[key], self.heading[key], self.heading_rate[key]
+        if np.ndim(t) == 0:
+            t, heading, rate = float(t), float(heading), float(rate)
+        return _trusted(KinematicInput, t=t, heading=heading,
                         ref_position=self.ref_position[..., key, :], heading_rate=rate)
 
 
@@ -130,6 +126,7 @@ class ErrorComponent:
     fn: Callable[[np.ndarray, KinematicInput], np.ndarray]
 
     def __post_init__(self):
+        object.__setattr__(self, "param_dim", as_count(self.param_dim, "param_dim"))
         if self.param_dim < 1:
             raise ValueError(f"param_dim must be >= 1, got {self.param_dim}")
 

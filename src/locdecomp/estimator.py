@@ -78,14 +78,12 @@ def _check_psd(sym: np.ndarray, name: str) -> None:
 
 
 def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
-    """Validate that each matrix in ``m`` (shape (..., k, k)) is finite,
-    symmetric within ``SYM_TOL`` of its largest entry (at least 1) and
-    positive semi-definite within tolerance; returns the exactly symmetric
-    ``(m + m.T) / 2``, which equals ``m`` when ``m`` is symmetric."""
+    """Validate that ``m``, of shape ``(dim, dim)`` (without ``dim``, a stack
+    (..., k, k) the caller has checked), is finite, symmetric within
+    ``SYM_TOL`` of its largest entry (at least 1) and positive semi-definite
+    within tolerance; returns the exactly symmetric ``(m + m.T) / 2``."""
     m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if dim is not None and m.shape[-2:] != (dim, dim):
+    if dim is not None and m.shape != (dim, dim):
         raise DimensionMismatch(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotPSD(f"{name} must be finite")
@@ -100,7 +98,8 @@ def _check_covariance(m, name: str, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UkfConfig:
-    """Initial mean and covariance and process noise of the filter.
+    """Initial mean (n,) and covariance (n, n) and process noise (n, n) of
+    the filter; another shape raises DimensionMismatch naming the field.
 
     The sigma-point spread is fixed (``ALPHA``, ``BETA``, ``KAPPA``: the
     standard scaled unscented transform of Wan and van der Merwe, 2000).
@@ -122,14 +121,12 @@ class UkfConfig:
             raise ValueError("initial_mean must be finite")
         n = mean.size
         object.__setattr__(self, "initial_mean", mean)
-        object.__setattr__(self, "initial_covariance", _check_covariance(
-            self.initial_covariance, "initial_covariance", n))
+        for name in ("initial_covariance", "process_noise"):
+            object.__setattr__(self, name, _check_covariance(getattr(self, name), name, n))
         gate = self.mahalanobis_gate
         if gate is not None and not 0.0 < as_real(gate, "mahalanobis_gate") < np.inf:
             raise ValueError(f"mahalanobis_gate must be None or a finite value above 0, "
                              f"got {gate}")
-        object.__setattr__(self, "process_noise",
-                           _check_covariance(self.process_noise, "process_noise", n))
 
 
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
@@ -224,10 +221,10 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
 
     ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
     covariances (N, 2, 2) shared by the runs, and ``inputs`` is a sequence
-    of N kinematic inputs (a series of N, or a list), indexed one step at a
-    time, whose ``ref_position`` is shared (2,) or per run (B, 2); other
-    shapes, counts or initial state dimensions raise
-    :class:`~locdecomp.exceptions.DimensionMismatch` before any step.
+    of N kinematic inputs (a series of N, or a list, not walked in advance),
+    indexed one step at a time, whose ``ref_position`` is shared (2,) or per
+    run (B, 2); other shapes (of a series' positions too), counts or initial
+    state dimensions raise :class:`~locdecomp.exceptions.DimensionMismatch` first.
     Yields the posterior means (B, n) and covariances (B, n, n) after each
     step.  Errors raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
@@ -249,7 +246,11 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         raise DimensionMismatch(
             f"inputs must hold {n_steps} kinematic inputs for the {n_steps} "
             f"steps of d, got {len(inputs)}")
-    r = _check_covariance(r, "R", 2)
+    positions = inputs.ref_position.shape if isinstance(inputs, KinematicInput) else d.shape
+    if positions not in (d.shape[1:], d.shape):
+        raise DimensionMismatch(f"ref_position must have shape {d.shape[1:]} or {d.shape}, "
+                                f"got {positions}")
+    r = _check_covariance(r, "R")
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
     if bad_steps.size:
         raise FilterStepError(int(bad_steps[0]), "observed difference must be finite")

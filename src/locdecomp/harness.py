@@ -52,7 +52,7 @@ _BLOCK_STEPS = 32
 @dataclass(frozen=True)
 class SyntheticTrajectory:
     """Synthetic segment settings (see :func:`~locdecomp.simulation.synthesize_trajectory`);
-    a corner's turns take that function's default width."""
+    a corner's turns each take a tenth of the samples."""
 
     kind: str
     n_samples: int
@@ -105,9 +105,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.output == "":
             raise ConfigError("output must name a path, got ''")
-        if not 0.0 < _real(self.convergence_threshold, "convergence_threshold") < np.inf:
-            raise ConfigError(f"convergence_threshold must be a finite value above 0, "
-                              f"got {self.convergence_threshold}")
+        object.__setattr__(self, "convergence_threshold", _threshold(self.convergence_threshold))
         if self.injection.true_params.shape != (self.model.state_dim,):
             raise ConfigError(
                 f"true_params dimension {self.injection.true_params.size} does not "
@@ -242,10 +240,11 @@ def emit_results(series: MseSeries, out_dir,
 
     Creates ``mse.csv`` (columns ``step, mse_x1.., mean_x1..``) and
     ``summary.txt`` under ``out_dir``; the summary flags a parameter
-    converged when its final MSE lies below ``convergence_threshold``.
-    Formatting is deterministic (9 significant digits), so identical series
-    produce identical bytes.
+    converged when its final MSE lies below ``convergence_threshold`` (a
+    finite value above 0).  Formatting is deterministic (9 significant
+    digits), so identical series produce identical bytes.
     """
+    convergence_threshold = _threshold(convergence_threshold)
     if series.n_steps == 0:
         raise ValueError("cannot emit an empty series")
     if not str(out_dir):
@@ -350,21 +349,21 @@ def _real(value, key: str, scalar: bool = True):
                           f"of equal length, got {value!r}") from None
 
 
+def _threshold(value) -> float:
+    """``value`` as a convergence threshold: a finite number above 0."""
+    if not 0.0 < _real(value, "convergence_threshold") < np.inf:
+        raise ConfigError(f"convergence_threshold must be a finite value above 0, got {value}")
+    return float(value)
+
+
 def _as_matrix(value, dim: int, where: str) -> np.ndarray:
-    """Scalar -> scaled identity; vector -> diagonal; nested list -> matrix."""
+    """Scalar -> scaled identity; vector -> diagonal; nested list -> as given."""
     arr = _real(value, f"filter.{where}", scalar=False)
-    if not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():   # first: an infinite scalar times the identity warns
         raise NotPSD(f"{where} must be finite")
     if arr.ndim == 0:
         return float(arr) * np.eye(dim)
-    if arr.ndim == 1:
-        if arr.size != dim:
-            raise ConfigError(f"{where} needs {dim} diagonal entries, got {arr.size}")
-        return np.diag(arr)
-    if arr.shape == (dim, dim):
-        return arr
-    raise ConfigError(f"{where} must be a scalar, a {dim}-vector or a "
-                      f"{dim}x{dim} matrix, got shape {arr.shape}")
+    return np.diag(arr) if arr.ndim == 1 else arr
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -447,9 +446,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         trajectory=trajectory, model=model, injection=injection, ukf=ukf,
         n_runs=n_runs,
-        convergence_threshold=_real(raw.get("convergence_threshold",
-                                            DEFAULT_CONVERGENCE_THRESHOLD_M2),
-                                    "convergence_threshold"),
+        convergence_threshold=raw.get("convergence_threshold", DEFAULT_CONVERGENCE_THRESHOLD_M2),
         output=None if raw.get("output") is None else _string(raw["output"], "output"))
 
 

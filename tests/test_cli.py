@@ -555,6 +555,23 @@ class TestInputErrors:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("key, value", [
+        ("process_noise", [0.1, 0.1, 0.1]), ("process_noise", [[0.1, 0.0], [0.0, 0.1]]),
+        ("process_noise", np.tile(0.1 * np.eye(4), (2, 1, 1)).tolist()),
+        ("initial_mean", [0.0, 0.0, 0.0])])
+    def test_filter_setting_of_another_shape(self, tmp_path, capsys, key, value):
+        # the corner model has 4 states
+        raw = json.loads((CONFIGS / "corner.json").read_text())
+        raw["filter"][key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(config), "--runs", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"locdecomp experiment: {key} ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
         ("process_noise", float("inf")), ("initial_mean", [float("nan"), 0.0, 0.0, 0.0])])
     def test_non_finite_filter_setting(self, tmp_path, capsys, key, value):
         # Infinity printed numpy's RuntimeWarning and its source line before

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
-                                    map_rotation, map_scale, map_shear,
+from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
+                                    body_offset, map_rotation, map_scale, map_shear,
                                     map_translation)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform
 from locdecomp.frames import rotate, rotation_matrix
@@ -102,6 +102,12 @@ class TestKinematicSeries:
         # accepted and failed later, at len()
         with pytest.raises(DimensionMismatch, match="^t, heading and heading_rate must be "):
             KinematicInput(t=t, heading=angle, ref_position=[0.0, 0.0], heading_rate=rate)
+
+    def test_a_samples_timestamp_is_a_float(self):
+        # like its heading and rate; a built sample kept t as given, and an
+        # indexed one held a numpy scalar
+        for u in (make_input(t=3), make_input(t=np.int64(3)), self.series()[2]):
+            assert type(u.t) is float
 
     def test_single_sample_has_no_sample_axis(self):
         for u in (make_input(), self.series()[1]):
@@ -269,6 +275,13 @@ class TestCompositeModel:
                                      window_length=len(CORNER))
         assert report.rank_profile == [rank]
         assert report.observable == (rank == model.state_dim)
+
+    @pytest.mark.parametrize("width", [1.5, True])
+    def test_component_width_is_an_integer(self, width):
+        # 1.5 made a model of state dimension 1.5, and True counted as 1
+        with pytest.raises(ValueError, match=f"^param_dim must be an integer, got {width!r}$"):
+            ErrorComponent(name="x", param_dim=width, fn=lambda params, u: params)
+        assert type(ErrorComponent(name="x", param_dim=2.0, fn=None).param_dim) is int
 
     def test_body_plus_map_model_at_zero_heading(self):
         model = CompositeModel(components=(body_offset(), map_translation()))

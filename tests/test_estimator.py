@@ -320,6 +320,17 @@ class TestUkfConfig:
                                              "finite value above 0"):
             make_config(2, mahalanobis_gate=gate)
 
+    @pytest.mark.parametrize("runs", [2, 3])
+    @pytest.mark.parametrize("name", ["process_noise", "initial_covariance"])
+    def test_rejects_a_stack_of_covariances(self, name, runs):
+        # a stack of 3 gave each of 3 runs its own matrix, and a stack of 2
+        # failed at step 0 with numpy's broadcast error
+        settings = {"process_noise": np.eye(4), "initial_covariance": np.eye(4)}
+        settings[name] = np.tile(np.eye(4), (runs, 1, 1))
+        with pytest.raises(DimensionMismatch, match=rf"^{name} must have shape \(4, 4\), "
+                                                    rf"got \({runs}, 4, 4\)$"):
+            UkfConfig(initial_mean=np.zeros(4), **settings)
+
     def test_fields_are_the_filter_settings(self):
         # the sigma-point spread is the module's ALPHA, BETA and KAPPA
         assert [f.name for f in fields(UkfConfig)] == [
@@ -651,6 +662,28 @@ class TestFilterRuns:
         with pytest.raises(DimensionMismatch, match=message):
             next(filter_runs(model, cfg, np.zeros((1, 2, 2)),
                              np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
+
+    @pytest.mark.parametrize("components", [(body_offset(), map_translation()),
+                                            (map_rotation(pivot=(3.0, -1.0)),)])
+    def test_rejects_positions_for_another_number_of_runs(self, components):
+        # body + map filtered positions for 3 runs against d for 2 without
+        # complaint, and a rotation failed at step 0 with a broadcast error
+        model = CompositeModel(components=components)
+        cfg = make_config(model.state_dim)
+        series = synthesize_trajectory("corner", 40)
+        d, r = np.zeros((2, 40, 2)), np.tile(0.04 * np.eye(2), (40, 1, 1))
+
+        def with_positions(positions):
+            return KinematicInput(t=series.t, heading=series.heading,
+                                  heading_rate=series.heading_rate, ref_position=positions)
+
+        with pytest.raises(DimensionMismatch, match=r"^ref_position must have shape "
+                                                    r"\(40, 2\) or \(2, 40, 2\), "
+                                                    r"got \(3, 40, 2\)$"):
+            next(filter_runs(model, cfg, d, r, with_positions(
+                np.tile(series.ref_position, (3, 1, 1)))))
+        for positions in (series.ref_position, np.tile(series.ref_position, (2, 1, 1))):
+            assert len(list(filter_runs(model, cfg, d, r, with_positions(positions)))) == 40
 
     def test_inputs_are_fetched_one_step_at_a_time(self, monkeypatch):
         # building every step's input before step 0 held them all for the

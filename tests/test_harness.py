@@ -361,6 +361,18 @@ class TestEmitResults:
         _, summary = emit_results(series, tmp_path, convergence_threshold=0.1)
         assert summary.read_text().splitlines()[-1] == "converged = true,false,false"
 
+    @pytest.mark.parametrize("threshold, message", [
+        (float("nan"), "a finite value above 0, got nan"),
+        (-1.0, "a finite value above 0, got -1.0"), (True, "a number, got True")],
+        ids=["nan", "-1", "True"])
+    def test_rejects_the_thresholds_the_config_rejects(self, tmp_path, threshold, message):
+        # nan and -1 flagged no parameter converged, and True wrote a
+        # threshold of 1 and flagged every one
+        series = run_experiment(small_config(n_samples=20))
+        with pytest.raises(ConfigError, match=f"^convergence_threshold must be {message}$"):
+            emit_results(series, tmp_path / "out", convergence_threshold=threshold)
+        assert not (tmp_path / "out").exists()
+
     def test_table_dimensions(self, tmp_path):
         cfg = small_config(n_samples=200)
         series = run_experiment(cfg)
@@ -632,6 +644,18 @@ class TestParseConfig:
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["filter"][key] = value
         with pytest.raises(error, match=message):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("process_noise", [0.1, 0.1, 0.1]), ("process_noise", [[0.1, 0.0], [0.0, 0.1]]),
+        ("process_noise", np.tile(0.1 * np.eye(4), (2, 1, 1)).tolist()),
+        ("initial_mean", [0.0, 0.0, 0.0])])
+    def test_filter_setting_of_another_shape_names_its_key(self, key, value):
+        # for a 4-state model; with no initial_mean check, a 3-entry mean
+        # blamed initial_covariance for its shape
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["filter"][key] = value
+        with pytest.raises(ValueError, match=f"^{key} "):
             parse_config(raw)
 
     @pytest.mark.parametrize("section, value", [
