@@ -15,9 +15,8 @@ from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            body_offset, map_rotation, map_scale, map_shear,
                            map_translation)
 from .estimator import UkfConfig, filter_runs
-from .exceptions import (ConfigError, DimensionMismatch, ExperimentRunError,
-                         FilterStepError, NotPSD, ParseError, SingularTransform,
-                         ZeroTurnRate)
+from .exceptions import (DimensionMismatch, ExperimentRunError, FilterStepError,
+                         NotPSD, ParseError, SingularTransform, ZeroTurnRate)
 from .frames import heading_rates, normalize_angle, rotate, rotation_matrix
 from .harness import (ExperimentConfig, FileTrajectory, MseSeries,
                       SyntheticTrajectory, derive_run_seed, emit_results,
@@ -40,6 +39,6 @@ __all__ = [
     "ExperimentConfig", "FileTrajectory", "MseSeries", "SyntheticTrajectory",
     "derive_run_seed", "emit_results", "load_config", "parse_config",
     "run_experiment",
-    "ConfigError", "DimensionMismatch", "ExperimentRunError", "FilterStepError",
+    "DimensionMismatch", "ExperimentRunError", "FilterStepError",
     "NotPSD", "ParseError", "SingularTransform", "ZeroTurnRate",
 ]

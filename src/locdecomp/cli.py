@@ -10,7 +10,7 @@ Subcommands:
 
 Each subcommand takes the options listed in ``COMMANDS`` and no others.
 ``--seed`` and ``--runs`` override the configuration file's values
-(``observability`` accepts ``--seed`` and ignores it).  ``--out`` names
+(``observability`` only checks ``--seed``).  ``--out`` names
 ``experiment``'s output directory, and the file ``simulate`` or ``filter``
 writes, or an existing directory to write it into.  Without ``--out``,
 ``simulate`` and ``filter`` write ``simulated.csv`` and ``estimates.csv``
@@ -148,6 +148,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_observability(args) -> int:
     cfg = load_config(args.config)
+    if args.seed is not None:   # an invalid seed fails as in every command
+        replace(cfg.injection, rng_seed=args.seed)
     report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series)
     wl, dim = report.window_length, report.state_dim
     degenerate = set(report.degenerate_windows)
@@ -196,9 +198,9 @@ _ARGUMENTS = {
     "--runs": dict(type=int, help="override the number of runs"),
     "--out": dict(help="override the output path"),
 }
-# subcommand -> (handler, help, options).  observability's --seed is a no-op,
-# as the rank test draws no random numbers; it is accepted so that one
-# argument list (bench/run.py) serves every subcommand
+# subcommand -> (handler, help, options).  observability's --seed is checked
+# and changes nothing, as the rank test draws no random numbers; it is
+# accepted so that one argument list (bench/run.py) serves every subcommand
 COMMANDS = {
     "simulate": (_cmd_simulate, "generate injected localizer data",
                  ("--config", "--seed", "--out")),
@@ -228,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.  Invalid input (the
-    library's ``ValueError`` family, e.g. ``ParseError`` or ``ConfigError``)
-    and file errors print one line to stderr and return 2; a standard output
+    """Run one subcommand and return its exit code.  Invalid input (any
+    ``ValueError``, e.g. a bad configuration key or a ``ParseError``) and
+    file errors print one line to stderr and return 2; a standard output
     closed by its reader returns 1 with nothing on stderr; runtime failures
     such as ``FilterStepError`` propagate."""
     args = build_parser().parse_args(argv)

@@ -21,8 +21,8 @@ pass, and one run is a batch of one.  Each step adds the process noise to
 the covariances and takes one measurement step, whose sigma points are
 sigma-major, (2n+1, B, n), and whose cross covariance is one product over
 the symmetric point pairs.  Shapes, measurement covariances and
-observation finiteness are validated once per pass; the per-step samples
-are views of the series' validated arrays.
+observation finiteness are validated once per pass, a step's positions as
+it is fetched; a series' samples are views of its validated arrays.
 Each step checks its covariances with Cholesky factorizations, with no
 jitter, which succeed only on positive-definite input: the prior's factor
 is its sigma-point root, and the posterior's is taken of a copy with the
@@ -118,7 +118,7 @@ class UkfConfig:
         if mean.ndim != 1:
             raise ValueError(f"initial_mean must be a vector, got shape {mean.shape}")
         if not np.all(np.isfinite(mean)):
-            raise ValueError("initial_mean must be finite")
+            raise ValueError(f"initial_mean must be finite, got {mean}")
         n = mean.size
         object.__setattr__(self, "initial_mean", mean)
         for name in ("initial_covariance", "process_noise"):
@@ -223,8 +223,9 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     covariances (N, 2, 2) shared by the runs, and ``inputs`` is a sequence
     of N kinematic inputs (a series of N, or a list, not walked in advance),
     indexed one step at a time, whose ``ref_position`` is shared (2,) or per
-    run (B, 2); other shapes (of a series' positions too), counts or initial
-    state dimensions raise :class:`~locdecomp.exceptions.DimensionMismatch` first.
+    run (B, 2); other counts or initial state dimensions raise
+    :class:`~locdecomp.exceptions.DimensionMismatch` first, and other
+    positions before their step, naming it.
     Yields the posterior means (B, n) and covariances (B, n, n) after each
     step.  Errors raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
@@ -246,10 +247,6 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         raise DimensionMismatch(
             f"inputs must hold {n_steps} kinematic inputs for the {n_steps} "
             f"steps of d, got {len(inputs)}")
-    positions = inputs.ref_position.shape if isinstance(inputs, KinematicInput) else d.shape
-    if positions not in (d.shape[1:], d.shape):
-        raise DimensionMismatch(f"ref_position must have shape {d.shape[1:]} or {d.shape}, "
-                                f"got {positions}")
     r = _check_covariance(r, "R")
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
     if bad_steps.size:
@@ -258,9 +255,13 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     means = np.tile(cfg.initial_mean, (d.shape[0], 1))
     covs = np.tile(cfg.initial_covariance, (d.shape[0], 1, 1))
     for step in range(n_steps):
+        u = inputs[step]
+        if u.ref_position.shape[:-1] not in ((), d.shape[:1]):
+            raise DimensionMismatch(f"step {step}: ref_position must have shape (2,) or "
+                                    f"({d.shape[0]}, 2), got {u.ref_position.shape}")
         try:
             means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],
-                                  inputs[step], model, cfg, weights)
+                                  u, model, cfg, weights)
             if not np.isfinite(means).all():
                 raise ValueError("mean must be finite")
             if not np.isfinite(covs).all():

@@ -1,8 +1,10 @@
 """Exception types shared across the library.
 
-All errors raised by locdecomp derive from builtins so callers can catch
-broad categories (ValueError for contract violations, RuntimeError for
-runtime/numerical failures) without importing this module.
+A type names what went wrong (a shape, a non-PSD matrix, a singular map, no
+turn) or carries where it happened (a file line, a filter step, a run),
+never where a value came from.  All derive from builtins so callers can
+catch broad categories (ValueError for contract violations, RuntimeError
+for runtime/numerical failures) without importing this module.
 """
 
 from __future__ import annotations
@@ -49,7 +51,3 @@ class ExperimentRunError(RuntimeError):
     def __init__(self, run: int, message: str):
         self.run = run
         super().__init__(f"run {run}: {message}")
-
-
-class ConfigError(ValueError):
-    """An experiment configuration is invalid or contains unknown keys."""

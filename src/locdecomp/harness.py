@@ -36,7 +36,7 @@ import numpy as np
 from . import error_models
 from .error_models import CompositeModel, KinematicInput
 from .estimator import UkfConfig, filter_runs
-from .exceptions import ConfigError, ExperimentRunError, NotPSD, SingularTransform
+from .exceptions import DimensionMismatch, ExperimentRunError, NotPSD, SingularTransform
 from .frames import as_count, as_real
 from .simulation import (DEFAULT_SPEED_MPS, DEFAULT_STEP_S, InjectionConfig,
                          inject_runs, load_trajectory, synthesize_trajectory)
@@ -100,25 +100,26 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs"))
+        object.__setattr__(self, "n_runs", as_count(self.n_runs, "n_runs"))
         if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+            raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.output == "":
-            raise ConfigError("output must name a path, got ''")
+            raise ValueError("output must name a path, got ''")
         object.__setattr__(self, "convergence_threshold", _threshold(self.convergence_threshold))
         if self.injection.true_params.shape != (self.model.state_dim,):
-            raise ConfigError(
+            raise DimensionMismatch(
                 f"true_params dimension {self.injection.true_params.size} does not "
                 f"match model state dimension {self.model.state_dim}")
         if self.ukf.initial_mean.size != self.model.state_dim:
-            raise ConfigError(
+            raise DimensionMismatch(
                 f"filter dimension {self.ukf.initial_mean.size} does not match "
                 f"model state dimension {self.model.state_dim}")
         # the filter's first sigma point is the initial mean
         try:
             self.model.evaluate(self.ukf.initial_mean, self.trajectory.series)
         except SingularTransform as exc:
-            raise ConfigError(f"initial_mean {self.ukf.initial_mean.tolist()}: {exc}") from None
+            raise SingularTransform(
+                f"initial_mean {self.ukf.initial_mean.tolist()}: {exc}") from None
 
 
 @dataclass
@@ -295,45 +296,31 @@ _COMPONENTS = {
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
-                          f"allowed: {sorted(allowed)}")
+        raise ValueError(f"unknown key(s) {sorted(unknown)} in {where}; "
+                         f"allowed: {sorted(allowed)}")
 
 
 def _build_component(entry: dict, centroid: np.ndarray):
     if not isinstance(entry, dict) or "type" not in entry:
-        raise ConfigError(f"each model entry needs a 'type', got {entry!r}")
+        raise ValueError(f"each model entry needs a 'type', got {entry!r}")
     kind = _string(entry["type"], "model.type")
     if kind not in _COMPONENTS:
-        raise ConfigError(f"unknown component type {kind!r}; available: "
-                          f"{sorted(_COMPONENTS)}")
+        raise ValueError(f"unknown component type {kind!r}; available: "
+                         f"{sorted(_COMPONENTS)}")
     _reject_unknown(entry, {"type"}, f"component {kind!r}")
     return _COMPONENTS[kind](centroid)
 
 
 def _string(value, key: str) -> str:
+    """``value`` if it is a string; anything else raises ValueError naming ``key``."""
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
+        raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def _integer(value, key: str) -> int:
-    """:func:`~locdecomp.frames.as_count`, raising ConfigError naming ``key``."""
-    try:
-        return as_count(value, key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _real(value, key: str, scalar: bool = True):
-    """``value`` as a float (:func:`~locdecomp.frames.as_real`), or with
-    ``scalar=False`` as a float array of a number or a (nested) list of
-    numbers; a boolean, a string, null, or a list where one number is
-    expected, raises ConfigError naming ``key``."""
-    if scalar:
-        try:
-            return as_real(value, key)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+def _real(value, key: str) -> np.ndarray:
+    """``value`` as a float array of a number or a (nested) list of numbers
+    in rows of equal length; anything else raises ValueError naming ``key``."""
 
     def real(v):
         if isinstance(v, (list, tuple)):
@@ -341,24 +328,24 @@ def _real(value, key: str, scalar: bool = True):
         return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
     if not real(value):
-        raise ConfigError(f"{key} must be a number or a list of numbers, got {value!r}")
+        raise ValueError(f"{key} must be a number or a list of numbers, got {value!r}")
     try:
         return np.asarray(value, dtype=float)
     except ValueError:   # a ragged list
-        raise ConfigError(f"{key} must be a number or a list of numbers with rows "
-                          f"of equal length, got {value!r}") from None
+        raise ValueError(f"{key} must be a number or a list of numbers with rows "
+                         f"of equal length, got {value!r}") from None
 
 
 def _threshold(value) -> float:
     """``value`` as a convergence threshold: a finite number above 0."""
-    if not 0.0 < _real(value, "convergence_threshold") < np.inf:
-        raise ConfigError(f"convergence_threshold must be a finite value above 0, got {value}")
+    if not 0.0 < as_real(value, "convergence_threshold") < np.inf:
+        raise ValueError(f"convergence_threshold must be a finite value above 0, got {value}")
     return float(value)
 
 
 def _as_matrix(value, dim: int, where: str) -> np.ndarray:
     """Scalar -> scaled identity; vector -> diagonal; nested list -> as given."""
-    arr = _real(value, f"filter.{where}", scalar=False)
+    arr = _real(value, f"filter.{where}")
     if not np.isfinite(arr).all():   # first: an infinite scalar times the identity warns
         raise NotPSD(f"{where} must be finite")
     if arr.ndim == 0:
@@ -373,15 +360,15 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     would run a different experiment than the one asked for.
     """
     if not isinstance(raw, dict):
-        raise ConfigError(f"configuration must be a mapping, got {type(raw)!r}")
+        raise ValueError(f"configuration must be a mapping, got {type(raw)!r}")
     _reject_unknown(raw, {"trajectory", "model", "injection", "filter", "runs",
                           "convergence_threshold", "output"},
                     "configuration")
     for key in ("trajectory", "model", "injection", "filter"):
         if key not in raw:
-            raise ConfigError(f"missing required section '{key}'")
+            raise ValueError(f"missing required section '{key}'")
         if key != "model" and not isinstance(raw[key], dict):
-            raise ConfigError(f"section '{key}' must be a mapping, got {type(raw[key]).__name__}")
+            raise ValueError(f"section '{key}' must be a mapping, got {type(raw[key]).__name__}")
 
     traj_raw = raw["trajectory"]
     if "file" in traj_raw:
@@ -395,54 +382,51 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         try:
             trajectory = SyntheticTrajectory(
                 kind=traj_raw["kind"],
-                n_samples=_integer(traj_raw["n_samples"], "trajectory.n_samples"),
-                **{key: _real(traj_raw[key], f"trajectory.{key}")
+                n_samples=as_count(traj_raw["n_samples"], "trajectory.n_samples"),
+                **{key: as_real(traj_raw[key], f"trajectory.{key}")
                    for key in ("step", "speed", "initial_heading") if key in traj_raw})
         except KeyError as exc:
-            raise ConfigError(f"trajectory section is missing {exc}") from None
+            raise ValueError(f"trajectory section is missing {exc}") from None
 
     centroid = trajectory.series.ref_position.mean(axis=0)
 
     model_raw = raw["model"]
     if not isinstance(model_raw, list) or not model_raw:
-        raise ConfigError("'model' must be a non-empty list of components")
+        raise ValueError("'model' must be a non-empty list of components")
     model = CompositeModel(components=tuple(_build_component(entry, centroid)
                                             for entry in model_raw))
 
     inj_raw = raw["injection"]
     _reject_unknown(inj_raw, {"true_params", "noise_sigma_total", "seed"}, "injection")
     if "true_params" not in inj_raw or "seed" not in inj_raw:
-        raise ConfigError("injection needs 'true_params' and 'seed'")
-    sigma = _real(inj_raw.get("noise_sigma_total", 0.0), "injection.noise_sigma_total")
+        raise ValueError("injection needs 'true_params' and 'seed'")
+    sigma = as_real(inj_raw.get("noise_sigma_total", 0.0), "injection.noise_sigma_total")
     if not 0.0 <= sigma < np.inf:
-        raise ConfigError(f"injection.noise_sigma_total must be finite and >= 0, "
-                          f"got {sigma}")
+        raise ValueError(f"injection.noise_sigma_total must be finite and >= 0, got {sigma}")
     injection = InjectionConfig.with_total_sigma(
-        _real(inj_raw["true_params"], "injection.true_params", scalar=False), sigma,
-        _integer(inj_raw["seed"], "injection.seed"))
+        _real(inj_raw["true_params"], "injection.true_params"), sigma,
+        as_count(inj_raw["seed"], "injection.seed"))
 
     filt_raw = raw["filter"]
     _reject_unknown(filt_raw, {f.name for f in fields(UkfConfig)}, "filter")
     dim = model.state_dim
     if "process_noise" not in filt_raw or "initial_covariance" not in filt_raw:
-        raise ConfigError("filter needs 'process_noise' and 'initial_covariance'")
-    x0 = (_real(filt_raw["initial_mean"], "filter.initial_mean", scalar=False)
+        raise ValueError("filter needs 'process_noise' and 'initial_covariance'")
+    x0 = (_real(filt_raw["initial_mean"], "filter.initial_mean")
           if "initial_mean" in filt_raw else np.zeros(dim))
-    if not np.isfinite(x0).all():
-        raise ConfigError(f"initial_mean must be finite, got {x0}")
     if x0.shape != (dim,):
-        raise ConfigError(f"initial_mean needs {dim} entries, got {x0.shape}")
+        raise DimensionMismatch(f"initial_mean needs {dim} entries, got {x0.shape}")
     ukf = UkfConfig(
         process_noise=_as_matrix(filt_raw["process_noise"], dim, "process_noise"),
         initial_mean=x0,
         initial_covariance=_as_matrix(filt_raw["initial_covariance"], dim,
                                       "initial_covariance"),
-        mahalanobis_gate=(_real(filt_raw["mahalanobis_gate"], "filter.mahalanobis_gate")
+        mahalanobis_gate=(as_real(filt_raw["mahalanobis_gate"], "filter.mahalanobis_gate")
                           if filt_raw.get("mahalanobis_gate") is not None else None))
 
-    n_runs = _integer(raw.get("runs", 1), "runs")
+    n_runs = as_count(raw.get("runs", 1), "runs")
     if n_runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {n_runs}")
+        raise ValueError(f"runs must be >= 1, got {n_runs}")
     return ExperimentConfig(
         trajectory=trajectory, model=model, injection=injection, ukf=ukf,
         n_runs=n_runs,
@@ -456,7 +440,7 @@ def _unique_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"key {key!r} appears twice in one object")
+            raise ValueError(f"key {key!r} appears twice in one object")
         obj[key] = value
     return obj
 
@@ -467,5 +451,5 @@ def load_config(path) -> ExperimentConfig:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return parse_config(raw, base_dir=path.parent)

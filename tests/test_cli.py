@@ -285,6 +285,18 @@ class TestObservabilityCommand:
         assert "observable = false" in out
         assert "DEFICIENT" in out
 
+    def test_seed_is_checked_and_changes_nothing(self, tmp_path, capsys):
+        # --seed -1 printed the report and exited 0; the rank test draws no
+        # random numbers, so a valid seed leaves the report as it is
+        config = write_config(tmp_path)
+        assert main(["observability", "--config", str(config)]) == 0
+        report = capsys.readouterr().out
+        assert main(["observability", "--config", str(config), "--seed", "5"]) == 0
+        assert capsys.readouterr().out == report
+        assert main(["observability", "--config", str(config), "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "locdecomp observability: seed must be >= 0, "
+                                           "got -1\n")
+
     @pytest.mark.parametrize("flag, value", [("--tolerance", "1e-6"), ("--window", "5")])
     def test_rank_settings_are_no_options(self, capsys, flag, value):
         # the rank cutoff is the library's fixed RANK_TOL and the windows

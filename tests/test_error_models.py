@@ -103,6 +103,14 @@ class TestKinematicSeries:
         with pytest.raises(DimensionMismatch, match="^t, heading and heading_rate must be "):
             KinematicInput(t=t, heading=angle, ref_position=[0.0, 0.0], heading_rate=rate)
 
+    @pytest.mark.parametrize("t", [np.nan, np.array([0.0, 1.0, np.inf, 4.0])])
+    def test_rejects_non_finite_timestamps(self, t):
+        n = np.size(t)
+        with pytest.raises(ValueError, match=r"^timestamp must be finite, got "):
+            KinematicInput(t=t, heading=np.zeros(n) if n > 1 else 0.0,
+                           ref_position=np.zeros((n, 2)) if n > 1 else np.zeros(2),
+                           heading_rate=np.zeros(n) if n > 1 else 0.0)
+
     def test_a_samples_timestamp_is_a_float(self):
         # like its heading and rate; a built sample kept t as given, and an
         # indexed one held a numpy scalar
@@ -282,6 +290,11 @@ class TestCompositeModel:
         with pytest.raises(ValueError, match=f"^param_dim must be an integer, got {width!r}$"):
             ErrorComponent(name="x", param_dim=width, fn=lambda params, u: params)
         assert type(ErrorComponent(name="x", param_dim=2.0, fn=None).param_dim) is int
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_component_width_is_at_least_one(self, width):
+        with pytest.raises(ValueError, match=f"^param_dim must be >= 1, got {width}$"):
+            ErrorComponent(name="x", param_dim=width, fn=lambda params, u: params)
 
     def test_body_plus_map_model_at_zero_heading(self):
         model = CompositeModel(components=(body_offset(), map_translation()))

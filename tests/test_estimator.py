@@ -1,6 +1,7 @@
 import re
 from collections.abc import Sequence
 from dataclasses import fields, replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ class TestInitialState:
 
     @pytest.mark.parametrize("mean, message", [
         (np.zeros((2, 1)), "^initial_mean must be a vector"),
-        ([0.0, np.nan], "^initial_mean must be finite$"),
+        ([0.0, np.nan], r"^initial_mean must be finite, got \[ 0. nan\]$"),
     ])
     def test_rejects_bad_mean(self, mean, message):
         with pytest.raises(ValueError, match=message):
@@ -667,7 +668,8 @@ class TestFilterRuns:
                                             (map_rotation(pivot=(3.0, -1.0)),)])
     def test_rejects_positions_for_another_number_of_runs(self, components):
         # body + map filtered positions for 3 runs against d for 2 without
-        # complaint, and a rotation failed at step 0 with a broadcast error
+        # complaint, and a rotation failed at step 0 with a broadcast error;
+        # a list's samples were never checked
         model = CompositeModel(components=components)
         cfg = make_config(model.state_dim)
         series = synthesize_trajectory("corner", 40)
@@ -677,13 +679,24 @@ class TestFilterRuns:
             return KinematicInput(t=series.t, heading=series.heading,
                                   heading_rate=series.heading_rate, ref_position=positions)
 
-        with pytest.raises(DimensionMismatch, match=r"^ref_position must have shape "
-                                                    r"\(40, 2\) or \(2, 40, 2\), "
-                                                    r"got \(3, 40, 2\)$"):
-            next(filter_runs(model, cfg, d, r, with_positions(
-                np.tile(series.ref_position, (3, 1, 1)))))
+        def message(step):
+            return (rf"^step {step}: ref_position must have shape \(2,\) or \(2, 2\), "
+                    rf"got \(3, 2\)$")
+
+        three_runs = with_positions(np.tile(series.ref_position, (3, 1, 1)))
+        for inputs in (three_runs, list(three_runs)):
+            with pytest.raises(DimensionMismatch, match=message(0)):
+                next(filter_runs(model, cfg, d, r, inputs))
+        samples = list(series)
+        samples[5] = three_runs[5]
+        steps = filter_runs(model, cfg, d, r, samples)
+        assert len(list(islice(steps, 5))) == 5
+        with pytest.raises(DimensionMismatch, match=message(5)):
+            next(steps)
         for positions in (series.ref_position, np.tile(series.ref_position, (2, 1, 1))):
             assert len(list(filter_runs(model, cfg, d, r, with_positions(positions)))) == 40
+            assert len(list(filter_runs(model, cfg, d, r,
+                                        list(with_positions(positions))))) == 40
 
     def test_inputs_are_fetched_one_step_at_a_time(self, monkeypatch):
         # building every step's input before step 0 held them all for the

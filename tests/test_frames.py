@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from locdecomp.error_models import KinematicInput
 from locdecomp.exceptions import DimensionMismatch
-from locdecomp.frames import (as_count, as_real, heading_rates, normalize_angle, rotate,
-                              rotation_matrix)
+from locdecomp.frames import (as_count, as_points, as_real, heading_rates, normalize_angle,
+                              rotate, rotation_matrix)
 
 
 class TestRotationMatrix:
@@ -117,6 +119,14 @@ class TestHeading:
                            heading_rate=rate)
 
 
+class TestAsPoints:
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), ()])
+    def test_rejects_arrays_that_are_not_of_2_vectors(self, shape):
+        with pytest.raises(ValueError, match=rf"^points must have shape \(\.\.\., 2\), "
+                                             rf"got {re.escape(str(shape))}$"):
+            as_points(np.zeros(shape))
+
+
 class TestAsCount:
     @pytest.mark.parametrize("value", [8, 8.0, np.int64(8), np.float64(8.0)])
     def test_integral_numbers_are_accepted(self, value):
@@ -170,3 +180,10 @@ class TestHeadingRates:
         # a repeated time gave NaN rates and a decreasing one wrong signs
         with pytest.raises(ValueError, match="^t must strictly increase$"):
             heading_rates(t, [0.0, 0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("t, angles", [
+        ([0.0, 1.0, 2.0], [0.0, 0.1]), (0.0, 0.1), (np.zeros((2, 2)), np.zeros((2, 2)))])
+    def test_rejects_arrays_of_another_shape(self, t, angles):
+        with pytest.raises(ValueError, match="^t and angles must be 1-d arrays of equal "
+                                             "length$"):
+            heading_rates(t, angles)

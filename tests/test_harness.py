@@ -13,7 +13,7 @@ from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInp
                                     body_offset, map_rotation, map_scale,
                                     map_shear, map_translation)
 from locdecomp.estimator import UkfConfig, filter_runs
-from locdecomp.exceptions import (ConfigError, ExperimentRunError, FilterStepError,
+from locdecomp.exceptions import (DimensionMismatch, ExperimentRunError, FilterStepError,
                                   NotPSD, SingularTransform)
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
                                SyntheticTrajectory, derive_run_seed, emit_results,
@@ -345,8 +345,8 @@ class TestExperimentErrors:
         # failed in every run and was reported as "run 0: step 0: ..."
         cfg = small_config(model=CompositeModel(components=(map_scale(),)),
                            true_params=(0.01,))
-        with pytest.raises(ConfigError, match=r"^initial_mean \[-1.0\]: scale factor 0.0 "
-                                              r"is not invertible$"):
+        with pytest.raises(SingularTransform, match=r"^initial_mean \[-1.0\]: scale factor "
+                                                    r"0.0 is not invertible$"):
             replace(cfg, ukf=replace(cfg.ukf, initial_mean=np.array([-1.0])))
 
 
@@ -369,7 +369,7 @@ class TestEmitResults:
         # nan and -1 flagged no parameter converged, and True wrote a
         # threshold of 1 and flagged every one
         series = run_experiment(small_config(n_samples=20))
-        with pytest.raises(ConfigError, match=f"^convergence_threshold must be {message}$"):
+        with pytest.raises(ValueError, match=f"^convergence_threshold must be {message}$"):
             emit_results(series, tmp_path / "out", convergence_threshold=threshold)
         assert not (tmp_path / "out").exists()
 
@@ -397,6 +397,14 @@ class TestEmitResults:
         with pytest.raises(OSError):
             emit_results(series, "")
 
+    def test_empty_series_is_an_error(self, tmp_path):
+        empty = np.zeros((0, 2))
+        series = MseSeries(mse=empty, mean=empty, variance=empty, true_params=np.zeros(2),
+                           initial_mse=np.ones(2), n_runs=1)
+        with pytest.raises(ValueError, match="^cannot emit an empty series$"):
+            emit_results(series, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_summary_convergence_flags(self, tmp_path):
         series = run_experiment(small_config(n_runs=10, n_samples=60))
         _, summary = emit_results(series, tmp_path, convergence_threshold=0.1)
@@ -408,10 +416,10 @@ class TestEmitResults:
 
 class TestConfigValidation:
     def test_rejects_zero_runs(self):
-        with pytest.raises(ConfigError, match="^n_runs must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^n_runs must be >= 1, got 0$"):
             small_config(n_runs=0)
         # a configuration file names its own key
-        with pytest.raises(ConfigError, match="^runs must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^runs must be >= 1, got 0$"):
             parse_config(dict(BASE_CONFIG, runs=0))
 
     def test_negative_noise_names_the_config_key(self):
@@ -421,14 +429,14 @@ class TestConfigValidation:
             InjectionConfig.with_total_sigma([1.0, 2.0, 3.0, 4.0], -0.1, 1)
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["injection"]["noise_sigma_total"] = -0.1
-        with pytest.raises(ConfigError, match="^injection.noise_sigma_total must be "
-                                              "finite and >= 0, got -0.1$"):
+        with pytest.raises(ValueError, match="^injection.noise_sigma_total must be "
+                                             "finite and >= 0, got -0.1$"):
             parse_config(raw)
 
     @pytest.mark.parametrize("n_runs", [2.5, True, "3", None])
     def test_n_runs_must_be_an_integer(self, n_runs):
         # 2.5 built and failed only inside run_experiment's range()
-        with pytest.raises(ConfigError, match=f"^n_runs must be an integer, got {n_runs!r}$"):
+        with pytest.raises(ValueError, match=f"^n_runs must be an integer, got {n_runs!r}$"):
             replace(small_config(), n_runs=n_runs)
         assert type(replace(small_config(), n_runs=3.0).n_runs) is int
 
@@ -436,17 +444,23 @@ class TestConfigValidation:
     def test_rejects_meaningless_convergence_threshold(self, threshold):
         # every parameter would read "converged = false", or every one true
         raw = dict(BASE_CONFIG, convergence_threshold=threshold)
-        with pytest.raises(ConfigError, match="^convergence_threshold must be a finite "
-                                              "value above 0, got "):
+        with pytest.raises(ValueError, match="^convergence_threshold must be a finite "
+                                             "value above 0, got "):
             parse_config(raw)
 
     def test_rejects_mismatched_true_params(self):
         cfg = small_config()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DimensionMismatch, match="^true_params dimension 2 does not "
+                                                    "match model state dimension 4$"):
             ExperimentConfig(
                 trajectory=cfg.trajectory, model=cfg.model,
                 injection=InjectionConfig.with_total_sigma([1.0, 2.0], 0.2, 1),
                 ukf=cfg.ukf, n_runs=1)
+
+    def test_rejects_filter_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch, match="^filter dimension 3 does not match "
+                                                    "model state dimension 4$"):
+            replace(small_config(), ukf=UkfConfig(np.eye(3), np.zeros(3), np.eye(3)))
 
 
 REAL_SETTINGS = {
@@ -494,19 +508,19 @@ class TestParseConfig:
 
     def test_unknown_top_level_key(self):
         raw = dict(BASE_CONFIG, typo=1)
-        with pytest.raises(ConfigError, match="typo"):
+        with pytest.raises(ValueError, match="typo"):
             parse_config(raw)
 
     def test_unknown_section_key(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["filter"]["procss_noise"] = 0.1
-        with pytest.raises(ConfigError, match="procss_noise"):
+        with pytest.raises(ValueError, match="procss_noise"):
             parse_config(raw)
 
     def test_unknown_component_type(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"] = [{"type": "warp_drive"}]
-        with pytest.raises(ConfigError, match="warp_drive"):
+        with pytest.raises(ValueError, match="warp_drive"):
             parse_config(raw)
 
     def test_explicit_initial_mean_wins(self):
@@ -600,7 +614,7 @@ class TestParseConfig:
         # each raised TypeError: a traceback and exit 1
         raw = json.loads(json.dumps(BASE_CONFIG))
         place(raw)
-        with pytest.raises(ConfigError, match=rf"^{key} must be a string, got "):
+        with pytest.raises(ValueError, match=rf"^{key} must be a string, got "):
             parse_config(raw)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -636,7 +650,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value, error, message", [
         ("process_noise", float("inf"), NotPSD, "^process_noise must be finite$"),
         ("initial_covariance", float("nan"), NotPSD, "^initial_covariance must be finite$"),
-        ("initial_mean", [float("nan"), 0.0, 0.0, 0.0], ConfigError,
+        ("initial_mean", [float("nan"), 0.0, 0.0, 0.0], ValueError,
          r"^initial_mean must be finite, got \[nan  0.  0.  0.\]$")])
     def test_non_finite_filter_setting_names_its_key(self, key, value, error, message):
         # an infinite scalar warned in its product with the identity, and a
@@ -664,7 +678,7 @@ class TestParseConfig:
     def test_section_must_be_a_mapping(self, section, value):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw[section] = value
-        with pytest.raises(ConfigError,
+        with pytest.raises(ValueError,
                            match=f"^section '{section}' must be a mapping, got "
                                  f"{type(value).__name__}$"):
             parse_config(raw)
@@ -683,8 +697,8 @@ class TestParseConfig:
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"].append({"type": kind, key: value})
         raw["injection"]["true_params"].append(0.01)
-        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) \['{key}'\] in "
-                                              rf"component '{kind}'; allowed: \['type'\]$"):
+        with pytest.raises(ValueError, match=rf"^unknown key\(s\) \['{key}'\] in "
+                                             rf"component '{kind}'; allowed: \['type'\]$"):
             parse_config(raw)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -706,7 +720,7 @@ class TestParseConfig:
             return parse_config(raw)
 
         for bad in (2.5, 200.9, 1.7, True, False, "20", "abc", None, float("nan")):
-            with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 parsed(bad)
         cfg = parsed(20.0)
         values = (cfg.n_runs, cfg.injection.rng_seed, cfg.trajectory.n_samples)
@@ -732,9 +746,9 @@ class TestParseConfig:
         name = key if section is None else f"{section}.{key}"
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw if section is None else raw[section])[key] = bad
-        with pytest.raises(ConfigError, match=rf"^{name} must be a number( or a list of "
-                                              rf"numbers( with rows of equal length)?)?, "
-                                              rf"got {re.escape(repr(bad))}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number( or a list of "
+                                             rf"numbers( with rows of equal length)?)?, "
+                                             rf"got {re.escape(repr(bad))}$"):
             parse_config(raw)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -767,7 +781,7 @@ class TestParseConfig:
         # value the old checks refused is refused as the unknown key
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw["model"][0] if section == "model" else raw[section])[key] = value
-        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) \['{key}'\] in "):
+        with pytest.raises(ValueError, match=rf"^unknown key\(s\) \['{key}'\] in "):
             parse_config(raw)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -789,7 +803,7 @@ class TestParseConfig:
         path.write_text(text.replace(entry, repeated, 1))
         key = entry.split('"')[1]
         message = f"key '{key}' appears twice in one object"
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_config(path)
         assert cli_main(["experiment", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"locdecomp experiment: {message}\n"
@@ -797,13 +811,54 @@ class TestParseConfig:
     def test_unknown_component_option(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["model"] = [{"type": "body_offset", "pivot": [0.0, 0.0]}]
-        with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['pivot'\] in "
-                                              r"component 'body_offset'; allowed: "
-                                              r"\['type'\]$"):
+        with pytest.raises(ValueError, match=r"^unknown key\(s\) \['pivot'\] in "
+                                             r"component 'body_offset'; allowed: "
+                                             r"\['type'\]$"):
             parse_config(raw)
 
     def test_missing_section(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         del raw["injection"]
-        with pytest.raises(ConfigError, match="injection"):
+        with pytest.raises(ValueError, match="injection"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("place, message", [
+        (lambda raw: raw["model"].insert(0, {}), "each model entry needs a 'type', got {}"),
+        (lambda raw: raw["model"].insert(0, "body_offset"),
+         "each model entry needs a 'type', got 'body_offset'"),
+        (lambda raw: raw.update(model=[]), "'model' must be a non-empty list of components"),
+        (lambda raw: raw.update(model={"type": "body_offset"}),
+         "'model' must be a non-empty list of components"),
+        (lambda raw: raw["trajectory"].pop("kind"), "trajectory section is missing 'kind'"),
+        (lambda raw: raw["trajectory"].pop("n_samples"),
+         "trajectory section is missing 'n_samples'"),
+        (lambda raw: raw["injection"].pop("seed"), "injection needs 'true_params' and 'seed'"),
+        (lambda raw: raw["filter"].pop("initial_covariance"),
+         "filter needs 'process_noise' and 'initial_covariance'")],
+        ids=["entry-without-type", "entry-not-a-mapping", "empty-model", "model-not-a-list",
+             "no-kind", "no-n_samples", "no-seed", "no-initial_covariance"])
+    def test_missing_part_is_named(self, place, message):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        place(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+            parse_config(raw)
+        assert type(excinfo.value) is ValueError
+
+    @pytest.mark.parametrize("raw", [[], "corner", None])
+    def test_configuration_must_be_a_mapping(self, raw):
+        with pytest.raises(ValueError, match=rf"^configuration must be a mapping, got "
+                                             rf"{re.escape(repr(type(raw)))}$") as excinfo:
+            parse_config(raw)
+        assert type(excinfo.value) is ValueError
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"runs": 3,}')
+        message = (f"{path}: Expecting property name enclosed in double quotes: "
+                   f"line 1 column 12 (char 11)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+            load_config(path)
+        assert type(excinfo.value) is ValueError
+        assert isinstance(excinfo.value.__cause__, json.JSONDecodeError)
+        assert cli_main(["experiment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"locdecomp experiment: {message}\n"

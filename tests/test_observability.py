@@ -1,4 +1,5 @@
 import inspect
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -284,6 +285,18 @@ class TestRankTestArguments:
             numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
                                 window_length=bad)
 
+    @pytest.mark.parametrize("x0, window_length, n_samples, message", [
+        (np.zeros(3), None, 40, r"^x0 must have shape \(4,\), got \(3,\)$"),
+        (np.zeros(4), 1, 40, "^window_length 1 too short for 4 parameters$"),
+        (np.zeros(4), 0, 40, "^window_length 0 too short for 4 parameters$"),
+        (np.zeros(4), None, 7, "^trajectory of 7 samples is shorter than one window of 8$")],
+        ids=["x0-length", "window-1", "window-0", "short-trajectory"])
+    def test_rejects_state_or_window_that_does_not_fit(self, x0, window_length, n_samples,
+                                                       message):
+        series = synthesize_trajectory("straight", n_samples)
+        with pytest.raises(ValueError, match=message):
+            numerical_rank_test(BODY_MAP, x0, series, window_length=window_length)
+
     def test_integral_float_window_length_is_accepted(self):
         report = numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
                                      window_length=8.0)
@@ -433,6 +446,13 @@ class TestDifferenceRates:
                                              rf"\(SMOOTH_WINDOW\) is wider than the "
                                              rf"series of {n} samples$"):
             difference_rates(t[:n], d[:n])
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (3, 2)])
+    def test_rejects_series_of_another_shape(self, shape):
+        # for 4 timestamps
+        with pytest.raises(ValueError, match=rf"^d_series must have shape \(len\(t\), 2\), "
+                                             rf"got {re.escape(str(shape))}$"):
+            difference_rates(np.arange(4.0), np.zeros(shape))
 
     @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
                                    [0.0, 1.0, np.nan, 3.0]])

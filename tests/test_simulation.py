@@ -143,6 +143,14 @@ class TestLoadTrajectory:
         content = io.StringIO("0.0, 0.0, 2.0, -1.5\n1.0, 0.0, 2.0, -1.5\n")
         np.testing.assert_array_equal(load_trajectory(content).heading, [-1.5, -1.5])
 
+    def test_single_sample_without_headings_rejected(self):
+        # one position gives no bearing; with a heading column it loads
+        with pytest.raises(ParseError, match="^cannot derive headings from a single sample; "
+                                             "add a heading_rad column$") as excinfo:
+            load_trajectory(io.StringIO("0.0, 1.0, 2.0\n"))
+        assert excinfo.value.line is None
+        assert len(load_trajectory(io.StringIO("0.0, 1.0, 2.0, 0.5\n"))) == 1
+
     def test_first_row_fixes_the_heading_column(self):
         content = io.StringIO("0.0, 0.0, 2.0, -1.5\n1.0, 0.0, 3.0\n")
         with pytest.raises(ParseError, match="^line 2: expected 4 comma-separated fields, "
