@@ -20,9 +20,9 @@ The math is written once over a run axis (means (B, n), covariances
 pass, and one run is a batch of one.  Each step adds the process noise to
 the covariances and takes one measurement step, whose sigma points are
 sigma-major, (2n+1, B, n), and whose cross covariance is one product over
-the symmetric point pairs.  Shapes, measurement covariances and
-observation finiteness are validated once per pass, a step's positions as
-it is fetched; a series' samples are views of its validated arrays.
+the symmetric point pairs.  Shapes, positions, measurement covariances and
+observation finiteness are validated once per pass; a series' samples are
+views of its validated arrays.
 Each step checks its covariances with Cholesky factorizations, with no
 jitter, which succeed only on positive-definite input: the prior's factor
 is its sigma-point root, and the posterior's is taken of a copy with the
@@ -220,12 +220,11 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     in one vectorized pass.
 
     ``d`` holds the observed differences (B, N, 2), ``r`` the measurement
-    covariances (N, 2, 2) shared by the runs, and ``inputs`` is a sequence
-    of N kinematic inputs (a series of N, or a list, not walked in advance),
-    indexed one step at a time, whose ``ref_position`` is shared (2,) or per
-    run (B, 2); other counts or initial state dimensions raise
-    :class:`~locdecomp.exceptions.DimensionMismatch` first, and other
-    positions before their step, naming it.
+    covariances (N, 2, 2) shared by the runs, and ``inputs`` the
+    :class:`KinematicInput` series of the N steps, indexed one step at a
+    time, with ``ref_position`` shared (N, 2) or per run (B, N, 2).  Before
+    step 0, anything but a series raises :class:`TypeError`, and other
+    counts, positions or initial state dimensions :class:`DimensionMismatch`.
     Yields the posterior means (B, n) and covariances (B, n, n) after each
     step.  Errors raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
@@ -243,10 +242,13 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         raise DimensionMismatch(
             f"r must have shape ({n_steps}, 2, 2) for the {n_steps} steps of d, "
             f"got {r.shape}")
-    if len(inputs) != n_steps:
+    if not isinstance(inputs, KinematicInput) or np.ndim(inputs.t) != 1:
+        kind = "a single sample" if isinstance(inputs, KinematicInput) else type(inputs).__name__
+        raise TypeError(f"inputs must be a KinematicInput series, got {kind}")
+    if inputs.ref_position.shape not in (d.shape[1:], d.shape):
         raise DimensionMismatch(
-            f"inputs must hold {n_steps} kinematic inputs for the {n_steps} "
-            f"steps of d, got {len(inputs)}")
+            f"inputs.ref_position must have shape {d.shape[1:]} or {d.shape} for the "
+            f"{n_steps} steps and {d.shape[0]} runs of d, got {inputs.ref_position.shape}")
     r = _check_covariance(r, "R")
     bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
     if bad_steps.size:
@@ -255,13 +257,9 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     means = np.tile(cfg.initial_mean, (d.shape[0], 1))
     covs = np.tile(cfg.initial_covariance, (d.shape[0], 1, 1))
     for step in range(n_steps):
-        u = inputs[step]
-        if u.ref_position.shape[:-1] not in ((), d.shape[:1]):
-            raise DimensionMismatch(f"step {step}: ref_position must have shape (2,) or "
-                                    f"({d.shape[0]}, 2), got {u.ref_position.shape}")
         try:
             means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],
-                                  u, model, cfg, weights)
+                                  inputs[step], model, cfg, weights)
             if not np.isfinite(means).all():
                 raise ValueError("mean must be finite")
             if not np.isfinite(covs).all():

@@ -403,7 +403,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     sigma = as_real(inj_raw.get("noise_sigma_total", 0.0), "injection.noise_sigma_total")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"injection.noise_sigma_total must be finite and >= 0, got {sigma}")
-    injection = InjectionConfig.with_total_sigma(
+    injection = InjectionConfig(
         _real(inj_raw["true_params"], "injection.true_params"), sigma,
         as_count(inj_raw["seed"], "injection.seed"))
 

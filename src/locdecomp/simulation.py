@@ -44,19 +44,17 @@ TURN_COUNT = 5
 
 @dataclass(frozen=True)
 class InjectionConfig:
-    """True error parameters and per-localizer noise levels.
+    """True error parameters and the total noise level of the difference.
 
-    The sigmas are per-axis standard deviations; the injected difference
-    noise then has covariance ``(sigma_ref^2 + sigma_other^2) * I``.  Use
-    :meth:`with_total_sigma` to split a single total disturbance evenly
-    across the two localizers.  ``true_params`` must be finite, the sigmas
-    finite and at least 0, and ``rng_seed`` an integer at least 0, as
-    numpy's seed sequences require.
+    ``noise_sigma_total`` is the per-axis standard deviation of the injected
+    difference noise, of covariance ``noise_sigma_total^2 * I``; each of the
+    two localizers draws half that variance.  ``true_params`` must be finite,
+    ``noise_sigma_total`` finite and at least 0, and ``rng_seed`` an integer
+    at least 0, as numpy's seed sequences require.
     """
 
     true_params: np.ndarray
-    noise_sigma_ref: float
-    noise_sigma_other: float
+    noise_sigma_total: float
     rng_seed: int
 
     def __post_init__(self):
@@ -64,25 +62,17 @@ class InjectionConfig:
                            np.asarray(self.true_params, dtype=float))
         if not np.all(np.isfinite(self.true_params)):
             raise ValueError(f"true_params must be finite, got {self.true_params}")
-        for name in ("noise_sigma_ref", "noise_sigma_other"):
-            if not 0.0 <= as_real(getattr(self, name), name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0.0 <= as_real(self.noise_sigma_total, "noise_sigma_total") < np.inf:
+            raise ValueError(f"noise_sigma_total must be finite and >= 0, "
+                             f"got {self.noise_sigma_total}")
         object.__setattr__(self, "rng_seed", as_count(self.rng_seed, "seed"))
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
-    @classmethod
-    def with_total_sigma(cls, true_params, total_sigma: float,
-                         rng_seed: int) -> "InjectionConfig":
-        """Equal-variance split of one total noise level across both localizers."""
-        if not 0.0 <= as_real(total_sigma, "total_sigma") < np.inf:
-            raise ValueError(f"total_sigma must be finite and >= 0, got {total_sigma}")
-        per = total_sigma / np.sqrt(2.0)
-        return cls(true_params=true_params, noise_sigma_ref=per,
-                   noise_sigma_other=per, rng_seed=rng_seed)
-
     def observation_covariance(self) -> np.ndarray:
-        return (self.noise_sigma_ref ** 2 + self.noise_sigma_other ** 2) * np.eye(2)
+        per = self.noise_sigma_total / np.sqrt(2.0)
+        # the two variances as drawn: 0.2 ** 2 would read 0.04000000000000001
+        return (per ** 2 + per ** 2) * np.eye(2)
 
 
 def read_table(source, columns, optional: int = 0, decimal_point: bool = False):
@@ -235,7 +225,8 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: Composi
     other localizer reports the true position displaced by the model output
     at the true parameters, evaluated at that (measured) reference position,
     plus its own noise.  Run ``i`` draws its reference noise (N, 2), then its
-    other noise (N, 2), from ``default_rng(seeds[i])``, so a seed reproduces
+    other noise (N, 2), each of per-axis sigma ``cfg.noise_sigma_total /
+    sqrt(2)``, from ``default_rng(seeds[i])``, so a seed reproduces
     bit-identical outputs in any batch.  Returns the record ``(inputs,
     p_other, r)`` that :func:`~locdecomp.estimator.filter_runs` reads: the
     series with the reference positions (runs, N, 2) in ``ref_position``,
@@ -250,10 +241,11 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: Composi
     n = len(trajectory)
     p_ref = np.empty((len(seeds), n, 2))
     p_other = np.empty((len(seeds), n, 2))
+    per = cfg.noise_sigma_total / np.sqrt(2.0)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        p_ref[i] = rng.normal(0.0, cfg.noise_sigma_ref, (n, 2))
-        p_other[i] = rng.normal(0.0, cfg.noise_sigma_other, (n, 2))
+        p_ref[i] = rng.normal(0.0, per, (n, 2))
+        p_other[i] = rng.normal(0.0, per, (n, 2))
     p_ref += trajectory.ref_position
     inputs = replace(trajectory, ref_position=p_ref)
     p_other += trajectory.ref_position - model.evaluate(cfg.true_params, inputs)

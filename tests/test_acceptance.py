@@ -78,8 +78,7 @@ def experiment_config(kind: str, n_samples: int, heading: float = 0.0,
         trajectory=SyntheticTrajectory(kind=kind, n_samples=n_samples,
                                        initial_heading=heading),
         model=BODY_MAP,
-        injection=InjectionConfig.with_total_sigma(TRUE_PARAMS, TOTAL_SIGMA_M,
-                                                   rng_seed=MASTER_SEED),
+        injection=InjectionConfig(TRUE_PARAMS, TOTAL_SIGMA_M, rng_seed=MASTER_SEED),
         ukf=reference_ukf_config(),
         n_runs=n_runs,
     )
@@ -177,8 +176,8 @@ def test_criterion_2_straight_non_convergence(straight_result):
 
 def test_criterion_3_closed_form_oracle_equivalence():
     trajectory = synthesize_trajectory("corner", 200)
-    injection = InjectionConfig(true_params=TRUE_PARAMS, noise_sigma_ref=0.0,
-                                noise_sigma_other=0.0, rng_seed=MASTER_SEED)
+    injection = InjectionConfig(true_params=TRUE_PARAMS, noise_sigma_total=0.0,
+                                rng_seed=MASTER_SEED)
     d, r, inputs = one_run(trajectory, injection)
     *_, (means, _) = filter_runs(BODY_MAP, reference_ukf_config(), d, r, inputs)
     terminal = means[0]
@@ -239,12 +238,12 @@ def test_criterion_5_linear_kf_equivalence():
         rng = np.random.default_rng(seed)
         cfg = UkfConfig(process_noise=0.1 * np.eye(2), initial_mean=np.zeros(2),
                         initial_covariance=10.0 * np.eye(2))
-        d, r, inputs = np.empty((1, 100, 2)), np.empty((100, 2, 2)), []
+        d, r = np.empty((1, 100, 2)), np.empty((100, 2, 2))
         for k in range(100):
             d[0, k] = rng.normal(size=2) * 5.0
             r[k] = np.diag(rng.uniform(0.01, 0.5, 2))
-            inputs.append(KinematicInput(t=float(k), heading=0.0,
-                                         ref_position=np.zeros(2)))
+        inputs = KinematicInput(t=np.arange(100.0), heading=np.zeros(100),
+                                ref_position=np.zeros((100, 2)), heading_rate=np.zeros(100))
         mean = cfg.initial_mean.copy()
         cov = cfg.initial_covariance.copy()
         for k, (means, covs) in enumerate(filter_runs(model, cfg, d, r, inputs)):
@@ -262,8 +261,7 @@ def test_criterion_5_linear_kf_equivalence():
 def test_criterion_6_covariance_composition():
     n = 10_000
     trajectory = synthesize_trajectory("straight", n)
-    injection = InjectionConfig.with_total_sigma(TRUE_PARAMS, TOTAL_SIGMA_M,
-                                                 rng_seed=MASTER_SEED)
+    injection = InjectionConfig(TRUE_PARAMS, TOTAL_SIGMA_M, rng_seed=MASTER_SEED)
     d, r, inputs = one_run(trajectory, injection)
     r_inv = np.linalg.inv(r[0])
     residuals = d[0] - BODY_MAP.evaluate(TRUE_PARAMS, inputs)

@@ -1,7 +1,5 @@
 import re
-from collections.abc import Sequence
 from dataclasses import fields, replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,6 +21,17 @@ from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajec
 def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
     return KinematicInput(t=t, heading=angle, heading_rate=rate,
                           ref_position=np.asarray(position, dtype=float))
+
+
+def series(samples):
+    """The single samples ``samples``, in order, stacked into one series:
+    the form ``filter_runs`` takes its inputs in."""
+    samples = list(samples)
+    return KinematicInput(
+        t=[u.t for u in samples], heading=[u.heading for u in samples],
+        heading_rate=[u.heading_rate for u in samples],
+        ref_position=np.stack([u.ref_position for u in samples], axis=-2) if samples
+        else np.zeros((0, 2)))
 
 
 def make_config(dim, q=0.1, p0=10.0, x0=None, **kwargs):
@@ -107,7 +116,7 @@ def gated_priors(model, cfg, n_steps):
     d = np.full((1, n_steps, 2), 1e6)
     r = np.tile(0.01 * np.eye(2), (n_steps, 1, 1))
     gated = replace(cfg, mahalanobis_gate=3.0)
-    steps = list(filter_runs(model, gated, d, r, [make_input()] * n_steps))
+    steps = list(filter_runs(model, gated, d, r, series([make_input()] * n_steps)))
     for means, _ in steps:
         np.testing.assert_array_equal(means[0], cfg.initial_mean)
     return [covs[0] for _, covs in steps]
@@ -243,7 +252,7 @@ class TestCovarianceCheck:
         model = CompositeModel(components=(body_offset(), map_translation()))
         cfg = make_config(4)
         d = np.random.default_rng(16).normal(size=(2, 3, 2))
-        inputs = [make_input(angle=a) for a in (0.0, 0.4, 0.8)]
+        inputs = series(make_input(angle=a) for a in (0.0, 0.4, 0.8))
         r = np.tile(0.04 * NEARLY_SYMMETRIC, (3, 1, 1))
         sym = (r + np.swapaxes(r, 1, 2)) / 2.0
         for (m1, c1), (m2, c2) in zip(filter_runs(model, cfg, d, r, inputs),
@@ -261,7 +270,7 @@ class TestCovarianceCheck:
         with pytest.raises(NotPSD, match="^R must be finite$"):
             next(filter_runs(CompositeModel(components=(map_translation(),)),
                              make_config(2), np.zeros((1, 1, 2)), bad[None],
-                             [make_input()]))
+                             series([make_input()])))
 
 
 class TestDiagonalShiftVerdict:
@@ -303,7 +312,8 @@ class TestDiagonalShiftVerdict:
 
             monkeypatch.setattr(estimator, "_update", posterior_at)
             steps = filter_runs(model, make_config(3), np.zeros((n_runs, 1, 2)),
-                                0.04 * np.eye(2)[None], [make_input(position=(5.0, 2.0))])
+                                0.04 * np.eye(2)[None],
+                                series([make_input(position=(5.0, 2.0))]))
             if expected is None:
                 _, covs = next(steps)
                 np.testing.assert_array_equal(covs[-1], at)
@@ -483,7 +493,7 @@ class TestUpdate:
         for k in range(20):
             d[k] = rng.normal(size=2) * 3.0
             r[k] = random_psd(rng, 2, 0.05)
-        means, covs = filter_one(model, cfg, d, r, [make_input()] * 20)
+        means, covs = filter_one(model, cfg, d, r, series([make_input()] * 20))
         mean_kf = cfg.initial_mean.copy()
         cov_kf = cfg.initial_covariance.copy()
         for k in range(20):
@@ -497,14 +507,15 @@ class TestUpdate:
         cfg = make_config(4, x0=[2.0, 1.0, 3.0, 2.0])
         u = make_input(angle=0.6)
         predicted = model.evaluate(cfg.initial_mean, u)
-        (mean,), _ = filter_one(model, cfg, predicted[None], 0.04 * np.eye(2)[None], [u])
+        (mean,), _ = filter_one(model, cfg, predicted[None], 0.04 * np.eye(2)[None],
+                                series([u]))
         np.testing.assert_allclose(mean, cfg.initial_mean, atol=1e-9)
 
     def test_dimension_mismatch(self):
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(4)
         with pytest.raises(DimensionMismatch):
-            filter_one(model, cfg, np.zeros((1, 2)), np.eye(2)[None], [make_input()])
+            filter_one(model, cfg, np.zeros((1, 2)), np.eye(2)[None], series([make_input()]))
 
     def test_posterior_psd_under_fuzz(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
@@ -515,7 +526,8 @@ class TestUpdate:
                             initial_covariance=random_psd(rng, 4, 5.0))
             u = make_input(angle=rng.uniform(-np.pi, np.pi))
             d = rng.normal(size=2) * 5.0
-            _, (cov,) = filter_one(model, cfg, d[None], random_psd(rng, 2, 0.1)[None], [u])
+            _, (cov,) = filter_one(model, cfg, d[None], random_psd(rng, 2, 0.1)[None],
+                                   series([u]))
             eigvals = np.linalg.eigvalsh(cov)
             assert eigvals.min() >= -1e-9 * max(np.trace(cov), 1.0)
 
@@ -523,7 +535,7 @@ class TestUpdate:
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
         (mean,), (cov,) = filter_one(model, cfg, [[100.0, 100.0]], 0.01 * np.eye(2)[None],
-                                     [make_input()])
+                                     series([make_input()]))
         np.testing.assert_array_equal(mean, cfg.initial_mean)
         np.testing.assert_array_equal(cov, cfg.initial_covariance)
 
@@ -555,7 +567,7 @@ class TestInverse2x2:
         cfg = make_config(2, q=0.0, p0=0.0)
         with pytest.raises(FilterStepError,
                            match="^step 0: innovation covariance is singular$") as excinfo:
-            filter_one(model, cfg, np.ones((1, 2)), np.ones((1, 2, 2)), [make_input()])
+            filter_one(model, cfg, np.ones((1, 2)), np.ones((1, 2, 2)), series([make_input()]))
         assert isinstance(excinfo.value.__cause__, NotPSD)
 
 
@@ -601,10 +613,10 @@ class TestFilterRuns:
         cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
         d = np.array([[[100.0, 100.0]], [[0.5, -0.5]]])   # runs x steps x 2
         r = 0.01 * np.eye(2)[None]
-        (means, covs), = filter_runs(model, cfg, d, r, [make_input()])
+        (means, covs), = filter_runs(model, cfg, d, r, series([make_input()]))
         np.testing.assert_array_equal(means[0], cfg.initial_mean)
         np.testing.assert_array_equal(covs[0], cfg.initial_covariance)
-        (alone_mean,), (alone_cov,) = filter_one(model, cfg, d[1], r, [make_input()])
+        (alone_mean,), (alone_cov,) = filter_one(model, cfg, d[1], r, series([make_input()]))
         np.testing.assert_allclose(means[1], alone_mean, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(covs[1], alone_cov, rtol=0.0, atol=1e-12)
 
@@ -616,7 +628,7 @@ class TestFilterRuns:
         u = make_input(angle=0.7, position=(20.0, 5.0))
         d = rng.normal(size=(3, 1, 2))
         r = random_psd(rng, 2, 0.1)[None]
-        (means, covs), = filter_runs(model, cfg, d, r, [u])
+        (means, covs), = filter_runs(model, cfg, d, r, series([u]))
         for run in range(3):
             alone = _update(cfg.initial_mean[None], cfg.initial_covariance[None],
                             d[run], r[0], u, model, cfg, _sigma_weights(3))
@@ -629,27 +641,41 @@ class TestFilterRuns:
         r = np.array([np.eye(2), np.diag([1.0, -1.0])])
         with pytest.raises(NotPSD):
             list(filter_runs(model, cfg, np.zeros((1, 2, 2)), r,
-                             [make_input(), make_input()]))
+                             series([make_input()] * 2)))
 
 
     def test_rejects_differences_without_run_axis(self):
         model = CompositeModel(components=(map_translation(),))
         with pytest.raises(DimensionMismatch, match=r"d must have shape \(B, N, 2\)"):
             list(filter_runs(model, make_config(2), np.zeros((2, 2)),
-                             np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
+                             np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 2)))
 
     def test_rejects_covariances_shorter_than_differences(self):
         model = CompositeModel(components=(map_translation(),))
         with pytest.raises(DimensionMismatch, match=r"r must have shape \(3, 2, 2\)"):
             list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
-                             np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 3))
+                             np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 3)))
 
     @pytest.mark.parametrize("n_inputs", [2, 4])
     def test_rejects_input_count_mismatch(self, n_inputs):
         model = CompositeModel(components=(map_translation(),))
-        with pytest.raises(DimensionMismatch, match=f"must hold 3 .* got {n_inputs}"):
+        message = (rf"^inputs\.ref_position must have shape \(3, 2\) or \(1, 3, 2\) for the "
+                   rf"3 steps and 1 runs of d, got \({n_inputs}, 2\)$")
+        with pytest.raises(DimensionMismatch, match=message):
             list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
-                             np.tile(np.eye(2), (3, 1, 1)), [make_input()] * n_inputs))
+                             np.tile(np.eye(2), (3, 1, 1)), series([make_input()] * n_inputs)))
+
+    @pytest.mark.parametrize("inputs, kind", [
+        ([make_input()] * 2, "list"), (tuple([make_input()] * 2), "tuple"),
+        (make_input(), "a single sample")], ids=["list", "tuple", "sample"])
+    def test_inputs_other_than_a_series_are_refused(self, inputs, kind):
+        # the one input form is a series, whose positions are checked once
+        model = CompositeModel(components=(map_translation(),))
+        steps = filter_runs(model, make_config(2), np.zeros((1, 2, 2)),
+                            np.tile(np.eye(2), (2, 1, 1)), inputs)
+        with pytest.raises(TypeError, match=f"^inputs must be a KinematicInput series, "
+                                            f"got {kind}$"):
+            next(steps)
 
     def test_rejects_initial_state_of_another_dimension(self):
         # a 5-parameter model with a 4-dimensional initial state failed at step 0
@@ -659,44 +685,32 @@ class TestFilterRuns:
         cfg = make_config(4)
         message = "initial state dimension 4 does not match model state dimension 5"
         with pytest.raises(DimensionMismatch, match=message):
-            next(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)), []))
+            next(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)), series([])))
         with pytest.raises(DimensionMismatch, match=message):
             next(filter_runs(model, cfg, np.zeros((1, 2, 2)),
-                             np.tile(np.eye(2), (2, 1, 1)), [make_input()] * 2))
+                             np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 2)))
 
     @pytest.mark.parametrize("components", [(body_offset(), map_translation()),
                                             (map_rotation(pivot=(3.0, -1.0)),)])
     def test_rejects_positions_for_another_number_of_runs(self, components):
         # body + map filtered positions for 3 runs against d for 2 without
-        # complaint, and a rotation failed at step 0 with a broadcast error;
-        # a list's samples were never checked
+        # complaint, and a rotation failed at step 0 with a broadcast error
         model = CompositeModel(components=components)
         cfg = make_config(model.state_dim)
-        series = synthesize_trajectory("corner", 40)
+        corner = synthesize_trajectory("corner", 40)
         d, r = np.zeros((2, 40, 2)), np.tile(0.04 * np.eye(2), (40, 1, 1))
 
         def with_positions(positions):
-            return KinematicInput(t=series.t, heading=series.heading,
-                                  heading_rate=series.heading_rate, ref_position=positions)
+            return KinematicInput(t=corner.t, heading=corner.heading,
+                                  heading_rate=corner.heading_rate, ref_position=positions)
 
-        def message(step):
-            return (rf"^step {step}: ref_position must have shape \(2,\) or \(2, 2\), "
-                    rf"got \(3, 2\)$")
-
-        three_runs = with_positions(np.tile(series.ref_position, (3, 1, 1)))
-        for inputs in (three_runs, list(three_runs)):
-            with pytest.raises(DimensionMismatch, match=message(0)):
-                next(filter_runs(model, cfg, d, r, inputs))
-        samples = list(series)
-        samples[5] = three_runs[5]
-        steps = filter_runs(model, cfg, d, r, samples)
-        assert len(list(islice(steps, 5))) == 5
-        with pytest.raises(DimensionMismatch, match=message(5)):
-            next(steps)
-        for positions in (series.ref_position, np.tile(series.ref_position, (2, 1, 1))):
+        message = (r"^inputs\.ref_position must have shape \(40, 2\) or \(2, 40, 2\) for "
+                   r"the 40 steps and 2 runs of d, got \(3, 40, 2\)$")
+        with pytest.raises(DimensionMismatch, match=message):
+            next(filter_runs(model, cfg, d, r,
+                             with_positions(np.tile(corner.ref_position, (3, 1, 1)))))
+        for positions in (corner.ref_position, np.tile(corner.ref_position, (2, 1, 1))):
             assert len(list(filter_runs(model, cfg, d, r, with_positions(positions)))) == 40
-            assert len(list(filter_runs(model, cfg, d, r,
-                                        list(with_positions(positions))))) == 40
 
     def test_inputs_are_fetched_one_step_at_a_time(self, monkeypatch):
         # building every step's input before step 0 held them all for the
@@ -708,29 +722,16 @@ class TestFilterRuns:
             return _original(cls, **fields)
 
         monkeypatch.setattr(error_models, "_trusted", trusted)
-
-        class Counting(Sequence):
-            def __init__(self, series):
-                self.series, self.fetched = series, 0
-
-            def __len__(self):
-                return len(self.series)
-
-            def __getitem__(self, k):
-                self.fetched += 1
-                return self.series[k]
-
         n = 6
-        inputs = Counting(KinematicInput(t=np.arange(float(n)), heading=np.linspace(0.0, 1.0, n),
-                                         ref_position=np.zeros((n, 2)), heading_rate=np.zeros(n)))
+        inputs = KinematicInput(t=np.arange(float(n)), heading=np.linspace(0.0, 1.0, n),
+                                ref_position=np.zeros((n, 2)), heading_rate=np.zeros(n))
         model = CompositeModel(components=(body_offset(), map_translation()))
         steps = filter_runs(model, make_config(4), np.ones((2, n, 2)),
                             np.tile(0.04 * np.eye(2), (n, 1, 1)), inputs)
+        # each step builds its own sample, one object with no nested heading object
         for k, _ in enumerate(steps):
-            assert inputs.fetched <= k + 1
-        assert inputs.fetched == n
-        # each step's sample is one object, with no nested heading object
-        assert built == ["KinematicInput"] * n
+            assert built == ["KinematicInput"] * (k + 1)
+        assert len(built) == n
 
     def test_indefinite_prior_fails_its_step(self):
         # Q (set past validation) drives the second coordinate's prior
@@ -741,7 +742,7 @@ class TestFilterRuns:
         object.__setattr__(cfg, "process_noise", np.diag([0.1, -0.3]))
         d = np.zeros((2, 2, 2))
         r = np.tile(0.04 * np.eye(2), (2, 1, 1))
-        steps = filter_runs(model, cfg, d, r, [make_input()] * 2)
+        steps = filter_runs(model, cfg, d, r, series([make_input()] * 2))
         _, covs = next(steps)
         expected = eigvalsh_verdict(covs + cfg.process_noise)
         assert expected is not None
@@ -769,7 +770,7 @@ class TestFilterRuns:
         monkeypatch.setattr(estimator, "_update", corrupted)
         model = CompositeModel(components=(map_translation(),))
         steps = filter_runs(model, make_config(2), np.zeros((1, 1, 2)),
-                            0.04 * np.eye(2)[None], [make_input()])
+                            0.04 * np.eye(2)[None], series([make_input()]))
         with pytest.raises(FilterStepError, match=f"^step 0: {message}$"):
             next(steps)
 
@@ -782,13 +783,13 @@ class TestRunFilter:
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2)
         assert list(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)),
-                                [])) == []
+                                series([]))) == []
 
     def test_single_observation_moves_toward_difference(self):
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.0, p0=10.0)
         means, _ = filter_one(model, cfg, [[3.0, 2.0]], 0.04 * np.eye(2)[None],
-                              [make_input()])
+                              series([make_input()]))
         assert len(means) == 1
         gain = 10.0 / (10.0 + 0.04)
         np.testing.assert_allclose(means[0], gain * np.array([3.0, 2.0]), rtol=1e-9)
@@ -803,7 +804,7 @@ class TestRunFilter:
                 d[k] = rng.normal(size=2) * 4.0
                 r[k] = np.diag(rng.uniform(0.01, 0.2, 2))
             means, covs = filter_one(model, cfg, d, r,
-                                     [make_input(t=float(k)) for k in range(100)])
+                                     series(make_input(t=float(k)) for k in range(100)))
             mean = cfg.initial_mean.copy()
             cov = cfg.initial_covariance.copy()
             for k in range(100):
@@ -818,7 +819,7 @@ class TestRunFilter:
         d = np.zeros((3, 2))
         d[2, 0] = np.nan
         with pytest.raises(FilterStepError) as excinfo:
-            filter_one(model, cfg, d, np.tile(np.eye(2), (3, 1, 1)), [make_input()] * 3)
+            filter_one(model, cfg, d, np.tile(np.eye(2), (3, 1, 1)), series([make_input()] * 3))
         assert excinfo.value.step == 2
 
     def test_noiseless_corner_replay_recovers_injected_offsets(self):
@@ -844,8 +845,8 @@ class TestRunFilter:
         for _ in range(100):
             true = rng.normal(size=4) * 3.0
             cfg = make_config(4, q=0.1, p0=10.0)
-            inputs = [make_input(angle=float(ang), t=float(k))
-                      for k, ang in enumerate(angles)]
+            inputs = series(make_input(angle=float(ang), t=float(k))
+                            for k, ang in enumerate(angles))
             d = np.array([model.evaluate(true, u) for u in inputs])
             means, _ = filter_one(model, cfg, d, np.tile(0.04 * np.eye(2), (len(d), 1, 1)),
                                   inputs)
@@ -868,7 +869,7 @@ def test_spread_keeps_a_wide_prior_consistent(deformation, value):
         body_offset(), map_translation(), deformation(trajectory.ref_position.mean(axis=0))))
     truth = np.array([2.0, 1.0, 3.0, 2.0, value])
     seeds = [derive_run_seed(20260808, run) for run in range(20)]
-    inputs, p_other, r = inject_runs(trajectory, InjectionConfig.with_total_sigma(truth, 0.2, 0),
+    inputs, p_other, r = inject_runs(trajectory, InjectionConfig(truth, 0.2, 0),
                                      model, seeds)
     *_, (means, covs) = filter_runs(model, make_config(5, q=0.0), inputs.ref_position - p_other,
                                     r, inputs)

@@ -34,8 +34,7 @@ def small_config(n_runs=5, seed=99, n_samples=40, noise=0.2, kind="corner",
         trajectory=SyntheticTrajectory(kind=kind, n_samples=n_samples,
                                        initial_heading=heading),
         model=model,
-        injection=InjectionConfig.with_total_sigma(list(true_params), noise,
-                                                   rng_seed=seed),
+        injection=InjectionConfig(list(true_params), noise, rng_seed=seed),
         ukf=UkfConfig(process_noise=eye * q, initial_mean=np.zeros(dim),
                       initial_covariance=eye * p0),
         n_runs=n_runs,
@@ -424,9 +423,9 @@ class TestConfigValidation:
 
     def test_negative_noise_names_the_config_key(self):
         # the library names its argument, a configuration file its key
-        with pytest.raises(ValueError, match="^total_sigma must be finite and >= 0, "
+        with pytest.raises(ValueError, match="^noise_sigma_total must be finite and >= 0, "
                                              "got -0.1$"):
-            InjectionConfig.with_total_sigma([1.0, 2.0, 3.0, 4.0], -0.1, 1)
+            InjectionConfig([1.0, 2.0, 3.0, 4.0], -0.1, 1)
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["injection"]["noise_sigma_total"] = -0.1
         with pytest.raises(ValueError, match="^injection.noise_sigma_total must be "
@@ -454,7 +453,7 @@ class TestConfigValidation:
                                                     "match model state dimension 4$"):
             ExperimentConfig(
                 trajectory=cfg.trajectory, model=cfg.model,
-                injection=InjectionConfig.with_total_sigma([1.0, 2.0], 0.2, 1),
+                injection=InjectionConfig([1.0, 2.0], 0.2, 1),
                 ukf=cfg.ukf, n_runs=1)
 
     def test_rejects_filter_of_another_dimension(self):
@@ -468,9 +467,7 @@ REAL_SETTINGS = {
         lambda v: replace(small_config(), convergence_threshold=v),
     "mahalanobis_gate":
         lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), mahalanobis_gate=v),
-    "noise_sigma_ref": lambda v: InjectionConfig([1, 2, 3, 4], v, 0.1, 1),
-    "noise_sigma_other": lambda v: InjectionConfig([1, 2, 3, 4], 0.1, v, 1),
-    "total_sigma": lambda v: InjectionConfig.with_total_sigma([1, 2, 3, 4], v, 1),
+    "noise_sigma_total": lambda v: InjectionConfig([1, 2, 3, 4], v, 1),
     "step": lambda v: synthesize_trajectory("corner", 50, step=v),
     "speed": lambda v: synthesize_trajectory("corner", 50, speed=v),
     "initial_heading": lambda v: synthesize_trajectory("corner", 50, initial_heading=v),
@@ -502,7 +499,7 @@ class TestParseConfig:
         cfg = parse_config(json.loads(json.dumps(BASE_CONFIG)))
         assert cfg.n_runs == 3
         assert cfg.model.state_dim == 4
-        assert cfg.injection.noise_sigma_ref == pytest.approx(0.2 / np.sqrt(2))
+        assert cfg.injection.noise_sigma_total == 0.2
         np.testing.assert_allclose(cfg.ukf.process_noise, 0.1 * np.eye(4))
         np.testing.assert_allclose(cfg.ukf.initial_mean, np.zeros(4))
 

@@ -1,5 +1,6 @@
 import inspect
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -377,10 +378,14 @@ class TestSynthesizeTrajectory:
 
 
 class TestInjectErrors:
+    def test_fields_are_the_truth_the_total_noise_and_the_seed(self):
+        # only the total noise reaches the difference, so it is the one level
+        assert [f.name for f in fields(InjectionConfig)] == [
+            "true_params", "noise_sigma_total", "rng_seed"]
+
     def test_noiseless_constant_heading_difference(self):
         trajectory = synthesize_trajectory("straight", 20)
-        cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0],
-                              noise_sigma_ref=0.0, noise_sigma_other=0.0,
+        cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_total=0.0,
                               rng_seed=1)
         p_ref, p_other, _ = inject_one(trajectory, cfg)
         np.testing.assert_allclose(p_ref - p_other, np.tile([5.0, 3.0], (20, 1)),
@@ -389,24 +394,21 @@ class TestInjectErrors:
     def test_noiseless_neutral_parameters_give_zero_difference(self):
         trajectory = synthesize_trajectory("corner", 30)
         cfg = InjectionConfig(true_params=np.zeros(BODY_MAP.state_dim),
-                              noise_sigma_ref=0.0, noise_sigma_other=0.0,
-                              rng_seed=1)
+                              noise_sigma_total=0.0, rng_seed=1)
         p_ref, p_other, _ = inject_one(trajectory, cfg)
         np.testing.assert_allclose(p_ref - p_other, np.zeros((30, 2)), atol=1e-12)
 
     def test_noiseless_difference_matches_model_exactly(self):
         trajectory = synthesize_trajectory("corner", 50)
         true = np.array([2.0, 1.0, 3.0, 2.0])
-        cfg = InjectionConfig(true_params=true, noise_sigma_ref=0.0,
-                              noise_sigma_other=0.0, rng_seed=3)
+        cfg = InjectionConfig(true_params=true, noise_sigma_total=0.0, rng_seed=3)
         p_ref, p_other, u = inject_one(trajectory, cfg)
         np.testing.assert_allclose(p_ref - p_other, BODY_MAP.evaluate(true, u),
                                    atol=1e-12)
 
     def test_deterministic_for_equal_seeds(self):
         trajectory = synthesize_trajectory("straight", 50)
-        cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0],
-                              noise_sigma_ref=0.1, noise_sigma_other=0.1,
+        cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_total=0.2,
                               rng_seed=42)
         a = inject_one(trajectory, cfg)
         b = inject_one(trajectory, cfg)
@@ -415,38 +417,45 @@ class TestInjectErrors:
 
     def test_different_seeds_differ(self):
         trajectory = synthesize_trajectory("straight", 10)
-        base = dict(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_ref=0.1,
-                    noise_sigma_other=0.1)
+        base = dict(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_total=0.2)
         a_ref, a_other, _ = inject_one(trajectory, InjectionConfig(rng_seed=1, **base))
         b_ref, b_other, _ = inject_one(trajectory, InjectionConfig(rng_seed=2, **base))
         assert not np.allclose(a_ref[0] - a_other[0], b_ref[0] - b_other[0])
 
     def test_returns_the_record_that_filter_runs_reads(self):
         # the series carries each run's measured reference positions, and r
-        # the difference covariance at every step
+        # the difference covariance at every step; each localizer draws half
+        # the total variance, the reference localizer first
         trajectory = synthesize_trajectory("corner", 30)
-        cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_ref=0.1,
-                              noise_sigma_other=0.2, rng_seed=0)
+        cfg = InjectionConfig(true_params=[2.0, 1.0, 3.0, 2.0], noise_sigma_total=0.2,
+                              rng_seed=0)
+        per = 0.2 / np.sqrt(2.0)
         seeds = [5, 6, 7]
         inputs, p_other, r = inject_runs(trajectory, cfg, BODY_MAP, seeds)
         assert inputs.ref_position.shape == p_other.shape == (3, 30, 2)
+        displaced = np.broadcast_to(
+            trajectory.ref_position - BODY_MAP.evaluate(cfg.true_params, inputs), (3, 30, 2))
         for i, seed in enumerate(seeds):
-            noise = np.random.default_rng(seed).normal(0.0, 0.1, (30, 2))
+            rng = np.random.default_rng(seed)
+            ref_noise, other_noise = rng.normal(0.0, per, (30, 2)), rng.normal(0.0, per, (30, 2))
             np.testing.assert_array_equal(inputs.ref_position[i],
-                                          trajectory.ref_position + noise)
+                                          trajectory.ref_position + ref_noise)
+            np.testing.assert_array_equal(p_other[i], other_noise + displaced[i])
         np.testing.assert_array_equal(inputs.t, trajectory.t)
         np.testing.assert_array_equal(inputs.heading, trajectory.heading)
-        np.testing.assert_array_equal(r, np.tile((0.1 ** 2 + 0.2 ** 2) * np.eye(2), (30, 1, 1)))
+        np.testing.assert_array_equal(r, np.tile((per ** 2 + per ** 2) * np.eye(2), (30, 1, 1)))
+        # the two halves sum to exactly 0.04, where 0.2 ** 2 does not
+        np.testing.assert_array_equal(r[0], 0.04 * np.eye(2))
 
     def test_observation_covariance_is_sum_of_localizer_variances(self):
-        cfg = InjectionConfig.with_total_sigma([0.0, 0.0], 0.2, rng_seed=0)
+        cfg = InjectionConfig([0.0, 0.0], 0.2, rng_seed=0)
         np.testing.assert_allclose(cfg.observation_covariance(),
                                    0.04 * np.eye(2), rtol=1e-12)
 
     def test_sample_covariance_matches_configured_noise(self):
         trajectory = synthesize_trajectory("straight", 10_000)
         true = np.array([2.0, 1.0, 3.0, 2.0])
-        cfg = InjectionConfig.with_total_sigma(true, 0.2, rng_seed=7)
+        cfg = InjectionConfig(true, 0.2, rng_seed=7)
         p_ref, p_other, u = inject_one(trajectory, cfg)
         residuals = p_ref - p_other - BODY_MAP.evaluate(true, u)
         sample_cov = np.cov(residuals.T)
@@ -454,30 +463,23 @@ class TestInjectErrors:
 
     def test_dimension_mismatch(self):
         trajectory = synthesize_trajectory("straight", 5)
-        cfg = InjectionConfig(true_params=[1.0, 2.0], noise_sigma_ref=0.0,
-                              noise_sigma_other=0.0, rng_seed=0)
+        cfg = InjectionConfig(true_params=[1.0, 2.0], noise_sigma_total=0.0, rng_seed=0)
         with pytest.raises(DimensionMismatch):
             inject_one(trajectory, cfg)
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            InjectionConfig(true_params=[0.0], noise_sigma_ref=-0.1,
-                            noise_sigma_other=0.0, rng_seed=0)
+        with pytest.raises(ValueError,
+                           match=r"^noise_sigma_total must be finite and >= 0, got -0\.1$"):
+            InjectionConfig(true_params=[0.0], noise_sigma_total=-0.1, rng_seed=0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_settings_naming_the_field(self, value):
         # a non-finite setting failed only when the runs started
-        base = dict(true_params=[1.0, 2.0], noise_sigma_ref=0.1,
-                    noise_sigma_other=0.1, rng_seed=0)
+        base = dict(true_params=[1.0, 2.0], noise_sigma_total=0.2, rng_seed=0)
         with pytest.raises(ValueError, match="^true_params must be finite, got "):
             InjectionConfig(**dict(base, true_params=[1.0, value]))
-        for name in ("noise_sigma_ref", "noise_sigma_other"):
-            with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got "):
-                InjectionConfig(**dict(base, **{name: value}))
-        with pytest.raises(ValueError, match="^total_sigma must be finite and >= 0, got "):
-            InjectionConfig.with_total_sigma([1.0, 2.0], value, rng_seed=0)
-        with pytest.raises(ValueError, match="^true_params must be finite, got "):
-            InjectionConfig.with_total_sigma([value, 2.0], 0.2, rng_seed=0)
+        with pytest.raises(ValueError, match="^noise_sigma_total must be finite and >= 0, got "):
+            InjectionConfig(**dict(base, noise_sigma_total=value))
         with pytest.raises(ValueError, match="^seed must be an integer, got "):
             InjectionConfig(**dict(base, rng_seed=value))
 
@@ -485,9 +487,9 @@ class TestInjectErrors:
     def test_seed_must_be_an_integer(self, seed):
         # 2.5 ran as seed 2, and "7" failed comparing a string with 0
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
-            InjectionConfig.with_total_sigma([1.0, 2.0], 0.2, rng_seed=seed)
+            InjectionConfig([1.0, 2.0], 0.2, rng_seed=seed)
 
     def test_integral_float_seed_is_the_int(self):
-        cfg = InjectionConfig.with_total_sigma([1.0, 2.0], 0.2, rng_seed=7.0)
+        cfg = InjectionConfig([1.0, 2.0], 0.2, rng_seed=7.0)
         assert cfg.rng_seed == 7 and type(cfg.rng_seed) is int
 
