@@ -26,8 +26,10 @@ A simulated data file is comma-separated text, one step per line under a
 positions in ``ref_position`` (N, 2), the other localizer's positions
 (N, 2) and diagonal measurement covariances (N, 2, 2).  The file commands
 pass it as arrays: ``simulate`` writes one run of ``inject_runs``,
-``filter`` hands it to ``filter_runs`` and ``oracle`` makes one
-``closed_form_decomposition`` call over the turning steps.
+``filter`` hands ``filter_runs`` the differences ``inputs.ref_position -
+p_other`` along with ``r`` and ``inputs``, and ``oracle`` makes one
+``closed_form_decomposition`` call over the turning steps of those
+differences.
 """
 
 from __future__ import annotations

@@ -143,14 +143,6 @@ class MseSeries:
     n_runs: int
 
     @property
-    def n_steps(self) -> int:
-        return self.mse.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.mse.shape[1]
-
-    @property
     def final_mse(self) -> np.ndarray:
         return self.mse[-1]
 
@@ -231,7 +223,10 @@ def write_table(path, table, header: str, comments: str = "") -> Path:
     header line, creating the parent directory; step indices print as integers."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, table, fmt=FLOAT_FORMAT, delimiter=",", header=header, comments=comments)
+    # a stream, not the path: savetxt would truncate the file, then reopen it
+    with open(path, "w", encoding="utf-8") as stream:
+        np.savetxt(stream, table, fmt=FLOAT_FORMAT, delimiter=",", header=header,
+                   comments=comments)
     return path
 
 
@@ -246,22 +241,22 @@ def emit_results(series: MseSeries, out_dir,
     digits), so identical series produce identical bytes.
     """
     convergence_threshold = _threshold(convergence_threshold)
-    if series.n_steps == 0:
+    n_steps, dim = series.mse.shape
+    if n_steps == 0:
         raise ValueError("cannot emit an empty series")
     if not str(out_dir):
         raise OSError("output path is empty")
     out_dir = Path(out_dir)
 
-    dim = series.state_dim
     header = (["step"] + [f"mse_x{j + 1}" for j in range(dim)]
               + [f"mean_x{j + 1}" for j in range(dim)])
     table_path = write_table(out_dir / "mse.csv", np.column_stack(
-        [np.arange(series.n_steps), series.mse, series.mean]), ",".join(header))
+        [np.arange(n_steps), series.mse, series.mean]), ",".join(header))
 
     summary_path = out_dir / "summary.txt"
     out = [
         f"runs = {series.n_runs}",
-        f"steps = {series.n_steps}",
+        f"steps = {n_steps}",
         f"state_dim = {dim}",
         f"convergence_threshold_m2 = {_fmt(convergence_threshold)}",
         "true_params = " + ",".join(_fmt(v) for v in series.true_params),

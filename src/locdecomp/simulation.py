@@ -224,28 +224,27 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: Composi
     The reference localizer reports the true position plus its noise; the
     other localizer reports the true position displaced by the model output
     at the true parameters, evaluated at that (measured) reference position,
-    plus its own noise.  Run ``i`` draws its reference noise (N, 2), then its
-    other noise (N, 2), each of per-axis sigma ``cfg.noise_sigma_total /
-    sqrt(2)``, from ``default_rng(seeds[i])``, so a seed reproduces
-    bit-identical outputs in any batch.  Returns the record ``(inputs,
-    p_other, r)`` that :func:`~locdecomp.estimator.filter_runs` reads: the
-    series with the reference positions (runs, N, 2) in ``ref_position``,
-    the other localizer's positions (runs, N, 2) and the measurement
-    covariances (N, 2, 2), a read-only view of
-    :meth:`InjectionConfig.observation_covariance` at every step.
+    plus its own noise.  Run ``i`` makes one draw (2, N, 2) of per-axis
+    sigma ``cfg.noise_sigma_total / sqrt(2)`` from ``default_rng(seeds[i])``:
+    its first half is the reference noise, its second the other noise, so a
+    seed reproduces bit-identical outputs in any batch.  Returns the record
+    ``(inputs, p_other, r)``: the series with the reference positions
+    (runs, N, 2) in ``ref_position``, the other localizer's positions
+    (runs, N, 2) and the measurement covariances (N, 2, 2), a read-only view
+    of :meth:`InjectionConfig.observation_covariance` at every step.
+    :func:`~locdecomp.estimator.filter_runs` reads the differences
+    ``inputs.ref_position - p_other`` along with ``r`` and ``inputs``.
     """
     if cfg.true_params.shape != (model.state_dim,):
         raise DimensionMismatch(
             f"true_params has shape {cfg.true_params.shape}, model expects "
             f"({model.state_dim},)")
     n = len(trajectory)
-    p_ref = np.empty((len(seeds), n, 2))
-    p_other = np.empty((len(seeds), n, 2))
+    noise = np.empty((2, len(seeds), n, 2))
     per = cfg.noise_sigma_total / np.sqrt(2.0)
     for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        p_ref[i] = rng.normal(0.0, per, (n, 2))
-        p_other[i] = rng.normal(0.0, per, (n, 2))
+        noise[:, i] = np.random.default_rng(seed).normal(0.0, per, (2, n, 2))
+    p_ref, p_other = noise
     p_ref += trajectory.ref_position
     inputs = replace(trajectory, ref_position=p_ref)
     p_other += trajectory.ref_position - model.evaluate(cfg.true_params, inputs)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -68,9 +71,7 @@ def corner_centroid(n_samples):
 class TestRunExperiment:
     def test_series_shape_matches_trajectory(self):
         series = run_experiment(small_config())
-        assert series.n_steps == 40
-        assert series.state_dim == 4
-        assert series.mse.shape == series.mean.shape == series.variance.shape
+        assert series.mse.shape == series.mean.shape == series.variance.shape == (40, 4)
 
     def test_initial_mse_is_squared_initial_error(self):
         series = run_experiment(small_config())
@@ -413,6 +414,31 @@ class TestEmitResults:
         assert flags == [f"converged = {expected}"]
 
 
+@pytest.mark.parametrize("comments", ["", "# "])
+def test_write_table_writes_the_bytes_of_savetxt_to_a_path(tmp_path, comments):
+    # in a fresh interpreter, where nothing has imported gzip yet: given the
+    # path, savetxt reopens the file through numpy's datasource, which does
+    script = """if True:
+        import sys
+        import numpy as np
+        from locdecomp.harness import FLOAT_FORMAT, write_table
+        table = np.column_stack([np.arange(200), -1.5 * np.sqrt(np.arange(1600.0)).reshape(200, 8)])
+        header, comments = ",".join(f"c{j}" for j in range(9)), sys.argv[3]
+        write_table(sys.argv[1], table, header, comments)
+        assert "gzip" not in sys.modules, "write_table imported gzip"
+        np.savetxt(sys.argv[2], table, fmt=FLOAT_FORMAT, delimiter=",", header=header,
+                   comments=comments)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    streamed, saved = tmp_path / "streamed.csv", tmp_path / "saved.csv"
+    proc = subprocess.run([sys.executable, "-c", script, str(streamed), str(saved), comments],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert streamed.read_bytes() == saved.read_bytes()
+    assert streamed.read_text().startswith(f"{comments}c0,c1,")
+
+
 class TestConfigValidation:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="^n_runs must be >= 1, got 0$"):
@@ -599,7 +625,7 @@ class TestParseConfig:
         cfg = load_config(config_path)
         trace.unlink()
         result = run_experiment(cfg)
-        assert result.n_steps == 50
+        assert result.mse.shape[0] == 50
         np.testing.assert_array_equal(cfg.trajectory.series.ref_position,
                                       series.ref_position)
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locdecomp.cli import DATA_COLUMNS, read_data_file
-from locdecomp.error_models import CompositeModel, body_offset, map_translation
+from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
+                                    map_translation)
 from locdecomp.exceptions import DimensionMismatch, ParseError
 from locdecomp.frames import normalize_angle
 from locdecomp.simulation import (InjectionConfig, inject_runs, load_trajectory,
@@ -446,6 +447,25 @@ class TestInjectErrors:
         np.testing.assert_array_equal(r, np.tile((per ** 2 + per ** 2) * np.eye(2), (30, 1, 1)))
         # the two halves sum to exactly 0.04, where 0.2 ** 2 does not
         np.testing.assert_array_equal(r[0], 0.04 * np.eye(2))
+
+    def test_a_run_draws_both_noises_in_one_draw(self):
+        # zero positions and a zero map translation leave the bare noise: the
+        # two halves of one (2, N, 2) draw, the reference localizer's first,
+        # in a batch and for each run alone
+        n, sigma, seeds = 30, 0.2, [5, 6, 7]
+        trajectory = KinematicInput(t=np.arange(n, dtype=float), heading=np.zeros(n),
+                                    ref_position=np.zeros((n, 2)), heading_rate=np.zeros(n))
+        model = CompositeModel(components=(map_translation(),))
+        cfg = InjectionConfig(true_params=[0.0, 0.0], noise_sigma_total=sigma, rng_seed=0)
+        inputs, p_other, _ = inject_runs(trajectory, cfg, model, seeds)
+        for i, seed in enumerate(seeds):
+            ref_noise, other_noise = np.random.default_rng(seed).normal(
+                0.0, sigma / np.sqrt(2.0), (2, n, 2))
+            alone, alone_other, _ = inject_runs(trajectory, cfg, model, [seed])
+            for ref, other in ((inputs.ref_position[i], p_other[i]),
+                               (alone.ref_position[0], alone_other[0])):
+                np.testing.assert_array_equal(ref, ref_noise)
+                np.testing.assert_array_equal(other, other_noise)
 
     def test_observation_covariance_is_sum_of_localizer_variances(self):
         cfg = InjectionConfig([0.0, 0.0], 0.2, rng_seed=0)
