@@ -41,7 +41,6 @@ import numpy as np
 
 from .error_models import CompositeModel, KinematicInput
 from .exceptions import DimensionMismatch, FilterStepError, NotPSD
-from .frames import as_real
 
 SYM_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -103,15 +102,11 @@ class UkfConfig:
 
     The sigma-point spread is fixed (``ALPHA``, ``BETA``, ``KAPPA``: the
     standard scaled unscented transform of Wan and van der Merwe, 2000).
-    ``mahalanobis_gate`` optionally skips updates whose normalized
-    innovation exceeds the gate (off by default; the simulated pipelines
-    have no outliers).
     """
 
     process_noise: np.ndarray
     initial_mean: np.ndarray
     initial_covariance: np.ndarray
-    mahalanobis_gate: float | None = None
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.initial_mean, dtype=float))
@@ -123,10 +118,6 @@ class UkfConfig:
         object.__setattr__(self, "initial_mean", mean)
         for name in ("initial_covariance", "process_noise"):
             object.__setattr__(self, name, _check_covariance(getattr(self, name), name, n))
-        gate = self.mahalanobis_gate
-        if gate is not None and not 0.0 < as_real(gate, "mahalanobis_gate") < np.inf:
-            raise ValueError(f"mahalanobis_gate must be None or a finite value above 0, "
-                             f"got {gate}")
 
 
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
@@ -183,8 +174,7 @@ def _inverse_2x2(s: np.ndarray) -> np.ndarray:
 
 
 def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
-            u: KinematicInput, model: CompositeModel, cfg: UkfConfig,
-            weights) -> tuple[np.ndarray, np.ndarray]:
+            u: KinematicInput, model: CompositeModel, weights) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means (B, n) and covariances (B, n, n) from prior ``means``
     and ``priors`` after differences (B, 2) of covariance ``r``.  The
     sigma-major points (2n+1, B, n) deviate from the mean by 0 and
@@ -202,17 +192,10 @@ def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
     pair_diff = (outputs[1:n + 1] - outputs[n + 1:]).swapaxes(0, 1)   # (B, n, 2)
     cross_cov = wc[1] * (spread @ pair_diff)
     innovation = d - predicted
-    innov_inv = _inverse_2x2(innov_cov)
-    gain = cross_cov @ innov_inv
+    gain = cross_cov @ _inverse_2x2(innov_cov)
     posterior_means = means + (gain @ innovation[:, :, None])[:, :, 0]
     posterior_covs = priors - gain @ cross_cov.swapaxes(1, 2)
-    posterior_covs = (posterior_covs + posterior_covs.swapaxes(1, 2)) / 2.0
-    if cfg.mahalanobis_gate is not None:
-        whitened = (innov_inv @ innovation[:, :, None])[:, :, 0]
-        gated = np.sum(innovation * whitened, axis=1) > cfg.mahalanobis_gate ** 2
-        posterior_means = np.where(gated[:, None], means, posterior_means)
-        posterior_covs = np.where(gated[:, None, None], priors, posterior_covs)
-    return posterior_means, posterior_covs
+    return posterior_means, (posterior_covs + posterior_covs.swapaxes(1, 2)) / 2.0
 
 
 def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
@@ -259,7 +242,7 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     for step in range(n_steps):
         try:
             means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],
-                                  inputs[step], model, cfg, weights)
+                                  inputs[step], model, weights)
             if not np.isfinite(means).all():
                 raise ValueError("mean must be finite")
             if not np.isfinite(covs).all():

@@ -415,9 +415,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         process_noise=_as_matrix(filt_raw["process_noise"], dim, "process_noise"),
         initial_mean=x0,
         initial_covariance=_as_matrix(filt_raw["initial_covariance"], dim,
-                                      "initial_covariance"),
-        mahalanobis_gate=(as_real(filt_raw["mahalanobis_gate"], "filter.mahalanobis_gate")
-                          if filt_raw.get("mahalanobis_gate") is not None else None))
+                                      "initial_covariance"))
 
     n_runs = as_count(raw.get("runs", 1), "runs")
     if n_runs < 1:

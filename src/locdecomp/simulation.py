@@ -69,11 +69,6 @@ class InjectionConfig:
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
-    def observation_covariance(self) -> np.ndarray:
-        per = self.noise_sigma_total / np.sqrt(2.0)
-        # the two variances as drawn: 0.2 ** 2 would read 0.04000000000000001
-        return (per ** 2 + per ** 2) * np.eye(2)
-
 
 def read_table(source, columns, optional: int = 0, decimal_point: bool = False):
     """Read a comma-separated table of finite floats from a path or an open
@@ -231,7 +226,7 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: Composi
     ``(inputs, p_other, r)``: the series with the reference positions
     (runs, N, 2) in ``ref_position``, the other localizer's positions
     (runs, N, 2) and the measurement covariances (N, 2, 2), a read-only view
-    of :meth:`InjectionConfig.observation_covariance` at every step.
+    of the sum of the two drawn variances at every step.
     :func:`~locdecomp.estimator.filter_runs` reads the differences
     ``inputs.ref_position - p_other`` along with ``r`` and ``inputs``.
     """
@@ -248,5 +243,6 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: Composi
     p_ref += trajectory.ref_position
     inputs = replace(trajectory, ref_position=p_ref)
     p_other += trajectory.ref_position - model.evaluate(cfg.true_params, inputs)
-    r = np.broadcast_to(cfg.observation_covariance(), (n, 2, 2))
+    # the two variances as drawn: 0.2 ** 2 would read 0.04000000000000001
+    r = np.broadcast_to((per ** 2 + per ** 2) * np.eye(2), (n, 2, 2))
     return inputs, p_other, r

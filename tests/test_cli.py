@@ -458,16 +458,6 @@ class TestInputErrors:
         assert err.startswith("locdecomp experiment: ") and "negative eigenvalue" in err
         assert len(err.splitlines()) == 1
 
-    def test_meaningless_mahalanobis_gate(self, tmp_path, capsys):
-        # a gate of 0 would skip every update
-        config = write_config(tmp_path, filter={"process_noise": 0.1,
-                                                "initial_covariance": 10.0,
-                                                "mahalanobis_gate": 0.0})
-        assert main(["experiment", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("locdecomp experiment: mahalanobis_gate must be")
-        assert len(err.splitlines()) == 1
-
     @pytest.mark.parametrize("command", [
         ["simulate"], ["filter", "--data", "data.csv"], ["experiment", "--runs", "2"]])
     def test_empty_out_writes_nothing(self, tmp_path, monkeypatch, capsys, command):

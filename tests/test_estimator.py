@@ -1,13 +1,13 @@
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from locdecomp import error_models
-from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
-                                    map_rotation, map_scale, map_shear,
+from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
+                                    body_offset, map_rotation, map_scale, map_shear,
                                     map_translation)
 from locdecomp.estimator import (ALPHA, BETA, KAPPA, PSD_TOL, UkfConfig,
                                  _check_covariance, _check_psd, _covariance_sqrt,
@@ -109,14 +109,21 @@ def sigma_points(cfg):
     return _sigma_points(cfg.initial_mean[None], spread)[:, 0], wm, wc
 
 
-def gated_priors(model, cfg, n_steps):
-    """Covariances after each of ``n_steps`` filter steps whose updates the
-    Mahalanobis gate skips (the differences are far outliers), so each is
-    the prior: the previous covariance plus the process noise."""
-    d = np.full((1, n_steps, 2), 1e6)
+def blind_model(n):
+    """A model of ``n`` parameters whose one component ignores them: every
+    sigma point predicts 0, so a step's cross covariance and gain are 0."""
+    return CompositeModel(components=(
+        ErrorComponent("blind", n, lambda p, u: np.zeros(p.shape[:-1] + (2,))),))
+
+
+def blind_priors(cfg, n_steps):
+    """Covariances after each of ``n_steps`` filter steps of the
+    parameter-blind model, whose updates change nothing, so each is the
+    prior: the previous covariance plus the process noise."""
+    d = np.ones((1, n_steps, 2))
     r = np.tile(0.01 * np.eye(2), (n_steps, 1, 1))
-    gated = replace(cfg, mahalanobis_gate=3.0)
-    steps = list(filter_runs(model, gated, d, r, series([make_input()] * n_steps)))
+    steps = list(filter_runs(blind_model(cfg.initial_mean.size), cfg, d, r,
+                             series([make_input()] * n_steps)))
     for means, _ in steps:
         np.testing.assert_array_equal(means[0], cfg.initial_mean)
     return [covs[0] for _, covs in steps]
@@ -324,13 +331,6 @@ class TestDiagonalShiftVerdict:
 
 
 class TestUkfConfig:
-    @pytest.mark.parametrize("gate", [0.0, -3.0, np.nan, np.inf])
-    def test_rejects_meaningless_mahalanobis_gate(self, gate):
-        # 0 would skip every update, -3 act as 3, and nan or inf as no gate
-        with pytest.raises(ValueError, match="^mahalanobis_gate must be None or a "
-                                             "finite value above 0"):
-            make_config(2, mahalanobis_gate=gate)
-
     @pytest.mark.parametrize("runs", [2, 3])
     @pytest.mark.parametrize("name", ["process_noise", "initial_covariance"])
     def test_rejects_a_stack_of_covariances(self, name, runs):
@@ -345,7 +345,7 @@ class TestUkfConfig:
     def test_fields_are_the_filter_settings(self):
         # the sigma-point spread is the module's ALPHA, BETA and KAPPA
         assert [f.name for f in fields(UkfConfig)] == [
-            "process_noise", "initial_mean", "initial_covariance", "mahalanobis_gate"]
+            "process_noise", "initial_mean", "initial_covariance"]
 
     def test_mean_weights_sum_to_one(self):
         # the fixed ALPHA and KAPPA also keep the spread n + lambda above 0,
@@ -433,40 +433,47 @@ class TestSigmaPoints:
 
 
 class TestPredict:
-    """The prediction adds the process noise to the covariance: seen in a
-    filter step alone, and through steps whose updates the gate skips."""
+    """The prediction adds the process noise to the covariance: seen through
+    steps of the parameter-blind model, whose updates change nothing."""
+
+    def test_blind_step_returns_mean_and_prior(self):
+        # the premise of blind_priors: a gain of exactly 0 leaves every run
+        # of a batch at its mean and at P + Q, bit for bit
+        rng = np.random.default_rng(9)
+        for dim in range(1, 6):
+            cfg = UkfConfig(process_noise=random_psd(rng, dim, 0.3),
+                            initial_mean=rng.normal(size=dim),
+                            initial_covariance=random_psd(rng, dim))
+            (means, covs), = filter_runs(blind_model(dim), cfg, rng.normal(size=(4, 1, 2)),
+                                         0.04 * np.eye(2)[None], series([make_input()]))
+            np.testing.assert_array_equal(means, np.tile(cfg.initial_mean, (4, 1)))
+            np.testing.assert_array_equal(
+                covs, np.tile(cfg.initial_covariance + cfg.process_noise, (4, 1, 1)))
 
     def test_zero_process_noise(self):
-        model = CompositeModel(components=(body_offset(), map_translation(), map_rotation()))
         cfg = make_config(5, q=0.0, x0=[0.5, -0.2, 1.0, 2.0, 0.01])
-        for prior in gated_priors(model, cfg, 2):
+        for prior in blind_priors(cfg, 2):
             np.testing.assert_array_equal(prior, cfg.initial_covariance)
 
     def test_adds_process_noise(self):
-        model = CompositeModel(components=(body_offset(), map_translation()))
         cfg = make_config(4, q=0.1, p0=10.0)
-        (prior,) = gated_priors(model, cfg, 1)
+        (prior,) = blind_priors(cfg, 1)
         np.testing.assert_array_equal(prior, np.eye(4) * 10.1)
 
     def test_repeated_predicts_accumulate(self):
-        model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2, q=0.5, p0=1.0)
-        priors = gated_priors(model, cfg, 7)
+        priors = blind_priors(cfg, 7)
         for k, prior in enumerate(priors, start=1):
             np.testing.assert_allclose(prior, np.eye(2) * (1.0 + k * 0.5))
 
     def test_eigenvalues_never_decrease(self):
         rng = np.random.default_rng(3)
-        models = {1: (map_rotation(),), 2: (map_translation(),),
-                  3: (map_translation(), map_rotation()),
-                  4: (body_offset(), map_translation()),
-                  5: (body_offset(), map_translation(), map_rotation())}
         for _ in range(30):
             dim = int(rng.integers(1, 6))
             cov = random_psd(rng, dim)
             cfg = UkfConfig(process_noise=random_psd(rng, dim, 0.3),
                             initial_mean=rng.normal(size=dim), initial_covariance=cov)
-            (prior,) = gated_priors(CompositeModel(components=models[dim]), cfg, 1)
+            (prior,) = blind_priors(cfg, 1)
             before = np.linalg.eigvalsh(cov)
             after = np.linalg.eigvalsh(prior)
             assert np.all(after >= before - 1e-10)
@@ -531,14 +538,6 @@ class TestUpdate:
             eigvals = np.linalg.eigvalsh(cov)
             assert eigvals.min() >= -1e-9 * max(np.trace(cov), 1.0)
 
-    def test_mahalanobis_gate_skips_outliers(self):
-        model = CompositeModel(components=(map_translation(),))
-        cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
-        (mean,), (cov,) = filter_one(model, cfg, [[100.0, 100.0]], 0.01 * np.eye(2)[None],
-                                     series([make_input()]))
-        np.testing.assert_array_equal(mean, cfg.initial_mean)
-        np.testing.assert_array_equal(cov, cfg.initial_covariance)
-
 
 class TestInverse2x2:
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -587,7 +586,6 @@ class TestPairCrossCovariance:
         priors = spread[:, None] * (a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(n)) * spread
         positions = rng.normal(size=(n_runs, 2)) * 30.0
         r = random_psd(rng, 2, 0.05)
-        cfg = make_config(n)
         d_random = rng.normal(size=(n_runs, 2))
         oracle = [textbook_update(means[k], priors[k], d_random[k], r,
                                   make_input(angle=0.7, position=positions[k]), model)
@@ -600,7 +598,7 @@ class TestPairCrossCovariance:
         u = make_input(angle=0.7, position=np.tile(positions, (3, 1)))
         post_means, post_covs = _update(
             np.tile(means, (3, 1)), np.tile(priors, (3, 1, 1)), d.reshape(-1, 2), r,
-            u, model, cfg, _sigma_weights(n))
+            u, model, _sigma_weights(n))
         moved = post_means.reshape(3, n_runs, n) - means
         assert relative_gap(np.stack(moved[:2], axis=-1), cross) <= 1e-12
         assert relative_gap(post_means[2 * n_runs:], oracle_means) <= 1e-12
@@ -608,18 +606,6 @@ class TestPairCrossCovariance:
 
 
 class TestFilterRuns:
-    def test_gate_applies_per_run(self):
-        model = CompositeModel(components=(map_translation(),))
-        cfg = make_config(2, q=0.0, p0=1.0, mahalanobis_gate=3.0)
-        d = np.array([[[100.0, 100.0]], [[0.5, -0.5]]])   # runs x steps x 2
-        r = 0.01 * np.eye(2)[None]
-        (means, covs), = filter_runs(model, cfg, d, r, series([make_input()]))
-        np.testing.assert_array_equal(means[0], cfg.initial_mean)
-        np.testing.assert_array_equal(covs[0], cfg.initial_covariance)
-        (alone_mean,), (alone_cov,) = filter_one(model, cfg, d[1], r, series([make_input()]))
-        np.testing.assert_allclose(means[1], alone_mean, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(covs[1], alone_cov, rtol=0.0, atol=1e-12)
-
     def test_step_without_process_noise_equals_update(self):
         model = CompositeModel(components=(body_offset(), map_rotation(pivot=(3.0, -1.0))))
         rng = np.random.default_rng(11)
@@ -631,7 +617,7 @@ class TestFilterRuns:
         (means, covs), = filter_runs(model, cfg, d, r, series([u]))
         for run in range(3):
             alone = _update(cfg.initial_mean[None], cfg.initial_covariance[None],
-                            d[run], r[0], u, model, cfg, _sigma_weights(3))
+                            d[run], r[0], u, model, _sigma_weights(3))
             np.testing.assert_array_equal(means[run], alone[0][0])
             np.testing.assert_array_equal(covs[run], alone[1][0])
 

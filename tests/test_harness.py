@@ -491,8 +491,6 @@ class TestConfigValidation:
 REAL_SETTINGS = {
     "convergence_threshold":
         lambda v: replace(small_config(), convergence_threshold=v),
-    "mahalanobis_gate":
-        lambda v: UkfConfig(np.eye(4), np.zeros(4), np.eye(4), mahalanobis_gate=v),
     "noise_sigma_total": lambda v: InjectionConfig([1, 2, 3, 4], v, 1),
     "step": lambda v: synthesize_trajectory("corner", 50, step=v),
     "speed": lambda v: synthesize_trajectory("corner", 50, speed=v),
@@ -760,7 +758,7 @@ class TestParseConfig:
         ("filter", "initial_covariance", [[10.0, 0, 0, 0], [0, 10.0, 0, 0],
                                           [0, 0, 10.0, 0], [0, 0, 0, None]]),
         ("filter", "initial_mean", [0.0, 0.0, 0.0, True]),
-        ("filter", "mahalanobis_gate", True), (None, "convergence_threshold", True),
+        (None, "convergence_threshold", True),
         ("filter", "process_noise", [[0.1, 0, 0, 0], [0.1]]),
         ("filter", "initial_covariance", [10.0, [10.0], 10.0, 10.0])])
     def test_number_keys_reject_booleans_strings_and_null(self, section, key, bad):
@@ -795,23 +793,26 @@ class TestParseConfig:
         ("filter", "alpha", 1e-170), ("filter", "beta", None), ("filter", "kappa", False),
         ("model", "initial", [False]), ("injection", "noise_sigma_ref", 0.1),
         ("injection", "noise_sigma_other", 0.1), ("injection", "noise_sigma_other", None),
-        ("trajectory", "turn_samples", 4), ("trajectory", "turn_samples", 0)])
+        ("trajectory", "turn_samples", 4), ("trajectory", "turn_samples", 0),
+        ("filter", "mahalanobis_gate", 3.0), ("filter", "mahalanobis_gate", None)])
     def test_removed_setting_fails_at_load(self, tmp_path, capsys, section, key, value):
         # the sigma-point spread is fixed, filter.initial_mean is the one
         # start, noise_sigma_total the one noise level (only the total reaches
-        # the difference) and a corner's turns take the default width, so a
-        # config setting any of them would run something it does not say; a
-        # value the old checks refused is refused as the unknown key
+        # the difference), a corner's turns take the default width and every
+        # filter step takes its update, so a config setting any of them would
+        # run something it does not say; a value the old checks refused, or
+        # null, is refused as the unknown key
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw["model"][0] if section == "model" else raw[section])[key] = value
-        with pytest.raises(ValueError, match=rf"^unknown key\(s\) \['{key}'\] in "):
+        where = "component 'body_offset'" if section == "model" else section
+        with pytest.raises(ValueError, match=rf"^unknown key\(s\) \['{key}'\] in {where}; "
+                                             rf"allowed: \[") as excinfo:
             parse_config(raw)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert cli_main(["experiment", "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"'{key}'" in err
+        assert capsys.readouterr().err == f"locdecomp experiment: {excinfo.value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("entry, repeated", [

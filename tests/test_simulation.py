@@ -467,11 +467,6 @@ class TestInjectErrors:
                 np.testing.assert_array_equal(ref, ref_noise)
                 np.testing.assert_array_equal(other, other_noise)
 
-    def test_observation_covariance_is_sum_of_localizer_variances(self):
-        cfg = InjectionConfig([0.0, 0.0], 0.2, rng_seed=0)
-        np.testing.assert_allclose(cfg.observation_covariance(),
-                                   0.04 * np.eye(2), rtol=1e-12)
-
     def test_sample_covariance_matches_configured_noise(self):
         trajectory = synthesize_trajectory("straight", 10_000)
         true = np.array([2.0, 1.0, 3.0, 2.0])
