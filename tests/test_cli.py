@@ -535,6 +535,24 @@ class TestInputErrors:
                                 f"0.0 is not invertible\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["experiment", "simulate", "filter", "observability"])
+    def test_mahalanobis_gate_key_fails_every_command(self, tmp_path, capsys, command):
+        # every step takes its update, so each command that reads a config
+        # refuses the removed gate as an unknown key before it writes anything
+        config = write_config(tmp_path, filter={"process_noise": 0.1,
+                                                "initial_covariance": 10.0,
+                                                "mahalanobis_gate": 3.0})
+        with pytest.raises(ValueError, match=r"^unknown key\(s\) \['mahalanobis_gate'\] "
+                                             r"in filter; allowed: \[") as excinfo:
+            load_config(config)
+        out = tmp_path / "out"
+        extra = ["--data", str(tmp_path / "missing.csv")] if command == "filter" else []
+        if command != "observability":
+            extra += ["--out", str(out)]
+        assert main([command, "--config", str(config), *extra]) == 2
+        assert capsys.readouterr() == ("", f"locdecomp {command}: {excinfo.value}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, named", [
         ("noise_sigma_total", "NaN", "injection.noise_sigma_total"),
         ("true_params", "[NaN, 1.0, 3.0, 2.0]", "true_params"),

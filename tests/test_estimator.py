@@ -538,6 +538,18 @@ class TestUpdate:
             eigvals = np.linalg.eigvalsh(cov)
             assert eigvals.min() >= -1e-9 * max(np.trace(cov), 1.0)
 
+    def test_far_outlier_takes_the_full_update(self):
+        # no step skips its update: a difference 1000 sigma off moves the
+        # mean as far as the linear Kalman filter moves it
+        model = CompositeModel(components=(map_translation(),))
+        cfg = make_config(2, q=0.0, p0=1.0)
+        d, r = np.array([100.0, 100.0]), 0.01 * np.eye(2)
+        (mean,), (cov,) = filter_one(model, cfg, d[None], r[None], series([make_input()]))
+        mean_kf, cov_kf = linear_kalman_step(cfg.initial_mean, cfg.initial_covariance, d,
+                                             np.eye(2), r, cfg.process_noise)
+        np.testing.assert_allclose(mean, mean_kf, rtol=1e-12)
+        np.testing.assert_allclose(cov, cov_kf, rtol=1e-12)
+
 
 class TestInverse2x2:
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -620,6 +632,24 @@ class TestFilterRuns:
                             d[run], r[0], u, model, _sigma_weights(3))
             np.testing.assert_array_equal(means[run], alone[0][0])
             np.testing.assert_array_equal(covs[run], alone[1][0])
+
+    def test_far_outlier_run_leaves_other_runs_alone(self):
+        # one run's differences 1e3 times the others' change nothing of the
+        # other runs of its batch: each run is the run filtered alone
+        model = CompositeModel(components=(body_offset(), map_rotation(pivot=(3.0, -1.0))))
+        rng = np.random.default_rng(13)
+        cfg = make_config(3, q=0.01, p0=1.0)
+        d = rng.normal(size=(3, 5, 2))
+        d[0] *= 1e3
+        r = np.tile(0.04 * np.eye(2), (5, 1, 1))
+        inputs = series(make_input(angle=0.3 * k, position=(10.0 * k, 2.0)) for k in range(5))
+        steps = list(filter_runs(model, cfg, d, r, inputs))
+        for run in range(3):
+            alone_means, alone_covs = filter_one(model, cfg, d[run], r, inputs)
+            np.testing.assert_allclose([m[run] for m, _ in steps], alone_means,
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose([c[run] for _, c in steps], alone_covs,
+                                       rtol=0.0, atol=1e-12)
 
     def test_rejects_invalid_measurement_covariance(self):
         model = CompositeModel(components=(map_translation(),))

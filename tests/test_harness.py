@@ -758,12 +758,14 @@ class TestParseConfig:
         ("filter", "initial_covariance", [[10.0, 0, 0, 0], [0, 10.0, 0, 0],
                                           [0, 0, 10.0, 0], [0, 0, 0, None]]),
         ("filter", "initial_mean", [0.0, 0.0, 0.0, True]),
-        (None, "convergence_threshold", True),
+        (None, "convergence_threshold", True), ("filter", "initial_mean", None),
         ("filter", "process_noise", [[0.1, 0, 0, 0], [0.1]]),
-        ("filter", "initial_covariance", [10.0, [10.0], 10.0, 10.0])])
+        ("filter", "initial_covariance", [10.0, [10.0], 10.0, 10.0]),
+        ("injection", "noise_sigma_total", None)])
     def test_number_keys_reject_booleans_strings_and_null(self, section, key, bad):
         # true was read as 1.0 (Q = I) and "0.1" as 0.1; a ragged
-        # list failed with numpy's message, which names no key
+        # list failed with numpy's message, which names no key; null is
+        # refused, not read as the default an absent key takes
         name = key if section is None else f"{section}.{key}"
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw if section is None else raw[section])[key] = bad
