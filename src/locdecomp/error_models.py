@@ -58,9 +58,10 @@ class KinematicInput:
     (2,), or (..., 2) for one per run.  A series has them of shape (N,) and
     ``ref_position`` (..., N, 2); it has a length and is indexed over this
     sample axis: an integer gives one sample, a slice or an index array a
-    sub-series, and iteration yields the samples in order.  Indexing does
-    not validate again: a sample or sub-series shares the series' validated
-    (finite, normalized, shape-checked) arrays.
+    sub-series, and iteration yields the samples in order.  Array fields
+    are read-only views of the validated arrays (the caller's arrays stay
+    writable), so indexing does not validate again, and a sample or
+    sub-series is read-only too.
     """
 
     t: float
@@ -81,11 +82,12 @@ class KinematicInput:
         if t.ndim > 1 or any(shape != t.shape for shape in shapes):
             raise DimensionMismatch(f"t, heading and heading_rate must be scalars, or (N,) with "
                                     f"N heading angles, rates and positions; got {shapes}")
-        object.__setattr__(self, "t", t if t.ndim else float(t))
-        object.__setattr__(self, "heading",
-                           normalize_angle(heading if t.ndim else float(heading)))
-        object.__setattr__(self, "heading_rate", rate if t.ndim else float(rate))
-        object.__setattr__(self, "ref_position", positions)
+        for name, value in (("t", t), ("heading", normalize_angle(heading)),
+                            ("heading_rate", rate), ("ref_position", positions)):
+            if value.ndim:
+                value = value.view()   # the caller's array stays writable
+                value.flags.writeable = False
+            object.__setattr__(self, name, value if value.ndim else float(value))
 
     def __len__(self) -> int:
         if np.ndim(self.t) != 1:
@@ -95,16 +97,20 @@ class KinematicInput:
     def __getitem__(self, key) -> "KinematicInput":
         len(self)  # a single sample raises here
         t, heading, rate = self.t[key], self.heading[key], self.heading_rate[key]
+        positions = self.ref_position[..., key, :]
         if np.ndim(t) == 0:
             t, heading, rate = float(t), float(heading), float(rate)
-        return _trusted(KinematicInput, t=t, heading=heading,
-                        ref_position=self.ref_position[..., key, :], heading_rate=rate)
+        elif t.flags.writeable:   # an index array copies; a slice gives views
+            for copy in (t, heading, rate, positions):
+                copy.flags.writeable = False
+        return _trusted(KinematicInput, t=t, heading=heading, ref_position=positions,
+                        heading_rate=rate)
 
 
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, without ``__post_init__``: for views of arrays that the
-    instance they come from has already validated."""
+    given, without ``__post_init__``: for views, or copies, of arrays that
+    the instance they come from has already validated."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

@@ -6,7 +6,7 @@ independent simulate-then-filter pipelines and aggregates the per-step,
 per-parameter mean squared estimation error across runs.  A trajectory
 section builds its series once, on the first read of its ``series``
 property (loading the configuration reads it for the pivot centroid), and
-every later reader gets that same series, its arrays read-only.  All runs
+every later reader gets that same, read-only series.  All runs
 share the trajectory, the model and the filter settings, so an experiment
 is one batched pass: inject errors into every run as arrays, filter every
 run in one vectorized pass, take the moments over blocks of steps as the
@@ -63,8 +63,7 @@ class SyntheticTrajectory:
     @cached_property
     def series(self) -> KinematicInput:
         """:func:`~locdecomp.simulation.synthesize_trajectory` of the fields, built once."""
-        return _read_only(synthesize_trajectory(
-            **{f.name: getattr(self, f.name) for f in fields(self)}))
+        return synthesize_trajectory(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -76,15 +75,7 @@ class FileTrajectory:
     @cached_property
     def series(self) -> KinematicInput:
         """:func:`~locdecomp.simulation.load_trajectory` of ``path``, read once."""
-        return _read_only(load_trajectory(self.path))
-
-
-def _read_only(series: KinematicInput) -> KinematicInput:
-    """``series`` with its arrays made read-only: every reader of a
-    configuration shares them, so an in-place change would alter later runs."""
-    for name in ("t", "heading", "ref_position", "heading_rate"):
-        getattr(series, name).flags.writeable = False
-    return series
+        return load_trajectory(self.path)
 
 
 @dataclass(frozen=True)

@@ -223,10 +223,10 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: Composi
     sigma ``cfg.noise_sigma_total / sqrt(2)`` from ``default_rng(seeds[i])``:
     its first half is the reference noise, its second the other noise, so a
     seed reproduces bit-identical outputs in any batch.  Returns the record
-    ``(inputs, p_other, r)``: the series with the reference positions
-    (runs, N, 2) in ``ref_position``, the other localizer's positions
-    (runs, N, 2) and the measurement covariances (N, 2, 2), a read-only view
-    of the sum of the two drawn variances at every step.
+    ``(inputs, p_other, r)``: the read-only series with the reference
+    positions (runs, N, 2) in ``ref_position``, the other localizer's
+    writable positions (runs, N, 2) and the measurement covariances
+    (N, 2, 2), a read-only view of the two drawn variances' sum per step.
     :func:`~locdecomp.estimator.filter_runs` reads the differences
     ``inputs.ref_position - p_other`` along with ``r`` and ``inputs``.
     """

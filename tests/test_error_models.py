@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locdecomp.cli import read_data_file, write_data_file
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_scale, map_shear,
                                     map_translation)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform
 from locdecomp.frames import rotate, rotation_matrix
 from locdecomp.observability import numerical_rank_test
-from locdecomp.simulation import synthesize_trajectory
+from locdecomp.simulation import (InjectionConfig, inject_runs, load_trajectory,
+                                  synthesize_trajectory)
 
 CORNER = synthesize_trajectory("corner", 200)
 PIVOT = CORNER.ref_position.mean(axis=0)
@@ -125,6 +127,67 @@ class TestKinematicSeries:
                 u[0]
             with pytest.raises(TypeError):
                 list(u)
+
+
+def injected_run():
+    """The record of ``inject_runs`` for one run of a translation along a corner."""
+    model = CompositeModel(components=(map_translation(),))
+    return inject_runs(synthesize_trajectory("corner", 40),
+                       InjectionConfig([1.0, 2.0], 0.2, rng_seed=3), model, [5])
+
+
+def built(key=slice(None)):
+    """``key`` of a series built from new arrays: a write that gets through
+    changes no array another test reads."""
+    s = TestKinematicSeries
+    return KinematicInput(t=s.T.copy(), heading=s.ANGLES.copy(), heading_rate=s.RATES.copy(),
+                          ref_position=s.POSITIONS.copy())[key]
+
+
+def loaded(tmp_path):
+    series = synthesize_trajectory("corner", 50)
+    np.savetxt(tmp_path / "trace.csv", np.column_stack(
+        [series.t, series.ref_position, series.heading]), fmt="%.17e", delimiter=",")
+    return load_trajectory(tmp_path / "trace.csv")
+
+
+def from_data_file(tmp_path):
+    path = write_data_file(tmp_path / "data.csv", *injected_run())
+    return read_data_file(path)[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp_path: built(),
+    lambda tmp_path: built(2),
+    lambda tmp_path: built(slice(1, 3)),
+    lambda tmp_path: built(np.array([3, 0])),
+    lambda tmp_path: synthesize_trajectory("straight", 10),
+    loaded,
+    lambda tmp_path: injected_run()[0],
+    from_data_file,
+], ids=["built", "sample", "slice", "index-array", "synthesized", "loaded", "injected",
+        "data-file"])
+def test_every_series_is_read_only(tmp_path, build):
+    # injection, the filter and the rank test trust a validated input; a NaN
+    # written into a series' heading surfaced steps later as a filter step
+    # error, or in the rank test as an SVD that did not converge
+    u = build(tmp_path)
+    arrays = [name for name in ("t", "heading", "heading_rate", "ref_position")
+              if isinstance(getattr(u, name), np.ndarray)]
+    assert "ref_position" in arrays
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(u, name)[...] = np.nan
+
+
+def test_the_callers_arrays_and_the_other_positions_stay_writable():
+    t = np.arange(4.0)
+    KinematicInput(t=t, heading=np.zeros(4), heading_rate=np.zeros(4),
+                   ref_position=np.zeros((4, 2)))
+    t[0] = -1.0
+    # the harness overwrites p_other with the differences in place
+    _, p_other, _ = injected_run()
+    p_other[...] = 0.0
 
 
 class TestMapTranslation:

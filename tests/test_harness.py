@@ -332,6 +332,22 @@ class TestExperimentErrors:
         assert cause.step == failures[lowest]
         assert isinstance(cause.__cause__, FloatingPointError)
 
+    def test_a_failure_of_the_batch_alone_is_the_batchs_error(self):
+        # no run fails on its own, so no run is named: the batch's error is
+        # raised as it was
+        def fn(params, u):
+            if params.ndim == 3 and params.shape[1] > 1:
+                raise ValueError("more than one run")
+            return params.copy()
+
+        model = CompositeModel(components=(ErrorComponent("batch_only", 2, fn),))
+        cfg = small_config(n_runs=3, kind="straight", model=model, true_params=(1.0, 2.0))
+        for run in range(cfg.n_runs):
+            per_run_estimates(cfg, runs=[run])
+        with pytest.raises(FilterStepError, match="^step 0: more than one run$") as excinfo:
+            run_experiment(cfg)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
     def test_singular_truth_is_the_configs_error(self):
         # the injection evaluates the model at the truth once for all runs;
         # it raised inside the batch and was relabelled "run 0: ..."
