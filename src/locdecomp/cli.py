@@ -45,8 +45,8 @@ import numpy as np
 from .error_models import KinematicInput
 from .estimator import filter_runs
 from .exceptions import DimensionMismatch, ParseError
-from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, emit_results,
-                      load_config, run_experiment, write_table)
+from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, derive_run_seed,
+                      emit_results, load_config, run_experiment, write_table)
 from .observability import (MIN_TURN_RATE, SMOOTH_WINDOW, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
 from .simulation import inject_runs, read_table
@@ -116,7 +116,7 @@ def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     path = _output_path(args, cfg, "simulated.csv")
     inputs, p_other, r = inject_runs(cfg.trajectory.series, cfg.injection, cfg.model,
-                                     [cfg.injection.rng_seed])
+                                     [derive_run_seed(cfg.injection.rng_seed, 0)])
     out = write_data_file(path, inputs, p_other, r)
     print(f"wrote {len(inputs)} steps to {out}")
     return 0

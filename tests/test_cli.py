@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from locdecomp.cli import (DATA_COLUMNS, build_parser, main, read_data_file,
                            write_data_file)
 from locdecomp.error_models import KinematicInput
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, ParseError
-from locdecomp.harness import FLOAT_FORMAT, load_config
+from locdecomp.harness import FLOAT_FORMAT, derive_run_seed, load_config, run_experiment
 from locdecomp.observability import (closed_form_decomposition, difference_rates,
                                      numerical_rank_test)
 from locdecomp.simulation import inject_runs
@@ -124,15 +125,28 @@ class TestSimulateAndFilter:
                 np.testing.assert_array_equal(a, b)
 
     def test_simulate_writes_the_injected_run(self, tmp_path):
-        # the data file is the record of inject_runs at the configured seed
+        # the data file is the record of inject_runs at run 0's seed
         config = write_config(tmp_path)
         data = tmp_path / "data.csv"
         main(["simulate", "--config", str(config), "--out", str(data)])
         cfg = load_config(config)
         record = inject_runs(cfg.trajectory.series, cfg.injection, cfg.model,
-                             [cfg.injection.rng_seed])
+                             [derive_run_seed(cfg.injection.rng_seed, 0)])
         expected = write_data_file(tmp_path / "expected.csv", *record)
         assert data.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("name", ["corner.json", "straight.json"])
+    def test_filtered_simulation_is_run_0_of_the_experiment(self, tmp_path, name):
+        # simulate then filter ends where a one-run experiment ends, up to
+        # the data file's 9 printed digits
+        data, estimates = tmp_path / "data.csv", tmp_path / "estimates.csv"
+        main(["simulate", "--config", str(CONFIGS / name), "--out", str(data)])
+        main(["filter", "--config", str(CONFIGS / name), "--data", str(data),
+              "--out", str(estimates)])
+        cfg = load_config(CONFIGS / name)
+        final = np.loadtxt(estimates, delimiter=",")[-1, 2:2 + cfg.model.state_dim]
+        run_0 = run_experiment(replace(cfg, n_runs=1)).mean[-1]
+        assert np.abs(final - run_0).max() < 1e-5
 
 
 def test_file_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsys):
