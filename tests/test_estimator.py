@@ -560,6 +560,17 @@ class TestUpdate:
             filter_one(model, cfg, np.ones((1, 2)), r[None], series([make_input()]))
         assert isinstance(excinfo.value.__cause__, NotPSD)
 
+    @pytest.mark.parametrize("collapsed", [0, 2], ids=["first", "last"])
+    def test_one_singular_run_fails_the_batched_update(self, collapsed):
+        # det S is checked in every run: the collapsed run's S = R is
+        # singular, while each other run's S = I + R has determinant 3
+        model = CompositeModel(components=(map_translation(),))
+        priors = np.tile(np.eye(2), (3, 1, 1))
+        priors[collapsed] = 0.0
+        with pytest.raises(NotPSD, match="^innovation covariance is singular$"):
+            _update(np.zeros((3, 2)), priors, np.ones((3, 2)), np.ones((2, 2)),
+                    make_input(), model, _sigma_weights(2))
+
 
 class TestPairCrossCovariance:
     """The update's pair form of the cross covariance against the textbook
