@@ -16,18 +16,19 @@ so every prior and posterior derived from them is exactly symmetric and no
 step checks symmetry.
 
 The math is written once over a run axis (means (B, n), covariances
-(B, n, n)): :func:`filter_runs` is the filter, B runs in one vectorized
+(B, n, n)): :func:`filter_steps` is the filter, B runs in one vectorized
 pass, and one run is a batch of one.  Each step adds the process noise to
 the covariances and takes one measurement step, whose sigma points are
 sigma-major, (2n+1, B, n), whose cross covariance is one product over the
 symmetric point pairs, and whose 2x2 innovation covariance is inverted in
-closed form.  Shapes, positions, measurement covariances and observation
-finiteness are validated once per pass; a series' samples are views of its
-validated arrays.  Each step checks its covariances with Cholesky
-factorizations, with no jitter, which succeed only on positive-definite
-input: the prior's factor is its sigma-point root, and the posterior's is
-taken of a copy with the PSD floor added to its diagonal.  Only when one
-fails are eigenvalues computed: an indefinite covariance raises
+closed form; each step's :class:`FilterStep` is yielded read-only.
+Shapes, positions, measurement covariances and observation finiteness are
+validated once per pass; a series' samples are views of its validated
+arrays.  Each step checks its covariances with Cholesky factorizations,
+with no jitter, which succeed only on positive-definite input: the prior's
+factor is its sigma-point root, and the posterior's is taken of a copy
+with the PSD floor added to its diagonal.  Only when one fails are
+eigenvalues computed: an indefinite covariance raises
 :class:`~locdecomp.exceptions.NotPSD` naming its lowest eigenvalue, and a
 semi-definite prior (validly collapsed, e.g. all zero) gets its
 eigendecomposition root.
@@ -36,6 +37,7 @@ eigendecomposition root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,10 +161,22 @@ def _sigma_points(means: np.ndarray, spread: np.ndarray) -> np.ndarray:
     return points
 
 
+class FilterStep(NamedTuple):
+    """One filter step of B runs: its posterior, innovation and S."""
+
+    means: np.ndarray        # (B, n), the posterior
+    covs: np.ndarray         # (B, n, n)
+    innovation: np.ndarray   # (B, 2), d - predicted
+    s00: np.ndarray          # (B,), the innovation covariance S's entries
+    s11: np.ndarray
+    s01: np.ndarray
+    det: np.ndarray          # (B,), s00 * s11 - s01 ** 2
+
+
 def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
-            u: KinematicInput, model: CompositeModel, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means (B, n) and covariances (B, n, n) from prior ``means``
-    and ``priors`` after differences (B, 2) of covariance ``r``.  The
+            u: KinematicInput, model: CompositeModel, weights) -> FilterStep:
+    """The :class:`FilterStep` of prior ``means`` (B, n) and ``priors``
+    (B, n, n) after differences ``d`` (B, 2) of covariance ``r``.  The
     sigma-major points (2n+1, B, n) deviate from the mean by 0 and
     ``+-sqrt(n + lambda) L_j``, so ``P_xz = w_1 sqrt(n + lambda) L (Z+ - Z-)``.
     S is built from its three entries (``r`` is exactly symmetric) and
@@ -191,10 +205,11 @@ def _update(means: np.ndarray, priors: np.ndarray, d: np.ndarray, r: np.ndarray,
     innovation = d - predicted
     posterior_means = means + (gain @ innovation[:, :, None])[:, :, 0]
     posterior_covs = priors - gain @ cross_cov.swapaxes(1, 2)
-    return posterior_means, (posterior_covs + posterior_covs.swapaxes(1, 2)) / 2.0
+    return FilterStep(posterior_means, (posterior_covs + posterior_covs.swapaxes(1, 2)) / 2.0,
+                      innovation, s00, s11, s01, det)
 
 
-def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
+def filter_steps(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     """Filter B runs from ``cfg.initial_mean`` and ``cfg.initial_covariance``
     in one vectorized pass.
 
@@ -204,8 +219,8 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     time, with ``ref_position`` shared (N, 2) or per run (B, N, 2).  Before
     step 0, anything but a series raises :class:`TypeError`, and other
     counts, positions or initial state dimensions :class:`DimensionMismatch`.
-    Yields the posterior means (B, n) and covariances (B, n, n) after each
-    step.  Errors raised inside a step are re-raised as
+    Yields each step's :class:`FilterStep`, read-only, since the next step
+    reads its posterior.  Errors raised inside a step are re-raised as
     :class:`~locdecomp.exceptions.FilterStepError` carrying the step index.
     """
     n = cfg.initial_mean.size
@@ -235,15 +250,25 @@ def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
     weights = _sigma_weights(n)
     means = np.tile(cfg.initial_mean, (d.shape[0], 1))
     covs = np.tile(cfg.initial_covariance, (d.shape[0], 1, 1))
-    for step in range(n_steps):
+    for k in range(n_steps):
         try:
-            means, covs = _update(means, covs + cfg.process_noise, d[:, step], r[step],
-                                  inputs[step], model, weights)
+            step = _update(means, covs + cfg.process_noise, d[:, k], r[k],
+                           inputs[k], model, weights)
+            means, covs = step.means, step.covs
             if not np.isfinite(means).all():
                 raise ValueError("mean must be finite")
             if not np.isfinite(covs).all():
                 raise NotPSD("covariance must be finite")
             _check_psd(covs, "covariance")
         except Exception as exc:
-            raise FilterStepError(step, str(exc)) from exc
-        yield means, covs
+            raise FilterStepError(k, str(exc)) from exc
+        for array in step:
+            array.setflags(write=False)
+        yield step
+
+
+def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
+    """The read-only posterior ``(means, covs)`` of each :func:`filter_steps`
+    step, for the callers that unpack those pairs: the experiment harness,
+    the ``filter`` command and the acceptance criteria."""
+    return ((step.means, step.covs) for step in filter_steps(model, cfg, d, r, inputs))

@@ -12,7 +12,7 @@ from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInp
 from locdecomp.estimator import (ALPHA, BETA, KAPPA, PSD_TOL, UkfConfig,
                                  _check_covariance, _check_psd, _covariance_sqrt,
                                  _sigma_points, _sigma_weights, _update,
-                                 filter_runs)
+                                 filter_runs, filter_steps)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 from locdecomp.harness import derive_run_seed
 from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
@@ -312,10 +312,10 @@ class TestDiagonalShiftVerdict:
         n_runs = 3 if stacked else 1
         for cov, expected in ((at, None), (below, eigvalsh_verdict(below))):
             def posterior_at(*args, _cov=cov):
-                means, covs = update_runs(*args)
-                covs = covs.copy()
+                step = update_runs(*args)
+                covs = step.covs.copy()
                 covs[-1] = _cov
-                return means, covs
+                return step._replace(covs=covs)
 
             monkeypatch.setattr(estimator, "_update", posterior_at)
             steps = filter_runs(model, make_config(3), np.zeros((n_runs, 1, 2)),
@@ -598,13 +598,25 @@ class TestPairCrossCovariance:
         # column j; the third copy takes the random differences
         d = np.stack([predicted + s[:, :, 0], predicted + s[:, :, 1], d_random])
         u = make_input(angle=0.7, position=np.tile(positions, (3, 1)))
-        post_means, post_covs = _update(
+        step = _update(
             np.tile(means, (3, 1)), np.tile(priors, (3, 1, 1)), d.reshape(-1, 2), r,
             u, model, _sigma_weights(n))
+        post_means, post_covs, nu, *_ = step
         moved = post_means.reshape(3, n_runs, n) - means
         assert relative_gap(np.stack(moved[:2], axis=-1), cross) <= 1e-12
         assert relative_gap(post_means[2 * n_runs:], oracle_means) <= 1e-12
         assert relative_gap(post_covs[2 * n_runs:], oracle_covs) <= 1e-12
+        # the record's innovation and S (r has off-diagonal entries), and
+        # the NIS a consumer takes from them
+        s = np.tile(s, (3, 1, 1))
+        assert relative_gap(nu, d.reshape(-1, 2) - np.tile(predicted, (3, 1))) <= 1e-12
+        for entry, (i, j) in zip((step.s00, step.s11, step.s01), ((0, 0), (1, 1), (0, 1))):
+            assert relative_gap(entry, s[:, i, j]) <= 1e-12
+        assert relative_gap(step.det, np.linalg.det(s)) <= 1e-12
+        nis = (step.s11 * nu[:, 0] ** 2 - 2.0 * step.s01 * nu[:, 0] * nu[:, 1]
+               + step.s00 * nu[:, 1] ** 2) / step.det
+        dense = np.einsum("bi,bi->b", nu, np.linalg.solve(s, nu[:, :, None])[:, :, 0])
+        assert relative_gap(nis, dense) <= 1e-12
 
 
 class TestFilterRuns:
@@ -622,6 +634,34 @@ class TestFilterRuns:
                             d[run], r[0], u, model, _sigma_weights(3))
             np.testing.assert_array_equal(means[run], alone[0][0])
             np.testing.assert_array_equal(covs[run], alone[1][0])
+
+    def test_filter_runs_is_the_posterior_view_of_filter_steps(self):
+        model = CompositeModel(components=(body_offset(), map_rotation(pivot=(3.0, -1.0))))
+        rng = np.random.default_rng(17)
+        d = rng.normal(size=(3, 5, 2))
+        r = np.tile(random_psd(rng, 2, 0.1), (5, 1, 1))
+        inputs = series(make_input(angle=0.3 * k, position=(10.0 * k, 2.0)) for k in range(5))
+        pairs = list(filter_runs(model, make_config(3), d, r, inputs))
+        steps = list(filter_steps(model, make_config(3), d, r, inputs))
+        assert len(pairs) == len(steps) == 5
+        for (means, covs), step in zip(pairs, steps):
+            np.testing.assert_array_equal(means, step.means)
+            np.testing.assert_array_equal(covs, step.covs)
+        # a list is refused before step 0, as filter_runs refuses it
+        with pytest.raises(TypeError, match="^inputs must be a KinematicInput series, got list$"):
+            next(filter_steps(model, make_config(3), d, r, list(inputs)))
+
+    def test_yielded_arrays_are_read_only(self):
+        # the next step reads the yielded posterior, so an edit in place
+        # (the truth subtracted from the means) would steer the filter
+        model = CompositeModel(components=(body_offset(), map_translation()))
+        args = (model, make_config(4), np.ones((2, 2, 2)), np.tile(0.04 * np.eye(2), (2, 1, 1)),
+                series(make_input(angle=0.5 * k) for k in range(2)))
+        means, _ = next(filter_runs(*args))
+        _, covs = next(filter_runs(*args))
+        for array in (means, covs, *next(filter_steps(*args))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
     def test_far_outlier_run_leaves_other_runs_alone(self):
         # one run's differences 1e3 times the others' change nothing of the
@@ -769,9 +809,10 @@ class TestFilterRuns:
         update_runs = estimator._update
 
         def corrupted(*args):
-            means, covs = update_runs(*args)
-            return (means if mean is None else np.broadcast_to(mean, means.shape),
-                    covs if cov is None else np.broadcast_to(cov, covs.shape))
+            means, covs, *_ = step = update_runs(*args)
+            return step._replace(
+                means=means if mean is None else np.broadcast_to(mean, means.shape),
+                covs=covs if cov is None else np.broadcast_to(cov, covs.shape))
 
         monkeypatch.setattr(estimator, "_update", corrupted)
         model = CompositeModel(components=(map_translation(),))

@@ -15,7 +15,7 @@ from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_scale,
                                     map_shear, map_translation)
-from locdecomp.estimator import UkfConfig, filter_runs
+from locdecomp.estimator import FilterStep, UkfConfig, filter_runs, filter_steps
 from locdecomp.exceptions import (DimensionMismatch, ExperimentRunError, FilterStepError,
                                   NotPSD, SingularTransform)
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
@@ -144,9 +144,9 @@ class TestBatchedEquivalence:
                                    rtol=0.0, atol=1e-12)
 
     def test_corner_batch_rows_equal_runs_filtered_alone(self):
-        # a run's posterior is the same alone and as one row of 100, bit for
-        # bit; a 2-d product over the sigma axis of the whole batch would
-        # round each run by its place in it
+        # a run's step record (posterior, innovation and S) is the same alone
+        # and as one row of 100, bit for bit; a 2-d product over the sigma
+        # axis of the whole batch would round each run by its place in it
         model = CompositeModel(components=(body_offset(), map_translation(),
                                            map_rotation(pivot=corner_centroid(200))))
         cfg = small_config(n_runs=100, n_samples=200, model=model,
@@ -158,15 +158,16 @@ class TestBatchedEquivalence:
 
         def filtered(seeds):
             inputs, p_other, r = inject_runs(trajectory, cfg.injection, model, seeds)
-            steps = list(filter_runs(model, cfg.ukf, inputs.ref_position - p_other, r,
-                                     inputs))
-            return np.stack([m for m, _ in steps]), np.stack([c for _, c in steps])
+            steps = filter_steps(model, cfg.ukf, inputs.ref_position - p_other, r, inputs)
+            return [np.stack(field) for field in zip(*steps)]   # (N, B, ...) per field
 
-        means, covs = filtered(seeds)
+        batch = filtered(seeds)
         for run in (0, 17, 99):
-            alone_means, alone_covs = filtered([seeds[run]])
-            np.testing.assert_array_equal(alone_means[:, 0], means[:, run])
-            np.testing.assert_array_equal(alone_covs[:, 0], covs[:, run])
+            alone = filtered([seeds[run]])
+            for name, alone_field, batch_field in zip(FilterStep._fields, alone, batch,
+                                                      strict=True):
+                np.testing.assert_array_equal(alone_field[:, 0], batch_field[:, run],
+                                              err_msg=name)
 
     def test_semi_definite_covariance_takes_tolerant_root(self):
         # a zero initial variance that Q never inflates keeps every run's
