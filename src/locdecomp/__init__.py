@@ -14,7 +14,7 @@ repeated simulated runs.
 from .error_models import (CompositeModel, ErrorComponent, KinematicInput,
                            body_offset, map_rotation, map_scale, map_shear,
                            map_translation)
-from .estimator import UkfConfig, filter_runs, filter_steps
+from .estimator import UkfConfig, filter_steps
 from .exceptions import (DimensionMismatch, ExperimentRunError, FilterStepError,
                          NotPSD, ParseError, SingularTransform, ZeroTurnRate)
 from .frames import heading_rates, normalize_angle, rotate, rotation_matrix
@@ -32,7 +32,7 @@ __all__ = [
     "heading_rates", "normalize_angle", "rotate", "rotation_matrix",
     "CompositeModel", "ErrorComponent", "KinematicInput", "body_offset",
     "map_rotation", "map_scale", "map_shear", "map_translation",
-    "UkfConfig", "filter_runs", "filter_steps",
+    "UkfConfig", "filter_steps",
     "ObservabilityReport", "closed_form_decomposition", "difference_rates",
     "numerical_rank_test",
     "InjectionConfig", "inject_runs", "load_trajectory", "synthesize_trajectory",

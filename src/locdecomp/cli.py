@@ -26,7 +26,7 @@ A simulated data file is comma-separated text, one step per line under a
 positions in ``ref_position`` (N, 2), the other localizer's positions
 (N, 2) and diagonal measurement covariances (N, 2, 2).  The file commands
 pass it as arrays: ``simulate`` writes one run of ``inject_runs``,
-``filter`` hands ``filter_runs`` the differences ``inputs.ref_position -
+``filter`` hands ``filter_steps`` the differences ``inputs.ref_position -
 p_other`` along with ``r`` and ``inputs``, and ``oracle`` makes one
 ``closed_form_decomposition`` call over the turning steps of those
 differences.
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .error_models import KinematicInput
-from .estimator import filter_runs
+from .estimator import filter_steps
 from .exceptions import DimensionMismatch, ParseError
 from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, derive_run_seed,
                       emit_results, load_config, run_experiment, write_table)
@@ -127,9 +127,9 @@ def _cmd_filter(args) -> int:
     path = _output_path(args, cfg, "estimates.csv")
     inputs, p_other, r = read_data_file(args.data)
     dim = cfg.model.state_dim
-    passes = filter_runs(cfg.model, cfg.ukf, (inputs.ref_position - p_other)[None], r, inputs)
+    steps = filter_steps(cfg.model, cfg.ukf, (inputs.ref_position - p_other)[None], r, inputs)
     table = np.column_stack([np.arange(len(inputs)), inputs.t, [
-        np.concatenate([means[0], np.diagonal(covs[0])]) for means, covs in passes]])
+        np.concatenate([s.means[0], np.diagonal(s.covs[0])]) for s in steps]])
     header = (["step", "t_s"] + [f"mean_x{j + 1}" for j in range(dim)]
               + [f"var_x{j + 1}" for j in range(dim)])
     out = write_table(path, table, ",".join(header), comments="# ")

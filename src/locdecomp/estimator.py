@@ -244,7 +244,7 @@ def filter_steps(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
             f"inputs.ref_position must have shape {d.shape[1:]} or {d.shape} for the "
             f"{n_steps} steps and {d.shape[0]} runs of d, got {inputs.ref_position.shape}")
     r = _check_covariance(r, "R")
-    bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=(0, 2)))
+    bad_steps = np.flatnonzero(~np.isfinite(d).all(axis=0).all(axis=1))
     if bad_steps.size:
         raise FilterStepError(int(bad_steps[0]), "observed difference must be finite")
     weights = _sigma_weights(n)
@@ -265,10 +265,3 @@ def filter_steps(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
         for array in step:
             array.setflags(write=False)
         yield step
-
-
-def filter_runs(model: CompositeModel, cfg: UkfConfig, d, r, inputs):
-    """The read-only posterior ``(means, covs)`` of each :func:`filter_steps`
-    step, for the callers that unpack those pairs: the experiment harness,
-    the ``filter`` command and the acceptance criteria."""
-    return ((step.means, step.covs) for step in filter_steps(model, cfg, d, r, inputs))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import error_models
 from .error_models import CompositeModel, KinematicInput
-from .estimator import UkfConfig, filter_runs
+from .estimator import UkfConfig, filter_steps
 from .exceptions import DimensionMismatch, ExperimentRunError, NotPSD, SingularTransform
 from .frames import as_count, as_real
 from .simulation import (DEFAULT_SPEED_MPS, DEFAULT_STEP_S, InjectionConfig,
@@ -153,7 +153,7 @@ def _estimate_runs(trajectory, cfg: ExperimentConfig, runs):
     seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in runs]
     inputs, d, r = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
     np.subtract(inputs.ref_position, d, out=d)   # the differences overwrite p_other
-    return (posterior for posterior, _ in filter_runs(cfg.model, cfg.ukf, d, r, inputs))
+    return (step.means for step in filter_steps(cfg.model, cfg.ukf, d, r, inputs))
 
 
 def run_experiment(cfg: ExperimentConfig) -> MseSeries:

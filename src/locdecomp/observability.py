@@ -6,10 +6,10 @@ parameter vector uniquely.  Because the parameters are constants, the
 continuous observability criterion reduces to injectivity of the map from
 parameters to the outputs collected over a window of inputs, which this
 module tests numerically on the map's Jacobian, without forming the stacked
-outputs themselves: each sample's output Jacobian is formed once by
-central differences, in one model evaluation over all samples; a sliding
-window stacks the Jacobian rows of its samples, and its rank is read off
-the singular values, computed for all windows in one batched SVD.
+outputs themselves: :func:`output_jacobians` forms each sample's Jacobian
+once, in one model evaluation over all samples; a sliding window stacks
+the Jacobian rows of its samples, and its rank is read off the singular
+values, computed for all windows in one batched SVD.
 
 The windowed test certifies local full rank along the given trajectory
 only; it does not prove global uniqueness over all conceivable inputs.
@@ -60,24 +60,13 @@ class ObservabilityReport:
     degenerate_windows: list
 
 
-def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
-                        window_length: int | None = None) -> ObservabilityReport:
-    """Sliding-window rank test of the stacked sensitivity matrix along a
+def output_jacobians(model: CompositeModel, x0, inputs: KinematicInput) -> np.ndarray:
+    """Each sample's 2 x n output Jacobian (N, 2, n) at ``x0`` along a
     :class:`~locdecomp.error_models.KinematicInput` series ``inputs`` whose
-    ``ref_position`` is (N, 2).
-
-    The 2 x n Jacobian of the model output at ``x0`` is formed once per
-    sample, by central differences (step ``1e-6 * max(1, |x0_j|)``) over
-    one model evaluation of all samples, which also evaluates ``x0``, so a
-    deformation singular there raises
-    :class:`~locdecomp.exceptions.SingularTransform`.  Each window's
-    sensitivity matrix stacks the rows of its samples in order (east, then
-    north per sample); its numerical rank is the number of singular values
-    above ``RANK_TOL`` (1e-8) times the largest one, and its condition
-    number is the ratio of the largest to the smallest (infinite when that
-    is zero).
-    ``window_length`` must be an integer; the default is twice the state
-    dimension.  ``x0`` must be finite.
+    ``ref_position`` is (N, 2): central differences (step
+    ``1e-6 * max(1, |x0_j|)``) over one model evaluation of all samples,
+    which also evaluates ``x0``, so a deformation singular there raises
+    :class:`~locdecomp.exceptions.SingularTransform`.  ``x0`` must be finite.
     """
     x0 = np.asarray(x0, dtype=float)
     n = model.state_dim
@@ -85,23 +74,40 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0}")
-    wl = 2 * n if window_length is None else as_count(window_length, "window_length")
-    if wl < -(-n // 2):
-        raise ValueError(f"window_length {wl} too short for {n} parameters")
     if inputs.ref_position.shape != (len(inputs), 2):
         raise DimensionMismatch(f"ref_position must have shape ({len(inputs)}, 2), "
                                 f"got {inputs.ref_position.shape}")
-    if len(inputs) < wl:
-        raise ValueError(f"trajectory of {len(inputs)} samples is shorter than "
-                         f"one window of {wl}")
-
     h = 1e-6 * np.maximum(1.0, np.abs(x0))
     # x0 is the last state: the steps either side of a singular point are
     # regular, so only x0 can raise
     states = np.concatenate([x0 + np.diag(h), x0 - np.diag(h), x0[None]])[:, None, :]
     # a model of state-independent components returns no sample axis
     out = np.broadcast_to(model.evaluate(states, inputs), (2 * n + 1, len(inputs), 2))
-    jac = ((out[:n] - out[n:2 * n]) / (2.0 * h[:, None, None])).transpose(1, 2, 0)
+    return ((out[:n] - out[n:2 * n]) / (2.0 * h[:, None, None])).transpose(1, 2, 0)
+
+
+def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
+                        window_length: int | None = None) -> ObservabilityReport:
+    """Sliding-window rank test of the stacked sensitivity matrix along a
+    :class:`~locdecomp.error_models.KinematicInput` series ``inputs``, over
+    the :func:`output_jacobians` of ``model`` at ``x0``.
+
+    Each window's sensitivity matrix stacks the Jacobian rows of its
+    samples in order (east, then north per sample); its numerical rank is
+    the number of singular values above ``RANK_TOL`` (1e-8) times the
+    largest one, and its condition number is the ratio of the largest to
+    the smallest (infinite when that is zero).
+    ``window_length`` must be an integer; the default is twice the state
+    dimension.
+    """
+    jac = output_jacobians(model, x0, inputs)
+    n = model.state_dim
+    wl = 2 * n if window_length is None else as_count(window_length, "window_length")
+    if wl < -(-n // 2):
+        raise ValueError(f"window_length {wl} too short for {n} parameters")
+    if len(inputs) < wl:
+        raise ValueError(f"trajectory of {len(inputs)} samples is shorter than "
+                         f"one window of {wl}")
     windows = sliding_window_view(jac, wl, axis=0)  # (W, 2, n, wl)
 
     # the reshape merges the window-sample axis (stride 16 bytes) with the

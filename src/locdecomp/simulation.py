@@ -227,7 +227,7 @@ def inject_runs(trajectory: KinematicInput, cfg: InjectionConfig, model: Composi
     positions (runs, N, 2) in ``ref_position``, the other localizer's
     writable positions (runs, N, 2) and the measurement covariances
     (N, 2, 2), a read-only view of the two drawn variances' sum per step.
-    :func:`~locdecomp.estimator.filter_runs` reads the differences
+    :func:`~locdecomp.estimator.filter_steps` reads the differences
     ``inputs.ref_position - p_other`` along with ``r`` and ``inputs``.
     """
     if cfg.true_params.shape != (model.state_dim,):

@@ -42,7 +42,7 @@ from scipy import stats
 from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, KinematicInput, body_offset,
                                     map_translation)
-from locdecomp.estimator import UkfConfig, filter_runs
+from locdecomp.estimator import UkfConfig, filter_steps
 from locdecomp.frames import rotation_matrix
 from locdecomp.harness import ExperimentConfig, SyntheticTrajectory, run_experiment
 from locdecomp.observability import (closed_form_decomposition, difference_rates,
@@ -85,7 +85,7 @@ def experiment_config(kind: str, n_samples: int, heading: float = 0.0,
 
 
 def one_run(trajectory, injection):
-    """One run injected at ``injection.rng_seed`` as ``filter_runs`` takes it:
+    """One run injected at ``injection.rng_seed`` as ``filter_steps`` takes it:
     differences (1, N, 2), covariances (N, 2, 2) and the series carrying the
     measured reference positions (1, N, 2)."""
     inputs, p_other, r = inject_runs(trajectory, injection, BODY_MAP, [injection.rng_seed])
@@ -147,7 +147,7 @@ def test_criterion_1_corner_convergence(corner_result):
     lo, hi = np.outer(stats.chi2.ppf([0.0005, 0.9995], N_RUNS) / N_RUNS, expected)
 
     # the band is only as good as the recursion's match to the filter
-    *_, (_, covs) = filter_runs(BODY_MAP, cfg.ukf, *one_run(trajectory, cfg.injection))
+    *_, (_, covs, *_) = filter_steps(BODY_MAP, cfg.ukf, *one_run(trajectory, cfg.injection))
     cov_gap = float(np.abs(covs[0] - cov).max())
 
     total_ratio = final.sum() / series.initial_mse.sum()
@@ -179,7 +179,7 @@ def test_criterion_3_closed_form_oracle_equivalence():
     injection = InjectionConfig(true_params=TRUE_PARAMS, noise_sigma_total=0.0,
                                 rng_seed=MASTER_SEED)
     d, r, inputs = one_run(trajectory, injection)
-    *_, (means, _) = filter_runs(BODY_MAP, reference_ukf_config(), d, r, inputs)
+    *_, (means, *_) = filter_steps(BODY_MAP, reference_ukf_config(), d, r, inputs)
     terminal = means[0]
 
     d = d[0]
@@ -246,7 +246,7 @@ def test_criterion_5_linear_kf_equivalence():
                                 ref_position=np.zeros((100, 2)), heading_rate=np.zeros(100))
         mean = cfg.initial_mean.copy()
         cov = cfg.initial_covariance.copy()
-        for k, (means, covs) in enumerate(filter_runs(model, cfg, d, r, inputs)):
+        for k, (means, covs, *_) in enumerate(filter_steps(model, cfg, d, r, inputs)):
             mean, cov = linear_kalman_step(mean, cov, d[0, k], np.eye(2), r[k],
                                            cfg.process_noise)
             worst = max(worst,

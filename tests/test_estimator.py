@@ -11,8 +11,7 @@ from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInp
                                     map_translation)
 from locdecomp.estimator import (ALPHA, BETA, KAPPA, PSD_TOL, UkfConfig,
                                  _check_covariance, _check_psd, _covariance_sqrt,
-                                 _sigma_points, _sigma_weights, _update,
-                                 filter_runs, filter_steps)
+                                 _sigma_points, _sigma_weights, _update, filter_steps)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
 from locdecomp.harness import derive_run_seed
 from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
@@ -25,7 +24,7 @@ def make_input(angle=0.0, rate=0.0, position=(0.0, 0.0), t=0.0):
 
 def series(samples):
     """The single samples ``samples``, in order, stacked into one series:
-    the form ``filter_runs`` takes its inputs in."""
+    the form ``filter_steps`` takes its inputs in."""
     samples = list(samples)
     return KinematicInput(
         t=[u.t for u in samples], heading=[u.heading for u in samples],
@@ -41,10 +40,10 @@ def make_config(dim, q=0.1, p0=10.0, x0=None, **kwargs):
 
 
 def filter_one(model, cfg, d, r, inputs):
-    """One run through ``filter_runs``: differences (N, 2) and covariances
+    """One run through ``filter_steps``: differences (N, 2) and covariances
     (N, 2, 2) in, the posterior means (N, n) and covariances (N, n, n) out."""
-    steps = list(filter_runs(model, cfg, np.asarray(d, dtype=float)[None], r, inputs))
-    return np.array([m[0] for m, _ in steps]), np.array([c[0] for _, c in steps])
+    steps = list(filter_steps(model, cfg, np.asarray(d, dtype=float)[None], r, inputs))
+    return np.array([s.means[0] for s in steps]), np.array([s.covs[0] for s in steps])
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -122,11 +121,11 @@ def blind_priors(cfg, n_steps):
     prior: the previous covariance plus the process noise."""
     d = np.ones((1, n_steps, 2))
     r = np.tile(0.01 * np.eye(2), (n_steps, 1, 1))
-    steps = list(filter_runs(blind_model(cfg.initial_mean.size), cfg, d, r,
-                             series([make_input()] * n_steps)))
-    for means, _ in steps:
-        np.testing.assert_array_equal(means[0], cfg.initial_mean)
-    return [covs[0] for _, covs in steps]
+    steps = list(filter_steps(blind_model(cfg.initial_mean.size), cfg, d, r,
+                              series([make_input()] * n_steps)))
+    for step in steps:
+        np.testing.assert_array_equal(step.means[0], cfg.initial_mean)
+    return [step.covs[0] for step in steps]
 
 
 def textbook_update(mean, prior, d, r, u, model):
@@ -249,21 +248,21 @@ class TestCovarianceCheck:
         expected = np.array([[1.0, 5e-13], [5e-13, 1.0]])
         cfg = UkfConfig(process_noise=NEARLY_SYMMETRIC, initial_mean=np.zeros(2),
                         initial_covariance=NEARLY_SYMMETRIC)
-        # filter_runs's R: the next test
+        # filter_steps's R: the next test
         stored = [cfg.initial_covariance, cfg.process_noise]
         for m in stored:
             np.testing.assert_array_equal(m, m.T)
             np.testing.assert_array_equal(m, expected)
 
-    def test_filter_runs_uses_the_symmetric_part_of_r(self):
+    def test_filter_steps_uses_the_symmetric_part_of_r(self):
         model = CompositeModel(components=(body_offset(), map_translation()))
         cfg = make_config(4)
         d = np.random.default_rng(16).normal(size=(2, 3, 2))
         inputs = series(make_input(angle=a) for a in (0.0, 0.4, 0.8))
         r = np.tile(0.04 * NEARLY_SYMMETRIC, (3, 1, 1))
         sym = (r + np.swapaxes(r, 1, 2)) / 2.0
-        for (m1, c1), (m2, c2) in zip(filter_runs(model, cfg, d, r, inputs),
-                                      filter_runs(model, cfg, d, sym, inputs)):
+        for (m1, c1, *_), (m2, c2, *_) in zip(filter_steps(model, cfg, d, r, inputs),
+                                              filter_steps(model, cfg, d, sym, inputs)):
             np.testing.assert_array_equal(m1, m2)
             np.testing.assert_array_equal(c1, c2)
 
@@ -275,9 +274,9 @@ class TestCovarianceCheck:
             UkfConfig(process_noise=bad, initial_mean=np.zeros(2),
                       initial_covariance=np.eye(2))
         with pytest.raises(NotPSD, match="^R must be finite$"):
-            next(filter_runs(CompositeModel(components=(map_translation(),)),
-                             make_config(2), np.zeros((1, 1, 2)), bad[None],
-                             series([make_input()])))
+            next(filter_steps(CompositeModel(components=(map_translation(),)),
+                              make_config(2), np.zeros((1, 1, 2)), bad[None],
+                              series([make_input()])))
 
 
 class TestDiagonalShiftVerdict:
@@ -318,11 +317,11 @@ class TestDiagonalShiftVerdict:
                 return step._replace(covs=covs)
 
             monkeypatch.setattr(estimator, "_update", posterior_at)
-            steps = filter_runs(model, make_config(3), np.zeros((n_runs, 1, 2)),
-                                0.04 * np.eye(2)[None],
-                                series([make_input(position=(5.0, 2.0))]))
+            steps = filter_steps(model, make_config(3), np.zeros((n_runs, 1, 2)),
+                                 0.04 * np.eye(2)[None],
+                                 series([make_input(position=(5.0, 2.0))]))
             if expected is None:
-                _, covs = next(steps)
+                _, covs, *_ = next(steps)
                 np.testing.assert_array_equal(covs[-1], at)
             else:
                 with pytest.raises(FilterStepError,
@@ -444,8 +443,8 @@ class TestPredict:
             cfg = UkfConfig(process_noise=random_psd(rng, dim, 0.3),
                             initial_mean=rng.normal(size=dim),
                             initial_covariance=random_psd(rng, dim))
-            (means, covs), = filter_runs(blind_model(dim), cfg, rng.normal(size=(4, 1, 2)),
-                                         0.04 * np.eye(2)[None], series([make_input()]))
+            (means, covs, *_), = filter_steps(blind_model(dim), cfg, rng.normal(size=(4, 1, 2)),
+                                              0.04 * np.eye(2)[None], series([make_input()]))
             np.testing.assert_array_equal(means, np.tile(cfg.initial_mean, (4, 1)))
             np.testing.assert_array_equal(
                 covs, np.tile(cfg.initial_covariance + cfg.process_noise, (4, 1, 1)))
@@ -628,28 +627,12 @@ class TestFilterRuns:
         u = make_input(angle=0.7, position=(20.0, 5.0))
         d = rng.normal(size=(3, 1, 2))
         r = random_psd(rng, 2, 0.1)[None]
-        (means, covs), = filter_runs(model, cfg, d, r, series([u]))
+        (means, covs, *_), = filter_steps(model, cfg, d, r, series([u]))
         for run in range(3):
             alone = _update(cfg.initial_mean[None], cfg.initial_covariance[None],
                             d[run], r[0], u, model, _sigma_weights(3))
             np.testing.assert_array_equal(means[run], alone[0][0])
             np.testing.assert_array_equal(covs[run], alone[1][0])
-
-    def test_filter_runs_is_the_posterior_view_of_filter_steps(self):
-        model = CompositeModel(components=(body_offset(), map_rotation(pivot=(3.0, -1.0))))
-        rng = np.random.default_rng(17)
-        d = rng.normal(size=(3, 5, 2))
-        r = np.tile(random_psd(rng, 2, 0.1), (5, 1, 1))
-        inputs = series(make_input(angle=0.3 * k, position=(10.0 * k, 2.0)) for k in range(5))
-        pairs = list(filter_runs(model, make_config(3), d, r, inputs))
-        steps = list(filter_steps(model, make_config(3), d, r, inputs))
-        assert len(pairs) == len(steps) == 5
-        for (means, covs), step in zip(pairs, steps):
-            np.testing.assert_array_equal(means, step.means)
-            np.testing.assert_array_equal(covs, step.covs)
-        # a list is refused before step 0, as filter_runs refuses it
-        with pytest.raises(TypeError, match="^inputs must be a KinematicInput series, got list$"):
-            next(filter_steps(model, make_config(3), d, r, list(inputs)))
 
     def test_yielded_arrays_are_read_only(self):
         # the next step reads the yielded posterior, so an edit in place
@@ -657,9 +640,7 @@ class TestFilterRuns:
         model = CompositeModel(components=(body_offset(), map_translation()))
         args = (model, make_config(4), np.ones((2, 2, 2)), np.tile(0.04 * np.eye(2), (2, 1, 1)),
                 series(make_input(angle=0.5 * k) for k in range(2)))
-        means, _ = next(filter_runs(*args))
-        _, covs = next(filter_runs(*args))
-        for array in (means, covs, *next(filter_steps(*args))):
+        for array in next(filter_steps(*args)):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
@@ -673,12 +654,12 @@ class TestFilterRuns:
         d[0] *= 1e3
         r = np.tile(0.04 * np.eye(2), (5, 1, 1))
         inputs = series(make_input(angle=0.3 * k, position=(10.0 * k, 2.0)) for k in range(5))
-        steps = list(filter_runs(model, cfg, d, r, inputs))
+        steps = list(filter_steps(model, cfg, d, r, inputs))
         for run in range(3):
             alone_means, alone_covs = filter_one(model, cfg, d[run], r, inputs)
-            np.testing.assert_allclose([m[run] for m, _ in steps], alone_means,
+            np.testing.assert_allclose([s.means[run] for s in steps], alone_means,
                                        rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose([c[run] for _, c in steps], alone_covs,
+            np.testing.assert_allclose([s.covs[run] for s in steps], alone_covs,
                                        rtol=0.0, atol=1e-12)
 
     def test_rejects_invalid_measurement_covariance(self):
@@ -686,21 +667,21 @@ class TestFilterRuns:
         cfg = make_config(2)
         r = np.array([np.eye(2), np.diag([1.0, -1.0])])
         with pytest.raises(NotPSD):
-            list(filter_runs(model, cfg, np.zeros((1, 2, 2)), r,
-                             series([make_input()] * 2)))
+            list(filter_steps(model, cfg, np.zeros((1, 2, 2)), r,
+                              series([make_input()] * 2)))
 
 
     def test_rejects_differences_without_run_axis(self):
         model = CompositeModel(components=(map_translation(),))
         with pytest.raises(DimensionMismatch, match=r"d must have shape \(B, N, 2\)"):
-            list(filter_runs(model, make_config(2), np.zeros((2, 2)),
-                             np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 2)))
+            list(filter_steps(model, make_config(2), np.zeros((2, 2)),
+                              np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 2)))
 
     def test_rejects_covariances_shorter_than_differences(self):
         model = CompositeModel(components=(map_translation(),))
         with pytest.raises(DimensionMismatch, match=r"r must have shape \(3, 2, 2\)"):
-            list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
-                             np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 3)))
+            list(filter_steps(model, make_config(2), np.zeros((1, 3, 2)),
+                              np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 3)))
 
     @pytest.mark.parametrize("n_inputs", [2, 4])
     def test_rejects_input_count_mismatch(self, n_inputs):
@@ -708,8 +689,8 @@ class TestFilterRuns:
         message = (rf"^inputs\.ref_position must have shape \(3, 2\) or \(1, 3, 2\) for the "
                    rf"3 steps and 1 runs of d, got \({n_inputs}, 2\)$")
         with pytest.raises(DimensionMismatch, match=message):
-            list(filter_runs(model, make_config(2), np.zeros((1, 3, 2)),
-                             np.tile(np.eye(2), (3, 1, 1)), series([make_input()] * n_inputs)))
+            list(filter_steps(model, make_config(2), np.zeros((1, 3, 2)),
+                              np.tile(np.eye(2), (3, 1, 1)), series([make_input()] * n_inputs)))
 
     @pytest.mark.parametrize("inputs, kind", [
         ([make_input()] * 2, "list"), (tuple([make_input()] * 2), "tuple"),
@@ -717,8 +698,8 @@ class TestFilterRuns:
     def test_inputs_other_than_a_series_are_refused(self, inputs, kind):
         # the one input form is a series, whose positions are checked once
         model = CompositeModel(components=(map_translation(),))
-        steps = filter_runs(model, make_config(2), np.zeros((1, 2, 2)),
-                            np.tile(np.eye(2), (2, 1, 1)), inputs)
+        steps = filter_steps(model, make_config(2), np.zeros((1, 2, 2)),
+                             np.tile(np.eye(2), (2, 1, 1)), inputs)
         with pytest.raises(TypeError, match=f"^inputs must be a KinematicInput series, "
                                             f"got {kind}$"):
             next(steps)
@@ -731,10 +712,10 @@ class TestFilterRuns:
         cfg = make_config(4)
         message = "initial state dimension 4 does not match model state dimension 5"
         with pytest.raises(DimensionMismatch, match=message):
-            next(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)), series([])))
+            next(filter_steps(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)), series([])))
         with pytest.raises(DimensionMismatch, match=message):
-            next(filter_runs(model, cfg, np.zeros((1, 2, 2)),
-                             np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 2)))
+            next(filter_steps(model, cfg, np.zeros((1, 2, 2)),
+                              np.tile(np.eye(2), (2, 1, 1)), series([make_input()] * 2)))
 
     @pytest.mark.parametrize("components", [(body_offset(), map_translation()),
                                             (map_rotation(pivot=(3.0, -1.0)),)])
@@ -753,10 +734,10 @@ class TestFilterRuns:
         message = (r"^inputs\.ref_position must have shape \(40, 2\) or \(2, 40, 2\) for "
                    r"the 40 steps and 2 runs of d, got \(3, 40, 2\)$")
         with pytest.raises(DimensionMismatch, match=message):
-            next(filter_runs(model, cfg, d, r,
-                             with_positions(np.tile(corner.ref_position, (3, 1, 1)))))
+            next(filter_steps(model, cfg, d, r,
+                              with_positions(np.tile(corner.ref_position, (3, 1, 1)))))
         for positions in (corner.ref_position, np.tile(corner.ref_position, (2, 1, 1))):
-            assert len(list(filter_runs(model, cfg, d, r, with_positions(positions)))) == 40
+            assert len(list(filter_steps(model, cfg, d, r, with_positions(positions)))) == 40
 
     def test_inputs_are_fetched_one_step_at_a_time(self, monkeypatch):
         # building every step's input before step 0 held them all for the
@@ -772,8 +753,8 @@ class TestFilterRuns:
         inputs = KinematicInput(t=np.arange(float(n)), heading=np.linspace(0.0, 1.0, n),
                                 ref_position=np.zeros((n, 2)), heading_rate=np.zeros(n))
         model = CompositeModel(components=(body_offset(), map_translation()))
-        steps = filter_runs(model, make_config(4), np.ones((2, n, 2)),
-                            np.tile(0.04 * np.eye(2), (n, 1, 1)), inputs)
+        steps = filter_steps(model, make_config(4), np.ones((2, n, 2)),
+                             np.tile(0.04 * np.eye(2), (n, 1, 1)), inputs)
         # each step builds its own sample, one object with no nested heading object
         for k, _ in enumerate(steps):
             assert built == ["KinematicInput"] * (k + 1)
@@ -788,8 +769,8 @@ class TestFilterRuns:
         object.__setattr__(cfg, "process_noise", np.diag([0.1, -0.3]))
         d = np.zeros((2, 2, 2))
         r = np.tile(0.04 * np.eye(2), (2, 1, 1))
-        steps = filter_runs(model, cfg, d, r, series([make_input()] * 2))
-        _, covs = next(steps)
+        steps = filter_steps(model, cfg, d, r, series([make_input()] * 2))
+        _, covs, *_ = next(steps)
         expected = eigvalsh_verdict(covs + cfg.process_noise)
         assert expected is not None
         with pytest.raises(FilterStepError) as excinfo:
@@ -816,21 +797,21 @@ class TestFilterRuns:
 
         monkeypatch.setattr(estimator, "_update", corrupted)
         model = CompositeModel(components=(map_translation(),))
-        steps = filter_runs(model, make_config(2), np.zeros((1, 1, 2)),
-                            0.04 * np.eye(2)[None], series([make_input()]))
+        steps = filter_steps(model, make_config(2), np.zeros((1, 1, 2)),
+                             0.04 * np.eye(2)[None], series([make_input()]))
         with pytest.raises(FilterStepError, match=f"^step 0: {message}$"):
             next(steps)
 
 
 class TestRunFilter:
-    """One run, a batch of one, through ``filter_runs``."""
+    """One run, a batch of one, through ``filter_steps``."""
 
     def test_empty_stream_returns_initial_only(self):
         # no step: the initial mean stays the only estimate
         model = CompositeModel(components=(map_translation(),))
         cfg = make_config(2)
-        assert list(filter_runs(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)),
-                                series([]))) == []
+        assert list(filter_steps(model, cfg, np.zeros((1, 0, 2)), np.zeros((0, 2, 2)),
+                                 series([]))) == []
 
     def test_single_observation_moves_toward_difference(self):
         model = CompositeModel(components=(map_translation(),))
@@ -868,6 +849,16 @@ class TestRunFilter:
         with pytest.raises(FilterStepError) as excinfo:
             filter_one(model, cfg, d, np.tile(np.eye(2), (3, 1, 1)), series([make_input()] * 3))
         assert excinfo.value.step == 2
+        # in a batch, the first step with a non-finite coordinate in any run
+        d = np.zeros((3, 8, 2))
+        d[2, 4, 1] = np.nan
+        d[1, 6, 0] = np.inf
+        steps = filter_steps(model, cfg, d, np.tile(np.eye(2), (8, 1, 1)),
+                             series([make_input()] * 8))
+        with pytest.raises(FilterStepError,
+                           match="^step 4: observed difference must be finite$") as excinfo:
+            next(steps)
+        assert excinfo.value.step == 4
 
     def test_noiseless_corner_replay_recovers_injected_offsets(self):
         # a single 90-degree sweep leaves a residual split in whichever
@@ -918,8 +909,8 @@ def test_spread_keeps_a_wide_prior_consistent(deformation, value):
     seeds = [derive_run_seed(20260808, run) for run in range(20)]
     inputs, p_other, r = inject_runs(trajectory, InjectionConfig(truth, 0.2, 0),
                                      model, seeds)
-    *_, (means, covs) = filter_runs(model, make_config(5, q=0.0), inputs.ref_position - p_other,
-                                    r, inputs)
+    *_, (means, covs, *_) = filter_steps(model, make_config(5, q=0.0),
+                                         inputs.ref_position - p_other, r, inputs)
     err = means - truth
     nees = np.einsum("bi,bi->b", err, np.linalg.solve(covs, err[..., None])[..., 0])
     low, high = stats.chi2.ppf([0.0005, 0.9995], 5 * len(seeds)) / len(seeds)

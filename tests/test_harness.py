@@ -15,7 +15,7 @@ from locdecomp.cli import main as cli_main
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_scale,
                                     map_shear, map_translation)
-from locdecomp.estimator import FilterStep, UkfConfig, filter_runs, filter_steps
+from locdecomp.estimator import FilterStep, UkfConfig, filter_steps
 from locdecomp.exceptions import (DimensionMismatch, ExperimentRunError, FilterStepError,
                                   NotPSD, SingularTransform)
 from locdecomp.harness import (ExperimentConfig, FileTrajectory, MseSeries,
@@ -46,13 +46,13 @@ def small_config(n_runs=5, seed=99, n_samples=40, noise=0.2, kind="corner",
 
 def per_run_estimates(cfg, runs=None):
     """Reference: each run simulated and filtered on its own, a batch of one
-    for ``inject_runs`` and then for ``filter_runs``."""
+    for ``inject_runs`` and then for ``filter_steps``."""
     trajectory = cfg.trajectory.series
     out = []
     for run in range(cfg.n_runs) if runs is None else runs:
         seed = derive_run_seed(cfg.injection.rng_seed, run)
         inputs, p_other, r = inject_runs(trajectory, cfg.injection, cfg.model, [seed])
-        out.append([means[0] for means, _ in filter_runs(
+        out.append([step.means[0] for step in filter_steps(
             cfg.model, cfg.ukf, inputs.ref_position - p_other, r, inputs)])
     return np.array(out)
 
@@ -266,8 +266,8 @@ def test_shipped_corner_filter_pass_validates_no_sample(monkeypatch):
         original(self)
 
     monkeypatch.setattr(KinematicInput, "__post_init__", counted)
-    passes = list(filter_runs(cfg.model, cfg.ukf, inputs.ref_position - p_other, r,
-                              inputs))
+    passes = list(filter_steps(cfg.model, cfg.ukf, inputs.ref_position - p_other, r,
+                               inputs))
     assert len(passes) == len(trajectory) == 200 and cfg.n_runs == 100
     assert built == []
 

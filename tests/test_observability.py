@@ -2,18 +2,24 @@ import inspect
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from locdecomp import observability
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset,
-                                    map_rotation, map_scale, map_translation)
+                                    map_rotation, map_scale, map_shear, map_translation)
 from locdecomp.exceptions import DimensionMismatch, SingularTransform, ZeroTurnRate
 from locdecomp.frames import rotation_matrix
+from locdecomp.harness import load_config
 from locdecomp.observability import (RANK_TOL, closed_form_decomposition,
-                                     difference_rates, numerical_rank_test)
+                                     difference_rates, numerical_rank_test,
+                                     output_jacobians)
 from locdecomp.simulation import synthesize_trajectory
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BODY_MAP = CompositeModel(components=(body_offset(), map_translation()))
 TRANSLATION_ONLY = CompositeModel(components=(map_translation(),))
@@ -262,15 +268,17 @@ class TestRankTestEquivalence:
 class TestRankTestArguments:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_x0(self, bad):
-        with pytest.raises(ValueError, match="x0"):
-            numerical_rank_test(BODY_MAP, [0.0, bad, 0.0, 0.0], corner_inputs(40))
+        for function in (numerical_rank_test, output_jacobians):
+            with pytest.raises(ValueError, match="^x0 must be finite, got "):
+                function(BODY_MAP, [0.0, bad, 0.0, 0.0], corner_inputs(40))
 
     def test_rejects_x0_at_which_a_deformation_is_singular(self):
         # the central differences step over the singular point: a scale
         # deviation of -1 was reported observable, every condition number 1.0
         model = CompositeModel(components=(map_scale(),))
-        with pytest.raises(SingularTransform, match="^scale factor 0.0 is not invertible$"):
-            numerical_rank_test(model, [-1.0], synthesize_trajectory("corner", 200))
+        for function in (numerical_rank_test, output_jacobians):
+            with pytest.raises(SingularTransform, match="^scale factor 0.0 is not invertible$"):
+                function(model, [-1.0], synthesize_trajectory("corner", 200))
 
     def test_arguments_are_model_state_inputs_and_window(self):
         # the rank cutoff is the module's RANK_TOL, not an argument
@@ -297,6 +305,10 @@ class TestRankTestArguments:
         with pytest.raises(ValueError, match=message):
             numerical_rank_test(BODY_MAP, x0, series, window_length=window_length)
 
+    def test_output_jacobians_reject_x0_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"^x0 must have shape \(4,\), got \(3,\)$"):
+            output_jacobians(BODY_MAP, np.zeros(3), synthesize_trajectory("straight", 40))
+
     def test_integral_float_window_length_is_accepted(self):
         report = numerical_rank_test(BODY_MAP, np.zeros(4), corner_inputs(40),
                                      window_length=8.0)
@@ -308,9 +320,58 @@ class TestRankTestArguments:
         # one a report over the first run's shape
         inputs = corner_inputs(40)
         runs = replace(inputs, ref_position=np.stack([inputs.ref_position] * 3))
-        with pytest.raises(DimensionMismatch,
-                           match=r"ref_position must have shape \(40, 2\), got \(3, 40, 2\)"):
-            numerical_rank_test(model, np.zeros(model.state_dim), runs)
+        for function in (numerical_rank_test, output_jacobians):
+            with pytest.raises(DimensionMismatch, match=r"^ref_position must have shape "
+                                                        r"\(40, 2\), got \(3, 40, 2\)$"):
+                function(model, np.zeros(model.state_dim), runs)
+
+
+class TestOutputJacobians:
+    def test_body_map_on_the_shipped_corner(self):
+        # d = rot(heading) body + map, so each sample's Jacobian is [rot, I]
+        cfg = load_config(ROOT / "configs" / "corner.json")
+        inputs = cfg.trajectory.series
+        jac = output_jacobians(cfg.model, cfg.injection.true_params, inputs)
+        expected = np.stack([np.hstack([rotation_matrix(u.heading), np.eye(2)])
+                             for u in inputs])
+        assert jac.shape == (200, 2, 4)
+        np.testing.assert_allclose(jac, expected, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("component, derivative", [
+        (map_rotation, lambda lever: lever @ SPIN.T),
+        (map_scale, lambda lever: lever),
+        (map_shear, lambda lever: lever[:, ::-1] * [1.0, 0.0])],
+        ids=["rotation", "scale", "shear"])
+    def test_deformations_at_zero(self, component, derivative):
+        # at x0 = 0 the contribution p - (c + image(p - c)) changes along
+        # the lever p - c: rotated a quarter turn, itself, or by its y along x;
+        # the pivot lies off the drive, so no lever coordinate is near 0
+        pivot = np.array([-50.0, -30.0])
+        inputs = synthesize_trajectory("corner", 200)
+        jac = output_jacobians(CompositeModel(components=(component(pivot=pivot),)),
+                               np.zeros(1), inputs)
+        assert jac.shape == (200, 2, 1)
+        np.testing.assert_allclose(jac[..., 0], derivative(inputs.ref_position - pivot),
+                                   rtol=1e-6, atol=0.0)
+
+    def test_translation_alone_is_the_identity_at_every_sample(self):
+        # a state-independent model returns no sample axis: the broadcast path
+        jac = output_jacobians(TRANSLATION_ONLY, [3.0, -2.0], corner_inputs(30))
+        assert jac.shape == (30, 2, 2)
+        np.testing.assert_allclose(jac, np.broadcast_to(np.eye(2), (30, 2, 2)),
+                                   rtol=0.0, atol=1e-8)
+
+    def test_rank_test_reads_them(self, monkeypatch):
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return output_jacobians(*args)
+
+        monkeypatch.setattr(observability, "output_jacobians", recorded)
+        inputs = corner_inputs(40)
+        numerical_rank_test(BODY_MAP, np.zeros(4), inputs)
+        assert len(calls) == 1 and calls[0][0] is BODY_MAP and calls[0][2] is inputs
 
 
 class TestClosedFormDecomposition:

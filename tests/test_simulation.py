@@ -423,7 +423,7 @@ class TestInjectErrors:
         b_ref, b_other, _ = inject_one(trajectory, InjectionConfig(rng_seed=2, **base))
         assert not np.allclose(a_ref[0] - a_other[0], b_ref[0] - b_other[0])
 
-    def test_returns_the_record_that_filter_runs_reads(self):
+    def test_returns_the_record_that_filter_steps_reads(self):
         # the series carries each run's measured reference positions, and r
         # the difference covariance at every step; each localizer draws half
         # the total variance, the reference localizer first
