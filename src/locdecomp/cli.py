@@ -154,19 +154,18 @@ def _cmd_observability(args) -> int:
         replace(cfg.injection, rng_seed=args.seed)
     report = numerical_rank_test(cfg.model, cfg.ukf.initial_mean, cfg.trajectory.series)
     wl, dim = report.window_length, report.state_dim
-    degenerate = set(report.degenerate_windows)
     row = f"%d,%d,%d,{FLOAT_FORMAT}%s"
     print("\n".join([
         f"state_dim = {dim}",
         f"window_length = {wl}",
         f"observable = {str(report.observable).lower()}",
-        f"deficient_windows = {len(report.deficient_windows)}",
-        f"degenerate_windows = {len(report.degenerate_windows)}",
+        f"deficient_windows = {sum(rank < dim for rank in report.rank_profile)}",
+        f"degenerate_windows = {sum(report.degenerate)}",
         "start,end,rank,condition",
         *(row % (start, start + wl, rank, cond, (",DEFICIENT" if rank < dim else "")
-                 + (",DEGENERATE" if (start, start + wl) in degenerate else ""))
-          for start, rank, cond in zip(report.window_starts, report.rank_profile,
-                                       report.condition_numbers))]))
+                 + (",DEGENERATE" if degenerate else ""))
+          for start, (rank, cond, degenerate) in enumerate(zip(
+              report.rank_profile, report.condition_numbers, report.degenerate)))]))
     return 0
 
 

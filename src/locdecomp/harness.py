@@ -10,7 +10,7 @@ every later reader gets that same, read-only series.  All runs
 share the trajectory, the model and the filter settings, so an experiment
 is one batched pass: inject errors into every run as arrays, filter every
 run in one vectorized pass, take the moments over blocks of steps as the
-filter yields them.
+filter yields them, and keep the last step's record (``MseSeries.final``).
 Only the injected series grow with the number of steps, and the blocks are
 of nearly equal length, so the moments equal those of one stack of all
 steps bit for bit.
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import error_models
 from .error_models import CompositeModel, KinematicInput
-from .estimator import UkfConfig, filter_steps
+from .estimator import FilterStep, UkfConfig, filter_steps
 from .exceptions import DimensionMismatch, ExperimentRunError, NotPSD, SingularTransform
 from .frames import as_count, as_real
 from .simulation import (DEFAULT_SPEED_MPS, DEFAULT_STEP_S, InjectionConfig,
@@ -124,6 +124,8 @@ class MseSeries:
     sides differ by up to 6e-15 on the shipped configs).  ``initial_mse``
     is the squared error of the filter's initial state estimate, the value
     every error trajectory starts from before the first observation.
+    ``final`` is the filter's read-only record of the last step, whose
+    ``means`` (runs, n) and ``covs`` (runs, n, n) are the final posteriors.
     """
 
     mse: np.ndarray
@@ -131,11 +133,7 @@ class MseSeries:
     variance: np.ndarray
     true_params: np.ndarray
     initial_mse: np.ndarray
-    n_runs: int
-
-    @property
-    def final_mse(self) -> np.ndarray:
-        return self.mse[-1]
+    final: FilterStep
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -146,14 +144,14 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 
 def _estimate_runs(trajectory, cfg: ExperimentConfig, runs):
     """Simulate the given runs as one batch and return the filter's pass
-    over them, an iterator of each step's posterior means, shape (runs, dim).
+    over them, an iterator of each step's :class:`FilterStep` record.
     The injection runs in the call, so a truth at which the model is
     singular raises here, before any filter step.
     """
     seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in runs]
     inputs, d, r = inject_runs(trajectory, cfg.injection, cfg.model, seeds)
     np.subtract(inputs.ref_position, d, out=d)   # the differences overwrite p_other
-    return (step.means for step in filter_steps(cfg.model, cfg.ukf, d, r, inputs))
+    return filter_steps(cfg.model, cfg.ukf, d, r, inputs)
 
 
 def run_experiment(cfg: ExperimentConfig) -> MseSeries:
@@ -176,8 +174,10 @@ def run_experiment(cfg: ExperimentConfig) -> MseSeries:
     try:
         for i in range(n_blocks):
             rows = slice(n_steps * i // n_blocks, n_steps * (i + 1) // n_blocks)
-            # (runs, k, dim), laid out as those rows of one full stack
-            block = np.stack(list(islice(steps, rows.stop - rows.start)), axis=1)
+            # (runs, k, dim), laid out as those rows of one full stack; of the
+            # records, only the last one read stays alive, as final
+            block = np.stack([(final := step).means
+                              for step in islice(steps, rows.stop - rows.start)], axis=1)
             mean[rows] = np.mean(block, axis=0)
             variance[rows] = np.var(block, axis=0)
             block -= truth
@@ -197,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig) -> MseSeries:
         variance=variance,
         true_params=truth.copy(),
         initial_mse=(cfg.ukf.initial_mean - truth) ** 2,
-        n_runs=cfg.n_runs,
+        final=final,
     )
 
 
@@ -246,19 +246,19 @@ def emit_results(series: MseSeries, out_dir,
 
     summary_path = out_dir / "summary.txt"
     out = [
-        f"runs = {series.n_runs}",
+        f"runs = {len(series.final.means)}",
         f"steps = {n_steps}",
         f"state_dim = {dim}",
         f"convergence_threshold_m2 = {_fmt(convergence_threshold)}",
         "true_params = " + ",".join(_fmt(v) for v in series.true_params),
         "final_estimate = " + ",".join(_fmt(v) for v in series.mean[-1]),
         "initial_mse = " + ",".join(_fmt(v) for v in series.initial_mse),
-        "final_mse = " + ",".join(_fmt(v) for v in series.final_mse),
+        "final_mse = " + ",".join(_fmt(v) for v in series.mse[-1]),
         "mse_ratio = " + ",".join(
             _fmt(f / i) if i > 0.0 else "inf"
-            for f, i in zip(series.final_mse, series.initial_mse)),
+            for f, i in zip(series.mse[-1], series.initial_mse)),
         "converged = " + ",".join("true" if f < convergence_threshold else "false"
-                                  for f in series.final_mse),
+                                  for f in series.mse[-1]),
     ]
     summary_path.write_text("\n".join(out) + "\n", encoding="utf-8")
     return [table_path, summary_path]

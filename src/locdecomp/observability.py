@@ -43,21 +43,20 @@ SMOOTH_WINDOW = 3
 class ObservabilityReport:
     """Windowed rank analysis of a model along one input trajectory.
 
-    ``observable`` is true iff at least one window attains full rank.
-    ``deficient_windows`` and ``degenerate_windows`` list (start, end)
-    sample index pairs (end exclusive); a degenerate window is a deficient
-    one whose samples all have the same output Jacobian, so it holds no more
-    rank than one sample: the drive along it does not vary the model.
+    ``observable`` is true iff at least one window attains full rank.  The
+    lists hold one entry per window: window ``i`` covers samples ``i`` to
+    ``i + window_length`` (end exclusive) and is deficient when its rank is
+    below ``state_dim``.  A degenerate window is a deficient one whose
+    samples all have the same output Jacobian, so it holds no more rank
+    than one sample: the drive along it does not vary the model.
     """
 
     observable: bool
     state_dim: int
     window_length: int
-    window_starts: list
     rank_profile: list
     condition_numbers: list
-    deficient_windows: list
-    degenerate_windows: list
+    degenerate: list
 
 
 def output_jacobians(model: CompositeModel, x0, inputs: KinematicInput) -> np.ndarray:
@@ -128,11 +127,9 @@ def numerical_rank_test(model: CompositeModel, x0, inputs: KinematicInput,
         observable=bool(np.any(ranks == n)),
         state_dim=n,
         window_length=wl,
-        window_starts=starts.tolist(),
         rank_profile=ranks.tolist(),
         condition_numbers=conds.tolist(),
-        deficient_windows=[(s, s + wl) for s in starts[ranks < n].tolist()],
-        degenerate_windows=[(s, s + wl) for s in starts[degenerate].tolist()],
+        degenerate=degenerate.tolist(),
     )
 
 

@@ -139,7 +139,7 @@ def test_criterion_1_corner_convergence(corner_result):
     # expected floor (0.0184 m^2), not a per-parameter 1 % ratio, which the
     # 1 m body_y cannot reach at process noise 0.1; see the module docstring
     series, elapsed = corner_result
-    final = series.final_mse
+    final = series.mse[-1]
     cfg = experiment_config("corner", 200)
     trajectory = cfg.trajectory.series
     cov, bias, error_cov = expected_corner_error([s.heading for s in trajectory])
@@ -166,7 +166,7 @@ def test_criterion_1_corner_convergence(corner_result):
 
 def test_criterion_2_straight_non_convergence(straight_result):
     series = straight_result
-    agent_ratios = series.final_mse[:2] / series.initial_mse[:2]
+    agent_ratios = series.mse[-1][:2] / series.initial_mse[:2]
     ok = bool(np.all(agent_ratios >= 0.5))
     report(
         "criterion 2 (straight non-convergence)", ok,
@@ -203,7 +203,7 @@ def test_criterion_4_observability_rank():
     full_report = numerical_rank_test(BODY_MAP, np.zeros(4), inputs,
                                       window_length=window_length)
     rng = np.random.default_rng(MASTER_SEED)
-    placements = rng.integers(0, len(full_report.window_starts), size=100)
+    placements = rng.integers(0, len(full_report.rank_profile), size=100)
     failures = []
     for start in placements:
         window_angles = {inputs[k].heading

@@ -344,16 +344,16 @@ def per_line_report(report):
     lines = [f"state_dim = {report.state_dim}",
              f"window_length = {report.window_length}",
              f"observable = {str(report.observable).lower()}",
-             f"deficient_windows = {len(report.deficient_windows)}",
-             f"degenerate_windows = {len(report.degenerate_windows)}",
+             f"deficient_windows = {sum(r < report.state_dim for r in report.rank_profile)}",
+             f"degenerate_windows = {report.degenerate.count(True)}",
              "start,end,rank,condition"]
-    for start, rank, cond in zip(report.window_starts, report.rank_profile,
-                                 report.condition_numbers):
+    for start, (rank, cond, degenerate) in enumerate(zip(
+            report.rank_profile, report.condition_numbers, report.degenerate)):
         end = start + report.window_length
         mark = ""
         if rank < report.state_dim:
             mark = ",DEFICIENT"
-        if (start, end) in report.degenerate_windows:
+        if degenerate:
             mark += ",DEGENERATE"
         lines.append(f"{start},{end},{rank},{FLOAT_FORMAT % cond}{mark}")
     return "".join(line + "\n" for line in lines)

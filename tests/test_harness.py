@@ -46,21 +46,31 @@ def small_config(n_runs=5, seed=99, n_samples=40, noise=0.2, kind="corner",
 
 def per_run_estimates(cfg, runs=None):
     """Reference: each run simulated and filtered on its own, a batch of one
-    for ``inject_runs`` and then for ``filter_steps``."""
+    for ``inject_runs`` and then for ``filter_steps``.  Returns the runs'
+    posterior means (runs, steps, dim) and last covariances (runs, dim, dim)."""
     trajectory = cfg.trajectory.series
-    out = []
+    means, covs = [], []
     for run in range(cfg.n_runs) if runs is None else runs:
         seed = derive_run_seed(cfg.injection.rng_seed, run)
         inputs, p_other, r = inject_runs(trajectory, cfg.injection, cfg.model, [seed])
-        out.append([step.means[0] for step in filter_steps(
-            cfg.model, cfg.ukf, inputs.ref_position - p_other, r, inputs)])
-    return np.array(out)
+        steps = list(filter_steps(cfg.model, cfg.ukf, inputs.ref_position - p_other, r,
+                                  inputs))
+        means.append([step.means[0] for step in steps])
+        covs.append(steps[-1].covs[0])
+    return np.array(means), np.array(covs)
 
 
 def batched_estimates(cfg, runs=None):
     runs = range(cfg.n_runs) if runs is None else runs
-    return np.stack(list(_estimate_runs(cfg.trajectory.series, cfg, runs)),
+    return np.stack([s.means for s in _estimate_runs(cfg.trajectory.series, cfg, runs)],
                     axis=1)
+
+
+def filter_record(runs, dim):
+    """A :class:`FilterStep` of ``runs`` runs at the origin, for an
+    :class:`MseSeries` built by hand."""
+    return FilterStep(np.zeros((runs, dim)), np.zeros((runs, dim, dim)), np.zeros((runs, 2)),
+                      *np.ones((4, runs)))
 
 
 def corner_centroid(n_samples):
@@ -86,7 +96,7 @@ class TestRunExperiment:
     def test_single_noiseless_run_mse_is_squared_error(self):
         cfg = small_config(n_runs=1, noise=0.0)
         series = run_experiment(cfg)
-        estimates = per_run_estimates(cfg)[0]
+        estimates = per_run_estimates(cfg)[0][0]
         np.testing.assert_allclose(series.mse,
                                    (estimates - cfg.injection.true_params) ** 2,
                                    atol=1e-12)
@@ -132,7 +142,7 @@ class TestBatchedEquivalence:
                                true_params=(2.0, 1.0, 3.0, 2.0, 0.02),
                                q=[0.1, 0.1, 0.1, 0.1, 1e-4],
                                p0=[10.0, 10.0, 10.0, 10.0, 0.01])
-        reference = per_run_estimates(cfg)
+        reference, _ = per_run_estimates(cfg)
         np.testing.assert_allclose(batched_estimates(cfg), reference,
                                    rtol=0.0, atol=1e-12)
         series = run_experiment(cfg)
@@ -177,7 +187,7 @@ class TestBatchedEquivalence:
                            p0=[10.0, 10.0, 10.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(cfg.ukf.initial_covariance + cfg.ukf.process_noise)
-        np.testing.assert_allclose(batched_estimates(cfg), per_run_estimates(cfg),
+        np.testing.assert_allclose(batched_estimates(cfg), per_run_estimates(cfg)[0],
                                    rtol=0.0, atol=1e-12)
 
     @staticmethod
@@ -197,6 +207,31 @@ class TestBatchedEquivalence:
 
     def test_matches_shipped_straight_golden(self):
         self.assert_matches_golden("straight")
+
+
+class TestFinalRecord:
+    """``MseSeries.final``: the filter's record of the batch's last step."""
+
+    @pytest.mark.parametrize("config", ["small", "corner"])
+    def test_final_posteriors_equal_runs_filtered_alone(self, config):
+        # every run of the batch, 100 on the shipped corner config
+        cfg = small_config() if config == "small" else load_config(ROOT / "configs" / "corner.json")
+        final = run_experiment(cfg).final
+        means, covs = per_run_estimates(cfg)
+        assert np.array_equal(final.means, means[:, -1])
+        assert np.array_equal(final.covs, covs)
+
+    @pytest.mark.parametrize("name", ["corner", "straight"])
+    def test_final_moments_are_the_last_rows(self, name):
+        series = run_experiment(load_config(ROOT / "configs" / f"{name}.json"))
+        assert np.array_equal(series.final.means.mean(axis=0), series.mean[-1])
+        assert np.array_equal(series.final.means.var(axis=0), series.variance[-1])
+
+    def test_final_record_is_read_only(self):
+        final = run_experiment(small_config()).final
+        assert isinstance(final, FilterStep) and len(final.means) == 5
+        for name, field in zip(FilterStep._fields, final, strict=True):
+            assert not field.flags.writeable, name
 
 
 class TestBlockedMoments:
@@ -230,6 +265,12 @@ class TestBlockedMoments:
         # the reference positions and the differences, (runs, samples, 2) each
         injected = 600 * raw["runs"] * 2 * 2 * 8
         assert peaks[1] - peaks[0] < 2 * injected
+        # a block of step records kept alive does not grow with the steps,
+        # so bound the peak beyond the injected series at 200 samples: less
+        # than one block of records (means, covs, innovation and S's 4 entries)
+        n = cfg.model.state_dim
+        record = raw["runs"] * (n + n * n + 6) * 8
+        assert peaks[0] - 200 * raw["runs"] * 2 * 2 * 8 < harness._BLOCK_STEPS * record
 
 
 def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
@@ -244,7 +285,7 @@ def test_shipped_corner_filter_pass_takes_no_eigenvalues(monkeypatch):
             _seen.append(np.shape(a))
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    np.stack(list(_estimate_runs(trajectory, cfg, range(cfg.n_runs))), axis=1)
+    np.stack([s.means for s in _estimate_runs(trajectory, cfg, range(cfg.n_runs))], axis=1)
     n_steps, dim = len(trajectory), cfg.model.state_dim
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == [] and shapes["solve"] == []
     assert len(shapes["cholesky"]) <= 2 * n_steps + 1
@@ -374,7 +415,7 @@ class TestEmitResults:
         series = MseSeries(mse=np.array([[0.5, 0.05, 0.5], [0.05, 0.2, 0.1]]),
                            mean=np.zeros((2, 3)), variance=np.zeros((2, 3)),
                            true_params=np.zeros(3), initial_mse=np.ones(3),
-                           n_runs=1)
+                           final=filter_record(1, 3))
         _, summary = emit_results(series, tmp_path, convergence_threshold=0.1)
         assert summary.read_text().splitlines()[-1] == "converged = true,false,false"
 
@@ -417,17 +458,24 @@ class TestEmitResults:
     def test_empty_series_is_an_error(self, tmp_path):
         empty = np.zeros((0, 2))
         series = MseSeries(mse=empty, mean=empty, variance=empty, true_params=np.zeros(2),
-                           initial_mse=np.ones(2), n_runs=1)
+                           initial_mse=np.ones(2), final=filter_record(1, 2))
         with pytest.raises(ValueError, match="^cannot emit an empty series$"):
             emit_results(series, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_runs_line_counts_the_final_records_runs(self, tmp_path):
+        series = MseSeries(mse=np.ones((2, 2)), mean=np.zeros((2, 2)), variance=np.zeros((2, 2)),
+                           true_params=np.zeros(2), initial_mse=np.ones(2),
+                           final=filter_record(3, 2))
+        _, summary = emit_results(series, tmp_path)
+        assert summary.read_text().splitlines()[0] == "runs = 3"
 
     def test_summary_convergence_flags(self, tmp_path):
         series = run_experiment(small_config(n_runs=10, n_samples=60))
         _, summary = emit_results(series, tmp_path, convergence_threshold=0.1)
         text = summary.read_text()
         flags = [line for line in text.splitlines() if line.startswith("converged")]
-        expected = ",".join(str(bool(v)).lower() for v in series.final_mse < 0.1)
+        expected = ",".join(str(bool(v)).lower() for v in series.mse[-1] < 0.1)
         assert flags == [f"converged = {expected}"]
 
 

@@ -81,12 +81,12 @@ class TestNumericalRankTest:
         report = numerical_rank_test(BODY_MAP, np.zeros(4), trajectory)
         assert not report.observable
         assert all(rank <= 2 for rank in report.rank_profile)
-        assert len(report.deficient_windows) == len(report.rank_profile)
+        assert all(rank < report.state_dim for rank in report.rank_profile)
 
     def test_straight_windows_are_degenerate_for_heading_models(self):
         trajectory = synthesize_trajectory("straight", 30)
         report = numerical_rank_test(BODY_MAP, np.zeros(4), trajectory)
-        assert len(report.degenerate_windows) == len(report.window_starts)
+        assert report.degenerate == [True] * len(report.rank_profile)
 
     def test_translation_only_is_observable_anywhere(self):
         trajectory = synthesize_trajectory("straight", 20)
@@ -94,14 +94,13 @@ class TestNumericalRankTest:
         assert report.observable
         assert all(rank == 2 for rank in report.rank_profile)
         # its Jacobian never varies, but a full-rank window is not degenerate
-        assert report.degenerate_windows == []
+        assert not any(report.degenerate)
 
     def test_inseparable_state_independent_model_is_degenerate_everywhere(self):
         model = CompositeModel(components=(map_translation(), map_translation()))
         report = numerical_rank_test(model, np.zeros(4), synthesize_trajectory("corner", 30))
-        assert report.rank_profile == [2] * len(report.window_starts)
-        assert report.degenerate_windows == report.deficient_windows
-        assert len(report.degenerate_windows) == len(report.window_starts)
+        assert report.rank_profile == [2] * len(report.degenerate)
+        assert report.degenerate == [True] * len(report.rank_profile)
 
     def test_degenerate_windows_follow_what_the_model_reads(self):
         # the heading rate varies, the heading does not: a body offset reads
@@ -109,7 +108,7 @@ class TestNumericalRankTest:
         inputs = synthesize_trajectory("straight", 30)
         inputs = replace(inputs, heading_rate=np.linspace(0.0, 1.0, 30))
         report = numerical_rank_test(BODY_MAP, np.zeros(4), inputs)
-        assert len(report.degenerate_windows) == len(report.window_starts)
+        assert report.degenerate == [True] * len(report.rank_profile)
 
     def test_rank_invariant_under_time_rescaling(self):
         inputs = synthesize_trajectory("corner", 120)
@@ -123,7 +122,12 @@ class TestNumericalRankTest:
         report = numerical_rank_test(BODY_MAP, np.zeros(4), trajectory)
         assert report.observable == any(r == report.state_dim
                                         for r in report.rank_profile)
-        assert len(report.condition_numbers) == len(report.window_starts)
+        # one entry per window in each list, and only a deficient window
+        # can be degenerate
+        assert (len(report.rank_profile) == len(report.condition_numbers)
+                == len(report.degenerate) == len(trajectory) - report.window_length + 1)
+        ranks = [rank for rank, flag in zip(report.rank_profile, report.degenerate) if flag]
+        assert ranks and max(ranks) < report.state_dim
 
 
     @pytest.mark.parametrize("ratio, rank", [(1e-7, 2), (1e-9, 1)])
@@ -180,10 +184,11 @@ def assert_matches_reference(model, x0, inputs, window_length):
     report = numerical_rank_test(model, x0, inputs, window_length=window_length)
     ranks, conds, deficient, degenerate = reference_rank_test(model, x0, inputs,
                                                               window_length)
-    assert report.window_starts == list(range(len(ranks)))
+    wl = report.window_length
     assert report.rank_profile == ranks
-    assert report.deficient_windows == deficient
-    assert report.degenerate_windows == degenerate
+    assert [(s, s + wl) for s, rank in enumerate(report.rank_profile)
+            if rank < report.state_dim] == deficient
+    assert [(s, s + wl) for s, flag in enumerate(report.degenerate) if flag] == degenerate
     assert report.observable == any(r == model.state_dim for r in ranks)
     full = np.array(ranks) == model.state_dim
     np.testing.assert_allclose(np.array(report.condition_numbers)[full],
@@ -208,7 +213,7 @@ class TestRankTestEquivalence:
     ])
     def test_corner(self, model, x0):
         report = assert_matches_reference(model, x0, corner_inputs(), 2 * model.state_dim)
-        assert report.observable and report.deficient_windows
+        assert report.observable and min(report.rank_profile) < model.state_dim
 
     @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
     def test_repeated_samples_give_degenerate_windows(self, model):
@@ -216,14 +221,14 @@ class TestRankTestEquivalence:
         inputs = inputs[np.r_[0:25, [25] * 14, 26:60]]
         report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
                                           2 * model.state_dim)
-        assert report.degenerate_windows
+        assert any(report.degenerate)
 
     def test_translation_only(self):
         inputs = corner_inputs(30)
         report = assert_matches_reference(TRANSLATION_ONLY, [3.0, -2.0],
                                           inputs[np.r_[0:10, [10] * 6]], 4)
         assert all(r == 2 for r in report.rank_profile)
-        assert report.degenerate_windows == []
+        assert not any(report.degenerate)
 
     @pytest.mark.parametrize("model", [BODY_MAP, BODY_MAP_ROTATION])
     def test_minimum_window_length(self, model):
@@ -231,7 +236,7 @@ class TestRankTestEquivalence:
         inputs = inputs[np.r_[0:30, [30] * 4, 31:60]]
         report = assert_matches_reference(model, np.zeros(model.state_dim), inputs,
                                           -(-model.state_dim // 2))
-        assert report.degenerate_windows
+        assert any(report.degenerate)
 
     @pytest.mark.parametrize("model, rank", [
         (CompositeModel(components=(map_rotation(pivot=(5.0, -3.0)),)), 0),
@@ -260,7 +265,7 @@ class TestRankTestEquivalence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stacked = len(report.window_starts) * 2 * wl * n * 8  # one copy, in bytes
+        stacked = len(report.rank_profile) * 2 * wl * n * 8  # one copy, in bytes
         assert peak < stacked / 4
         assert set(report.rank_profile) == {3, 4, 5}
 
@@ -458,7 +463,7 @@ class TestClosedFormDecomposition:
         report = numerical_rank_test(BODY_MAP, np.zeros(4), inputs,
                                      window_length=2)
         x = np.array([2.0, 1.0, 3.0, 2.0])
-        for start, rank in zip(report.window_starts, report.rank_profile):
+        for start, rank in enumerate(report.rank_profile):
             u = inputs[start]
             next_u = inputs[start + 1]
             turning = abs(next_u.heading - u.heading) > 1e-12
