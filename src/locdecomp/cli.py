@@ -45,7 +45,7 @@ import numpy as np
 from .error_models import KinematicInput
 from .estimator import filter_steps
 from .exceptions import DimensionMismatch, ParseError
-from .harness import (FLOAT_FORMAT, ExperimentConfig, _fmt, derive_run_seed,
+from .harness import (FLOAT_FORMAT, ExperimentConfig, derive_run_seed,
                       emit_results, load_config, run_experiment, write_table)
 from .observability import (MIN_TURN_RATE, SMOOTH_WINDOW, closed_form_decomposition,
                             difference_rates, numerical_rank_test)
@@ -134,7 +134,7 @@ def _cmd_filter(args) -> int:
               + [f"var_x{j + 1}" for j in range(dim)])
     out = write_table(path, table, ",".join(header), comments="# ")
     print(f"wrote {len(table)} steps to {out}")
-    print("final estimate: " + ", ".join(_fmt(v) for v in table[-1, 2:2 + dim]))
+    print("final estimate: " + ", ".join(FLOAT_FORMAT % v for v in table[-1, 2:2 + dim]))
     return 0
 
 
@@ -179,16 +179,16 @@ def _cmd_oracle(args) -> int:
     if turning.size and SMOOTH_WINDOW > shortest:
         raise ValueError(f"the {SMOOTH_WINDOW}-sample smoothing window (SMOOTH_WINDOW) "
                          f"is wider than the shortest turn of {shortest} samples")
-    print("step,t_s,body_x,body_y,map_east,map_north")
     if not turning.size:
         print("no steps with sufficient turn rate", file=sys.stderr)
         return 1
+    print("step,t_s,body_x,body_y,map_east,map_north")
     angle, rate = inputs.heading[turning], inputs.heading_rate[turning]
     estimates = closed_form_decomposition(d[turning], rates[turning], angle, rate)
     np.savetxt(sys.stdout, np.column_stack([turning, inputs.t[turning], estimates]),
                fmt=FLOAT_FORMAT, delimiter=",")
     print(f"mean over {turning.size} turning steps: "
-          + ", ".join(_fmt(v) for v in estimates.mean(axis=0)))
+          + ", ".join(FLOAT_FORMAT % v for v in estimates.mean(axis=0)))
     return 0
 
 

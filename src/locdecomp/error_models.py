@@ -103,18 +103,12 @@ class KinematicInput:
         elif t.flags.writeable:   # an index array copies; a slice gives views
             for copy in (t, heading, rate, positions):
                 copy.flags.writeable = False
-        return _trusted(KinematicInput, t=t, heading=heading, ref_position=positions,
-                        heading_rate=rate)
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, without ``__post_init__``: for views, or copies, of arrays that
-    the instance they come from has already validated."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+        # without __post_init__: this instance has already validated the arrays
+        sample = object.__new__(KinematicInput)
+        for name, value in (("t", t), ("heading", heading), ("ref_position", positions),
+                            ("heading_rate", rate)):
+            object.__setattr__(sample, name, value)
+        return sample
 
 
 @dataclass(frozen=True)

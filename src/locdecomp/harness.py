@@ -205,10 +205,6 @@ def run_experiment(cfg: ExperimentConfig) -> MseSeries:
 # result emission
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return FLOAT_FORMAT % value
-
-
 def write_table(path, table, header: str, comments: str = "") -> Path:
     """Write a 2-d array as comma-separated ``FLOAT_FORMAT`` rows under one
     header line, creating the parent directory; step indices print as integers."""
@@ -249,13 +245,13 @@ def emit_results(series: MseSeries, out_dir,
         f"runs = {len(series.final.means)}",
         f"steps = {n_steps}",
         f"state_dim = {dim}",
-        f"convergence_threshold_m2 = {_fmt(convergence_threshold)}",
-        "true_params = " + ",".join(_fmt(v) for v in series.true_params),
-        "final_estimate = " + ",".join(_fmt(v) for v in series.mean[-1]),
-        "initial_mse = " + ",".join(_fmt(v) for v in series.initial_mse),
-        "final_mse = " + ",".join(_fmt(v) for v in series.mse[-1]),
+        f"convergence_threshold_m2 = {FLOAT_FORMAT % convergence_threshold}",
+        "true_params = " + ",".join(FLOAT_FORMAT % v for v in series.true_params),
+        "final_estimate = " + ",".join(FLOAT_FORMAT % v for v in series.mean[-1]),
+        "initial_mse = " + ",".join(FLOAT_FORMAT % v for v in series.initial_mse),
+        "final_mse = " + ",".join(FLOAT_FORMAT % v for v in series.mse[-1]),
         "mse_ratio = " + ",".join(
-            _fmt(f / i) if i > 0.0 else "inf"
+            FLOAT_FORMAT % (f / i) if i > 0.0 else "inf"
             for f, i in zip(series.mse[-1], series.initial_mse)),
         "converged = " + ",".join("true" if f < convergence_threshold else "false"
                                   for f in series.mse[-1]),

@@ -397,8 +397,12 @@ class TestOracleCommand:
                               trajectory={"kind": "straight", "n_samples": 20})
         data = tmp_path / "data.csv"
         main(["simulate", "--config", str(config), "--out", str(data)])
+        capsys.readouterr()
         assert main(["oracle", "--data", str(data)]) == 1
-        assert "no steps" in capsys.readouterr().err
+        # no header-only table on stdout, only the reason on stderr
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no steps with sufficient turn rate\n"
 
     @pytest.mark.parametrize("flag, value", [("--min-turn-rate", "0.01"),
                                              ("--smooth-window", "5")])

@@ -1,9 +1,12 @@
 import inspect
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locdecomp.cli import read_data_file, write_data_file
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
@@ -19,6 +22,10 @@ CORNER = synthesize_trajectory("corner", 200)
 PIVOT = CORNER.ref_position.mean(axis=0)
 COORDINATES = st.lists(st.floats(-1e4, 1e4, allow_subnormal=False), min_size=2,
                        max_size=2).map(np.array)
+# the shipped components, each built about a pivot if it takes one
+SHIPPED = {"map_translation": lambda pivot: map_translation(),
+           "body_offset": lambda pivot: body_offset(),
+           "map_rotation": map_rotation, "map_scale": map_scale, "map_shear": map_shear}
 
 
 def evaluate(comp, params, u):
@@ -405,6 +412,34 @@ class TestCompositeModel:
             parts = (sub_body.evaluate(x[:2], u)
                      + sub_map.evaluate(x[2:], u))
             np.testing.assert_allclose(total, parts, atol=1e-12)
+
+    @settings(derandomize=True, database=None)
+    @given(data=st.data(), kinds=st.lists(st.sampled_from(sorted(SHIPPED)), min_size=1,
+                                          max_size=6),
+           pivot=COORDINATES, heading=st.floats(-np.pi, np.pi))
+    def test_composite_is_the_sum_of_its_components(self, data, kinds, pivot, heading):
+        # a disparity is a sum of component functions: stacking them into
+        # one state vector changes no bit of that sum, in any order, with
+        # repeats, for a sample of per-run positions and for a series
+        components = [SHIPPED[kind](pivot) for kind in kinds]
+        model = CompositeModel(components=components)
+        positions = data.draw(arrays(float, (3, 7, 2),
+                                     elements=st.floats(-1e4, 1e4, allow_subnormal=False)))
+        headings = data.draw(arrays(float, 7, elements=st.floats(-np.pi, np.pi)))
+        sample = make_input(angle=heading, position=positions[:, 0])
+        series = KinematicInput(t=np.arange(7.0), heading=headings, heading_rate=np.zeros(7),
+                                ref_position=positions)
+        # a deformation's (p - c) + c round trip leaves at most one spacing
+        bound = np.spacing(np.abs(positions).max() + np.abs(pivot).max())
+        for u, batch in ((sample, (5, 3)), (series, (5, 3, 1))):
+            x = data.draw(arrays(float, batch + (model.state_dim,),
+                                 elements=st.floats(-0.5, 0.5, allow_subnormal=False)))
+            parts = [evaluate(comp, x[..., off:off + comp.param_dim], u)
+                     for off, comp in zip(model.offsets, components)]
+            np.testing.assert_array_equal(model.evaluate(x, u), reduce(add, parts))
+            for comp in components:
+                alone = evaluate(comp, np.zeros(batch + (comp.param_dim,)), u)
+                assert np.abs(alone).max() <= bound, comp.name
 
     def test_neutral_state_evaluates_to_zero(self):
         model = CompositeModel(components=(body_offset(), map_translation(),

@@ -3,9 +3,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from locdecomp import error_models
 from locdecomp.error_models import (CompositeModel, ErrorComponent, KinematicInput,
                                     body_offset, map_rotation, map_scale, map_shear,
                                     map_translation)
@@ -13,6 +15,7 @@ from locdecomp.estimator import (ALPHA, BETA, KAPPA, PSD_TOL, UkfConfig,
                                  _check_covariance, _check_psd, _covariance_sqrt,
                                  _sigma_points, _sigma_weights, _update, filter_steps)
 from locdecomp.exceptions import DimensionMismatch, FilterStepError, NotPSD
+from locdecomp.frames import rotation_matrix
 from locdecomp.harness import derive_run_seed
 from locdecomp.simulation import InjectionConfig, inject_runs, synthesize_trajectory
 
@@ -744,11 +747,12 @@ class TestFilterRuns:
         # whole pass, memory that grew with the steps
         built = []
 
-        def trusted(cls, _original=error_models._trusted, **fields):
-            built.append(cls.__name__)
-            return _original(cls, **fields)
+        def getitem(self, key, _original=KinematicInput.__getitem__):
+            sample = _original(self, key)
+            built.append(type(sample).__name__)
+            return sample
 
-        monkeypatch.setattr(error_models, "_trusted", trusted)
+        monkeypatch.setattr(KinematicInput, "__getitem__", getitem)
         n = 6
         inputs = KinematicInput(t=np.arange(float(n)), heading=np.linspace(0.0, 1.0, n),
                                 ref_position=np.zeros((n, 2)), heading_rate=np.zeros(n))
@@ -840,6 +844,36 @@ class TestRunFilter:
                                                cfg.process_noise)
                 np.testing.assert_allclose(means[k], mean, atol=1e-8)
                 np.testing.assert_allclose(covs[k], cov, atol=1e-8)
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(headings=arrays(float, 30, elements=st.floats(-np.pi, np.pi)),
+           factor=arrays(float, (4, 4), elements=st.floats(-1.0, 1.0)),
+           noise=arrays(float, (30, 2), elements=st.floats(-3.0, 3.0)),
+           scale=st.floats(-2.0, 3.0), ratio=st.floats(0.0, 4.0),
+           q=st.sampled_from([0.0, 1e-3, 0.1]))
+    def test_matches_linear_kf_on_body_and_map_model(self, headings, factor, noise, scale,
+                                                    ratio, q):
+        # body offset + map translation is linear in the state, with
+        # H_k = [rot(heading_k), I] turning at every step, so the unscented
+        # filter is the Kalman filter to rounding (P0 at 10^scale, and
+        # P0 / R at 10^ratio)
+        model = CompositeModel(components=(body_offset(), map_translation()))
+        p0 = 10.0 ** scale * (factor @ factor.T / 4.0 + 0.1 * np.eye(4))
+        r = 10.0 ** (scale - ratio) * np.eye(2)
+        cfg = UkfConfig(process_noise=q * np.eye(4), initial_mean=np.zeros(4),
+                        initial_covariance=p0)
+        inputs = KinematicInput(t=np.arange(30.0), heading=headings, heading_rate=np.zeros(30),
+                                ref_position=np.zeros((30, 2)))
+        d = model.evaluate([2.0, 1.0, 3.0, 2.0], inputs) + np.sqrt(r[0, 0]) * noise
+        means, covs = filter_one(model, cfg, d, np.tile(r, (30, 1, 1)), inputs)
+        mean, cov = cfg.initial_mean, cfg.initial_covariance
+        for k, angle in enumerate(headings):
+            h = np.hstack([rotation_matrix(angle), np.eye(2)])
+            mean, cov = linear_kalman_step(mean, cov, d[k], h, r, cfg.process_noise)
+            np.testing.assert_array_less(np.abs(means[k] - mean),
+                                         1e-8 * np.maximum(1.0, np.abs(mean)))
+            np.testing.assert_array_less(np.abs(covs[k] - cov),
+                                         1e-8 * np.maximum(1.0, np.abs(cov)))
 
     def test_step_errors_carry_index(self):
         model = CompositeModel(components=(map_translation(),))
