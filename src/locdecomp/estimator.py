@@ -25,13 +25,13 @@ closed form; each step's :class:`FilterStep` is yielded read-only.
 Shapes, positions, measurement covariances and observation finiteness are
 validated once per pass; a series' samples are views of its validated
 arrays.  Each step checks its covariances with Cholesky factorizations,
-with no jitter, which succeed only on positive-definite input: the prior's
-factor is its sigma-point root, and the posterior's is taken of a copy
-with the PSD floor added to its diagonal.  Only when one fails are
-eigenvalues computed: an indefinite covariance raises
+with no jitter: one factorization decides a positive-definite covariance,
+and the prior's factor is its sigma-point root.  Eigenvalues are computed
+only when one fails: an indefinite covariance raises
 :class:`~locdecomp.exceptions.NotPSD` naming its lowest eigenvalue, and a
-semi-definite prior (validly collapsed, e.g. all zero) gets its
-eigendecomposition root.
+semi-definite batch of priors (validly collapsed, e.g. all zero) gets its
+roots from one eigendecomposition; each matrix whose Cholesky succeeds
+alone keeps that factor.
 """
 
 from __future__ import annotations
@@ -57,20 +57,14 @@ def _check_psd(sym: np.ndarray, name: str) -> None:
     """Raise NotPSD unless each symmetric matrix in ``sym`` (..., k, k) has
     its lowest eigenvalue at or above the floor ``-PSD_TOL * max(trace, 1)``.
 
-    One batched Cholesky of a copy with the floor added to its diagonal
-    decides it: it succeeds only when every lowest eigenvalue lies above the
-    floor.  Only when it fails are the eigenvalues computed, to accept a
-    matrix that sits exactly at the floor and to name the lowest otherwise.
+    One batched Cholesky decides a positive-definite stack.  Only when it
+    fails are the eigenvalues computed, to accept a semi-definite matrix or
+    one within the floor and to name the lowest otherwise.
     """
-    k = sym.shape[-1]
-    shifted = sym.copy()
-    # sym + floor * I in place of this view measured 1.02x the corner filter pass time
-    diagonal = shifted.reshape(sym.shape[:-2] + (k * k,))[..., ::k + 1]
-    floor = PSD_TOL * np.maximum(diagonal.sum(axis=-1), 1.0)
-    diagonal += floor[..., None]
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
+        floor = PSD_TOL * np.maximum(np.trace(sym, axis1=-2, axis2=-1), 1.0)
         lowest = np.linalg.eigvalsh(sym)[..., 0]
         if np.any(lowest < -floor):
             raise NotPSD(f"{name} has negative eigenvalue {lowest.min()}") from None
@@ -123,17 +117,21 @@ class UkfConfig:
 def _covariance_sqrt(p: np.ndarray) -> np.ndarray:
     """Matrices S with S @ S.T = p for symmetric p (..., n, n): the Cholesky
     factor, which is also the PSD check.  If it fails, an indefinite matrix
-    raises NotPSD naming the lowest eigenvalue; else each matrix retries alone,
-    so a run's root does not depend on its batch, and a semi-definite one
-    gets its eigendecomposition root."""
+    raises NotPSD naming the lowest eigenvalue; else one eigendecomposition
+    roots the stack, and each matrix whose Cholesky succeeds alone keeps that
+    factor, so a run's root does not depend on its batch."""
     try:
         return np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
         _check_psd(p, "covariance")
-    if p.ndim > 2:
-        return np.stack([_covariance_sqrt(m) for m in p])
     eigvals, eigvecs = np.linalg.eigh(p)
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    roots = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
+    for i in np.ndindex(p.shape[:-2]):
+        try:
+            roots[i] = np.linalg.cholesky(p[i])
+        except np.linalg.LinAlgError:
+            pass
+    return roots
 
 
 def _sigma_weights(n: int) -> tuple[float, np.ndarray, np.ndarray]:

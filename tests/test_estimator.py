@@ -49,6 +49,15 @@ def filter_one(model, cfg, d, r, inputs):
     return np.array([s.means[0] for s in steps]), np.array([s.covs[0] for s in steps])
 
 
+def turning_pass(cfg):
+    """The step records of one body + map ``filter_steps`` pass of 4 runs
+    of random differences along a steadily turning 40-step drive."""
+    model = CompositeModel(components=(body_offset(), map_translation()))
+    inputs = series(make_input(angle=0.05 * k, position=(k, 0.5 * k)) for k in range(40))
+    d = np.random.default_rng(18).normal(size=(4, 40, 2))
+    return list(filter_steps(model, cfg, d, np.tile(0.04 * np.eye(2), (40, 1, 1)), inputs))
+
+
 def random_psd(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim))
     return scale * (a @ a.T) + 1e-6 * np.eye(dim)
@@ -230,16 +239,36 @@ class TestCovarianceCheck:
                   np.zeros((5, 3, 3))):
             assert assert_same_verdict(m) is None
 
-    def test_semi_definite_needs_no_eigenvalues(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        _check_covariance(np.stack([np.zeros((3, 3)), np.diag([2.0, 0.0, 1.0])]),
-                          "covariance")
+    def test_positive_definite_needs_no_eigenvalues(self, monkeypatch):
+        # one Cholesky decides a positive-definite covariance, at the
+        # boundary and in every step of a filter pass
+        for name in ("eigvalsh", "eigh"):
+            def fail(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called")
+            monkeypatch.setattr(np.linalg, name, fail)
+        rng = np.random.default_rng(17)
+        _check_covariance(np.stack([random_psd(rng, 3) for _ in range(5)]), "covariance")
+        assert len(turning_pass(make_config(4))) == 40
+
+    def test_pinned_pass_takes_one_eigendecomposition_per_step(self, monkeypatch):
+        # a parameter with zero variance and zero process noise keeps every
+        # prior semi-definite; one eigh roots the batch of runs each step
+        shapes = []
+
+        def counted(a, *args, _original=np.linalg.eigh, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = make_config(4, q=np.array([0.1, 0.1, 0.1, 0.0]),
+                          p0=np.array([10.0, 10.0, 10.0, 0.0]))
+        assert len(turning_pass(cfg)) == 40
+        assert shapes == [(4, 4, 4)] * 40
 
     def test_matrix_at_the_floor_is_settled_by_eigenvalues(self):
-        # the shifted factorization meets an exactly zero pivot and fails;
-        # the lowest eigenvalue equals the floor, which the rule accepts
+        # the factorization fails even with the floor added to the diagonal,
+        # at an exactly zero pivot; the lowest eigenvalue equals the floor,
+        # which the rule accepts
         m = np.diag([1.0, -PSD_TOL])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(m + PSD_TOL * np.eye(2))
@@ -282,9 +311,9 @@ class TestCovarianceCheck:
                               series([make_input()])))
 
 
-class TestDiagonalShiftVerdict:
-    """The floor added to the diagonal of one copy gives the eigenvalue
-    rule's verdict at its boundary, at the API boundary and in a step."""
+class TestFloorVerdict:
+    """The eigenvalues computed when the Cholesky fails give the eigenvalue
+    rule's verdict at its floor, at the API boundary and in a step."""
 
     def test_at_the_floor_is_accepted(self):
         at, _ = floor_matrices()

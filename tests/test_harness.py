@@ -60,6 +60,27 @@ def per_run_estimates(cfg, runs=None):
     return np.array(means), np.array(covs)
 
 
+def step_records(cfg, seeds):
+    """The runs of ``seeds`` injected and filtered as one batch: each
+    :class:`FilterStep` field stacked over the steps, (N, B, ...)."""
+    inputs, p_other, r = inject_runs(cfg.trajectory.series, cfg.injection, cfg.model, seeds)
+    steps = filter_steps(cfg.model, cfg.ukf, inputs.ref_position - p_other, r, inputs)
+    return [np.stack(field) for field in zip(*steps)]
+
+
+def assert_rows_equal_runs_alone(cfg, runs):
+    """Each of ``runs`` filtered alone gives its row of the whole batch's
+    step records, every field bit for bit."""
+    seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
+    batch = step_records(cfg, seeds)
+    for run in runs:
+        alone = step_records(cfg, [seeds[run]])
+        for name, alone_field, batch_field in zip(FilterStep._fields, alone, batch,
+                                                  strict=True):
+            np.testing.assert_array_equal(alone_field[:, 0], batch_field[:, run],
+                                          err_msg=name)
+
+
 def batched_estimates(cfg, runs=None):
     runs = range(cfg.n_runs) if runs is None else runs
     return np.stack([s.means for s in _estimate_runs(cfg.trajectory.series, cfg, runs)],
@@ -163,32 +184,18 @@ class TestBatchedEquivalence:
                            true_params=(2.0, 1.0, 3.0, 2.0, 0.02),
                            q=[0.1, 0.1, 0.1, 0.1, 1e-4],
                            p0=[10.0, 10.0, 10.0, 10.0, 0.01])
-        trajectory = cfg.trajectory.series
-        seeds = [derive_run_seed(cfg.injection.rng_seed, r) for r in range(cfg.n_runs)]
-
-        def filtered(seeds):
-            inputs, p_other, r = inject_runs(trajectory, cfg.injection, model, seeds)
-            steps = filter_steps(model, cfg.ukf, inputs.ref_position - p_other, r, inputs)
-            return [np.stack(field) for field in zip(*steps)]   # (N, B, ...) per field
-
-        batch = filtered(seeds)
-        for run in (0, 17, 99):
-            alone = filtered([seeds[run]])
-            for name, alone_field, batch_field in zip(FilterStep._fields, alone, batch,
-                                                      strict=True):
-                np.testing.assert_array_equal(alone_field[:, 0], batch_field[:, run],
-                                              err_msg=name)
+        assert_rows_equal_runs_alone(cfg, (0, 17, 99))
 
     def test_semi_definite_covariance_takes_tolerant_root(self):
         # a zero initial variance that Q never inflates keeps every run's
         # covariance singular, so the batched Cholesky fails each step and
-        # the runs fall back to the per-matrix eigendecomposition root
+        # one eigendecomposition roots the batch; each run's step record
+        # still equals the run's filtered alone, bit for bit
         cfg = small_config(n_runs=4, q=[0.1, 0.1, 0.1, 0.0],
                            p0=[10.0, 10.0, 10.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(cfg.ukf.initial_covariance + cfg.ukf.process_noise)
-        np.testing.assert_allclose(batched_estimates(cfg), per_run_estimates(cfg)[0],
-                                   rtol=0.0, atol=1e-12)
+        assert_rows_equal_runs_alone(cfg, range(cfg.n_runs))
 
     @staticmethod
     def assert_matches_golden(name):
